@@ -31,7 +31,6 @@ from .errors import (
     EigenError,
     FitError,
     NumericalError,
-    SchemaError,
     SparseCovError,
 )
 from .estimators import EstimatorSpec, apply_estimator, threshold_level
@@ -283,27 +282,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Error classes to (exit code, message prefix), walked in order: the first
+# row whose classes match the raised error decides.  Anything else propagates.
+_EXIT_CODES = (
+    ((BudgetError,), 4, "budget exceeded: "),
+    ((DomainError, DivergenceError, NumericalError, EigenError, CellError, FitError), 3, ""),
+    ((SparseCovError, OSError, ValueError, KeyError), 2, ""),
+)
+_MAPPED_ERRORS = tuple(cls for classes, _, _ in _EXIT_CODES for cls in classes)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args, argv)
-    except BudgetError as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    except (DomainError, DivergenceError, NumericalError, EigenError, CellError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SparseCovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _MAPPED_ERRORS as exc:
+        for classes, code, prefix in _EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .matrices import as_symmetric, matrix_function, operator_norm, sym_eigen
+from .matrices import _operator_norm, _sym_eigen, as_symmetric, matrix_function
 
 # Eigenvalues below this are outside the open domain (0, inf) for the Stein
 # and von Neumann generators; no clamping, the caller must fix conditioning.
@@ -71,7 +71,7 @@ def resolve_phi(phi) -> BregmanPhi:
 
 
 def _checked_eigenvalues(mat, gen: BregmanPhi, label: str) -> tuple:
-    eig = sym_eigen(mat)
+    eig = _sym_eigen(mat)
     if gen.domain_min > -math.inf:
         floor = gen.domain_min + EIGEN_DOMAIN_FLOOR
         lo = float(eig.eigenvalues[-1])
@@ -89,7 +89,11 @@ def bregman_divergence(x, y, phi="stein") -> float:
     Both arguments must be symmetric with eigenvalues inside the generator's
     domain.  The result is nonnegative up to roundoff and zero iff X == Y.
     """
-    gen = resolve_phi(phi)
+    return _bregman(as_symmetric(x), as_symmetric(y), resolve_phi(phi))
+
+
+def _bregman(x: np.ndarray, y: np.ndarray, gen: BregmanPhi) -> float:
+    """:func:`bregman_divergence` of two exactly symmetric matrices."""
     ex = _checked_eigenvalues(x, gen, "first argument")
     ey = _checked_eigenvalues(y, gen, "second argument")
     lam = ex.eigenvalues
@@ -190,26 +194,32 @@ class LossSpec:
         )
 
 
-def operator_loss(a, b, w) -> float:
-    """Squared operator norm of the difference, exact orders only."""
+def _validated_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     ma = as_symmetric(a)
     mb = as_symmetric(b)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return operator_norm(ma - mb, w) ** 2
+    return ma, mb
+
+
+def operator_loss(a, b, w) -> float:
+    """Squared operator norm of the difference, exact orders only."""
+    ma, mb = _validated_pair(a, b)
+    return _operator_norm(ma - mb, w) ** 2
 
 
 def evaluate_loss(spec: LossSpec, estimate, truth) -> float:
-    """Dispatch a LossSpec; the common entry point for the risk harness."""
+    """Dispatch a LossSpec on a validated (estimate, truth) pair."""
+    return _evaluate(spec, *_validated_pair(estimate, truth))
+
+
+def _evaluate(spec: LossSpec, est: np.ndarray, tru: np.ndarray) -> float:
+    """:func:`evaluate_loss` of two exactly symmetric, finite, same-shape
+    matrices; the risk harness calls it on matrices it built itself."""
     if spec.kind == "operator":
-        return operator_loss(estimate, truth, spec.w)
-    est = as_symmetric(estimate)
-    tru = as_symmetric(truth)
-    if est.shape != tru.shape:
-        raise ValueError(f"shape mismatch: {est.shape} vs {tru.shape}")
-    p = est.shape[0]
+        return _operator_norm(est - tru, spec.w) ** 2
     if spec.kind == "frobenius-squared":
         value = float(np.sum((est - tru) ** 2))
     else:
-        value = bregman_divergence(est, tru, spec.phi)
-    return value / p if spec.normalized else value
+        value = _bregman(est, tru, resolve_phi(spec.phi))
+    return value / est.shape[0] if spec.normalized else value

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .matrices import as_symmetric
 from .model_spaces import (
     DEFAULT_ENUMERATION_BUDGET,
     LeastFavorableConfig,
+    _count_lambda,
+    _iter_lambda,
     count_theta,
     enumerate_theta,
     materialize_sigma,
@@ -269,7 +271,6 @@ class ChiSquareEnvelope:
     series_value: float | None
     series_ratio: float | None
     series_diverged: bool
-    series_terms: int
     target: float = CHI_SQUARE_TARGET
 
 
@@ -302,7 +303,6 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
     series_value: float | None = None
     series_ratio: float | None = None
     series_diverged = False
-    series_terms = 0
     if k == 0:
         series_ratio = 0.0
         series_value = 0.5
@@ -316,10 +316,9 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
         else:
             total = 0.0
             term = 1.0
-            for j in range(1, _SERIES_TERM_CAP + 1):
+            for _ in range(_SERIES_TERM_CAP):
                 term *= ratio
                 contrib = 1.5 * term
-                series_terms = j
                 if contrib < _SERIES_TERM_FLOOR:
                     break
                 total += contrib
@@ -331,82 +330,21 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
         series_value=series_value,
         series_ratio=series_ratio,
         series_diverged=series_diverged,
-        series_terms=series_terms,
     )
-
-
-def _completion_work(cfg: LeastFavorableConfig):
-    """Iterate over row-pattern tuples for all rows but the first.
-
-    Yields (counts-derived available columns, the tuple's bump rows) while
-    maintaining a single mutable usage map; callers must consume eagerly.
-    """
-    support = list(cfg.support_columns)
-    patterns = list(itertools.combinations(support, cfg.k))
-    cap = 2 * cfg.k
-    counts = {j: 0 for j in support}
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(m: int):
-        if m == cfg.r - 1:
-            avail = tuple(j for j in support if counts[j] <= cap - 1)
-            yield avail, tuple(chosen)
-            return
-        for pat in patterns:
-            if any(counts[j] >= cap for j in pat):
-                continue
-            for j in pat:
-                counts[j] += 1
-            chosen.append(pat)
-            yield from rec(m + 1)
-            chosen.pop()
-            for j in pat:
-                counts[j] -= 1
-
-    yield from rec(0)
 
 
 def _completion_work_total(cfg: LeastFavorableConfig) -> int:
     """Integral evaluations exact_chi_square_small would perform, without
-    enumerating completions: columns are exchangeable, so walk the usage
-    profile like the family counter does and weight terminal profiles by the
-    squared number of admissible first rows."""
-    r, k = cfg.r, cfg.k
-    cap = 2 * k
+    enumerating completions: walk the usage profiles of the other r - 1 rows
+    like the family counter does, weighting each by the squared number of
+    admissible first rows."""
+    k, cap = cfg.k, 2 * cfg.k
 
-    @lru_cache(maxsize=None)
-    def walk(rows_left: int, profile: tuple[int, ...]) -> int:
-        if rows_left == 0:
-            avail = sum(profile[:cap])
-            return math.comb(avail, k) ** 2 if avail >= k else 0
-        total = 0
+    def first_row_pairs(profile: tuple[int, ...]) -> int:
+        avail = sum(profile[:cap])
+        return math.comb(avail, k) ** 2 if avail >= k else 0
 
-        # Same row-start availability discipline as the family counter.
-        def distribute(u: int, remaining: int, mult: int, takes: tuple[int, ...]):
-            nonlocal total
-            if remaining == 0:
-                new = list(profile)
-                for uu, t in enumerate(takes):
-                    new[uu] -= t
-                    new[uu + 1] += t
-                total += mult * walk(rows_left - 1, tuple(new))
-                return
-            if u >= cap:
-                return
-            avail = profile[u]
-            for take in range(min(avail, remaining) + 1):
-                distribute(
-                    u + 1,
-                    remaining - take,
-                    mult * math.comb(avail, take),
-                    takes + (take,),
-                )
-
-        distribute(0, k, 1, ())
-        return total
-
-    start = (r,) + (0,) * cap
-    return 2 ** (r - 1) * walk(r - 1, start)
+    return 2 ** (cfg.r - 1) * _count_lambda(cfg.r, k, cfg.r - 1, first_row_pairs)
 
 
 def exact_chi_square_small(
@@ -443,15 +381,15 @@ def exact_chi_square_small(
             f"exact chi-square needs {work} integral evaluations, budget is {budget}",
             count=work,
         )
-    completions = [
-        (avail, rows) for avail, rows in _completion_work(cfg) if len(avail) >= k
-    ]
-
     e0 = np.zeros(p)
     e0[0] = 1.0
     acc = 0.0
     weight_sum = 0.0
-    for avail, rows in completions:
+    for rows in _iter_lambda(cfg, r - 1):
+        used = Counter(j for pat in rows for j in pat)
+        avail = [j for j in cfg.support_columns if used[j] < 2 * k]
+        if len(avail) < k:
+            continue
         lam1 = list(itertools.combinations(avail, k))
         d_c = len(lam1)
         # 0/1 indicator per candidate first-row pattern, rows are patterns

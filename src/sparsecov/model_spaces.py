@@ -304,12 +304,13 @@ def materialize_sigma(cfg: LeastFavorableConfig, theta: ThetaIndex) -> np.ndarra
     return sigma
 
 
-def _count_lambda(r: int, k: int) -> int:
+def _count_lambda(r: int, k: int, rows: int | None = None, leaf=None) -> int:
     """Exact number of r-tuples of k-subsets with every column used <= 2k times.
 
-    Dynamic program over rows on the usage profile (how many columns are
-    currently used u times, u = 0..2k); columns are exchangeable so only the
-    profile matters.
+    Dynamic program over rows on the usage profile (how many of the r columns
+    are currently used u times, u = 0..2k); columns are exchangeable so only
+    the profile matters.  ``rows`` (default r) sets how many patterns a tuple
+    has, and each complete tuple counts ``leaf(profile)`` (default 1).
     """
     if k == 0:
         return 1
@@ -318,7 +319,7 @@ def _count_lambda(r: int, k: int) -> int:
     @lru_cache(maxsize=None)
     def ways(rows_left: int, profile: tuple[int, ...]) -> int:
         if rows_left == 0:
-            return 1
+            return 1 if leaf is None else leaf(profile)
         total = 0
         # Distribute the k picks of the next row over usage classes < cap.
         # Availability per class is fixed at the row's start; the shifted
@@ -348,7 +349,7 @@ def _count_lambda(r: int, k: int) -> int:
         return total
 
     start = (r,) + (0,) * cap
-    return ways(r, start)
+    return ways(r if rows is None else rows, start)
 
 
 def count_theta(cfg: LeastFavorableConfig) -> int:
@@ -356,15 +357,15 @@ def count_theta(cfg: LeastFavorableConfig) -> int:
     return 2**cfg.r * _count_lambda(cfg.r, cfg.k)
 
 
-def _iter_lambda(cfg: LeastFavorableConfig):
-    """Yield valid row-pattern tuples in lexicographic order (pruned DFS)."""
+def _iter_lambda(cfg: LeastFavorableConfig, rows: int):
+    """Yield valid tuples of ``rows`` row patterns in lexicographic order (pruned DFS)."""
     patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
     cap = 2 * cfg.k
     counts = {j: 0 for j in cfg.support_columns}
     chosen: list[tuple[int, ...]] = []
 
     def rec(m: int):
-        if m == cfg.r:
+        if m == rows:
             yield tuple(chosen)
             return
         for pat in patterns:
@@ -399,7 +400,7 @@ def enumerate_theta(
         raise BudgetError(
             f"family has {total} members, budget is {budget}", count=total
         )
-    lambdas = list(_iter_lambda(cfg))
+    lambdas = list(_iter_lambda(cfg, cfg.r))
     out = [
         ThetaIndex(gamma=gamma, rows=rows)
         for gamma in itertools.product((0, 1), repeat=cfg.r)

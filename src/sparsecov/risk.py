@@ -2,14 +2,15 @@
 
 Determinism contract: replicate r of a cell draws from ``seed.substream(r)``,
 so a cell's results are byte-identical no matter how many worker threads run
-the replicates or in which order they finish.  Cells of a grid share the data
-seed across estimator/loss combinations, which pairs comparisons and keeps
-the layout reproducible.
+the replicates or in which order they finish.  Every estimator/loss
+combination of a grid cell is scored on the same draw of each replicate,
+drawn once, which pairs the comparisons and keeps the layout reproducible.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -19,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CellError, ConfigError, DomainError, FitError, SchemaError
-from .estimators import EstimatorSpec, apply_estimator
-from .losses import LossSpec, evaluate_loss, resolve_phi
+from .estimators import EstimatorSpec, apply_estimator, bregman_guard
+from .losses import LossSpec, _evaluate, resolve_phi
 from .matrices import as_symmetric
 from .model_spaces import ThetaIndex, build_config, materialize_sigma, sample_theta, weak_lq_radius
 from .rng import RngSeed
@@ -112,7 +113,12 @@ def materialize_truth(spec: dict, n: int, p: int):
 
 @dataclass(frozen=True)
 class RiskRecord:
-    """Summary of one (truth, estimator, loss, n, p) Monte Carlo cell."""
+    """Summary of one (truth, estimator, loss, n, p) Monte Carlo cell.
+
+    ``wall_time`` is the time the cell's pipeline took for all of its
+    estimator/loss combinations together, so every record of one grid cell
+    repeats it.  The CSV export leaves it empty.
+    """
 
     cell_id: str
     model: str
@@ -193,17 +199,61 @@ def run_risk_cell(
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    (record,) = _run_cell(
+        sigma, [estimator], [loss], n, replicates, seed,
+        guard=False, name=lambda ei, li: cell_id, model=model, q=q, c=c,
+        threads=threads,
+    )
+    return record
+
+
+def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
+    """Stein and von Neumann losses are undefined on a singular estimate, so
+    a grid scores them with the bregman-guard correction appended."""
+    spectral = loss.kind == "bregman" and resolve_phi(loss.phi).name in ("stein", "von-neumann")
+    if not spectral or "bregman-guard" in est.corrections:
+        return est
+    return replace(est, corrections=est.corrections + ("bregman-guard",))
+
+
+def _run_cell(
+    sigma, estimators, losses, n, replicates, seed, *, guard, name, model, q, c, threads
+) -> list[RiskRecord]:
+    """The cell pipeline behind :func:`run_risk_cell` and :func:`run_grid`.
+
+    The truth is validated and square-rooted once.  Replicate r draws once
+    from ``seed.substream(r)`` and applies each estimator once to its sample
+    covariance.  Every loss scores that estimate; with ``guard`` set, Stein
+    and von Neumann losses score ``bregman_guard`` of it, which is bit for
+    bit the :func:`_guarded` spec.  These matrices are symmetric by
+    construction, so the loss kernel does not validate them.  Records come
+    in (estimator, loss) order.
+    """
     mat = as_symmetric(sigma)
     root = sqrt_psd(mat)
-    results = np.full(replicates, np.nan)
+    # specs[ei][li] is estimators[ei] itself unless the loss adds the guard
+    specs = [[_guarded(est, loss) if guard else est for loss in losses] for est in estimators]
+    results = np.full((len(estimators), len(losses), replicates), np.nan)
 
     def one(ridx: int) -> None:
-        x = sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root)
-        estimate = apply_estimator(mle_covariance(x), estimator, n)
-        try:
-            results[ridx] = evaluate_loss(loss, estimate, mat)
-        except DomainError:
-            pass  # leaves nan; counted below
+        sample = mle_covariance(
+            sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root)
+        )
+        for ei, est in enumerate(estimators):
+            estimate = apply_estimator(sample, est, n)
+            guarded = None
+            for li, loss in enumerate(losses):
+                if specs[ei][li] is not est and guarded is None:
+                    guarded = bregman_guard(estimate, n)  # once, on demand
+                try:
+                    results[ei, li, ridx] = _evaluate(
+                        loss, estimate if specs[ei][li] is est else guarded, mat
+                    )
+                except DomainError:
+                    pass  # leaves nan; counted below
+            # Free both before the next estimate is built, so a worker holds
+            # one estimator's matrices at a time; this keeps peak RSS down.
+            del estimate, guarded
 
     started = time.perf_counter()
     if threads <= 1:
@@ -214,32 +264,37 @@ def run_risk_cell(
             list(pool.map(one, range(replicates)))
     elapsed = time.perf_counter() - started
 
-    good = results[~np.isnan(results)]
-    failures = replicates - good.size
-    if failures > FAILURE_RATE_LIMIT * replicates:
-        raise CellError(
-            f"cell {cell_id}: {failures}/{replicates} replicates failed the loss"
+    records = []
+    for ei, li in itertools.product(range(len(estimators)), range(len(losses))):
+        good = results[ei, li][~np.isnan(results[ei, li])]
+        failures = replicates - good.size
+        if failures > FAILURE_RATE_LIMIT * replicates:
+            raise CellError(
+                f"cell {name(ei, li)}: {failures}/{replicates} replicates failed the loss"
+            )
+        std_error = (
+            float(np.std(good, ddof=1)) / math.sqrt(good.size) if good.size > 1 else 0.0
         )
-    std_error = (
-        float(np.std(good, ddof=1)) / math.sqrt(good.size) if good.size > 1 else 0.0
-    )
-    return RiskRecord(
-        cell_id=cell_id,
-        model=model,
-        n=n,
-        p=mat.shape[0],
-        q=q,
-        c=c,
-        estimator=estimator,
-        loss=loss,
-        replicates=replicates,
-        mean_risk=float(np.mean(good)),
-        std_error=std_error,
-        median_risk=float(np.median(good)),
-        failures=failures,
-        seed=seed,
-        wall_time=elapsed,
-    )
+        records.append(
+            RiskRecord(
+                cell_id=name(ei, li),
+                model=model,
+                n=n,
+                p=mat.shape[0],
+                q=q,
+                c=c,
+                estimator=specs[ei][li],
+                loss=losses[li],
+                replicates=replicates,
+                mean_risk=float(np.mean(good)),
+                std_error=std_error,
+                median_risk=float(np.median(good)),
+                failures=failures,
+                seed=seed,
+                wall_time=elapsed,
+            )
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +511,9 @@ def run_grid(config: dict, *, threads: int = 1) -> GridResult:
 
     Stein and von Neumann loss cells get the bregman-guard correction added
     to their estimator when absent, since those losses are undefined on a
-    singular estimate.  Data draws are shared across estimator/loss
-    combinations within a cell, pairing the comparisons.
+    singular estimate.  Each replicate's data draw and each estimate are
+    shared by every estimator/loss combination of a cell, pairing the
+    comparisons.
     """
     cells = _grid_cells(config)
     truth_spec = config.get("truth")
@@ -475,33 +531,11 @@ def run_grid(config: dict, *, threads: int = 1) -> GridResult:
     records = []
     for ci, (n, p) in enumerate(cells):
         sigma, q, c, label = materialize_truth(truth_spec, n, p)
-        cell_seed = master.substream(ci)
-        for ei, est in enumerate(estimators):
-            for li, loss in enumerate(losses):
-                est_eff = est
-                if (
-                    loss.kind == "bregman"
-                    and resolve_phi(loss.phi).name in ("stein", "von-neumann")
-                    and "bregman-guard" not in est.corrections
-                ):
-                    est_eff = replace(
-                        est, corrections=est.corrections + ("bregman-guard",)
-                    )
-                records.append(
-                    run_risk_cell(
-                        sigma,
-                        est_eff,
-                        loss,
-                        n,
-                        replicates,
-                        cell_seed,
-                        cell_id=f"cell-{ci:03d}-e{ei}-l{li}",
-                        model=label,
-                        q=q,
-                        c=c,
-                        threads=threads,
-                    )
-                )
+        records += _run_cell(
+            sigma, estimators, losses, n, replicates, master.substream(ci),
+            guard=True, name=lambda ei, li: f"cell-{ci:03d}-e{ei}-l{li}",
+            model=label, q=q, c=c, threads=threads,
+        )
 
     fits = []
     n_est = len(estimators)

@@ -3,7 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from sparsecov.cli import main
+from sparsecov.cli import _EXIT_CODES, main
+from sparsecov.errors import (
+    BudgetError,
+    CellError,
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    EigenError,
+    FitError,
+    NotPSDError,
+    NumericalError,
+    SchemaError,
+    SparseCovError,
+    StructureError,
+)
 from sparsecov.rng import RngSeed
 from sparsecov.risk import banded_sigma
 from sparsecov.sampling import sample_gaussian, save_data_csv
@@ -168,3 +182,50 @@ def test_version_flag_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# The documented exit codes, written out independently of the CLI's table.
+EXIT_CASES = [
+    (BudgetError, 4, "error: budget exceeded: "),
+    (DomainError, 3, "error: boom"),
+    (NotPSDError, 3, "error: boom"),
+    (DivergenceError, 3, "error: boom"),
+    (NumericalError, 3, "error: boom"),
+    (EigenError, 3, "error: boom"),
+    (CellError, 3, "error: boom"),
+    (FitError, 3, "error: boom"),
+    (ConfigError, 2, "error: boom"),
+    (SchemaError, 2, "error: boom"),
+    (StructureError, 2, "error: boom"),
+    (SparseCovError, 2, "error: boom"),
+    (OSError, 2, "error: boom"),
+    (ValueError, 2, "error: boom"),
+    (KeyError, 2, "error: 'boom'"),
+]
+
+
+def test_exit_cases_cover_every_row_of_the_table():
+    listed = {cls for cls, _, _ in EXIT_CASES}
+    for classes, _, _ in _EXIT_CODES:
+        assert set(classes) <= listed
+
+
+@pytest.mark.parametrize(
+    "cls, code, prefix", EXIT_CASES, ids=[case[0].__name__ for case in EXIT_CASES]
+)
+def test_every_error_class_maps_to_its_exit_code(tmp_path, monkeypatch, capsys, cls, code, prefix):
+    def fail(config, threads=1):
+        raise cls("boom")
+
+    monkeypatch.setattr("sparsecov.cli.run_grid", fail)
+    assert main(["simulate", "--config", str(grid_file(tmp_path))]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_unmapped_errors_propagate(tmp_path, monkeypatch):
+    def fail(config, threads=1):
+        raise RuntimeError("not a user error")
+
+    monkeypatch.setattr("sparsecov.cli.run_grid", fail)
+    with pytest.raises(RuntimeError):
+        main(["simulate", "--config", str(grid_file(tmp_path))])

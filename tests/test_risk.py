@@ -145,15 +145,33 @@ def test_run_grid_produces_records_and_fit():
 
 def test_run_grid_pairs_estimators_on_shared_draws():
     cfg = grid_config(
-        estimators=[{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": 2.0}],
+        estimators=[
+            {"rule": "hard", "gamma": 2.0},
+            {"rule": "adaptive-lasso", "gamma": 2.0, "corrections": ["psd-project"]},
+        ],
+        losses=[
+            {"kind": "operator", "w": 2},
+            {"kind": "bregman", "phi": "stein", "normalized": True},
+        ],
         cells=[{"n": 60, "p": 20}, {"n": 120, "p": 40}, {"n": 240, "p": 80}],
     )
-    result = run_grid(cfg)
+    result = run_grid(cfg, threads=2)
     by_cell = {}
     for rec in result.records:
         by_cell.setdefault((rec.n, rec.p), []).append(rec)
-    for recs in by_cell.values():
-        assert recs[0].seed == recs[1].seed
+    for (n, p), recs in by_cell.items():
+        assert len(recs) == 4
+        assert len({rec.seed for rec in recs}) == 1
+        sigma = materialize_truth(cfg["truth"], n, p)[0]
+        for rec in recs:
+            # the grid shares one draw per replicate; a lone cell on the
+            # record's own (guarded) estimator and loss must agree exactly
+            alone = run_risk_cell(sigma, rec.estimator, rec.loss, n, 10, rec.seed)
+            assert rec.mean_risk == alone.mean_risk
+            assert rec.std_error == alone.std_error
+            assert rec.median_risk == alone.median_risk
+    stein = [rec for rec in result.records if rec.loss.kind == "bregman"]
+    assert all(rec.estimator.corrections[-1] == "bregman-guard" for rec in stein)
 
 
 def test_run_grid_adds_guard_for_spectral_bregman_losses():
