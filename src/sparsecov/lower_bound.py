@@ -49,6 +49,8 @@ CHI_SQUARE_TARGET = 0.75
 _SERIES_TERM_FLOOR = 1e-15
 _SERIES_TERM_CAP = 10_000
 _EIG_TOL = 1e-10
+# Samples scored per GEMM in tv_affinity_mc; bounds its working memory.
+_TILE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +107,11 @@ def cross_product_integral(s0, s1, s2) -> float:
 
     For centered Gaussians with covariances S0, S1, S2 this equals
 
-        det(I - S0^-2 (S1 - S0)(S2 - S0))^(-1/2),
+        det(I - S0^-1 (S1 - S0) S0^-1 (S2 - S0))^(-1/2),
 
-    provided the determinant is positive.
+    provided the determinant is positive.  It is the integral of f1 f2 / f0,
+    which equals det S0^(1/2) (det S1 det S2)^(-1/2)
+    det(S1^-1 + S2^-1 - S0^-1)^(-1/2).
 
     Raises
     ------
@@ -124,7 +128,7 @@ def cross_product_integral(s0, s1, s2) -> float:
     if float(np.min(np.linalg.eigvalsh(m0))) <= 0.0:
         raise DomainError("base covariance must be positive definite")
     inv0 = np.linalg.inv(m0)
-    q = inv0 @ inv0 @ (m1 - m0) @ (m2 - m0)
+    q = inv0 @ (m1 - m0) @ inv0 @ (m2 - m0)
     sign, logdet = np.linalg.slogdet(np.eye(m0.shape[0]) - q)
     if sign <= 0.0:
         raise DivergenceError(
@@ -381,8 +385,6 @@ def exact_chi_square_small(
             f"exact chi-square needs {work} integral evaluations, budget is {budget}",
             count=work,
         )
-    e0 = np.zeros(p)
-    e0[0] = 1.0
     acc = 0.0
     weight_sum = 0.0
     for rows in _iter_lambda(cfg, r - 1):
@@ -404,16 +406,18 @@ def exact_chi_square_small(
                 for j in pat:
                     s0[m, j] += eps
                     s0[j, m] += eps
-            inv0 = np.linalg.inv(s0)
-            w2 = inv0 @ inv0
-            # det(I - eps^2 W (e0 J e0' + a_i a_j')) reduces to a 2x2 determinant
-            w00 = float(e0 @ w2 @ e0)
-            g_e = a_mat @ (w2 @ e0)
-            gram = a_mat @ w2 @ a_mat.T
-            overlaps = a_mat @ a_mat.T
-            det2 = (1.0 - eps**2 * overlaps * w00) * (
-                1.0 - eps**2 * gram
-            ) - eps**4 * overlaps * np.outer(g_e, g_e)
+            w = np.linalg.inv(s0)
+            # S1 - S0 = eps U J U' with U = [e0, a_i] and J = [[0, 1], [1, 0]],
+            # likewise S2 - S0 with V = [e0, a_j], so the p x p determinant
+            # reduces to det(I_2 - eps^2 J G J G') with G = U' W V, whose
+            # entries are w00, g_i = a_i' W e0 and gram_ij = a_i' W a_j.
+            w00 = float(w[0, 0])
+            g = a_mat @ w[:, 0]
+            gram = a_mat @ w @ a_mat.T
+            gg = np.outer(g, g)
+            det2 = (1.0 - eps**2 * (w00 * gram + gg)) ** 2 - (
+                4.0 * eps**4 * w00 * gram * gg
+            )
             if np.any(det2 <= 0.0):
                 raise DivergenceError(
                     "cross-product integral diverges inside exact enumeration"
@@ -460,18 +464,18 @@ class GaussianMixture:
             raise ValueError("component weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError("component weights must sum to one")
-        for idx in range(c):
-            block = covs[idx]
-            if float(np.max(np.abs(block - block.T))) > 1e-12 * (
-                1.0 + float(np.max(np.abs(block)))
-            ):
+        asym = np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2))
+        asym_bad = asym > 1e-12 * (1.0 + np.max(np.abs(covs), axis=(1, 2)))
+        lows = np.linalg.eigvalsh(covs)[:, 0]
+        bad = np.flatnonzero(asym_bad | (lows <= 0.0))
+        if bad.size:
+            idx = int(bad[0])
+            if asym_bad[idx]:
                 raise ValueError(f"component {idx} covariance is not symmetric")
-            lo = float(np.min(np.linalg.eigvalsh(block)))
-            if lo <= 0.0:
-                raise ValueError(
-                    f"component {idx} covariance must be positive definite "
-                    f"for density evaluation (min eigenvalue {lo:.3e})"
-                )
+            raise ValueError(
+                f"component {idx} covariance must be positive definite "
+                f"for density evaluation (min eigenvalue {lows[idx]:.3e})"
+            )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "covariances", covs)
         object.__setattr__(self, "means", means)
@@ -540,41 +544,62 @@ class AffinityEstimate:
 
 
 class _MixtureDensity:
-    """Precomputed pieces for evaluating and sampling one mixture."""
+    """Folded per-component constants for evaluating and sampling one mixture.
+
+    The log of component c's n-fold product density at a data matrix X is
+    linear in the sufficient statistics s(X) = (upper triangle of X'X, column
+    sums of X):
+
+        log w_c + s(X) . coef[:, c] + offset[c].
+
+    The first p(p+1)/2 rows of ``coef`` hold -P_c / 2 on the upper triangle
+    with the off-diagonal entries doubled, the last p rows hold P_c mu_c, and
+    ``offset`` folds in the weight, the normalizer and mu_c' P_c mu_c.  One
+    GEMM then scores a tile of samples against every component.
+    """
 
     def __init__(self, mix: GaussianMixture):
-        self.mix = mix
         covs = mix.covariances
         c, p, _ = covs.shape
-        self.log_weights = np.log(mix.weights)
-        self.precisions = np.stack([np.linalg.inv(covs[i]) for i in range(c)])
+        n = mix.n
         signs, logdets = np.linalg.slogdet(covs)
         if np.any(signs <= 0.0):
             raise ValueError("component covariance with nonpositive determinant")
-        self.logdets = logdets
+        precisions = np.linalg.inv(covs)
         self.roots = np.stack([sqrt_psd(covs[i]) for i in range(c)])
-        self.prec_flat = self.precisions.reshape(c, p * p)
-        # a_c = P_c mu_c and b_c = mu_c' P_c mu_c enter the expanded quadratic
-        self.a = np.einsum("cij,cj->ci", self.precisions, mix.means)
-        self.b = np.einsum("ci,ci->c", self.a, mix.means)
+        rows, cols = np.triu_indices(p)
+        quad = precisions[:, rows, cols] * np.where(rows == cols, -0.5, -1.0)
+        a = np.einsum("cij,cj->ci", precisions, mix.means)
+        b = np.einsum("ci,ci->c", a, mix.means)
+        self.coef = np.ascontiguousarray(np.concatenate([quad, a], axis=1).T)
+        self.offset = np.log(mix.weights) - 0.5 * n * (
+            p * math.log(2.0 * math.pi) + logdets + b
+        )
 
-    def log_density(self, flat_outer: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
+    def log_density(self, stats: np.ndarray, buf: np.ndarray) -> np.ndarray:
         """Log mixture density of each sample from its sufficient statistics.
 
-        ``flat_outer`` holds X'X flattened per sample, ``row_sums`` the
-        per-sample column totals of X.
+        ``stats`` holds one row of :func:`_sufficient_stats` per sample;
+        ``buf`` is scratch of shape (samples, components), overwritten.
         """
-        n = self.mix.n
-        p = self.mix.dim
-        quad = (
-            flat_outer @ self.prec_flat.T
-            - 2.0 * row_sums @ self.a.T
-            + n * self.b[None, :]
-        )
-        comp = -0.5 * (n * p * math.log(2.0 * math.pi) + n * self.logdets + quad)
-        comp += self.log_weights[None, :]
-        top = np.max(comp, axis=1)
-        return top + np.log(np.sum(np.exp(comp - top[:, None]), axis=1))
+        np.matmul(stats, self.coef, out=buf)
+        buf += self.offset
+        top = np.max(buf, axis=1)
+        buf -= top[:, None]
+        np.exp(buf, out=buf)
+        return top + np.log(np.sum(buf, axis=1))
+
+
+def _sufficient_stats(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the upper triangle of X'X and the column sums of X, per sample.
+
+    ``x`` has shape (samples, n, p) and ``out`` (samples, p(p+1)/2 + p).
+    """
+    p = x.shape[2]
+    rows, cols = np.triu_indices(p)
+    gram = np.matmul(x.transpose(0, 2, 1), x)
+    out[:, : rows.size] = gram[:, rows, cols]
+    np.sum(x, axis=1, out=out[:, rows.size :])
 
 
 def tv_affinity_mc(
@@ -592,6 +617,13 @@ def tv_affinity_mc(
     pointwise.  Each chunk of draws uses its own sub-stream, so the estimate
     depends only on (samples, seed, chunk_size), never on evaluation order.
 
+    A chunk first draws its side and component picks, then walks its samples
+    in tiles of ``_TILE``: each tile draws its Gaussian block from the
+    chunk's generator (the same variates, in the same order, as one draw for
+    the whole chunk), forms its sufficient statistics, and scores them
+    against both mixtures into preallocated (tile, components) buffers.
+    Memory is therefore bounded by the tile, whatever ``chunk_size`` and n.
+
     Raises
     ------
     NumericalError
@@ -606,6 +638,9 @@ def tv_affinity_mc(
     dens_p = _MixtureDensity(p_mix)
     dens_q = _MixtureDensity(q_mix)
     n, p = p_mix.n, p_mix.dim
+    stats = np.empty((_TILE, dens_p.coef.shape[0]))
+    buf_p = np.empty((_TILE, p_mix.weights.size))
+    buf_q = np.empty((_TILE, q_mix.weights.size))
     values = np.empty(samples)
     n_chunks = (samples + chunk_size - 1) // chunk_size
     for ci in range(n_chunks):
@@ -615,24 +650,26 @@ def tv_affinity_mc(
         from_p = rng.random(m) < 0.5
         pick_p = rng.choice(p_mix.weights.size, size=m, p=p_mix.weights)
         pick_q = rng.choice(q_mix.weights.size, size=m, p=q_mix.weights)
-        z = rng.standard_normal((m, n, p))
-        x = np.empty_like(z)
-        for side, dens, picks in (
-            (from_p, dens_p, pick_p),
-            (~from_p, dens_q, pick_q),
-        ):
-            for comp in np.unique(picks[side]):
-                sel = side & (picks == comp)
-                x[sel] = z[sel] @ dens.roots[comp] + dens.mix.means[comp]
-        flat_outer = np.einsum("sni,snj->sij", x, x).reshape(m, p * p)
-        row_sums = x.sum(axis=1)
-        lp = dens_p.log_density(flat_outer, row_sums)
-        lq = dens_q.log_density(flat_outer, row_sums)
-        if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):
-            raise NumericalError("non-finite log-density in affinity estimate")
-        # min(p, q) / ((p + q) / 2) = 2 / (1 + exp|log p - log q|), always in [0, 1]
-        with np.errstate(over="ignore"):
-            values[lo : lo + m] = 2.0 / (1.0 + np.exp(np.abs(lp - lq)))
+        for start in range(0, m, _TILE):
+            t = min(_TILE, m - start)
+            tile = slice(start, start + t)
+            z = rng.standard_normal((t, n, p))
+            side = from_p[tile]
+            cp, cq = pick_p[tile], pick_q[tile]
+            roots = np.where(side[:, None, None], dens_p.roots[cp], dens_q.roots[cq])
+            means = np.where(side[:, None], p_mix.means[cp], q_mix.means[cq])
+            x = np.matmul(z, roots)
+            x += means[:, None, :]
+            _sufficient_stats(x, stats[:t])
+            lp = dens_p.log_density(stats[:t], buf_p[:t])
+            lq = dens_q.log_density(stats[:t], buf_q[:t])
+            if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):
+                raise NumericalError("non-finite log-density in affinity estimate")
+            # min(p, q) / ((p + q) / 2) = 2 / (1 + exp|log p - log q|), always in [0, 1]
+            with np.errstate(over="ignore"):
+                values[lo + start : lo + start + t] = 2.0 / (
+                    1.0 + np.exp(np.abs(lp - lq))
+                )
     value = float(np.mean(values))
     spread = float(np.std(values, ddof=1)) if samples > 1 else 0.0
     return AffinityEstimate(

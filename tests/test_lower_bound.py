@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from sparsecov.errors import BudgetError, ConfigError, DivergenceError, StructureError
 from sparsecov.lower_bound import (
     GaussianMixture,
+    _MixtureDensity,
+    _sufficient_stats,
     assemble_lower_bound,
     chi_square_mixture_bound,
     cross_product_integral,
@@ -18,7 +22,7 @@ from sparsecov.lower_bound import (
     per_comparison_alpha,
     tv_affinity_mc,
 )
-from sparsecov.model_spaces import LeastFavorableConfig, build_config
+from sparsecov.model_spaces import LeastFavorableConfig, _iter_lambda, build_config
 from sparsecov.rng import RngSeed
 
 
@@ -70,6 +74,41 @@ def test_integral_monte_carlo_cross_check():
     ratio = np.exp(logpdf(x, s1) + logpdf(x, s2) - 2.0 * logpdf(x, s0))
     mc = float(np.mean(ratio))
     assert abs(mc - value) < 0.02 * value
+
+
+def integral_oracle(s0, s1, s2):
+    """Integral of f1 f2 / f0 from determinants alone:
+    det S0^(1/2) (det S1 det S2)^(-1/2) det(S1^-1 + S2^-1 - S0^-1)^(-1/2)."""
+    inv = np.linalg.inv
+    sign, mid = np.linalg.slogdet(inv(s1) + inv(s2) - inv(s0))
+    if sign <= 0.0:
+        return None
+    logdets = [np.linalg.slogdet(m)[1] for m in (s0, s1, s2)]
+    return math.exp(0.5 * logdets[0] - 0.5 * (logdets[1] + logdets[2]) - 0.5 * mid)
+
+
+def test_integral_matches_determinant_oracle_on_non_identity_bases():
+    # the S0^-2 shortcut is off by up to 58% on these 196 triples
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for trial in range(200):
+        p = 2 + trial % 3
+
+        def sym(scale):
+            m = rng.standard_normal((p, p)) * scale
+            return (m + m.T) / 2.0
+
+        s0 = np.eye(p) + sym(0.3)
+        s1 = s0 + sym(0.1)
+        s2 = s0 + sym(0.1)
+        if min(float(np.min(np.linalg.eigvalsh(m))) for m in (s0, s1, s2)) <= 0.0:
+            continue
+        expected = integral_oracle(s0, s1, s2)
+        if expected is None:
+            continue
+        assert cross_product_integral(s0, s1, s2) == pytest.approx(expected, rel=1e-10)
+        checked += 1
+    assert checked >= 150
 
 
 def test_integral_divergence_error():
@@ -191,11 +230,48 @@ def test_envelope_diverges_for_large_epsilon():
 
 
 def test_exact_chi_square_reference_value():
+    # brute-force enumeration with integral_oracle gives 0.006184912072560571
     cfg = criterion_config()
     value = exact_chi_square_small(cfg)
-    assert value == pytest.approx(0.006185727058646726, rel=1e-10)
+    assert value == pytest.approx(0.006184912072560571, rel=1e-10)
     assert value <= chi_square_mixture_bound(cfg).value
     assert value >= 0.0
+
+
+def test_exact_chi_square_matches_brute_force_oracle():
+    """Enumerate every completion and pattern pair with the p x p determinant
+    oracle; at upsilon 0.3 the S0^-2 shortcut is off by 1.3e-3 relative."""
+    cfg = build_config(8, 20, 0.0, 4.0, 0.3)
+    r, k, eps, p = cfg.r, cfg.k, cfg.epsilon, cfg.p
+
+    def bump_first_row(s0, pat):
+        s = s0.copy()
+        s[0, list(pat)] += eps
+        s[list(pat), 0] += eps
+        return s
+
+    acc = weight = 0.0
+    for rows in _iter_lambda(cfg, r - 1):
+        used = Counter(j for pat in rows for j in pat)
+        avail = [j for j in cfg.support_columns if used[j] < 2 * k]
+        firsts = list(itertools.combinations(avail, k))
+        if not firsts:
+            continue
+        for bits in itertools.product((0, 1), repeat=r - 1):
+            s0 = np.eye(p)
+            for m, (bit, pat) in enumerate(zip(bits, rows), start=1):
+                if bit:
+                    s0[m, list(pat)] += eps
+                    s0[list(pat), m] += eps
+            perturbed = [bump_first_row(s0, pat) for pat in firsts]
+            total = sum(
+                integral_oracle(s0, s1, s2) ** cfg.n
+                for s1 in perturbed
+                for s2 in perturbed
+            )
+            acc += len(firsts) * (total / len(firsts) ** 2 - 1.0)
+            weight += len(firsts)
+    assert exact_chi_square_small(cfg) == pytest.approx(acc / weight, rel=1e-10)
 
 
 def test_exact_chi_square_budget_counts_work():
@@ -232,6 +308,64 @@ def test_mixture_validation():
         GaussianMixture.from_components([(0.5, np.eye(2))], n=1)
     with pytest.raises(ValueError):
         GaussianMixture.from_components([(1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))], n=1)
+
+
+def test_folded_log_density_matches_direct_evaluation():
+    """The folded GEMM form against log sum_c w_c prod_i N(x_i; mu_c, S_c)
+    evaluated from the raw data matrices."""
+    rng = np.random.default_rng(5)
+    p, n = 3, 4
+    covs = []
+    for _ in range(3):
+        a = rng.standard_normal((p, p))
+        covs.append(a @ a.T + 0.5 * np.eye(p))
+    means = rng.standard_normal((3, p))
+    weights = [0.2, 0.3, 0.5]
+    mix = GaussianMixture.from_components(list(zip(weights, covs)), n=n, means=means)
+    x = rng.standard_normal((7, n, p)) * 1.5
+    stats = np.empty((7, p * (p + 1) // 2 + p))
+    _sufficient_stats(x, stats)
+    got = _MixtureDensity(mix).log_density(stats, np.empty((7, 3)))
+    for s in range(7):
+        terms = []
+        for w, cov, mu in zip(weights, covs, means):
+            resid = x[s] - mu
+            quad = float(np.sum(resid * np.linalg.solve(cov, resid.T).T))
+            logdet = np.linalg.slogdet(cov)[1]
+            terms.append(
+                math.log(w) - 0.5 * (quad + n * logdet + n * p * math.log(2 * math.pi))
+            )
+        top = max(terms)
+        expected = top + math.log(sum(math.exp(t - top) for t in terms))
+        assert got[s] == pytest.approx(expected, rel=1e-10)
+
+
+def test_mixture_validation_names_first_failing_component():
+    good = np.eye(2)
+    asym = np.array([[1.0, 0.1], [0.0, 1.0]])
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="component 1 covariance is not symmetric"):
+        GaussianMixture.from_components(
+            [(0.25, good), (0.25, asym), (0.25, indefinite), (0.25, good)], n=1
+        )
+    with pytest.raises(ValueError, match="component 2 covariance must be positive"):
+        GaussianMixture.from_components(
+            [(0.25, good), (0.25, good), (0.25, indefinite), (0.25, asym)], n=1
+        )
+
+
+def test_affinity_memory_is_bounded_by_the_tile():
+    # the untiled chunk held about ten (4096 x 5205) temporaries: 710 MB
+    cfg = build_config(10, 20, 0.0, 4.0, 0.1)
+    a = gamma1_mixture(cfg, 0)
+    b = gamma1_mixture(cfg, 1)
+    tracemalloc.start()
+    try:
+        tv_affinity_mc(a, b, 5000, RngSeed(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_affinity_identical_mixtures_is_exactly_one():
