@@ -124,7 +124,7 @@ def cmd_simulate(args, argv) -> int:
         config = json.load(fh)
     if args.seed is not None:
         config["seed"] = args.seed
-    result = run_grid(config, threads=args.threads)
+    result = run_grid(config)
     print(f"{len(result.records)} cells done")
     for entry in result.fits:
         fit = entry["fit"]
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a risk grid from a json config")
     sim.add_argument("--config", required=True)
     sim.add_argument("--seed", help="override the config seed")
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1, help="has no effect")
     sim.add_argument("--out", help="write records as .csv or .json")
     sim.set_defaults(func=cmd_simulate)
 

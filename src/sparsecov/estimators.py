@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .matrices import as_symmetric, sym_eigen
+from .matrices import _from_eigen, as_symmetric, sym_eigen
 
 RULES = ("hard", "soft", "adaptive-lasso")
 CORRECTIONS = ("psd-project", "bregman-guard")
@@ -112,10 +112,7 @@ def psd_project(sigma_hat) -> np.ndarray:
     if float(eig.eigenvalues[-1]) >= 0.0:
         # nothing to clip; skip the round trip so exact zeros stay exact
         return as_symmetric(sigma_hat)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    v = eig.eigenvectors
-    out = (v * w) @ v.T
-    return (out + out.T) / 2.0
+    return _from_eigen(eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None))
 
 
 def bregman_guard(sigma_hat, n: int, *, literal_min_only: bool = False) -> np.ndarray:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .matrices import _operator_norm, _sym_eigen, as_symmetric, matrix_function
+from .matrices import EigenDecomposition, _operator_norm, _sym_eigen, as_symmetric, matrix_function
 
 # Eigenvalues below this are outside the open domain (0, inf) for the Stein
 # and von Neumann generators; no clamping, the caller must fix conditioning.
@@ -70,16 +71,25 @@ def resolve_phi(phi) -> BregmanPhi:
     )
 
 
-def _checked_eigenvalues(mat, gen: BregmanPhi, label: str) -> tuple:
-    eig = _sym_eigen(mat)
-    if gen.domain_min > -math.inf:
-        floor = gen.domain_min + EIGEN_DOMAIN_FLOOR
-        lo = float(eig.eigenvalues[-1])
-        if lo < floor:
-            raise DomainError(
-                f"{label} eigenvalue {lo:.6e} is outside the domain of the "
-                f"{gen.name} generator (needs >= {floor:.1e})"
-            )
+class _Truth:
+    """A symmetric truth whose eigendecomposition is taken once, when first needed."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    @cached_property
+    def eigen(self) -> EigenDecomposition:
+        return _sym_eigen(self.matrix)
+
+
+def _checked_eigenvalues(eig: EigenDecomposition, gen: BregmanPhi, label: str) -> tuple:
+    floor = gen.domain_min + EIGEN_DOMAIN_FLOOR  # -inf for an unbounded domain
+    lo = float(eig.eigenvalues[-1])
+    if lo < floor:
+        raise DomainError(
+            f"{label} eigenvalue {lo:.6e} is outside the domain of the "
+            f"{gen.name} generator (needs >= {floor:.1e})"
+        )
     return eig
 
 
@@ -89,13 +99,13 @@ def bregman_divergence(x, y, phi="stein") -> float:
     Both arguments must be symmetric with eigenvalues inside the generator's
     domain.  The result is nonnegative up to roundoff and zero iff X == Y.
     """
-    return _bregman(as_symmetric(x), as_symmetric(y), resolve_phi(phi))
+    return _bregman(as_symmetric(x), _Truth(as_symmetric(y)), resolve_phi(phi))
 
 
-def _bregman(x: np.ndarray, y: np.ndarray, gen: BregmanPhi) -> float:
-    """:func:`bregman_divergence` of two exactly symmetric matrices."""
-    ex = _checked_eigenvalues(x, gen, "first argument")
-    ey = _checked_eigenvalues(y, gen, "second argument")
+def _bregman(x: np.ndarray, y: _Truth, gen: BregmanPhi) -> float:
+    """:func:`bregman_divergence` of an exactly symmetric matrix and truth."""
+    ex = _checked_eigenvalues(_sym_eigen(x), gen, "first argument")
+    ey = _checked_eigenvalues(y.eigen, gen, "second argument")
     lam = ex.eigenvalues
     gam = ey.eigenvalues
     overlap = (ex.eigenvectors.T @ ey.eigenvectors) ** 2
@@ -115,15 +125,12 @@ def closed_form_divergence(x, y, kind="stein") -> float:
     squared-frobenius:  sum of squared entry differences
     """
     gen = resolve_phi(kind)
-    mx = as_symmetric(x)
-    my = as_symmetric(y)
-    if mx.shape != my.shape:
-        raise ValueError(f"shape mismatch: {mx.shape} vs {my.shape}")
+    mx, my = _validated_pair(x, y)
     if gen.name == "squared-frobenius":
         diff = mx - my
         return float(np.sum(diff * diff))
-    _checked_eigenvalues(mx, gen, "first argument")
-    _checked_eigenvalues(my, gen, "second argument")
+    _checked_eigenvalues(_sym_eigen(mx), gen, "first argument")
+    _checked_eigenvalues(_sym_eigen(my), gen, "second argument")
     p = mx.shape[0]
     if gen.name == "stein":
         ratio = np.linalg.solve(my, mx)
@@ -210,16 +217,17 @@ def operator_loss(a, b, w) -> float:
 
 def evaluate_loss(spec: LossSpec, estimate, truth) -> float:
     """Dispatch a LossSpec on a validated (estimate, truth) pair."""
-    return _evaluate(spec, *_validated_pair(estimate, truth))
+    est, tru = _validated_pair(estimate, truth)
+    return _evaluate(spec, est, _Truth(tru))
 
 
-def _evaluate(spec: LossSpec, est: np.ndarray, tru: np.ndarray) -> float:
-    """:func:`evaluate_loss` of two exactly symmetric, finite, same-shape
-    matrices; the risk harness calls it on matrices it built itself."""
+def _evaluate(spec: LossSpec, est: np.ndarray, truth: _Truth) -> float:
+    """:func:`evaluate_loss` of an exactly symmetric, finite, same-shape pair;
+    the risk harness calls it on matrices it built, with one truth per cell."""
     if spec.kind == "operator":
-        return _operator_norm(est - tru, spec.w) ** 2
+        return _operator_norm(est - truth.matrix, spec.w) ** 2
     if spec.kind == "frobenius-squared":
-        value = float(np.sum((est - tru) ** 2))
+        value = float(np.sum((est - truth.matrix) ** 2))
     else:
-        value = _bregman(est, tru, resolve_phi(spec.phi))
+        value = _bregman(est, truth, resolve_phi(spec.phi))
     return value / est.shape[0] if spec.normalized else value

@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     StructureError,
 )
-from .matrices import as_symmetric
+from .matrices import _from_eigen, as_symmetric
 from .model_spaces import (
     DEFAULT_ENUMERATION_BUDGET,
     LeastFavorableConfig,
@@ -43,7 +43,6 @@ from .model_spaces import (
     materialize_sigma,
 )
 from .rng import RngSeed
-from .sampling import sqrt_psd
 
 CHI_SQUARE_TARGET = 0.75
 _SERIES_TERM_FLOOR = 1e-15
@@ -560,13 +559,18 @@ class _MixtureDensity:
 
     def __init__(self, mix: GaussianMixture):
         covs = mix.covariances
-        c, p, _ = covs.shape
-        n = mix.n
+        n, p = mix.n, mix.dim
         signs, logdets = np.linalg.slogdet(covs)
         if np.any(signs <= 0.0):
             raise ValueError("component covariance with nonpositive determinant")
         precisions = np.linalg.inv(covs)
-        self.roots = np.stack([sqrt_psd(covs[i]) for i in range(c)])
+        # sqrt_psd of each component, bit for bit; tiles keep temporaries (and peak RSS) small
+        self.roots = np.empty_like(covs)
+        for lo in range(0, len(covs), _TILE):
+            block = covs[lo : lo + _TILE]
+            w, v = np.linalg.eigh((block + block.transpose(0, 2, 1)) / 2.0)
+            v = np.ascontiguousarray(v[:, :, ::-1])
+            self.roots[lo : lo + _TILE] = _from_eigen(v, np.sqrt(np.clip(w[:, ::-1], 0.0, None)))
         rows, cols = np.triu_indices(p)
         quad = precisions[:, rows, cols] * np.where(rows == cols, -0.5, -1.0)
         a = np.einsum("cij,cj->ci", precisions, mix.means)

@@ -84,6 +84,12 @@ def _sym_eigen(mat: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
+def _from_eigen(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Symmetrized ``V diag(w) V'`` of one eigensystem or of a stack of them."""
+    out = (vectors * values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
 def operator_norm(a, w) -> float:
     """Exact operator norm of a symmetric matrix for order w in {1, 2, inf}.
 
@@ -151,9 +157,7 @@ def matrix_function(a, f: Callable[[float], float]) -> np.ndarray:
             if not math.isfinite(y):
                 raise DomainError(f"scalar map is not finite at eigenvalue {lam!r}")
             vals[i] = y
-    v = eig.eigenvectors
-    out = (v * vals) @ v.T
-    return (out + out.T) / 2.0
+    return _from_eigen(eig.eigenvectors, vals)
 
 
 def save_matrix_csv(path, a) -> None:

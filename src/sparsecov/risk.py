@@ -1,10 +1,9 @@
 """Monte Carlo risk harness: truth builders, cells, grids, and rate fits.
 
-Determinism contract: replicate r of a cell draws from ``seed.substream(r)``,
-so a cell's results are byte-identical no matter how many worker threads run
-the replicates or in which order they finish.  Every estimator/loss
-combination of a grid cell is scored on the same draw of each replicate,
-drawn once, which pairs the comparisons and keeps the layout reproducible.
+Determinism contract: replicates run in order, replicate r of a cell drawing
+from ``seed.substream(r)``, so seeded results are byte-identical for a fixed
+numpy/BLAS build and BLAS thread count; ``OPENBLAS_NUM_THREADS`` changes them.
+Each replicate is drawn once and scored by every estimator/loss pair of its cell.
 """
 
 from __future__ import annotations
@@ -14,14 +13,13 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CellError, ConfigError, DomainError, FitError, SchemaError
 from .estimators import EstimatorSpec, apply_estimator, bregman_guard
-from .losses import LossSpec, _evaluate, resolve_phi
+from .losses import LossSpec, _evaluate, _Truth, resolve_phi
 from .matrices import as_symmetric
 from .model_spaces import ThetaIndex, build_config, materialize_sigma, sample_theta, weak_lq_radius
 from .rng import RngSeed
@@ -188,7 +186,6 @@ def run_risk_cell(
     model: str = "explicit",
     q: float | None = None,
     c: float | None = None,
-    threads: int = 1,
 ) -> RiskRecord:
     """Estimate the risk of an estimator at one truth by seeded replication.
 
@@ -202,7 +199,6 @@ def run_risk_cell(
     (record,) = _run_cell(
         sigma, [estimator], [loss], n, replicates, seed,
         guard=False, name=lambda ei, li: cell_id, model=model, q=q, c=c,
-        threads=threads,
     )
     return record
 
@@ -217,28 +213,28 @@ def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
 
 
 def _run_cell(
-    sigma, estimators, losses, n, replicates, seed, *, guard, name, model, q, c, threads
+    sigma, estimators, losses, n, replicates, seed, *, guard, name, model, q, c
 ) -> list[RiskRecord]:
     """The cell pipeline behind :func:`run_risk_cell` and :func:`run_grid`.
 
-    The truth is validated and square-rooted once.  Replicate r draws once
-    from ``seed.substream(r)`` and applies each estimator once to its sample
+    The truth is validated, square-rooted and wrapped in one :class:`_Truth`
+    once, so it is eigendecomposed at most once.  Replicate r draws once from
+    ``seed.substream(r)`` and applies each estimator once to its sample
     covariance.  Every loss scores that estimate; with ``guard`` set, Stein
     and von Neumann losses score ``bregman_guard`` of it, which is bit for
-    bit the :func:`_guarded` spec.  These matrices are symmetric by
-    construction, so the loss kernel does not validate them.  Records come
-    in (estimator, loss) order.
+    bit the :func:`_guarded` spec.  The loss kernel trusts these matrices:
+    they are symmetric by construction.  Records come in (estimator, loss) order.
     """
     mat = as_symmetric(sigma)
     root = sqrt_psd(mat)
+    truth = _Truth(mat)
     # specs[ei][li] is estimators[ei] itself unless the loss adds the guard
     specs = [[_guarded(est, loss) if guard else est for loss in losses] for est in estimators]
     results = np.full((len(estimators), len(losses), replicates), np.nan)
 
-    def one(ridx: int) -> None:
-        sample = mle_covariance(
-            sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root)
-        )
+    started = time.perf_counter()
+    for ridx in range(replicates):
+        sample = mle_covariance(sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root))
         for ei, est in enumerate(estimators):
             estimate = apply_estimator(sample, est, n)
             guarded = None
@@ -247,21 +243,12 @@ def _run_cell(
                     guarded = bregman_guard(estimate, n)  # once, on demand
                 try:
                     results[ei, li, ridx] = _evaluate(
-                        loss, estimate if specs[ei][li] is est else guarded, mat
+                        loss, estimate if specs[ei][li] is est else guarded, truth
                     )
                 except DomainError:
                     pass  # leaves nan; counted below
-            # Free both before the next estimate is built, so a worker holds
-            # one estimator's matrices at a time; this keeps peak RSS down.
+            # free both before the next estimate is built; keeps peak RSS down
             del estimate, guarded
-
-    started = time.perf_counter()
-    if threads <= 1:
-        for ridx in range(replicates):
-            one(ridx)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(replicates)))
     elapsed = time.perf_counter() - started
 
     records = []
@@ -506,7 +493,7 @@ def _default_target(loss: LossSpec, q: float | None) -> float | None:
     return None
 
 
-def run_grid(config: dict, *, threads: int = 1) -> GridResult:
+def run_grid(config: dict) -> GridResult:
     """Run every (cell, estimator, loss) combination of a grid config.
 
     Stein and von Neumann loss cells get the bregman-guard correction added
@@ -534,7 +521,7 @@ def run_grid(config: dict, *, threads: int = 1) -> GridResult:
         records += _run_cell(
             sigma, estimators, losses, n, replicates, master.substream(ci),
             guard=True, name=lambda ei, li: f"cell-{ci:03d}-e{ei}-l{li}",
-            model=label, q=q, c=c, threads=threads,
+            model=label, q=q, c=c,
         )
 
     fits = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPSDError
-from .matrices import as_symmetric, sym_eigen
+from .matrices import _from_eigen, as_symmetric, sym_eigen
 from .rng import RngSeed
 
 # Eigenvalues more negative than -PSD_RTOL * max|eigenvalue| reject the matrix;
@@ -28,10 +28,7 @@ def sqrt_psd(sigma) -> np.ndarray:
         raise NotPSDError(
             f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
         )
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    v = eig.eigenvectors
-    root = (v * np.sqrt(w)) @ v.T
-    return (root + root.T) / 2.0
+    return _from_eigen(eig.eigenvectors, np.sqrt(np.clip(eig.eigenvalues, 0.0, None)))
 
 
 def sample_gaussian(

@@ -6,12 +6,14 @@ share one simulation grid; it is computed once and cached for the session.
 """
 
 import itertools
+import json
 import math
 import time
 from functools import lru_cache
 
 import numpy as np
 
+from sparsecov.cli import main
 from sparsecov.estimators import EstimatorSpec, psd_project, threshold_estimate
 from sparsecov.losses import bregman_divergence, closed_form_divergence
 from sparsecov.lower_bound import (
@@ -54,7 +56,7 @@ def spectral_grid_config():
 @lru_cache(maxsize=None)
 def spectral_grid():
     start = time.perf_counter()
-    result = run_grid(spectral_grid_config(), threads=1)
+    result = run_grid(spectral_grid_config())
     return result, time.perf_counter() - start
 
 
@@ -317,15 +319,16 @@ def test_criterion_10_lower_bound_below_empirical_minimax():
 
 
 def test_criterion_11_thread_count_byte_identity(tmp_path):
-    """Rerunning the headline grid with eight worker threads reproduces the
-    single-thread CSV byte for byte."""
+    """Rerunning the headline grid through ``simulate --threads 8`` reproduces
+    the cached single-thread CSV byte for byte."""
     one, _ = spectral_grid()
-    eight = run_grid(spectral_grid_config(), threads=8)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(spectral_grid_config()))
     a_path = tmp_path / "one.csv"
     b_path = tmp_path / "eight.csv"
     export_records(one.records, a_path)
-    export_records(eight.records, b_path)
-    same = a_path.read_bytes() == b_path.read_bytes()
-    report(11, same, f"1-thread vs 8-thread csv identical: {same} "
+    code = main(["simulate", "--config", str(config), "--threads", "8", "--out", str(b_path)])
+    same = code == 0 and a_path.read_bytes() == b_path.read_bytes()
+    report(11, same, f"cached csv vs simulate --threads 8 csv identical: {same} "
                      f"({a_path.stat().st_size} bytes)")
     assert same

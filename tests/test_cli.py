@@ -133,6 +133,17 @@ def test_lowerbound_small_family_report(tmp_path, capsys):
     assert "lower bound:" in capsys.readouterr().out
 
 
+def test_lowerbound_seed_zero_affinity_is_pinned(tmp_path):
+    # the p = 10 family of the lowerbound benchmark, 100k samples at seed 0
+    out = tmp_path / "report.json"
+    code = main([
+        "lowerbound", "--p", "10", "--n", "20", "--q", "0", "--c", "4",
+        "--upsilon", "0.1", "--seed", "0", "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads(out.read_text())["affinity"]["value"] == 0.973020855326006
+
+
 def test_lowerbound_trivial_when_k_is_zero(tmp_path):
     out = tmp_path / "report.json"
     code = main([
@@ -214,7 +225,7 @@ def test_exit_cases_cover_every_row_of_the_table():
     "cls, code, prefix", EXIT_CASES, ids=[case[0].__name__ for case in EXIT_CASES]
 )
 def test_every_error_class_maps_to_its_exit_code(tmp_path, monkeypatch, capsys, cls, code, prefix):
-    def fail(config, threads=1):
+    def fail(config):
         raise cls("boom")
 
     monkeypatch.setattr("sparsecov.cli.run_grid", fail)
@@ -223,7 +234,7 @@ def test_every_error_class_maps_to_its_exit_code(tmp_path, monkeypatch, capsys, 
 
 
 def test_unmapped_errors_propagate(tmp_path, monkeypatch):
-    def fail(config, threads=1):
+    def fail(config):
         raise RuntimeError("not a user error")
 
     monkeypatch.setattr("sparsecov.cli.run_grid", fail)

@@ -24,6 +24,7 @@ from sparsecov.lower_bound import (
 )
 from sparsecov.model_spaces import LeastFavorableConfig, _iter_lambda, build_config
 from sparsecov.rng import RngSeed
+from sparsecov.sampling import sqrt_psd
 
 
 def criterion_config():
@@ -352,6 +353,23 @@ def test_mixture_validation_names_first_failing_component():
         GaussianMixture.from_components(
             [(0.25, good), (0.25, good), (0.25, indefinite), (0.25, asym)], n=1
         )
+
+
+def test_mixture_roots_equal_per_component_sqrt_psd():
+    # the stacked eigendecomposition must reproduce sqrt_psd bit for bit, or
+    # every seeded affinity moves
+    rng = np.random.default_rng(8)
+    covs = []
+    for _ in range(4):
+        a = rng.standard_normal((4, 4))
+        covs.append(a @ a.T + 0.1 * np.eye(4))
+    random_mix = GaussianMixture.from_components([(0.25, c) for c in covs], n=2)
+    cfg = build_config(10, 20, 0.0, 4.0, 0.1)
+    for mix in (random_mix, gamma1_mixture(cfg, 0), gamma1_mixture(cfg, 1)):
+        roots = _MixtureDensity(mix).roots
+        assert roots.shape == mix.covariances.shape
+        for cov, root in zip(mix.covariances, roots):
+            assert np.array_equal(root, sqrt_psd(cov))
 
 
 def test_affinity_memory_is_bounded_by_the_tile():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sparsecov.errors import CellError, ConfigError, FitError, SchemaError
+import sparsecov.losses as losses_module
+from sparsecov.errors import CellError, ConfigError, DomainError, FitError, SchemaError
 from sparsecov.estimators import EstimatorSpec
 from sparsecov.losses import LossSpec
 from sparsecov.risk import (
@@ -22,6 +23,7 @@ from sparsecov.rng import RngSeed
 from sparsecov.sampling import mle_covariance, sample_gaussian
 from sparsecov.estimators import apply_estimator
 from sparsecov.losses import evaluate_loss
+from sparsecov.matrices import _sym_eigen
 
 
 HARD = EstimatorSpec(rule="hard", gamma=2.0)
@@ -63,26 +65,66 @@ def test_materialize_truth_kinds():
         materialize_truth({"kind": "wishart"}, 10, 7)
 
 
-def test_cell_thread_count_is_invisible():
-    sigma = banded_sigma(25, 2, 0.2)
-    serial = run_risk_cell(sigma, HARD, OP2, 80, 32, RngSeed(11), threads=1)
-    threaded = run_risk_cell(sigma, HARD, OP2, 80, 32, RngSeed(11), threads=8)
-    assert serial.mean_risk == threaded.mean_risk
-    assert serial.std_error == threaded.std_error
-    assert serial.median_risk == threaded.median_risk
+GUARDED = EstimatorSpec(rule="hard", gamma=2.0, corrections=("bregman-guard",))
+STEIN = LossSpec(kind="bregman", w=None, phi="stein", normalized=True)
+VON_NEUMANN = LossSpec(kind="bregman", w=None, phi="von-neumann")
 
 
-def test_cell_matches_hand_rolled_loop():
+@pytest.mark.parametrize(
+    "spec, loss",
+    [(HARD, OP2), (GUARDED, STEIN), (GUARDED, VON_NEUMANN)],
+    ids=["operator", "stein", "von-neumann"],
+)
+def test_cell_matches_hand_rolled_loop(spec, loss):
+    # public evaluate_loss decomposes the truth afresh on every call, so it is
+    # an independent oracle for the pipeline's once-per-cell decomposition
     sigma = banded_sigma(10, 1, 0.3)
     seed = RngSeed(21)
-    rec = run_risk_cell(sigma, HARD, OP2, 50, 8, seed)
+    rec = run_risk_cell(sigma, spec, loss, 50, 8, seed)
     values = []
     for r in range(8):
         x = sample_gaussian(sigma, 50, seed.substream(r))
-        est = apply_estimator(mle_covariance(x), HARD, 50)
-        values.append(evaluate_loss(OP2, est, sigma))
+        est = apply_estimator(mle_covariance(x), spec, 50)
+        values.append(evaluate_loss(loss, est, sigma))
+    assert rec.failures == 0
     assert rec.mean_risk == float(np.mean(values))
     assert rec.median_risk == float(np.median(values))
+
+
+def test_truth_is_decomposed_once_per_cell(monkeypatch):
+    seen = []
+
+    def counting(mat):
+        seen.append(mat.copy())
+        return _sym_eigen(mat)
+
+    monkeypatch.setattr(losses_module, "_sym_eigen", counting)
+    cfg = grid_config(
+        estimators=[{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": 2.0}],
+        losses=[{"kind": "operator", "w": 2}, STEIN.to_json(), VON_NEUMANN.to_json()],
+        cells=[{"n": 60, "p": 20}, {"n": 120, "p": 40}],
+        replicates=5,
+    )
+    run_grid(cfg)
+    for n, p in [(60, 20), (120, 40)]:
+        sigma = materialize_truth(cfg["truth"], n, p)[0]
+        hits = sum(m.shape == sigma.shape and np.array_equal(m, sigma) for m in seen)
+        assert hits == 1
+    # every replicate and estimator still decomposes its own estimate
+    assert len(seen) == 2 + 2 * 5 * 2 * 2
+
+
+@pytest.mark.parametrize("coupling", [1.0, 1.0 - 1e-13], ids=["singular", "below-floor"])
+def test_truth_outside_the_domain_fails_the_cell(coupling):
+    # PSD with smallest eigenvalue 1 - coupling, below the domain floor:
+    # sampling works, the Stein loss is undefined at the truth
+    sigma = np.eye(6)
+    sigma[0, 1] = sigma[1, 0] = coupling
+    with pytest.raises(DomainError, match="second argument"):
+        evaluate_loss(STEIN, np.eye(6), sigma)
+    # every replicate fails, not only the one that first decomposes the truth
+    with pytest.raises(CellError, match="6/6 replicates failed"):
+        run_risk_cell(sigma, GUARDED, STEIN, 40, 6, RngSeed(5))
 
 
 def test_cell_fails_loudly_when_loss_always_errors():
@@ -155,7 +197,7 @@ def test_run_grid_pairs_estimators_on_shared_draws():
         ],
         cells=[{"n": 60, "p": 20}, {"n": 120, "p": 40}, {"n": 240, "p": 80}],
     )
-    result = run_grid(cfg, threads=2)
+    result = run_grid(cfg)
     by_cell = {}
     for rec in result.records:
         by_cell.setdefault((rec.n, rec.p), []).append(rec)
@@ -195,15 +237,6 @@ def test_run_grid_config_validation():
                   "replicates": 2})
     with pytest.raises(ConfigError):
         run_grid(grid_config(replicates=0))
-
-
-def test_csv_export_is_byte_stable_across_thread_counts(tmp_path):
-    cfg = grid_config(replicates=6)
-    a_path = tmp_path / "a.csv"
-    b_path = tmp_path / "b.csv"
-    export_records(run_grid(cfg, threads=1).records, a_path)
-    export_records(run_grid(cfg, threads=4).records, b_path)
-    assert a_path.read_bytes() == b_path.read_bytes()
 
 
 def test_csv_round_trip_preserves_numbers_exactly(tmp_path):
