@@ -26,7 +26,6 @@ from .matrices import (
     load_matrix_csv,
     matrix_function,
     operator_norm,
-    operator_norm_bound,
     save_matrix_csv,
     sym_eigen,
 )
@@ -40,7 +39,6 @@ from .model_spaces import (
     enumerate_theta,
     materialize_sigma,
     sample_theta,
-    upsilon_report,
     validate_theta,
     weak_lq_radius,
 )
@@ -50,7 +48,6 @@ from .sampling import (
     sample_gaussian,
     save_data_csv,
     sqrt_psd,
-    tail_probe,
 )
 from .estimators import (
     EstimatorSpec,

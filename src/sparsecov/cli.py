@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -167,7 +166,6 @@ def cmd_lowerbound(args, argv) -> int:
     seed = RngSeed.parse(args.seed) if args.seed is not None else RngSeed(0)
 
     report: dict = {"config": cfg.to_json(), "seed": str(seed)}
-    rate_target = cfg.c**2 * (math.log(cfg.p) / cfg.n) ** (1.0 - cfg.q)
     if cfg.k == 0:
         # family degenerates to the identity alone; nothing to distinguish
         report.update(
@@ -175,8 +173,6 @@ def cmd_lowerbound(args, argv) -> int:
                 "alpha": {"bound": 0.0, "exact": None, "pair_count": 0},
                 "chi_square": None,
                 "affinity": {"value": 1.0, "std_error": 0.0, "samples": 0},
-                "lower_bound": 0.0,
-                "rate_target": rate_target,
             }
         )
     else:
@@ -209,9 +205,9 @@ def cmd_lowerbound(args, argv) -> int:
             "std_error": affinity.std_error,
             "samples": affinity.samples,
         }
-        bound = assemble_lower_bound(cfg, affinity.value)
-        report["lower_bound"] = bound.lower_bound
-        report["rate_target"] = bound.rate_target
+    bound = assemble_lower_bound(cfg, report["affinity"]["value"])
+    report["lower_bound"] = bound.lower_bound
+    report["rate_target"] = bound.rate_target
 
     print(
         f"p={cfg.p} n={cfg.n} q={cfg.q:g} c={cfg.c:g} "

@@ -10,14 +10,7 @@ class AsymmetryError(SparseCovError, ValueError):
 
 
 class EigenError(SparseCovError, RuntimeError):
-    """Symmetric eigensolver failed to converge.
-
-    Carries ``residual`` when a residual norm is available, else None.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Symmetric eigensolver failed to converge."""
 
 
 class NormOrderError(SparseCovError, ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .matrices import _from_eigen, as_symmetric, sym_eigen
+from .matrices import _from_eigen, _sym_eigen, as_symmetric
 
 RULES = ("hard", "soft", "adaptive-lasso")
 CORRECTIONS = ("psd-project", "bregman-guard")
@@ -108,21 +108,19 @@ def psd_project(sigma_hat) -> np.ndarray:
     This is the Frobenius-nearest PSD matrix; its distance to the truth in
     any eigen-monotone operator norm is at most twice that of the input.
     """
-    eig = sym_eigen(sigma_hat)
+    mat = as_symmetric(sigma_hat)
+    eig = _sym_eigen(mat)
     if float(eig.eigenvalues[-1]) >= 0.0:
         # nothing to clip; skip the round trip so exact zeros stay exact
-        return as_symmetric(sigma_hat)
+        return mat
     return _from_eigen(eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None))
 
 
-def bregman_guard(sigma_hat, n: int, *, literal_min_only: bool = False) -> np.ndarray:
+def bregman_guard(sigma_hat, n: int) -> np.ndarray:
     """Return the estimate unchanged iff its spectrum is safely bounded.
 
-    With ``L = max(log n, log p)``, the default check is
-    ``1/L <= min eigenvalue`` and ``max eigenvalue <= L``; failing either
-    returns the identity.  ``literal_min_only`` switches to the narrower
-    check ``1/L <= min eigenvalue <= L`` that ignores the top of the
-    spectrum entirely.
+    With ``L = max(log n, log p)``, the check is ``1/L <= min eigenvalue``
+    and ``max eigenvalue <= L``; failing either returns the identity.
     """
     mat = as_symmetric(sigma_hat)
     if n < 2:
@@ -130,11 +128,7 @@ def bregman_guard(sigma_hat, n: int, *, literal_min_only: bool = False) -> np.nd
     p = mat.shape[0]
     big_l = max(math.log(n), math.log(p))
     w = np.linalg.eigvalsh(mat)
-    lo, hi = float(w[0]), float(w[-1])
-    if literal_min_only:
-        ok = 1.0 / big_l <= lo <= big_l
-    else:
-        ok = 1.0 / big_l <= lo and hi <= big_l
+    ok = 1.0 / big_l <= float(w[0]) and float(w[-1]) <= big_l
     return mat if ok else np.eye(p)
 
 

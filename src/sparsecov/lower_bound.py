@@ -45,8 +45,6 @@ from .model_spaces import (
 from .rng import RngSeed
 
 CHI_SQUARE_TARGET = 0.75
-_SERIES_TERM_FLOOR = 1e-15
-_SERIES_TERM_CAP = 10_000
 _EIG_TOL = 1e-10
 # Samples scored per GEMM in tv_affinity_mc; bounds its working memory.
 _TILE = 256
@@ -317,15 +315,8 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
         if ratio >= 1.0:
             series_diverged = True
         else:
-            total = 0.0
-            term = 1.0
-            for _ in range(_SERIES_TERM_CAP):
-                term *= ratio
-                contrib = 1.5 * term
-                if contrib < _SERIES_TERM_FLOOR:
-                    break
-                total += contrib
-            series_value = 0.5 + total
+            # 1/2 + sum_{t >= 1} (3/2) ratio^t in closed form
+            series_value = 0.5 + 1.5 * ratio / (1.0 - ratio)
     return ChiSquareEnvelope(
         value=value,
         below_target=value < CHI_SQUARE_TARGET,

@@ -19,15 +19,13 @@ from .errors import AsymmetryError, DomainError, EigenError, NormOrderError
 ASYMMETRY_RTOL = 1e-12
 
 
-def as_symmetric(a, *, rtol: float = ASYMMETRY_RTOL) -> np.ndarray:
+def as_symmetric(a) -> np.ndarray:
     """Validate a square real matrix and return its symmetrized float64 copy.
 
     Parameters
     ----------
     a : array_like
         Square matrix with finite real entries.
-    rtol : float
-        Relative asymmetry tolerance, scaled by ``1 + max |entry|``.
 
     Returns
     -------
@@ -49,7 +47,7 @@ def as_symmetric(a, *, rtol: float = ASYMMETRY_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     gap = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    tol = rtol * (1.0 + float(np.max(np.abs(arr))))
+    tol = ASYMMETRY_RTOL * (1.0 + float(np.max(np.abs(arr))))
     if gap > tol:
         raise AsymmetryError(
             f"matrix asymmetry {gap:.3e} exceeds tolerance {tol:.3e}; "
@@ -100,7 +98,9 @@ def operator_norm(a, w) -> float:
     Raises
     ------
     NormOrderError
-        For any other order; use :func:`operator_norm_bound` there.
+        For any other order.  For symmetric A, Riesz-Thorin interpolation
+        makes ``operator_norm(A, 1)`` an upper bound at every order in
+        [1, inf].
     """
     return _operator_norm(as_symmetric(a), w)
 
@@ -113,22 +113,8 @@ def _operator_norm(mat: np.ndarray, w) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     raise NormOrderError(
         f"no exact formula for operator norm of order {w!r}; "
-        "operator_norm_bound covers general orders in [1, inf]"
+        "for symmetric input the order-1 norm bounds every order in [1, inf]"
     )
-
-
-def operator_norm_bound(a, w) -> float:
-    """Upper bound on the order-w operator norm, any w in [1, inf].
-
-    Riesz-Thorin interpolation gives
-    ``|||A|||_w <= |||A|||_1^(1/w) * |||A|||_inf^(1 - 1/w)``, and the two end
-    norms coincide for symmetric A, so ``|||A|||_1`` bounds every order.  It
-    is exact at w in {1, inf} and never below the spectral radius at w = 2.
-    """
-    wf = float(w)
-    if not (wf >= 1.0):
-        raise NormOrderError(f"norm order must satisfy w >= 1, got {w!r}")
-    return operator_norm(a, 1)
 
 
 def frobenius_norm(a) -> float:

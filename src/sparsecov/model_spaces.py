@@ -185,53 +185,6 @@ def build_config(
     )
 
 
-def radius_condition_holds(cfg: LeastFavorableConfig, big_m: float) -> bool:
-    """Whether c <= M * n^((1-q)/2) * (log p)^(-(3-q)/2) for a caller-chosen M.
-
-    Recorded as information only; nothing in the package enforces it.
-    """
-    bound = (
-        big_m
-        * cfg.n ** ((1.0 - cfg.q) / 2.0)
-        * math.log(cfg.p) ** (-(3.0 - cfg.q) / 2.0)
-    )
-    return cfg.c <= bound
-
-
-def upsilon_report(
-    cfg: LeastFavorableConfig,
-    big_m: float | None = None,
-    tau: float | None = None,
-    beta: float | None = None,
-) -> dict:
-    """Diagnostic report on the smallness conditions for upsilon.
-
-    The two conditions, ``upsilon^(1-q) < min(1/3, tau - 1) / M`` and
-    ``upsilon^2 < (beta - 1) / (54 beta)``, are checked when the caller
-    supplies the constants; entries are None when they cannot be evaluated.
-    """
-    report: dict = {"upsilon": cfg.upsilon}
-    if big_m is not None and tau is not None:
-        lim = min(1.0 / 3.0, tau - 1.0) / big_m
-        report["upsilon_pow_1_minus_q"] = cfg.upsilon ** (1.0 - cfg.q)
-        report["upsilon_pow_limit"] = lim
-        report["upsilon_pow_ok"] = cfg.upsilon ** (1.0 - cfg.q) < lim
-    else:
-        report["upsilon_pow_ok"] = None
-    if beta is not None:
-        lim = (beta - 1.0) / (54.0 * beta)
-        report["upsilon_sq"] = cfg.upsilon**2
-        report["upsilon_sq_limit"] = lim
-        report["upsilon_sq_ok"] = cfg.upsilon**2 < lim
-    else:
-        report["upsilon_sq_ok"] = None
-    if big_m is not None:
-        report["radius_condition_ok"] = radius_condition_holds(cfg, big_m)
-    else:
-        report["radius_condition_ok"] = None
-    return report
-
-
 @dataclass(frozen=True)
 class ThetaIndex:
     """Index of one family member: on/off bits plus one column set per row.
@@ -409,9 +362,11 @@ def enumerate_theta(
     return out
 
 
-def sample_theta(
-    cfg: LeastFavorableConfig, seed: RngSeed, max_tries: int = 1_000_000
-) -> ThetaIndex:
+# Candidate tuples sample_theta draws before it gives up on a configuration.
+_SAMPLE_MAX_TRIES = 1_000_000
+
+
+def sample_theta(cfg: LeastFavorableConfig, seed: RngSeed) -> ThetaIndex:
     """Uniform draw from the family by rejection on the column-usage cap.
 
     Row patterns are drawn independently and uniformly; any tuple violating
@@ -424,7 +379,7 @@ def sample_theta(
     cap = 2 * cfg.k
     if cfg.k == 0:
         return ThetaIndex(gamma=gamma, rows=((),) * cfg.r)
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_MAX_TRIES):
         rows = tuple(
             tuple(sorted(int(j) for j in rng.choice(support, size=cfg.k, replace=False)))
             for _ in range(cfg.r)
@@ -436,6 +391,6 @@ def sample_theta(
         if all(used <= cap for used in counts.values()):
             return ThetaIndex(gamma=gamma, rows=rows)
     raise ConfigError(
-        f"rejection sampling failed after {max_tries} tries; "
+        f"rejection sampling failed after {_SAMPLE_MAX_TRIES} tries; "
         "the column cap leaves too few valid tuples"
     )

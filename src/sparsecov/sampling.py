@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPSDError
-from .matrices import _from_eigen, as_symmetric, sym_eigen
+from .matrices import _from_eigen, sym_eigen
 from .rng import RngSeed
 
 # Eigenvalues more negative than -PSD_RTOL * max|eigenvalue| reject the matrix;
@@ -75,29 +75,6 @@ def mle_covariance(x) -> np.ndarray:
     centered = arr - arr.mean(axis=0)
     s = centered.T @ centered / n
     return (s + s.T) / 2.0
-
-
-def tail_probe(
-    sigma, n: int, t: float, replicates: int, seed: RngSeed
-) -> np.ndarray:
-    """Entrywise exceedance frequencies of the sample covariance error.
-
-    For each entry (i, j), estimates P(|sigma*_ij - sigma_ij| > t) over the
-    given number of replicates, each drawn from its own sub-stream so the
-    result is independent of evaluation order.
-    """
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1; nothing to estimate")
-    if not t > 0.0:
-        raise ValueError(f"threshold t must be positive, got {t}")
-    mat = as_symmetric(sigma)
-    root = sqrt_psd(mat)
-    counts = np.zeros_like(mat)
-    for ridx in range(replicates):
-        x = sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root)
-        err = np.abs(mle_covariance(x) - mat)
-        counts += err > t
-    return counts / replicates
 
 
 def save_data_csv(path, x) -> None:

@@ -131,8 +131,6 @@ def test_bregman_guard_window():
     assert np.array_equal(bregman_guard(too_small, n), np.eye(2))
     too_big = np.diag([1.0, 2.0 * big_l])
     assert np.array_equal(bregman_guard(too_big, n), np.eye(2))
-    # the narrow variant ignores the top eigenvalue
-    assert np.array_equal(bregman_guard(too_big, n, literal_min_only=True), too_big)
 
 
 def test_bregman_guard_needs_two_samples():

@@ -222,6 +222,34 @@ def test_envelope_k_zero_is_half():
     assert env.below_target
 
 
+def test_envelope_series_majorant_sums_every_term_near_ratio_one():
+    # k = 1 and ratio = 30^(2 upsilon^2) / 5.5, about 0.99993; a sum cut off
+    # after 10^4 terms reaches less than half of the series
+    cfg = build_config(30, 4000, 0.0, 4.0, 0.5006)
+    env = chi_square_mixture_bound(cfg)
+    r = env.series_ratio
+    assert 0.999 <= r < 1.0
+    assert env.series_value == pytest.approx(0.5 + 1.5 * r / (1.0 - r), rel=1e-12)
+
+
+def test_exact_chi_square_is_below_envelope_on_enumerable_grid():
+    checked = 0
+    for p, n, q, c, upsilon in itertools.product(
+        (6, 8, 10), (4, 20, 50), (0.0, 0.3, 0.6), (2.0, 4.0, 8.0), (0.1, 0.3, 0.6)
+    ):
+        try:
+            cfg = build_config(p, n, q, c, upsilon)
+            if cfg.k == 0:
+                continue
+            envelope = chi_square_mixture_bound(cfg).value
+            exact = exact_chi_square_small(cfg)
+        except (ConfigError, DivergenceError, BudgetError):
+            continue
+        assert exact <= envelope, (p, n, q, c, upsilon)
+        checked += 1
+    assert checked >= 30
+
+
 def test_envelope_diverges_for_large_epsilon():
     cfg = LeastFavorableConfig(
         p=8, n=2, q=0.0, c=4.0, upsilon=3.0, r=4, k=1, epsilon=1.2

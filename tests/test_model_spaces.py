@@ -17,9 +17,7 @@ from sparsecov.model_spaces import (
     count_theta,
     enumerate_theta,
     materialize_sigma,
-    radius_condition_holds,
     sample_theta,
-    upsilon_report,
     validate_theta,
     weak_lq_radius,
 )
@@ -101,15 +99,6 @@ def test_config_json_round_trip():
     cfg = build_config(100, 20, 0.5, 1.0, 0.1)
     assert cfg.k == 2
     assert LeastFavorableConfig.from_json(cfg.to_json()) == cfg
-
-
-def test_upsilon_report_shape():
-    cfg = build_config(100, 20, 0.0, 4.0, 0.1)
-    rep = upsilon_report(cfg)
-    assert rep["upsilon_pow_ok"] is None and rep["upsilon_sq_ok"] is None
-    rep = upsilon_report(cfg, big_m=1.0, tau=2.0, beta=2.0)
-    assert rep["upsilon_pow_ok"] and rep["upsilon_sq_ok"] is False
-    assert rep["radius_condition_ok"] == radius_condition_holds(cfg, 1.0)
 
 
 def test_validate_theta_names_violations():

@@ -9,7 +9,6 @@ from sparsecov.sampling import (
     sample_gaussian,
     save_data_csv,
     sqrt_psd,
-    tail_probe,
 )
 
 
@@ -69,24 +68,6 @@ def test_mle_covariance_centers_and_divides_by_n():
     x = rng.standard_normal((37, 5)) + 3.0
     expected = np.cov(x.T, bias=True)
     assert np.max(np.abs(mle_covariance(x) - expected)) < 1e-12
-
-
-def test_tail_probe_frequencies_and_determinism():
-    sigma = np.eye(3)
-    freq = tail_probe(sigma, 50, 0.3, 200, RngSeed(2))
-    assert freq.shape == (3, 3)
-    assert np.all(freq >= 0.0) and np.all(freq <= 1.0)
-    assert np.array_equal(freq, tail_probe(sigma, 50, 0.3, 200, RngSeed(2)))
-
-
-def test_tail_probe_decays_with_sample_size():
-    # exceedance of a fixed threshold must fall as n grows
-    sigma = np.eye(4)
-    means = [
-        float(np.mean(tail_probe(sigma, n, 0.25, 300, RngSeed(9))))
-        for n in (20, 80, 320)
-    ]
-    assert means[0] > means[1] > means[2]
 
 
 def test_data_csv_round_trip(tmp_path):
