@@ -104,27 +104,37 @@ def cross_product_integral(s0, s1, s2) -> float:
 
     For centered Gaussians with covariances S0, S1, S2 this equals
 
-        det(I - S0^-1 (S1 - S0) S0^-1 (S2 - S0))^(-1/2),
+        det(I - S0^-1 (S1 - S0) S0^-1 (S2 - S0))^(-1/2).
 
-    provided the determinant is positive.  It is the integral of f1 f2 / f0,
-    which equals det S0^(1/2) (det S1 det S2)^(-1/2)
-    det(S1^-1 + S2^-1 - S0^-1)^(-1/2).
+    It is the integral of f1 f2 / f0, which equals
+    det S0^(1/2) (det S1 det S2)^(-1/2) det(M)^(-1/2) with
+    M = S1^-1 + S2^-1 - S0^-1, and it is finite exactly when M is positive
+    definite.  Since I - Q = S0^-1 S1 M S2, the determinant above is then
+    positive; its sign alone does not show convergence, because M can have
+    an even number of negative eigenvalues.
 
     Raises
     ------
     DomainError
-        If S0 is not positive definite.
+        If S0, S1 or S2 is not positive definite.
     DivergenceError
-        If the determinant is zero or negative (integral diverges).
+        If M is not positive definite (integral diverges).
     """
     m0 = as_symmetric(s0)
     m1 = as_symmetric(s1)
     m2 = as_symmetric(s2)
     if m0.shape != m1.shape or m0.shape != m2.shape:
         raise ValueError("all three matrices must share one shape")
-    if float(np.min(np.linalg.eigvalsh(m0))) <= 0.0:
-        raise DomainError("base covariance must be positive definite")
+    for label, m in (("base", m0), ("S1", m1), ("S2", m2)):
+        if float(np.min(np.linalg.eigvalsh(m))) <= 0.0:
+            raise DomainError(f"{label} covariance must be positive definite")
     inv0 = np.linalg.inv(m0)
+    mid = np.linalg.inv(m1) + np.linalg.inv(m2) - inv0
+    if float(np.min(np.linalg.eigvalsh(mid))) <= 0.0:
+        raise DivergenceError(
+            "cross-product integral diverges: S1^-1 + S2^-1 - S0^-1 is not "
+            "positive definite"
+        )
     q = inv0 @ (m1 - m0) @ inv0 @ (m2 - m0)
     sign, logdet = np.linalg.slogdet(np.eye(m0.shape[0]) - q)
     if sign <= 0.0:
@@ -375,6 +385,11 @@ def exact_chi_square_small(
             f"exact chi-square needs {work} integral evaluations, budget is {budget}",
             count=work,
         )
+    # entry (b, m - 1): the bump on row m under the b-th remaining bit vector,
+    # bit vectors in lexicographic order
+    bumps = eps * np.array(
+        list(itertools.product((0.0, 1.0), repeat=r - 1))
+    ).reshape(2 ** (r - 1), r - 1)
     acc = 0.0
     weight_sum = 0.0
     for rows in _iter_lambda(cfg, r - 1):
@@ -388,33 +403,32 @@ def exact_chi_square_small(
         a_mat = np.zeros((d_c, p))
         for idx, pat in enumerate(lam1):
             a_mat[idx, list(pat)] = 1.0
-        for bits in itertools.product((0, 1), repeat=r - 1):
-            s0 = np.eye(p)
-            for m, (bit, pat) in enumerate(zip(bits, rows), start=1):
-                if not bit:
-                    continue
-                for j in pat:
-                    s0[m, j] += eps
-                    s0[j, m] += eps
-            w = np.linalg.inv(s0)
-            # S1 - S0 = eps U J U' with U = [e0, a_i] and J = [[0, 1], [1, 0]],
-            # likewise S2 - S0 with V = [e0, a_j], so the p x p determinant
-            # reduces to det(I_2 - eps^2 J G J G') with G = U' W V, whose
-            # entries are w00, g_i = a_i' W e0 and gram_ij = a_i' W a_j.
-            w00 = float(w[0, 0])
-            g = a_mat @ w[:, 0]
-            gram = a_mat @ w @ a_mat.T
-            gg = np.outer(g, g)
-            det2 = (1.0 - eps**2 * (w00 * gram + gg)) ** 2 - (
-                4.0 * eps**4 * w00 * gram * gg
+        # one base covariance S0 per bit vector; rows m < r and support
+        # columns >= p - r never meet, so each bumped entry is written once
+        s0 = np.tile(np.eye(p), (len(bumps), 1, 1))
+        for m, pat in enumerate(rows, start=1):
+            s0[:, m, list(pat)] = bumps[:, m - 1, None]
+            s0[:, list(pat), m] = bumps[:, m - 1, None]
+        w = np.linalg.inv(s0)
+        # S1 - S0 = eps U J U' with U = [e0, a_i] and J = [[0, 1], [1, 0]],
+        # likewise S2 - S0 with V = [e0, a_j], so the p x p determinant
+        # reduces to det(I_2 - eps^2 J G J G') with G = U' W V, whose
+        # entries are w00, g_i = a_i' W e0 and gram_ij = a_i' W a_j.
+        w00 = w[:, :1, :1]
+        g = a_mat @ w[:, :, :1]
+        gram = a_mat @ w @ a_mat.T
+        gg = g * g.transpose(0, 2, 1)
+        det2 = (1.0 - eps**2 * (w00 * gram + gg)) ** 2 - (
+            4.0 * eps**4 * w00 * gram * gg
+        )
+        if np.any(det2 <= 0.0):
+            raise DivergenceError(
+                "cross-product integral diverges inside exact enumeration"
             )
-            if np.any(det2 <= 0.0):
-                raise DivergenceError(
-                    "cross-product integral diverges inside exact enumeration"
-                )
-            cell = float(np.mean(det2 ** (-0.5 * n))) - 1.0
+        cells = np.mean(det2 ** (-0.5 * n), axis=(1, 2)) - 1.0
+        for cell in cells.tolist():
             acc += d_c * cell
-            weight_sum += d_c
+        weight_sum += d_c * len(cells)
     if weight_sum == 0.0:
         raise ConfigError("no admissible completions; family is empty")
     return acc / weight_sum
@@ -492,33 +506,66 @@ def gamma1_mixture(
     """Uniform mixture over family members whose first bit equals anchor_bit.
 
     Members sharing one covariance are merged, so the component list is the
-    set of distinct matrices with summed weights.
+    set of distinct matrices, each weighted by its member count over the
+    number of members with the anchor bit.  Sigma(theta) depends only on the
+    bits and on the row patterns of the rows whose bit is on, so members with
+    different bits never coincide (unless k = 0 or epsilon = 0, where every
+    member is the identity), and within one bit vector the distinct
+    components are the distinct active pattern tuples.  Components come in
+    the order their first member has in :func:`enumerate_theta`: bit vectors
+    lexicographically, then row-pattern tuples in ``_iter_lambda`` order.
+
+    Raises
+    ------
+    BudgetError
+        If the family has more than ``budget`` members (anchor bits of both
+        values counted); the error carries the count.
     """
     if anchor_bit not in (0, 1):
         raise ConfigError(f"anchor bit must be 0 or 1, got {anchor_bit}")
-    thetas = [
-        th for th in enumerate_theta(cfg, budget) if th.gamma[0] == anchor_bit
-    ]
-    if not thetas:
+    total = count_theta(cfg)
+    if total > budget:
+        raise BudgetError(
+            f"family has {total} members, budget is {budget}", count=total
+        )
+    if total == 0:
         raise ConfigError("no family members with the requested anchor bit")
-    seen: dict[bytes, int] = {}
-    covs: list[np.ndarray] = []
-    counts: list[int] = []
-    for th in thetas:
-        sigma = materialize_sigma(cfg, th)
-        key = sigma.tobytes()
-        if key in seen:
-            counts[seen[key]] += 1
-        else:
-            seen[key] = len(covs)
-            covs.append(sigma)
-            counts.append(1)
-    weights = np.array(counts, dtype=float) / float(len(thetas))
-    stacked = np.stack(covs)
+    p, r, eps = cfg.p, cfg.r, cfg.epsilon
+    if cfg.k == 0 or eps == 0.0:
+        covs, weights = np.eye(p)[None], np.ones(1)
+    else:
+        patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
+        pattern_id = {pat: i for i, pat in enumerate(patterns)}
+        columns = np.array(patterns, dtype=np.intp)
+        # row-pattern ids of every valid tuple, one row per tuple
+        lam = np.array(
+            [[pattern_id[pat] for pat in rows] for rows in _iter_lambda(cfg, r)],
+            dtype=np.intp,
+        )
+        blocks, counts = [], []
+        for rest in itertools.product((0, 1), repeat=r - 1):
+            active = np.flatnonzero((anchor_bit,) + rest)
+            keys, first, count = np.unique(
+                lam[:, active], axis=0, return_index=True, return_counts=True
+            )
+            order = np.argsort(first)
+            keys, count = keys[order], count[order]
+            block = np.tile(np.eye(p), (len(keys), 1, 1))
+            comp = np.arange(len(keys))[:, None]
+            # rows m < r and support columns >= p - r never meet, so each
+            # bumped entry is written once, from zero
+            for m, ids in zip(active, keys.T):
+                cols = columns[ids]
+                block[comp, m, cols] = eps
+                block[comp, cols, m] = eps
+            blocks.append(block)
+            counts.append(count)
+        covs = np.concatenate(blocks)
+        weights = np.concatenate(counts) / float(total // 2)
     return GaussianMixture(
         weights=weights,
-        covariances=stacked,
-        means=np.zeros((stacked.shape[0], cfg.p)),
+        covariances=covs,
+        means=np.zeros((covs.shape[0], p)),
         n=cfg.n,
     )
 

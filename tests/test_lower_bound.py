@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sparsecov.errors import BudgetError, ConfigError, DivergenceError, StructureError
+from sparsecov.errors import (
+    BudgetError,
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    StructureError,
+)
 from sparsecov.lower_bound import (
     GaussianMixture,
     _MixtureDensity,
@@ -22,7 +28,14 @@ from sparsecov.lower_bound import (
     per_comparison_alpha,
     tv_affinity_mc,
 )
-from sparsecov.model_spaces import LeastFavorableConfig, _iter_lambda, build_config
+from sparsecov.model_spaces import (
+    LeastFavorableConfig,
+    _iter_lambda,
+    build_config,
+    count_theta,
+    enumerate_theta,
+    materialize_sigma,
+)
 from sparsecov.rng import RngSeed
 from sparsecov.sampling import sqrt_psd
 
@@ -115,6 +128,21 @@ def test_integral_matches_determinant_oracle_on_non_identity_bases():
 def test_integral_divergence_error():
     with pytest.raises(DivergenceError):
         cross_product_integral([[1.0]], [[3.0]], [[2.0]])
+
+
+def test_integral_diverges_even_when_the_determinant_is_positive():
+    # det(I - Q) = det(I - 4 I) = 9 > 0, yet S1^-1 + S2^-1 - S0^-1 = -I/3
+    eye = np.eye(2)
+    with pytest.raises(DivergenceError):
+        cross_product_integral(eye, 3.0 * eye, 3.0 * eye)
+
+
+def test_integral_rejects_indefinite_perturbed_covariances():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(DomainError):
+        cross_product_integral(np.eye(2), indefinite, indefinite)
+    with pytest.raises(DomainError):
+        cross_product_integral(np.eye(2), np.eye(2), indefinite)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +295,9 @@ def test_exact_chi_square_reference_value():
     assert value >= 0.0
 
 
-def test_exact_chi_square_matches_brute_force_oracle():
-    """Enumerate every completion and pattern pair with the p x p determinant
-    oracle; at upsilon 0.3 the S0^-2 shortcut is off by 1.3e-3 relative."""
-    cfg = build_config(8, 20, 0.0, 4.0, 0.3)
+def chi_square_by_determinant_oracle(cfg):
+    """Exact chi-square from every completion and pattern pair, each scored
+    with the p x p determinant oracle."""
     r, k, eps, p = cfg.r, cfg.k, cfg.epsilon, cfg.p
 
     def bump_first_row(s0, pat):
@@ -300,7 +327,16 @@ def test_exact_chi_square_matches_brute_force_oracle():
             )
             acc += len(firsts) * (total / len(firsts) ** 2 - 1.0)
             weight += len(firsts)
-    assert exact_chi_square_small(cfg) == pytest.approx(acc / weight, rel=1e-10)
+    return acc / weight
+
+
+def test_exact_chi_square_matches_brute_force_oracle():
+    """At (8, 20, 0, 4, 0.3) the S0^-2 shortcut is off by 1.3e-3 relative;
+    at p = 3 (r = 1) no rows or bits remain after the first."""
+    for args in ((8, 20, 0.0, 4.0, 0.3), (3, 50, 0.0, 4.0, 0.3)):
+        cfg = build_config(*args)
+        expected = chi_square_by_determinant_oracle(cfg)
+        assert exact_chi_square_small(cfg) == pytest.approx(expected, rel=1e-10)
 
 
 def test_exact_chi_square_budget_counts_work():
@@ -330,6 +366,51 @@ def test_gamma1_mixture_weights_and_dedup():
     assert mix.covariances.shape[0] < 96
     with pytest.raises(ConfigError):
         gamma1_mixture(cfg, 2)
+
+
+def mixture_by_member_enumeration(cfg, anchor_bit):
+    """Reference mixture: materialize every member with the anchor bit and
+    merge equal covariances in first-seen order."""
+    members = [th for th in enumerate_theta(cfg) if th.gamma[0] == anchor_bit]
+    seen, covs, counts = {}, [], []
+    for th in members:
+        sigma = materialize_sigma(cfg, th)
+        key = sigma.tobytes()
+        if key in seen:
+            counts[seen[key]] += 1
+        else:
+            seen[key] = len(covs)
+            covs.append(sigma)
+            counts.append(1)
+    return np.stack(covs), np.array(counts, dtype=float) / float(len(members))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (6, 100, 0.0, 4.0, 0.1),
+        (8, 20, 0.0, 4.0, 0.1),
+        (8, 50, 0.0, 8.0, 0.1),  # k = 3
+        (10, 20, 0.0, 4.0, 0.1),
+        (8, 20, 0.0, 1.0, 0.1),  # k = 0: every member is the identity
+    ],
+)
+def test_gamma1_mixture_matches_member_enumeration(args):
+    cfg = build_config(*args)
+    for anchor_bit in (0, 1):
+        mix = gamma1_mixture(cfg, anchor_bit)
+        covs, weights = mixture_by_member_enumeration(cfg, anchor_bit)
+        assert np.array_equal(mix.covariances, covs)
+        assert np.array_equal(mix.weights, weights)
+
+
+def test_gamma1_mixture_budget_counts_members():
+    cfg = build_config(6, 100, 0.0, 4.0, 0.1)
+    assert count_theta(cfg) == 192
+    with pytest.raises(BudgetError) as err:
+        gamma1_mixture(cfg, 0, budget=191)
+    assert err.value.count == count_theta(cfg)
+    assert gamma1_mixture(cfg, 0, budget=192).weights.size > 0
 
 
 def test_mixture_validation():
