@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -52,14 +53,21 @@ def _write_manifest(out_path: str, command: str, argv, started: float, outputs):
     """Record how a result was produced, next to the primary output.
 
     The manifest carries timestamps and timings, so it is the one output
-    that differs between reruns of the same seeded command.
+    that differs between reruns of the same seeded command.  It also records
+    what seeded bytes depend on: the numpy and BLAS build and the BLAS thread
+    count, with an unset thread variable written as null.
     """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "argv": list(argv),
         "version": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {
+            name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        },
         "started_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - started,
         "outputs": list(outputs),

@@ -5,6 +5,12 @@ The threshold level is always ``gamma * sqrt(log(p) / n)`` and, unless
 diagonal.  Corrections run after thresholding: ``psd-project`` clips negative
 eigenvalues at zero, ``bregman-guard`` replaces the estimate by the identity
 unless its spectrum lies inside ``[1/L, L]`` with ``L = max(log n, log p)``.
+
+The public functions validate their input once with :func:`as_symmetric` and
+then call the private kernels that the risk pipeline calls directly.  The
+kernels trust an exactly symmetric input and pass estimates on as
+:class:`~sparsecov.matrices._Symmetric`, so one eigendecomposition serves the
+PSD projection, the guard and the spectral losses of an estimate.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .matrices import _from_eigen, _sym_eigen, as_symmetric
+from .matrices import _from_eigen, _Symmetric, as_symmetric
 
 RULES = ("hard", "soft", "adaptive-lasso")
 CORRECTIONS = ("psd-project", "bregman-guard")
@@ -86,7 +92,11 @@ def threshold_estimate(sigma_star, spec: EstimatorSpec, n: int) -> np.ndarray:
     magnitudes by the threshold and clips at zero; adaptive-lasso multiplies
     each entry by ``(1 - |t / entry|^eta)_+``.
     """
-    mat = as_symmetric(sigma_star)
+    return _threshold(as_symmetric(sigma_star), spec, n)
+
+
+def _threshold(mat: np.ndarray, spec: EstimatorSpec, n: int) -> np.ndarray:
+    """:func:`threshold_estimate` of an exactly symmetric matrix."""
     t = threshold_level(mat.shape[0], n, spec.gamma)
     mags = np.abs(mat)
     if spec.rule == "hard":
@@ -108,12 +118,16 @@ def psd_project(sigma_hat) -> np.ndarray:
     This is the Frobenius-nearest PSD matrix; its distance to the truth in
     any eigen-monotone operator norm is at most twice that of the input.
     """
-    mat = as_symmetric(sigma_hat)
-    eig = _sym_eigen(mat)
+    return _psd_project(_Symmetric(as_symmetric(sigma_hat))).matrix
+
+
+def _psd_project(est: _Symmetric) -> _Symmetric:
+    """:func:`psd_project` from the estimate's cached decomposition."""
+    eig = est.eigen
     if float(eig.eigenvalues[-1]) >= 0.0:
         # nothing to clip; skip the round trip so exact zeros stay exact
-        return mat
-    return _from_eigen(eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None))
+        return est
+    return _Symmetric(_from_eigen(eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None)))
 
 
 def bregman_guard(sigma_hat, n: int) -> np.ndarray:
@@ -122,22 +136,29 @@ def bregman_guard(sigma_hat, n: int) -> np.ndarray:
     With ``L = max(log n, log p)``, the check is ``1/L <= min eigenvalue``
     and ``max eigenvalue <= L``; failing either returns the identity.
     """
-    mat = as_symmetric(sigma_hat)
+    return _bregman_guard(_Symmetric(as_symmetric(sigma_hat)), n).matrix
+
+
+def _bregman_guard(est: _Symmetric, n: int) -> _Symmetric:
+    """:func:`bregman_guard` decided from the estimate's cached eigenvalues."""
     if n < 2:
         raise ConfigError(f"n must be at least 2 for the guard, got {n}")
-    p = mat.shape[0]
+    p = est.matrix.shape[0]
     big_l = max(math.log(n), math.log(p))
-    w = np.linalg.eigvalsh(mat)
-    ok = 1.0 / big_l <= float(w[0]) and float(w[-1]) <= big_l
-    return mat if ok else np.eye(p)
+    w = est.eigen.eigenvalues  # descending
+    ok = 1.0 / big_l <= float(w[-1]) and float(w[0]) <= big_l
+    return est if ok else _Symmetric(np.eye(p))
 
 
 def apply_estimator(sigma_star, spec: EstimatorSpec, n: int) -> np.ndarray:
     """Threshold, then run the spec's corrections in declaration order."""
-    out = threshold_estimate(sigma_star, spec, n)
+    return _apply_estimator(as_symmetric(sigma_star), spec, n).matrix
+
+
+def _apply_estimator(mat: np.ndarray, spec: EstimatorSpec, n: int) -> _Symmetric:
+    """:func:`apply_estimator` of an exactly symmetric matrix, such as the
+    output of :func:`~sparsecov.sampling.mle_covariance`."""
+    out = _Symmetric(_threshold(mat, spec, n))
     for correction in spec.corrections:
-        if correction == "psd-project":
-            out = psd_project(out)
-        else:
-            out = bregman_guard(out, n)
+        out = _psd_project(out) if correction == "psd-project" else _bregman_guard(out, n)
     return out

@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .matrices import EigenDecomposition, _operator_norm, _sym_eigen, as_symmetric, matrix_function
+from .matrices import (
+    EigenDecomposition,
+    _operator_norm,
+    _Symmetric,
+    _sym_eigen,
+    as_symmetric,
+    matrix_function,
+)
 
 # Eigenvalues below this are outside the open domain (0, inf) for the Stein
 # and von Neumann generators; no clamping, the caller must fix conditioning.
@@ -71,18 +77,9 @@ def resolve_phi(phi) -> BregmanPhi:
     )
 
 
-class _Truth:
-    """A symmetric truth whose eigendecomposition is taken once, when first needed."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    @cached_property
-    def eigen(self) -> EigenDecomposition:
-        return _sym_eigen(self.matrix)
-
-
-def _checked_eigenvalues(eig: EigenDecomposition, gen: BregmanPhi, label: str) -> tuple:
+def _checked_eigenvalues(
+    eig: EigenDecomposition, gen: BregmanPhi, label: str
+) -> EigenDecomposition:
     floor = gen.domain_min + EIGEN_DOMAIN_FLOOR  # -inf for an unbounded domain
     lo = float(eig.eigenvalues[-1])
     if lo < floor:
@@ -99,12 +96,14 @@ def bregman_divergence(x, y, phi="stein") -> float:
     Both arguments must be symmetric with eigenvalues inside the generator's
     domain.  The result is nonnegative up to roundoff and zero iff X == Y.
     """
-    return _bregman(as_symmetric(x), _Truth(as_symmetric(y)), resolve_phi(phi))
+    return _bregman(
+        _Symmetric(as_symmetric(x)), _Symmetric(as_symmetric(y)), resolve_phi(phi)
+    )
 
 
-def _bregman(x: np.ndarray, y: _Truth, gen: BregmanPhi) -> float:
-    """:func:`bregman_divergence` of an exactly symmetric matrix and truth."""
-    ex = _checked_eigenvalues(_sym_eigen(x), gen, "first argument")
+def _bregman(x: _Symmetric, y: _Symmetric, gen: BregmanPhi) -> float:
+    """:func:`bregman_divergence` from both arguments' cached decompositions."""
+    ex = _checked_eigenvalues(x.eigen, gen, "first argument")
     ey = _checked_eigenvalues(y.eigen, gen, "second argument")
     lam = ex.eigenvalues
     gam = ey.eigenvalues
@@ -218,16 +217,17 @@ def operator_loss(a, b, w) -> float:
 def evaluate_loss(spec: LossSpec, estimate, truth) -> float:
     """Dispatch a LossSpec on a validated (estimate, truth) pair."""
     est, tru = _validated_pair(estimate, truth)
-    return _evaluate(spec, est, _Truth(tru))
+    return _evaluate(spec, _Symmetric(est), _Symmetric(tru))
 
 
-def _evaluate(spec: LossSpec, est: np.ndarray, truth: _Truth) -> float:
+def _evaluate(spec: LossSpec, est: _Symmetric, truth: _Symmetric) -> float:
     """:func:`evaluate_loss` of an exactly symmetric, finite, same-shape pair;
-    the risk harness calls it on matrices it built, with one truth per cell."""
+    the risk harness calls it on matrices it built, with one truth per cell,
+    so a Bregman loss reuses the decompositions the estimator already took."""
     if spec.kind == "operator":
-        return _operator_norm(est - truth.matrix, spec.w) ** 2
+        return _operator_norm(est.matrix - truth.matrix, spec.w) ** 2
     if spec.kind == "frobenius-squared":
-        value = float(np.sum((est - truth.matrix) ** 2))
+        value = float(np.sum((est.matrix - truth.matrix) ** 2))
     else:
         value = _bregman(est, truth, resolve_phi(spec.phi))
-    return value / est.shape[0] if spec.normalized else value
+    return value / est.matrix.shape[0] if spec.normalized else value

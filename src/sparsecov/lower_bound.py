@@ -85,12 +85,13 @@ def per_comparison_alpha(
     best = math.inf
     for i in range(len(thetas)):
         ham = np.sum(gammas[i + 1 :] != gammas[i], axis=1)
-        for off, h in enumerate(ham):
-            if h == 0:
-                continue
-            j = i + 1 + off
-            norm = float(np.max(np.abs(np.linalg.eigvalsh(sigmas[i] - sigmas[j]))))
-            best = min(best, norm**2 / float(h))
+        apart = ham > 0
+        if not np.any(apart):
+            continue
+        # one stacked eigensolve over every later member with other bits
+        spectra = np.linalg.eigvalsh(sigmas[i] - sigmas[i + 1 :][apart])
+        norms = np.max(np.abs(spectra), axis=1)
+        best = min(best, float(np.min(norms**2 / ham[apart])))
     exact = 0.0 if best is math.inf else float(best)
     return AlphaResult(bound=bound, exact=exact, pair_count=pair_count)
 

@@ -3,12 +3,15 @@
 Every covariance-like object in this package is a plain float64 ndarray that
 has passed :func:`as_symmetric`.  Construction either repairs roundoff-level
 asymmetry by averaging with the transpose or rejects the input outright, so
-downstream code can assume exact symmetry bit for bit.
+downstream code can assume exact symmetry bit for bit.  Inside the risk
+pipeline such a matrix travels as a :class:`_Symmetric`, which takes its
+eigendecomposition at most once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,6 +83,17 @@ def _sym_eigen(mat: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"symmetric eigensolver did not converge: {exc}") from exc
     return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+
+
+class _Symmetric:
+    """An exactly symmetric matrix whose eigendecomposition is taken once, when first needed."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    @cached_property
+    def eigen(self) -> EigenDecomposition:
+        return _sym_eigen(self.matrix)
 
 
 def _from_eigen(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:

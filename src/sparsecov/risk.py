@@ -18,12 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CellError, ConfigError, DomainError, FitError, SchemaError
-from .estimators import EstimatorSpec, apply_estimator, bregman_guard
-from .losses import LossSpec, _evaluate, _Truth, resolve_phi
-from .matrices import as_symmetric
+from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
+from .losses import LossSpec, _evaluate, resolve_phi
+from .matrices import _Symmetric, as_symmetric
 from .model_spaces import ThetaIndex, build_config, materialize_sigma, sample_theta, weak_lq_radius
 from .rng import RngSeed
-from .sampling import mle_covariance, sample_gaussian, sqrt_psd
+from .sampling import _sqrt_psd, mle_covariance, sample_gaussian
 
 # A cell is declared failed when more than this fraction of replicates hit a
 # loss domain error.
@@ -217,17 +217,23 @@ def _run_cell(
 ) -> list[RiskRecord]:
     """The cell pipeline behind :func:`run_risk_cell` and :func:`run_grid`.
 
-    The truth is validated, square-rooted and wrapped in one :class:`_Truth`
-    once, so it is eigendecomposed at most once.  Replicate r draws once from
-    ``seed.substream(r)`` and applies each estimator once to its sample
-    covariance.  Every loss scores that estimate; with ``guard`` set, Stein
-    and von Neumann losses score ``bregman_guard`` of it, which is bit for
-    bit the :func:`_guarded` spec.  The loss kernel trusts these matrices:
-    they are symmetric by construction.  Records come in (estimator, loss) order.
+    The truth is the one input validated here.  It is wrapped in a
+    :class:`_Symmetric` and eigendecomposed once; that decomposition gives
+    both the sampling square root and the truth side of every Bregman loss.
+    Replicate r draws once from ``seed.substream(r)`` and applies each
+    estimator once to its sample covariance.  Every loss scores that
+    estimate; with ``guard`` set, Stein and von Neumann losses score the
+    guard of it, which is bit for bit the :func:`_guarded` spec.  The
+    estimator and loss kernels trust these matrices, which are exactly
+    symmetric by construction, and each estimate is eigendecomposed at most
+    once, by whichever of the PSD projection, the guard or a Bregman loss
+    needs it first.  Records come in (estimator, loss) order.
     """
-    mat = as_symmetric(sigma)
-    root = sqrt_psd(mat)
-    truth = _Truth(mat)
+    truth = _Symmetric(as_symmetric(sigma))
+    mat = truth.matrix
+    root = _sqrt_psd(truth.eigen)
+    if all(loss.kind != "bregman" for loss in losses):
+        del truth.eigen  # no loss reads it again; frees p x p for the replicates
     # specs[ei][li] is estimators[ei] itself unless the loss adds the guard
     specs = [[_guarded(est, loss) if guard else est for loss in losses] for est in estimators]
     results = np.full((len(estimators), len(losses), replicates), np.nan)
@@ -236,11 +242,11 @@ def _run_cell(
     for ridx in range(replicates):
         sample = mle_covariance(sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root))
         for ei, est in enumerate(estimators):
-            estimate = apply_estimator(sample, est, n)
+            estimate = _apply_estimator(sample, est, n)
             guarded = None
             for li, loss in enumerate(losses):
                 if specs[ei][li] is not est and guarded is None:
-                    guarded = bregman_guard(estimate, n)  # once, on demand
+                    guarded = _bregman_guard(estimate, n)  # once, on demand
                 try:
                     results[ei, li, ridx] = _evaluate(
                         loss, estimate if specs[ei][li] is est else guarded, truth

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPSDError
-from .matrices import _from_eigen, sym_eigen
+from .matrices import EigenDecomposition, _from_eigen, sym_eigen
 from .rng import RngSeed
 
 # Eigenvalues more negative than -PSD_RTOL * max|eigenvalue| reject the matrix;
@@ -21,7 +21,11 @@ def sqrt_psd(sigma) -> np.ndarray:
     NotPSDError
         If the smallest eigenvalue is materially negative.
     """
-    eig = sym_eigen(sigma)
+    return _sqrt_psd(sym_eigen(sigma))
+
+
+def _sqrt_psd(eig: EigenDecomposition) -> np.ndarray:
+    """:func:`sqrt_psd` from an eigendecomposition already taken."""
     scale = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
     lo = float(eig.eigenvalues[-1])
     if lo < -PSD_RTOL * max(scale, 1.0):

@@ -51,7 +51,10 @@ def grid_file(tmp_path, **overrides):
     return path
 
 
-def test_estimate_from_data(tmp_path, data_csv, capsys):
+def test_estimate_from_data(tmp_path, data_csv, capsys, monkeypatch):
+    # the manifest records the thread settings as given, and null when unset
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     out = tmp_path / "est.csv"
     code = main(["estimate", "--data", str(data_csv), "--out", str(out)])
     assert code == 0
@@ -61,6 +64,10 @@ def test_estimate_from_data(tmp_path, data_csv, capsys):
     manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
     assert manifest["command"] == "estimate"
     assert str(out) in manifest["outputs"]
+    assert manifest["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
 
 
 def test_estimate_output_is_idempotent(tmp_path, data_csv):

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from sparsecov.errors import ConfigError
 from sparsecov.estimators import (
     EstimatorSpec,
+    _apply_estimator,
+    _bregman_guard,
     apply_estimator,
     bregman_guard,
     psd_project,
     threshold_estimate,
     threshold_level,
 )
-from sparsecov.matrices import frobenius_norm, operator_norm
+from sparsecov.matrices import _Symmetric, frobenius_norm, operator_norm
 from sparsecov.rng import RngSeed
 from sparsecov.sampling import mle_covariance, sample_gaussian
 
@@ -131,6 +133,27 @@ def test_bregman_guard_window():
     assert np.array_equal(bregman_guard(too_small, n), np.eye(2))
     too_big = np.diag([1.0, 2.0 * big_l])
     assert np.array_equal(bregman_guard(too_big, n), np.eye(2))
+
+
+def kernel_guard(mat, n):
+    return _bregman_guard(_Symmetric(mat), n).matrix
+
+
+def pipeline_guard(mat, n):
+    # keep_diagonal leaves a diagonal input intact, so only the guard acts
+    spec = EstimatorSpec(rule="hard", keep_diagonal=True, corrections=("bregman-guard",))
+    return _apply_estimator(mat, spec, n).matrix
+
+
+@pytest.mark.parametrize("guard", [bregman_guard, kernel_guard, pipeline_guard])
+def test_bregman_guard_window_is_inclusive(guard):
+    n = 50
+    big_l = max(math.log(n), math.log(2))
+    lo, hi = 1.0 / big_l, big_l
+    edges = np.diag([lo, hi])
+    assert np.array_equal(guard(edges, n), edges)
+    for outside in ([np.nextafter(lo, 0.0), hi], [lo, np.nextafter(hi, np.inf)]):
+        assert np.array_equal(guard(np.diag(outside), n), np.eye(2))
 
 
 def test_bregman_guard_needs_two_samples():

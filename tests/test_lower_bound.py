@@ -225,6 +225,28 @@ def test_alpha_reference_values():
     assert res.exact >= res.bound
 
 
+def alpha_by_pairwise_loop(cfg):
+    """Exact alpha with one eigvalsh per member pair, the unbatched reference."""
+    thetas = enumerate_theta(cfg, budget=count_theta(cfg))
+    sigmas = [materialize_sigma(cfg, th) for th in thetas]
+    best = math.inf
+    for i, j in itertools.combinations(range(len(thetas)), 2):
+        h = sum(a != b for a, b in zip(thetas[i].gamma, thetas[j].gamma))
+        if h == 0:
+            continue
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(sigmas[i] - sigmas[j]))))
+        best = min(best, norm**2 / float(h))
+    return 0.0 if best is math.inf else float(best)
+
+
+@pytest.mark.parametrize(
+    "args", [(6, 100, 0.0, 4.0, 0.1), (6, 20, 0.0, 4.0, 0.3), (7, 50, 0.0, 4.0, 0.1)]
+)
+def test_alpha_matches_pairwise_loop(args):
+    cfg = build_config(*args)
+    assert per_comparison_alpha(cfg).exact == alpha_by_pairwise_loop(cfg)
+
+
 def test_alpha_falls_back_to_bound_only_over_budget():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
     res = per_comparison_alpha(cfg, exact_budget=100)

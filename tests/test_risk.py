@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-import sparsecov.losses as losses_module
+import sparsecov.matrices as matrices_module
 from sparsecov.errors import CellError, ConfigError, DomainError, FitError, SchemaError
 from sparsecov.estimators import EstimatorSpec
 from sparsecov.losses import LossSpec
@@ -21,7 +22,7 @@ from sparsecov.risk import (
 )
 from sparsecov.rng import RngSeed
 from sparsecov.sampling import mle_covariance, sample_gaussian
-from sparsecov.estimators import apply_estimator
+from sparsecov.estimators import apply_estimator, bregman_guard, psd_project, threshold_estimate
 from sparsecov.losses import evaluate_loss
 from sparsecov.matrices import _sym_eigen
 
@@ -91,6 +92,30 @@ def test_cell_matches_hand_rolled_loop(spec, loss):
     assert rec.median_risk == float(np.median(values))
 
 
+def replayed_corrections(cfg):
+    """(clips, trips) of a guarded grid, replayed through the public API.
+
+    clips counts PSD projections that moved their input, trips counts
+    guards that returned the identity.
+    """
+    master = RngSeed.parse(cfg["seed"])
+    clips = trips = 0
+    for ci, cell in enumerate(cfg["cells"]):
+        n, p = cell["n"], cell["p"]
+        sigma = materialize_truth(cfg["truth"], n, p)[0]
+        for r in range(cfg["replicates"]):
+            sample = mle_covariance(sample_gaussian(sigma, n, master.substream(ci).substream(r)))
+            for obj in cfg["estimators"]:
+                spec = EstimatorSpec.from_json(obj)
+                est = threshold_estimate(sample, spec, n)
+                if "psd-project" in spec.corrections:
+                    projected = psd_project(est)
+                    clips += not np.array_equal(projected, est)
+                    est = projected
+                trips += np.array_equal(bregman_guard(est, n), np.eye(p))
+    return clips, trips
+
+
 def test_truth_is_decomposed_once_per_cell(monkeypatch):
     seen = []
 
@@ -98,20 +123,59 @@ def test_truth_is_decomposed_once_per_cell(monkeypatch):
         seen.append(mat.copy())
         return _sym_eigen(mat)
 
-    monkeypatch.setattr(losses_module, "_sym_eigen", counting)
     cfg = grid_config(
         estimators=[{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": 2.0}],
         losses=[{"kind": "operator", "w": 2}, STEIN.to_json(), VON_NEUMANN.to_json()],
         cells=[{"n": 60, "p": 20}, {"n": 120, "p": 40}],
         replicates=5,
     )
+    _, trips = replayed_corrections(cfg)
+    monkeypatch.setattr(matrices_module, "_sym_eigen", counting)
     run_grid(cfg)
     for n, p in [(60, 20), (120, 40)]:
         sigma = materialize_truth(cfg["truth"], n, p)[0]
         hits = sum(m.shape == sigma.shape and np.array_equal(m, sigma) for m in seen)
-        assert hits == 1
-    # every replicate and estimator still decomposes its own estimate
-    assert len(seen) == 2 + 2 * 5 * 2 * 2
+        assert hits == 1  # the sampling root and the losses share it
+    # 2 truths, one per estimate (2 cells x 5 replicates x 2 estimators), and
+    # one per identity a tripped guard put in its estimate's place
+    assert len(seen) == 2 + 2 * 5 * 2 + trips
+
+
+def test_each_estimate_is_decomposed_once(monkeypatch):
+    cfg = grid_config(
+        estimators=[
+            {"rule": "hard", "gamma": 2.0},
+            {"rule": "adaptive-lasso", "gamma": 2.0, "corrections": ["psd-project"]},
+        ],
+        losses=[{"kind": "operator", "w": 2}, STEIN.to_json(), VON_NEUMANN.to_json()],
+        # n < p in the first cell, so some projections clip and some guards trip
+        cells=[{"n": 15, "p": 20}, {"n": 60, "p": 40}],
+        replicates=5,
+    )
+    clips, trips = replayed_corrections(cfg)
+    assert clips > 0 and trips > 0
+    eigh_calls = []
+    eigvalsh_callers = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eigvalsh_callers.append(sys._getframe(1).f_globals["__name__"])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    run_grid(cfg)
+    # 2 truths; one per estimate (2 cells x 5 replicates x 2 estimators),
+    # shared by the PSD projection, the guard and both Bregman losses; one
+    # per projection that clipped, since its output is a new matrix; and one
+    # per identity a tripped guard put in its estimate's place
+    assert len(eigh_calls) == 2 + 2 * 5 * 2 + clips + trips
+    # the operator loss is the only spectral work left outside the cache
+    assert eigvalsh_callers == ["sparsecov.matrices"] * (2 * 5 * 2)
 
 
 @pytest.mark.parametrize("coupling", [1.0, 1.0 - 1e-13], ids=["singular", "below-floor"])
