@@ -46,8 +46,12 @@ from .rng import RngSeed
 
 CHI_SQUARE_TARGET = 0.75
 _EIG_TOL = 1e-10
-# Samples scored per GEMM in tv_affinity_mc; bounds its working memory.
+# Samples scored per GEMM in tv_affinity_mc, and components per step when a
+# mixture is validated or folded; bounds their working memory.
 _TILE = 256
+# Rows of a scored tile whose log-sum-exp runs at once, so each block of the
+# (tile, components) buffer stays in cache.
+_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +473,23 @@ class GaussianMixture:
             raise ValueError("component weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError("component weights must sum to one")
-        asym = np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2))
-        asym_bad = asym > 1e-12 * (1.0 + np.max(np.abs(covs), axis=(1, 2)))
-        lows = np.linalg.eigvalsh(covs)[:, 0]
-        bad = np.flatnonzero(asym_bad | (lows <= 0.0))
-        if bad.size:
-            idx = int(bad[0])
-            if asym_bad[idx]:
-                raise ValueError(f"component {idx} covariance is not symmetric")
-            raise ValueError(
-                f"component {idx} covariance must be positive definite "
-                f"for density evaluation (min eigenvalue {lows[idx]:.3e})"
-            )
+        # tile by tile, so the checks hold no full-stack temporary
+        for lo in range(0, c, _TILE):
+            block = covs[lo : lo + _TILE]
+            asym = np.max(np.abs(block - block.transpose(0, 2, 1)), axis=(1, 2))
+            asym_bad = asym > 1e-12 * (1.0 + np.max(np.abs(block), axis=(1, 2)))
+            lows = np.linalg.eigvalsh(block)[:, 0]
+            bad = np.flatnonzero(asym_bad | (lows <= 0.0))
+            if bad.size:
+                idx = int(bad[0])
+                if asym_bad[idx]:
+                    raise ValueError(
+                        f"component {lo + idx} covariance is not symmetric"
+                    )
+                raise ValueError(
+                    f"component {lo + idx} covariance must be positive definite "
+                    f"for density evaluation (min eigenvalue {lows[idx]:.3e})"
+                )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "covariances", covs)
         object.__setattr__(self, "means", means)
@@ -516,6 +525,11 @@ def gamma1_mixture(
     the order their first member has in :func:`enumerate_theta`: bit vectors
     lexicographically, then row-pattern tuples in ``_iter_lambda`` order.
 
+    The distinct pattern tuples of every bit vector are collected first; the
+    covariances are then written as epsilon entries into one preallocated
+    identity stack, so the build holds no per-bit-vector blocks or
+    concatenated copy beyond the returned arrays.
+
     Raises
     ------
     BudgetError
@@ -543,26 +557,28 @@ def gamma1_mixture(
             [[pattern_id[pat] for pat in rows] for rows in _iter_lambda(cfg, r)],
             dtype=np.intp,
         )
-        blocks, counts = [], []
+        # (active rows, distinct pattern-id tuples, member counts) per bit vector
+        groups = []
         for rest in itertools.product((0, 1), repeat=r - 1):
             active = np.flatnonzero((anchor_bit,) + rest)
             keys, first, count = np.unique(
                 lam[:, active], axis=0, return_index=True, return_counts=True
             )
             order = np.argsort(first)
-            keys, count = keys[order], count[order]
-            block = np.tile(np.eye(p), (len(keys), 1, 1))
-            comp = np.arange(len(keys))[:, None]
+            groups.append((active, keys[order], count[order]))
+        weights = np.concatenate([count for *_, count in groups]) / float(total // 2)
+        covs = np.zeros((weights.size, p, p))
+        covs[:, np.arange(p), np.arange(p)] = 1.0
+        lo = 0
+        for active, keys, _ in groups:
+            comp = np.arange(lo, lo + len(keys))[:, None]
             # rows m < r and support columns >= p - r never meet, so each
             # bumped entry is written once, from zero
             for m, ids in zip(active, keys.T):
                 cols = columns[ids]
-                block[comp, m, cols] = eps
-                block[comp, cols, m] = eps
-            blocks.append(block)
-            counts.append(count)
-        covs = np.concatenate(blocks)
-        weights = np.concatenate(counts) / float(total // 2)
+                covs[comp, m, cols] = eps
+                covs[comp, cols, m] = eps
+            lo += len(keys)
     return GaussianMixture(
         weights=weights,
         covariances=covs,
@@ -590,31 +606,45 @@ class _MixtureDensity:
 
         log w_c + s(X) . coef[:, c] + offset[c].
 
-    The first p(p+1)/2 rows of ``coef`` hold -P_c / 2 on the upper triangle
-    with the off-diagonal entries doubled, the last p rows hold P_c mu_c, and
-    ``offset`` folds in the weight, the normalizer and mu_c' P_c mu_c.  One
-    GEMM then scores a tile of samples against every component.
+    Of the p(p+1)/2 + p statistics, the first p(p+1)/2 carry -P_c / 2 on the
+    upper triangle with the off-diagonal entries doubled and the last p carry
+    P_c mu_c; ``offset`` folds in the weight, the normalizer and
+    mu_c' P_c mu_c.  ``features`` lists the statistics that some component
+    weighs with a nonzero coefficient, in their original order, and ``coef``
+    keeps only those rows: a dropped row would add exact zeros to every sum,
+    so one GEMM over the kept rows scores a tile of samples against every
+    component with the same result.  The constants and the sampling roots
+    are built in one pass over tiles of ``_TILE`` components, so memory is
+    the kept arrays plus one tile.
     """
 
     def __init__(self, mix: GaussianMixture):
-        covs = mix.covariances
+        covs, means = mix.covariances, mix.means
         n, p = mix.n, mix.dim
-        signs, logdets = np.linalg.slogdet(covs)
-        if np.any(signs <= 0.0):
-            raise ValueError("component covariance with nonpositive determinant")
-        precisions = np.linalg.inv(covs)
-        # sqrt_psd of each component, bit for bit; tiles keep temporaries (and peak RSS) small
+        c = len(covs)
+        rows, cols = np.triu_indices(p)
+        scale = np.where(rows == cols, -0.5, -1.0)
+        coef = np.empty((rows.size + p, c))
+        logdets = np.empty(c)
+        b = np.empty(c)
         self.roots = np.empty_like(covs)
-        for lo in range(0, len(covs), _TILE):
-            block = covs[lo : lo + _TILE]
+        for lo in range(0, c, _TILE):
+            tile = slice(lo, lo + _TILE)
+            block, mu = covs[tile], means[tile]
+            signs, logdets[tile] = np.linalg.slogdet(block)
+            if np.any(signs <= 0.0):
+                raise ValueError("component covariance with nonpositive determinant")
+            precisions = np.linalg.inv(block)
+            a = np.einsum("cij,cj->ci", precisions, mu)
+            b[tile] = np.einsum("ci,ci->c", a, mu)
+            coef[: rows.size, tile] = (precisions[:, rows, cols] * scale).T
+            coef[rows.size :, tile] = a.T
+            # sqrt_psd of each component, bit for bit
             w, v = np.linalg.eigh((block + block.transpose(0, 2, 1)) / 2.0)
             v = np.ascontiguousarray(v[:, :, ::-1])
-            self.roots[lo : lo + _TILE] = _from_eigen(v, np.sqrt(np.clip(w[:, ::-1], 0.0, None)))
-        rows, cols = np.triu_indices(p)
-        quad = precisions[:, rows, cols] * np.where(rows == cols, -0.5, -1.0)
-        a = np.einsum("cij,cj->ci", precisions, mix.means)
-        b = np.einsum("ci,ci->c", a, mix.means)
-        self.coef = np.ascontiguousarray(np.concatenate([quad, a], axis=1).T)
+            self.roots[tile] = _from_eigen(v, np.sqrt(np.clip(w[:, ::-1], 0.0, None)))
+        self.features = np.flatnonzero(np.any(coef != 0.0, axis=1))
+        self.coef = coef[self.features]
         self.offset = np.log(mix.weights) - 0.5 * n * (
             p * math.log(2.0 * math.pi) + logdets + b
         )
@@ -622,24 +652,31 @@ class _MixtureDensity:
     def log_density(self, stats: np.ndarray, buf: np.ndarray) -> np.ndarray:
         """Log mixture density of each sample from its sufficient statistics.
 
-        ``stats`` holds one row of :func:`_sufficient_stats` per sample;
-        ``buf`` is scratch of shape (samples, components), overwritten.
+        ``stats`` holds one full row of :func:`_sufficient_stats` per sample;
+        ``buf`` is scratch of shape (samples, components), overwritten.  One
+        GEMM fills the whole of ``buf``; the per-row log-sum-exp then walks it
+        in blocks of ``_BLOCK`` rows, which act on each row alone and so
+        cannot change its bits.  Returns a fresh array.
         """
-        np.matmul(stats, self.coef, out=buf)
-        buf += self.offset
-        top = np.max(buf, axis=1)
-        buf -= top[:, None]
-        np.exp(buf, out=buf)
-        return top + np.log(np.sum(buf, axis=1))
+        np.matmul(stats[:, self.features], self.coef, out=buf)
+        out = np.empty(len(buf))
+        for lo in range(0, len(buf), _BLOCK):
+            block = buf[lo : lo + _BLOCK]
+            block += self.offset
+            top = np.max(block, axis=1)
+            block -= top[:, None]
+            np.exp(block, out=block)
+            out[lo : lo + _BLOCK] = top + np.log(np.sum(block, axis=1))
+        return out
 
 
-def _sufficient_stats(x: np.ndarray, out: np.ndarray) -> None:
+def _sufficient_stats(x: np.ndarray, out: np.ndarray, triu: tuple) -> None:
     """Write the upper triangle of X'X and the column sums of X, per sample.
 
-    ``x`` has shape (samples, n, p) and ``out`` (samples, p(p+1)/2 + p).
+    ``x`` has shape (samples, n, p), ``out`` (samples, p(p+1)/2 + p) and
+    ``triu`` is ``np.triu_indices(p)``.
     """
-    p = x.shape[2]
-    rows, cols = np.triu_indices(p)
+    rows, cols = triu
     gram = np.matmul(x.transpose(0, 2, 1), x)
     out[:, : rows.size] = gram[:, rows, cols]
     np.sum(x, axis=1, out=out[:, rows.size :])
@@ -664,8 +701,10 @@ def tv_affinity_mc(
     in tiles of ``_TILE``: each tile draws its Gaussian block from the
     chunk's generator (the same variates, in the same order, as one draw for
     the whole chunk), forms its sufficient statistics, and scores them
-    against both mixtures into preallocated (tile, components) buffers.
-    Memory is therefore bounded by the tile, whatever ``chunk_size`` and n.
+    against each mixture in turn through one preallocated scoring buffer of
+    ``_TILE`` x max(C_p, C_q) entries, shared by both.  Beyond the two folded
+    mixtures (about C p^2 entries each, for the roots), memory is therefore
+    bounded by the tile, whatever ``chunk_size`` and n.
 
     Raises
     ------
@@ -681,9 +720,14 @@ def tv_affinity_mc(
     dens_p = _MixtureDensity(p_mix)
     dens_q = _MixtureDensity(q_mix)
     n, p = p_mix.n, p_mix.dim
-    stats = np.empty((_TILE, dens_p.coef.shape[0]))
-    buf_p = np.empty((_TILE, p_mix.weights.size))
-    buf_q = np.empty((_TILE, q_mix.weights.size))
+    triu = np.triu_indices(p)
+    stats = np.empty((_TILE, triu[0].size + p))
+    c_p, c_q = p_mix.weights.size, q_mix.weights.size
+    # one scoring buffer for both mixtures: log_density returns a fresh
+    # array, so lp survives the reuse
+    scratch = np.empty(_TILE * max(c_p, c_q))
+    buf_p = scratch[: _TILE * c_p].reshape(_TILE, c_p)
+    buf_q = scratch[: _TILE * c_q].reshape(_TILE, c_q)
     values = np.empty(samples)
     n_chunks = (samples + chunk_size - 1) // chunk_size
     for ci in range(n_chunks):
@@ -703,7 +747,7 @@ def tv_affinity_mc(
             means = np.where(side[:, None], p_mix.means[cp], q_mix.means[cq])
             x = np.matmul(z, roots)
             x += means[:, None, :]
-            _sufficient_stats(x, stats[:t])
+            _sufficient_stats(x, stats[:t], triu)
             lp = dens_p.log_density(stats[:t], buf_p[:t])
             lq = dens_q.log_density(stats[:t], buf_q[:t])
             if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):

@@ -456,8 +456,11 @@ def test_folded_log_density_matches_direct_evaluation():
     mix = GaussianMixture.from_components(list(zip(weights, covs)), n=n, means=means)
     x = rng.standard_normal((7, n, p)) * 1.5
     stats = np.empty((7, p * (p + 1) // 2 + p))
-    _sufficient_stats(x, stats)
-    got = _MixtureDensity(mix).log_density(stats, np.empty((7, 3)))
+    _sufficient_stats(x, stats, np.triu_indices(p))
+    dens = _MixtureDensity(mix)
+    # nonzero means and dense precisions: every statistic is weighed
+    assert np.array_equal(dens.features, np.arange(9))
+    got = dens.log_density(stats, np.empty((7, 3)))
     for s in range(7):
         terms = []
         for w, cov, mu in zip(weights, covs, means):
@@ -484,6 +487,62 @@ def test_mixture_validation_names_first_failing_component():
         GaussianMixture.from_components(
             [(0.25, good), (0.25, good), (0.25, indefinite), (0.25, asym)], n=1
         )
+    # the checks run over tiles of 256 components; indices stay global
+    c = 600
+    for idx, bad, message in (
+        (300, asym, "component 300 covariance is not symmetric"),
+        (511, indefinite, "component 511 covariance must be positive"),
+    ):
+        components = [(1.0 / c, good)] * c
+        components[idx] = (1.0 / c, bad)
+        components[idx + 5] = (1.0 / c, indefinite)
+        with pytest.raises(ValueError, match=message):
+            GaussianMixture.from_components(components, n=1)
+
+
+def full_coefficients(mix):
+    """Every statistic's coefficient per component, (p(p+1)/2 + p, C), from
+    one dense inverse per covariance."""
+    p = mix.dim
+    rows, cols = np.triu_indices(p)
+    scale = np.where(rows == cols, -0.5, -1.0)
+    columns = []
+    for cov, mu in zip(mix.covariances, mix.means):
+        prec = np.linalg.inv(cov)
+        columns.append(np.concatenate([prec[rows, cols] * scale, prec @ mu]))
+    return np.array(columns).T
+
+
+def test_compaction_drops_exactly_the_all_zero_statistics():
+    cfg = build_config(10, 20, 0.0, 4.0, 0.1)
+    for anchor_bit, kept in ((0, 36), (1, 45)):
+        mix = gamma1_mixture(cfg, anchor_bit)
+        dens = _MixtureDensity(mix)
+        full = full_coefficients(mix)
+        assert full.shape == (65, mix.weights.size)
+        dropped = np.setdiff1d(np.arange(65), dens.features)
+        assert dens.features.size == kept
+        assert np.all(full[dropped] == 0.0)
+        assert np.all(np.any(full[dens.features] != 0.0, axis=1))
+        # the family is centred, so no mean statistic survives
+        assert np.all(dens.features < 55)
+        assert dens.coef.shape == (kept, mix.weights.size)
+
+
+def test_mixture_build_and_fold_memory_is_bounded():
+    # one identity stack written in place, and one pass over component tiles
+    cfg = build_config(10, 20, 0.0, 4.0, 0.1)
+    tracemalloc.start()
+    try:
+        mix = gamma1_mixture(cfg, 1)
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _MixtureDensity(mix)
+        fold_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 1.5 * mix.covariances.nbytes
+    assert fold_peak < 10 * 2**20
 
 
 def test_mixture_roots_equal_per_component_sqrt_psd():
@@ -504,7 +563,8 @@ def test_mixture_roots_equal_per_component_sqrt_psd():
 
 
 def test_affinity_memory_is_bounded_by_the_tile():
-    # the untiled chunk held about ten (4096 x 5205) temporaries: 710 MB
+    # the untiled chunk held about ten (4096 x 5205) temporaries: 710 MB;
+    # now the folded mixtures plus one shared (256 x 5205) scoring buffer
     cfg = build_config(10, 20, 0.0, 4.0, 0.1)
     a = gamma1_mixture(cfg, 0)
     b = gamma1_mixture(cfg, 1)
@@ -514,7 +574,7 @@ def test_affinity_memory_is_bounded_by_the_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20
 
 
 def test_affinity_identical_mixtures_is_exactly_one():
