@@ -132,7 +132,9 @@ def cmd_simulate(args, argv) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     result = run_grid(config)
-    print(f"{len(result.records)} cells done")
+    # one record per (cell, estimator, loss) and one fit per (estimator, loss)
+    cells = len(result.records) // len(result.fits)
+    print(f"{cells} cells done ({len(result.records)} records)")
     for entry in result.fits:
         fit = entry["fit"]
         if fit is None:

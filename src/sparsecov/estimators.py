@@ -98,12 +98,14 @@ def threshold_estimate(sigma_star, spec: EstimatorSpec, n: int) -> np.ndarray:
 def _threshold(mat: np.ndarray, spec: EstimatorSpec, n: int) -> np.ndarray:
     """:func:`threshold_estimate` of an exactly symmetric matrix."""
     t = threshold_level(mat.shape[0], n, spec.gamma)
-    mags = np.abs(mat)
     if spec.rule == "hard":
-        out = np.where(mags >= t, mat, 0.0)
+        # |S| lives only until the mask is taken, never beside the estimate
+        out = np.where(np.abs(mat) >= t, mat, 0.0)
     elif spec.rule == "soft":
-        out = np.sign(mat) * np.maximum(mags - t, 0.0)
+        out = np.maximum(np.abs(mat) - t, 0.0)
+        out *= np.sign(mat)
     else:
+        mags = np.abs(mat)
         safe = np.where(mags > 0.0, mags, 1.0)
         factor = np.maximum(1.0 - (t / safe) ** spec.eta, 0.0)
         out = np.where(mags > 0.0, mat * factor, 0.0)

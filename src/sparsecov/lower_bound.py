@@ -671,15 +671,18 @@ class _MixtureDensity:
 
 
 def _sufficient_stats(x: np.ndarray, out: np.ndarray, triu: tuple) -> None:
-    """Write the upper triangle of X'X and the column sums of X, per sample.
+    """Write the upper triangle of X'X and, if ``out`` has room, the column
+    sums of X, per sample.
 
-    ``x`` has shape (samples, n, p), ``out`` (samples, p(p+1)/2 + p) and
-    ``triu`` is ``np.triu_indices(p)``.
+    ``x`` has shape (samples, n, p), ``triu`` is ``np.triu_indices(p)`` and
+    ``out`` has shape (samples, p(p+1)/2 + p), or (samples, p(p+1)/2) when no
+    density reads the column sums.
     """
     rows, cols = triu
     gram = np.matmul(x.transpose(0, 2, 1), x)
     out[:, : rows.size] = gram[:, rows, cols]
-    np.sum(x, axis=1, out=out[:, rows.size :])
+    if out.shape[1] > rows.size:
+        np.sum(x, axis=1, out=out[:, rows.size :])
 
 
 def tv_affinity_mc(
@@ -702,7 +705,9 @@ def tv_affinity_mc(
     chunk's generator (the same variates, in the same order, as one draw for
     the whole chunk), forms its sufficient statistics, and scores them
     against each mixture in turn through one preallocated scoring buffer of
-    ``_TILE`` x max(C_p, C_q) entries, shared by both.  Beyond the two folded
+    ``_TILE`` x max(C_p, C_q) entries, shared by both.  Each sample's root
+    and mean are gathered from its own side into one preallocated tile of
+    roots and one of means.  Beyond the two folded
     mixtures (about C p^2 entries each, for the roots), memory is therefore
     bounded by the tile, whatever ``chunk_size`` and n.
 
@@ -721,7 +726,12 @@ def tv_affinity_mc(
     dens_q = _MixtureDensity(q_mix)
     n, p = p_mix.n, p_mix.dim
     triu = np.triu_indices(p)
-    stats = np.empty((_TILE, triu[0].size + p))
+    # the column sums are formed only if a kept feature reads them; the
+    # centred gamma mixtures keep none of them
+    reads_sums = max(dens_p.features.max(), dens_q.features.max()) >= triu[0].size
+    stats = np.empty((_TILE, triu[0].size + (p if reads_sums else 0)))
+    roots = np.empty((_TILE, p, p))
+    means = np.empty((_TILE, p))
     c_p, c_q = p_mix.weights.size, q_mix.weights.size
     # one scoring buffer for both mixtures: log_density returns a fresh
     # array, so lp survives the reuse
@@ -741,12 +751,15 @@ def tv_affinity_mc(
             t = min(_TILE, m - start)
             tile = slice(start, start + t)
             z = rng.standard_normal((t, n, p))
-            side = from_p[tile]
-            cp, cq = pick_p[tile], pick_q[tile]
-            roots = np.where(side[:, None, None], dens_p.roots[cp], dens_q.roots[cq])
-            means = np.where(side[:, None], p_mix.means[cp], q_mix.means[cq])
-            x = np.matmul(z, roots)
-            x += means[:, None, :]
+            # each sample's root and mean, gathered once from its own side
+            side, other = from_p[tile], ~from_p[tile]
+            cp, cq = pick_p[tile][side], pick_q[tile][other]
+            roots[:t][side] = dens_p.roots[cp]
+            roots[:t][other] = dens_q.roots[cq]
+            means[:t][side] = p_mix.means[cp]
+            means[:t][other] = q_mix.means[cq]
+            x = np.matmul(z, roots[:t])
+            x += means[:t, None, :]
             _sufficient_stats(x, stats[:t], triu)
             lp = dens_p.log_density(stats[:t], buf_p[:t])
             lq = dens_q.log_density(stats[:t], buf_q[:t])
@@ -758,7 +771,7 @@ def tv_affinity_mc(
                     1.0 + np.exp(np.abs(lp - lq))
                 )
     value = float(np.mean(values))
-    spread = float(np.std(values, ddof=1)) if samples > 1 else 0.0
+    spread = float(np.std(values, ddof=1))
     return AffinityEstimate(
         value=value,
         std_error=spread / math.sqrt(samples),

@@ -49,14 +49,18 @@ def as_symmetric(a) -> np.ndarray:
         raise ValueError("matrix dimension must be at least 1")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    gap = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    tol = ASYMMETRY_RTOL * (1.0 + float(np.max(np.abs(arr))))
+    # one scratch buffer holds |A - A'|, then |A|, then the returned (A + A') / 2
+    buf = np.subtract(arr, arr.T)
+    gap = float(np.max(np.abs(buf, out=buf)))
+    tol = ASYMMETRY_RTOL * (1.0 + float(np.max(np.abs(arr, out=buf))))
     if gap > tol:
         raise AsymmetryError(
             f"matrix asymmetry {gap:.3e} exceeds tolerance {tol:.3e}; "
             "symmetrize explicitly if this is intended"
         )
-    return (arr + arr.T) / 2.0
+    np.add(arr, arr.T, out=buf)
+    buf /= 2.0
+    return buf
 
 
 class EigenDecomposition(NamedTuple):
@@ -97,9 +101,16 @@ class _Symmetric:
 
 
 def _from_eigen(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Symmetrized ``V diag(w) V'`` of one eigensystem or of a stack of them."""
-    out = (vectors * values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    """Symmetrized ``V diag(w) V'`` of one eigensystem or of a stack of them.
+
+    The ``V diag(w)`` temporary is reused for ``(out + out') / 2``, so the
+    product and its symmetrization hold two matrices beside ``V``.
+    """
+    scaled = vectors * values[..., None, :]
+    out = scaled @ np.swapaxes(vectors, -1, -2)
+    np.add(out, np.swapaxes(out, -1, -2), out=scaled)
+    scaled /= 2.0
+    return scaled
 
 
 def operator_norm(a, w) -> float:

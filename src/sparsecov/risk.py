@@ -4,6 +4,12 @@ Determinism contract: replicates run in order, replicate r of a cell drawing
 from ``seed.substream(r)``, so seeded results are byte-identical for a fixed
 numpy/BLAS build and BLAS thread count; ``OPENBLAS_NUM_THREADS`` changes them.
 Each replicate is drawn once and scored by every estimator/loss pair of its cell.
+
+Memory: a cell holds one copy of its truth, validated by the caller
+(:func:`run_grid` or :func:`run_risk_cell`) and owned by the cell pipeline
+from then on; ``run_grid`` drops the raw truth builder output before the
+replicates start.  Each replicate's sample covariance lives until the last
+estimator has read it, so it never sits beside the loss's temporaries.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .losses import LossSpec, _evaluate, resolve_phi
 from .matrices import _Symmetric, as_symmetric
 from .model_spaces import ThetaIndex, build_config, materialize_sigma, sample_theta, weak_lq_radius
 from .rng import RngSeed
-from .sampling import _sqrt_psd, mle_covariance, sample_gaussian
+from .sampling import _sample_covariance, _sqrt_psd
 
 # A cell is declared failed when more than this fraction of replicates hit a
 # loss domain error.
@@ -197,7 +203,7 @@ def run_risk_cell(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     (record,) = _run_cell(
-        sigma, [estimator], [loss], n, replicates, seed,
+        _Symmetric(as_symmetric(sigma)), [estimator], [loss], n, replicates, seed,
         guard=False, name=lambda ei, li: cell_id, model=model, q=q, c=c,
     )
     return record
@@ -213,15 +219,18 @@ def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
 
 
 def _run_cell(
-    sigma, estimators, losses, n, replicates, seed, *, guard, name, model, q, c
+    truth: _Symmetric, estimators, losses, n, replicates, seed, *, guard, name, model, q, c
 ) -> list[RiskRecord]:
     """The cell pipeline behind :func:`run_risk_cell` and :func:`run_grid`.
 
-    The truth is the one input validated here.  It is wrapped in a
-    :class:`_Symmetric` and eigendecomposed once; that decomposition gives
-    both the sampling square root and the truth side of every Bregman loss.
-    Replicate r draws once from ``seed.substream(r)`` and applies each
-    estimator once to its sample covariance.  Every loss scores that
+    The truth arrives validated and wrapped in a :class:`_Symmetric` by the
+    caller, which hands it over: the cell neither copies it nor keeps any
+    other copy.  It is eigendecomposed once; that decomposition gives both
+    the sampling square root and the truth side of every Bregman loss, and
+    is dropped after the root when no loss reads it.  Replicate r draws once
+    from ``seed.substream(r)`` and applies each estimator once to its sample
+    covariance, which the cell owns and releases after the last estimator
+    has read it, before the losses of that estimate run.  Every loss scores that
     estimate; with ``guard`` set, Stein and von Neumann losses score the
     guard of it, which is bit for bit the :func:`_guarded` spec.  The
     estimator and loss kernels trust these matrices, which are exactly
@@ -229,7 +238,6 @@ def _run_cell(
     once, by whichever of the PSD projection, the guard or a Bregman loss
     needs it first.  Records come in (estimator, loss) order.
     """
-    truth = _Symmetric(as_symmetric(sigma))
     mat = truth.matrix
     root = _sqrt_psd(truth.eigen)
     if all(loss.kind != "bregman" for loss in losses):
@@ -240,9 +248,11 @@ def _run_cell(
 
     started = time.perf_counter()
     for ridx in range(replicates):
-        sample = mle_covariance(sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root))
+        sample = _sample_covariance(mat, n, seed.substream(ridx), root)
         for ei, est in enumerate(estimators):
             estimate = _apply_estimator(sample, est, n)
+            if ei == len(estimators) - 1:
+                del sample  # its last reader is done; not held through the losses
             guarded = None
             for li, loss in enumerate(losses):
                 if specs[ei][li] is not est and guarded is None:
@@ -524,11 +534,14 @@ def run_grid(config: dict) -> GridResult:
     records = []
     for ci, (n, p) in enumerate(cells):
         sigma, q, c, label = materialize_truth(truth_spec, n, p)
+        truth = _Symmetric(as_symmetric(sigma))
+        del sigma  # the cell holds the validated copy only
         records += _run_cell(
-            sigma, estimators, losses, n, replicates, master.substream(ci),
+            truth, estimators, losses, n, replicates, master.substream(ci),
             guard=True, name=lambda ei, li: f"cell-{ci:03d}-e{ei}-l{li}",
             model=label, q=q, c=c,
         )
+        del truth  # nor beside the next cell's truth
 
     fits = []
     n_est = len(estimators)

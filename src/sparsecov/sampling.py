@@ -81,6 +81,24 @@ def mle_covariance(x) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
+def _sample_covariance(sigma, n: int, seed: RngSeed, root: np.ndarray) -> np.ndarray:
+    """``mle_covariance(sample_gaussian(sigma, n, seed, sqrt_factor=root))``,
+    bit for bit, holding one n x p draw and one p x p result.
+
+    The draw is centred in place and released once its Gram matrix is
+    formed.  numpy computes ``x.T @ x`` as a symmetric rank-k update, whose
+    result is exactly symmetric; averaging such a matrix with its transpose
+    returns the same bits (s + s = 2s and 2s / 2 = s are exact short of
+    overflow), so that step runs only when it could change them.
+    """
+    x = sample_gaussian(sigma, n, seed, sqrt_factor=root)
+    x -= x.mean(axis=0)
+    s = x.T @ x
+    del x
+    s /= n
+    return s if np.array_equal(s, s.T) else (s + s.T) / 2.0
+
+
 def save_data_csv(path, x) -> None:
     """Write a data matrix, one observation per CSV line, 17 significant digits."""
     arr = np.asarray(x, dtype=float)

@@ -109,6 +109,18 @@ def test_simulate_writes_deterministic_csv(tmp_path, capsys):
     assert "slope=" in printed
 
 
+def test_simulate_counts_cells_not_records(tmp_path, capsys):
+    grid = grid_file(
+        tmp_path,
+        cells=[{"n": 60, "p": 20}, {"n": 120, "p": 40}, {"n": 240, "p": 80}],
+        estimators=[{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": 2.0}],
+        losses=[{"kind": "operator", "w": 2}, {"kind": "operator", "w": 1}],
+        replicates=2,
+    )
+    assert main(["simulate", "--config", str(grid)]) == 0
+    assert "3 cells done (12 records)" in capsys.readouterr().out
+
+
 def test_simulate_seed_override_changes_results(tmp_path):
     grid = grid_file(tmp_path)
     out1 = tmp_path / "r1.csv"

@@ -10,6 +10,7 @@ from sparsecov.estimators import (
     EstimatorSpec,
     _apply_estimator,
     _bregman_guard,
+    _threshold,
     apply_estimator,
     bregman_guard,
     psd_project,
@@ -100,6 +101,42 @@ def test_adaptive_lasso_shrinks_smoothly():
     mat = np.array([[1.0, x], [x, 1.0]])
     out = threshold_estimate(mat, EstimatorSpec(rule="adaptive-lasso", eta=3.0), 100)
     assert abs(out[0, 1] - x * (1.0 - 0.5**3)) < 1e-15
+
+
+def _old_threshold(mat, spec, n):
+    """The thresholding rules as written before |S| was freed early."""
+    t = threshold_level(mat.shape[0], n, spec.gamma)
+    mags = np.abs(mat)
+    if spec.rule == "hard":
+        out = np.where(mags >= t, mat, 0.0)
+    elif spec.rule == "soft":
+        out = np.sign(mat) * np.maximum(mags - t, 0.0)
+    else:
+        safe = np.where(mags > 0.0, mags, 1.0)
+        factor = np.maximum(1.0 - (t / safe) ** spec.eta, 0.0)
+        out = np.where(mags > 0.0, mat * factor, 0.0)
+    if spec.keep_diagonal:
+        np.fill_diagonal(out, np.diag(mat))
+    return out
+
+
+@pytest.mark.parametrize("rule", ["hard", "soft", "adaptive-lasso"])
+@pytest.mark.parametrize("keep_diagonal", [False, True])
+def test_threshold_matches_the_old_formulas_bit_for_bit(rule, keep_diagonal):
+    n = 40
+    sample = mle_covariance(sample_gaussian(np.eye(30), n, RngSeed(17)))
+    sample[0, 1] = sample[1, 0] = 0.0  # exact zeros take the adaptive-lasso guard
+    sample[2, 3] = sample[3, 2] = -0.0
+    spec = EstimatorSpec(rule=rule, gamma=1.0, keep_diagonal=keep_diagonal)
+    t = threshold_level(30, n, 1.0)
+    sample[4, 5] = sample[5, 4] = t  # a boundary entry the hard rule keeps
+    sample[6, 7] = sample[7, 6] = -t
+    before = sample.copy()
+    got = _threshold(sample, spec, n)
+    # compared as bytes, so the signs of zeros count too
+    assert got.tobytes() == _old_threshold(sample, spec, n).tobytes()
+    assert np.array_equal(threshold_estimate(sample, spec, n), got)
+    assert np.array_equal(sample, before)  # neither call touches its input
 
 
 def test_psd_project_clips_and_respects_psd_input():

@@ -5,6 +5,8 @@ import pytest
 
 from sparsecov.errors import AsymmetryError, DomainError, NormOrderError
 from sparsecov.matrices import (
+    ASYMMETRY_RTOL,
+    _from_eigen,
     as_symmetric,
     frobenius_norm,
     load_matrix_csv,
@@ -34,6 +36,53 @@ def test_as_symmetric_rejects_bad_shapes_and_values():
         as_symmetric([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         as_symmetric(np.ones(3))
+
+
+def _old_as_symmetric(arr):
+    """The validation and symmetrization as_symmetric computed before it
+    shared one scratch buffer between them."""
+    gap = float(np.max(np.abs(arr - arr.T)))
+    tol = ASYMMETRY_RTOL * (1.0 + float(np.max(np.abs(arr))))
+    if gap > tol:
+        raise AsymmetryError("too asymmetric")
+    return (arr + arr.T) / 2.0
+
+
+def test_as_symmetric_matches_the_unbuffered_formula_bit_for_bit():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((60, 60)) * 10.0
+    exact = a + a.T
+    roundoff = exact + rng.standard_normal((60, 60)) * 1e-12  # inside the tolerance
+    for arr in (exact, roundoff, np.eye(1) * 4.0):
+        before = arr.copy()
+        out = as_symmetric(arr)
+        assert np.array_equal(out, _old_as_symmetric(arr))
+        assert np.array_equal(arr, before)  # the input is left as it was
+        assert not np.shares_memory(out, arr)
+    asym = exact.copy()
+    asym[3, 7] += 1e-6
+    with pytest.raises(AsymmetryError):
+        _old_as_symmetric(asym)
+    before = asym.copy()
+    with pytest.raises(AsymmetryError, match="matrix asymmetry"):
+        as_symmetric(asym)
+    assert np.array_equal(asym, before)
+
+
+def test_from_eigen_matches_the_unbuffered_formula_bit_for_bit():
+    rng = np.random.default_rng(32)
+
+    def old(vectors, values):
+        out = (vectors * values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+        return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+    single = np.linalg.qr(rng.standard_normal((50, 50)))[0]
+    stack = np.linalg.qr(rng.standard_normal((7, 6, 6)))[0]
+    for vectors, values in (
+        (single, rng.standard_normal(50)),
+        (stack, rng.standard_normal((7, 6))),
+    ):
+        assert np.array_equal(_from_eigen(vectors, values), old(vectors, values))
 
 
 def test_sym_eigen_two_by_two():

@@ -3,7 +3,9 @@ import pytest
 
 from sparsecov.errors import NotPSDError
 from sparsecov.rng import RngSeed
+from sparsecov.risk import banded_sigma
 from sparsecov.sampling import (
+    _sample_covariance,
     load_data_csv,
     mle_covariance,
     sample_gaussian,
@@ -68,6 +70,23 @@ def test_mle_covariance_centers_and_divides_by_n():
     x = rng.standard_normal((37, 5)) + 3.0
     expected = np.cov(x.T, bias=True)
     assert np.max(np.abs(mle_covariance(x) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, p", [(300, 100), (60, 200), (1, 50), (37, 53), (400, 400)],
+    ids=["n>p", "n<p", "n=1", "37x53", "square"],
+)
+def test_sample_covariance_kernel_matches_the_public_pipeline_bit_for_bit(n, p):
+    sigma = banded_sigma(p, 2, 0.2)
+    root = sqrt_psd(sigma)
+    seed = RngSeed(9).substream(n)
+    x = sample_gaussian(sigma, n, seed, sqrt_factor=root)
+    before = x.copy()
+    expected = mle_covariance(x)
+    assert np.array_equal(x, before)  # the public function leaves its input alone
+    got = _sample_covariance(sigma, n, seed, root)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, got.T)
 
 
 def test_data_csv_round_trip(tmp_path):
