@@ -105,10 +105,16 @@ def _threshold(mat: np.ndarray, spec: EstimatorSpec, n: int) -> np.ndarray:
         out = np.maximum(np.abs(mat) - t, 0.0)
         out *= np.sign(mat)
     else:
-        mags = np.abs(mat)
-        safe = np.where(mags > 0.0, mags, 1.0)
-        factor = np.maximum(1.0 - (t / safe) ** spec.eta, 0.0)
-        out = np.where(mags > 0.0, mat * factor, 0.0)
+        # (1 - (t / |s|)^eta)_+ * s, zero where s is, built in one buffer
+        zero = mat == 0.0
+        out = np.abs(mat)
+        out[zero] = 1.0
+        np.divide(t, out, out=out)
+        out **= spec.eta
+        np.subtract(1.0, out, out=out)
+        np.maximum(out, 0.0, out=out)
+        out *= mat
+        out[zero] = 0.0
     if spec.keep_diagonal:
         np.fill_diagonal(out, np.diag(mat))
     return out

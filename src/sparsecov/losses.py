@@ -107,13 +107,17 @@ def _bregman(x: _Symmetric, y: _Symmetric, gen: BregmanPhi) -> float:
     ey = _checked_eigenvalues(y.eigen, gen, "second argument")
     lam = ex.eigenvalues
     gam = ey.eigenvalues
-    overlap = (ex.eigenvectors.T @ ey.eigenvectors) ** 2
-    terms = (
-        gen.phi(lam)[:, None]
-        - gen.phi(gam)[None, :]
-        - gen.dphi(gam)[None, :] * (lam[:, None] - gam[None, :])
-    )
-    return float(np.sum(overlap * terms))
+    # (v_i' u_j)^2 [phi(l_i) - phi(g_j) - phi'(g_j)(l_i - g_j)], built in
+    # place: three p x p arrays at most, each operation as in the formula
+    overlap = ex.eigenvectors.T @ ey.eigenvectors
+    overlap **= 2
+    slope = np.subtract(lam[:, None], gam[None, :])
+    slope *= gen.dphi(gam)[None, :]
+    terms = np.subtract(gen.phi(lam)[:, None], gen.phi(gam)[None, :])
+    terms -= slope
+    del slope
+    overlap *= terms
+    return float(np.sum(overlap))
 
 
 def closed_form_divergence(x, y, kind="stein") -> float:

@@ -8,8 +8,10 @@ Each replicate is drawn once and scored by every estimator/loss pair of its cell
 Memory: a cell holds one copy of its truth, validated by the caller
 (:func:`run_grid` or :func:`run_risk_cell`) and owned by the cell pipeline
 from then on; ``run_grid`` drops the raw truth builder output before the
-replicates start.  Each replicate's sample covariance lives until the last
-estimator has read it, so it never sits beside the loss's temporaries.
+replicates start.  Each replicate's draw lives only for the
+:func:`~sparsecov.sampling.mle_covariance` call, and its sample covariance
+only until the last estimator has read it, so neither sits beside the
+losses' temporaries or the next replicate's draw.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .losses import LossSpec, _evaluate, resolve_phi
 from .matrices import _Symmetric, as_symmetric
 from .model_spaces import ThetaIndex, build_config, materialize_sigma, sample_theta, weak_lq_radius
 from .rng import RngSeed
-from .sampling import _sample_covariance, _sqrt_psd
+from .sampling import _sqrt_psd, mle_covariance, sample_gaussian
 
 # A cell is declared failed when more than this fraction of replicates hit a
 # loss domain error.
@@ -230,8 +232,8 @@ def _run_cell(
     is dropped after the root when no loss reads it.  Replicate r draws once
     from ``seed.substream(r)`` and applies each estimator once to its sample
     covariance, which the cell owns and releases after the last estimator
-    has read it, before the losses of that estimate run.  Every loss scores that
-    estimate; with ``guard`` set, Stein and von Neumann losses score the
+    has read it, before the losses of that estimate run.  Every loss scores
+    that estimate; with ``guard`` set, Stein and von Neumann losses score the
     guard of it, which is bit for bit the :func:`_guarded` spec.  The
     estimator and loss kernels trust these matrices, which are exactly
     symmetric by construction, and each estimate is eigendecomposed at most
@@ -248,7 +250,7 @@ def _run_cell(
 
     started = time.perf_counter()
     for ridx in range(replicates):
-        sample = _sample_covariance(mat, n, seed.substream(ridx), root)
+        sample = mle_covariance(sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root))
         for ei, est in enumerate(estimators):
             estimate = _apply_estimator(sample, est, n)
             if ei == len(estimators) - 1:

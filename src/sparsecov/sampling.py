@@ -68,7 +68,7 @@ def mle_covariance(x) -> np.ndarray:
     """Centered second-moment matrix with divisor n (not n - 1).
 
     Always centers at the sample mean; with a single row the result is the
-    zero matrix.
+    zero matrix.  The input is left unchanged.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
@@ -77,25 +77,12 @@ def mle_covariance(x) -> np.ndarray:
     if n < 1:
         raise ValueError("data matrix must contain at least one row")
     centered = arr - arr.mean(axis=0)
-    s = centered.T @ centered / n
-    return (s + s.T) / 2.0
-
-
-def _sample_covariance(sigma, n: int, seed: RngSeed, root: np.ndarray) -> np.ndarray:
-    """``mle_covariance(sample_gaussian(sigma, n, seed, sqrt_factor=root))``,
-    bit for bit, holding one n x p draw and one p x p result.
-
-    The draw is centred in place and released once its Gram matrix is
-    formed.  numpy computes ``x.T @ x`` as a symmetric rank-k update, whose
-    result is exactly symmetric; averaging such a matrix with its transpose
-    returns the same bits (s + s = 2s and 2s / 2 = s are exact short of
-    overflow), so that step runs only when it could change them.
-    """
-    x = sample_gaussian(sigma, n, seed, sqrt_factor=root)
-    x -= x.mean(axis=0)
-    s = x.T @ x
-    del x
+    s = centered.T @ centered
     s /= n
+    # numpy forms x'x as a symmetric rank-k update, which is exactly
+    # symmetric; averaging such a matrix with its transpose returns the same
+    # bits (s + s = 2s and 2s / 2 = s are exact short of overflow), so that
+    # step, and its two p x p temporaries, run only when they could matter
     return s if np.array_equal(s, s.T) else (s + s.T) / 2.0
 
 

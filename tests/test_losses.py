@@ -5,6 +5,7 @@ import pytest
 
 from sparsecov.errors import ConfigError, DomainError
 from sparsecov.losses import (
+    _bregman,
     SQUARED_FROBENIUS,
     STEIN,
     VON_NEUMANN,
@@ -16,6 +17,7 @@ from sparsecov.losses import (
     operator_loss,
     resolve_phi,
 )
+from sparsecov.matrices import _Symmetric
 
 
 def spd_pair(seed, p=5, lo=0.5, hi=4.0):
@@ -58,6 +60,23 @@ def test_double_sum_matches_closed_forms():
             a = bregman_divergence(x, y, name)
             b = closed_form_divergence(x, y, name)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (seed, name)
+
+
+def test_double_sum_kernel_matches_the_old_formula_bit_for_bit():
+    def old(x, y, gen):
+        lam, gam = x.eigen.eigenvalues, y.eigen.eigenvalues
+        overlap = (x.eigen.eigenvectors.T @ y.eigen.eigenvectors) ** 2
+        terms = (
+            gen.phi(lam)[:, None]
+            - gen.phi(gam)[None, :]
+            - gen.dphi(gam)[None, :] * (lam[:, None] - gam[None, :])
+        )
+        return float(np.sum(overlap * terms))
+
+    for seed, p in ((3, 5), (4, 40), (5, 120)):
+        x, y = (_Symmetric((m + m.T) / 2.0) for m in spd_pair(seed, p=p))
+        for gen in (STEIN, VON_NEUMANN, SQUARED_FROBENIUS):
+            assert _bregman(x, y, gen) == old(x, y, gen)
 
 
 def test_divergences_are_nonnegative_and_zero_at_equality():

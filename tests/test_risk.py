@@ -193,15 +193,17 @@ def test_truth_outside_the_domain_fails_the_cell(coupling):
         run_risk_cell(sigma, GUARDED, STEIN, 40, 6, RngSeed(5))
 
 
-def test_cell_memory_is_bounded_by_four_matrices():
+def test_cell_memory_is_bounded_by_five_matrices():
     """Traced peak of one single-pair cell above its entry, in 8p^2-byte matrices.
 
     Beside the truth it is handed, the cell holds the sampling root and, per
-    replicate, the sample covariance and the estimate, with one more working
-    matrix at a time: 3.13 matrices measured, against 7.05 when the cell
-    copied its truth and kept each stage's temporaries.  tracemalloc sees numpy's
-    arrays only, not LAPACK's workspace, so the copy and work arrays inside
-    the truth's eigendecomposition and the loss's eigvalsh are not counted.
+    replicate, the draw, the centred copy that mle_covariance forms its Gram
+    matrix from, and the result; the estimate and the loss's difference
+    come after the draw is gone: 4.18 matrices measured, against 7.05 when
+    the cell copied its truth and kept each stage's temporaries.
+    tracemalloc sees numpy's arrays only, not LAPACK's workspace, so the
+    copy and work arrays inside the truth's eigendecomposition and the
+    loss's eigvalsh are not counted.
     """
     p = 400
     truth = _Symmetric(as_symmetric(banded_sigma(p, 2, 0.1)))
@@ -216,7 +218,7 @@ def test_cell_memory_is_bounded_by_four_matrices():
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * p * p
+    assert peak < 5 * 8 * p * p
 
 
 def test_cell_fails_loudly_when_loss_always_errors():

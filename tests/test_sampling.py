@@ -5,7 +5,6 @@ from sparsecov.errors import NotPSDError
 from sparsecov.rng import RngSeed
 from sparsecov.risk import banded_sigma
 from sparsecov.sampling import (
-    _sample_covariance,
     load_data_csv,
     mle_covariance,
     sample_gaussian,
@@ -72,21 +71,34 @@ def test_mle_covariance_centers_and_divides_by_n():
     assert np.max(np.abs(mle_covariance(x) - expected)) < 1e-12
 
 
+def _old_mle_covariance(x):
+    """The covariance formula as written before it divided in place and
+    skipped the transpose average of an exactly symmetric Gram matrix."""
+    centered = x - x.mean(axis=0)
+    s = centered.T @ centered / x.shape[0]
+    return (s + s.T) / 2.0
+
+
 @pytest.mark.parametrize(
     "n, p", [(300, 100), (60, 200), (1, 50), (37, 53), (400, 400)],
     ids=["n>p", "n<p", "n=1", "37x53", "square"],
 )
-def test_sample_covariance_kernel_matches_the_public_pipeline_bit_for_bit(n, p):
+def test_mle_covariance_matches_the_old_formula_bit_for_bit(n, p):
     sigma = banded_sigma(p, 2, 0.2)
-    root = sqrt_psd(sigma)
-    seed = RngSeed(9).substream(n)
-    x = sample_gaussian(sigma, n, seed, sqrt_factor=root)
-    before = x.copy()
-    expected = mle_covariance(x)
-    assert np.array_equal(x, before)  # the public function leaves its input alone
-    got = _sample_covariance(sigma, n, seed, root)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(got, got.T)
+    x = sample_gaussian(sigma, n, RngSeed(9).substream(n), sqrt_factor=sqrt_psd(sigma))
+    for data in (x, np.asfortranarray(x)):
+        before = data.copy()
+        got = mle_covariance(data)
+        assert np.array_equal(got, _old_mle_covariance(data))
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(data, before)  # the public function leaves its input alone
+        assert not np.shares_memory(got, data)
+
+
+def test_mle_covariance_of_a_strided_view_matches_the_old_formula():
+    x = sample_gaussian(np.eye(40), 90, RngSeed(12))
+    view = x[::3, ::2]
+    assert np.array_equal(mle_covariance(view), _old_mle_covariance(view))
 
 
 def test_data_csv_round_trip(tmp_path):
