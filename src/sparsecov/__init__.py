@@ -36,7 +36,6 @@ from .model_spaces import (
     build_config,
     class_membership,
     count_theta,
-    enumerate_theta,
     materialize_sigma,
     sample_theta,
     validate_theta,

@@ -7,7 +7,7 @@ Three subcommands:
 - ``lowerbound``: evaluate the two-point lower bound machinery at one config
 
 Exit codes: 0 success, 2 bad input or config, 3 numerical/domain failure,
-4 computation exceeds the requested budget.
+4 computation exceeds the requested budget or the available memory.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     FitError,
     NumericalError,
     SparseCovError,
+    _check_keys,
 )
 from .estimators import EstimatorSpec, apply_estimator, threshold_level
 from .lower_bound import (
@@ -162,6 +163,7 @@ def cmd_lowerbound(args, argv) -> int:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+        _check_keys(raw, ("p", "n", "q", "c", "upsilon"), "lowerbound config")
         cfg = build_config(
             int(raw["p"]),
             int(raw["n"]),
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Error classes to (exit code, message prefix), walked in order: the first
 # row whose classes match the raised error decides.  Anything else propagates.
 _EXIT_CODES = (
-    ((BudgetError,), 4, "budget exceeded: "),
+    ((BudgetError, MemoryError), 4, "budget exceeded: "),
     ((DomainError, DivergenceError, NumericalError, EigenError, CellError, FitError), 3, ""),
     ((SparseCovError, OSError, ValueError, KeyError), 2, ""),
 )

@@ -57,7 +57,19 @@ class NumericalError(SparseCovError, ArithmeticError):
 
 
 class SchemaError(SparseCovError, ValueError):
-    """Record set cannot be serialized under a single flat schema."""
+    """Config object or record set does not fit its schema."""
+
+
+def _check_keys(obj, allowed, where: str) -> None:
+    """Raise SchemaError unless ``obj`` is a mapping whose keys all lie in
+    ``allowed``; ``where`` names the object's place in its config."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise SchemaError(
+            f"unknown key {unknown[0]!r} in {where}; expected keys {sorted(allowed)}"
+        )
 
 
 class FitError(SparseCovError, ValueError):

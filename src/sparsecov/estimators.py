@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_keys
 from .matrices import _from_eigen, _Symmetric, as_symmetric
 
 RULES = ("hard", "soft", "adaptive-lasso")
@@ -65,6 +65,9 @@ class EstimatorSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorSpec":
+        _check_keys(
+            obj, ("rule", "gamma", "eta", "corrections", "keep_diagonal"), "estimator"
+        )
         return cls(
             rule=obj.get("rule", "hard"),
             gamma=float(obj.get("gamma", 2.0)),

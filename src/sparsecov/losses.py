@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _check_keys
 from .matrices import (
     EigenDecomposition,
     _operator_norm,
@@ -192,6 +192,7 @@ class LossSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LossSpec":
+        _check_keys(obj, ("kind", "w", "phi", "normalized"), "loss")
         kind = obj.get("kind", "operator")
         w = obj.get("w", 2 if kind == "operator" else None)
         if w == "inf":

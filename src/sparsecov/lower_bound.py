@@ -34,17 +34,16 @@ from .errors import (
 )
 from .matrices import _from_eigen, as_symmetric
 from .model_spaces import (
-    DEFAULT_ENUMERATION_BUDGET,
     LeastFavorableConfig,
     _count_lambda,
     _iter_lambda,
+    _sigma_stack,
     count_theta,
-    enumerate_theta,
-    materialize_sigma,
 )
 from .rng import RngSeed
 
 CHI_SQUARE_TARGET = 0.75
+DEFAULT_ENUMERATION_BUDGET = 10**6
 _EIG_TOL = 1e-10
 # Samples scored per GEMM in tv_affinity_mc, and components per step when a
 # mixture is validated or folded; bounds their working memory.
@@ -52,6 +51,24 @@ _TILE = 256
 # Rows of a scored tile whose log-sum-exp runs at once, so each block of the
 # (tile, components) buffer stays in cache.
 _BLOCK = 32
+
+
+# ---------------------------------------------------------------------------
+# the family as pattern-id arrays
+
+
+def _family_ids(cfg: LeastFavorableConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every valid row-pattern tuple of the family, as pattern ids.
+
+    ``columns[i]`` holds the k columns of the i-th pattern in lexicographic
+    order, and row t of ``ids`` is the t-th tuple ``_iter_lambda`` yields,
+    one pattern id per row, so ``columns[ids]`` is its (tuples, r, k) column
+    array.
+    """
+    patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
+    pattern_id = {pat: i for i, pat in enumerate(patterns)}
+    ids = [[pattern_id[pat] for pat in rows] for rows in _iter_lambda(cfg, cfg.r)]
+    return np.array(patterns, dtype=np.intp), np.array(ids, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +100,13 @@ def per_comparison_alpha(
     pair_count = total * (total - 1) // 2
     if pair_count > exact_budget:
         return AlphaResult(bound=bound, exact=None, pair_count=pair_count)
-    thetas = enumerate_theta(cfg, budget=max(total, 1))
-    sigmas = np.stack([materialize_sigma(cfg, th) for th in thetas])
-    gammas = np.array([th.gamma for th in thetas], dtype=int)
+    # every member in (gamma, rows) order: bit vectors lexicographically,
+    # then row-pattern tuples in _iter_lambda order
+    columns, ids = _family_ids(cfg)
+    gammas = np.repeat(list(itertools.product((0, 1), repeat=cfg.r)), len(ids), axis=0)
+    sigmas = _sigma_stack(cfg, gammas, columns[np.tile(ids, (2**cfg.r, 1))])
     best = math.inf
-    for i in range(len(thetas)):
+    for i in range(len(sigmas)):
         ham = np.sum(gammas[i + 1 :] != gammas[i], axis=1)
         apart = ham > 0
         if not np.any(apart):
@@ -357,9 +376,7 @@ def _completion_work_total(cfg: LeastFavorableConfig) -> int:
 
 
 def exact_chi_square_small(
-    cfg: LeastFavorableConfig,
-    n: int | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    cfg: LeastFavorableConfig, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> float:
     """Exact chi-square distance anchored at the first bit, by enumeration.
 
@@ -376,10 +393,6 @@ def exact_chi_square_small(
     BudgetError
         If the number of integral evaluations would exceed the budget.
     """
-    if n is None:
-        n = cfg.n
-    if n < 0:
-        raise ConfigError(f"n must be nonnegative, got {n}")
     r, k, eps, p = cfg.r, cfg.k, cfg.epsilon, cfg.p
     if k == 0 or eps == 0.0:
         return 0.0
@@ -390,11 +403,9 @@ def exact_chi_square_small(
             f"exact chi-square needs {work} integral evaluations, budget is {budget}",
             count=work,
         )
-    # entry (b, m - 1): the bump on row m under the b-th remaining bit vector,
-    # bit vectors in lexicographic order
-    bumps = eps * np.array(
-        list(itertools.product((0.0, 1.0), repeat=r - 1))
-    ).reshape(2 ** (r - 1), r - 1)
+    # one row per remaining bit vector, in lexicographic order; the first
+    # row's bit is off in every base covariance
+    bits = np.array([(0,) + rest for rest in itertools.product((0, 1), repeat=r - 1)])
     acc = 0.0
     weight_sum = 0.0
     for rows in _iter_lambda(cfg, r - 1):
@@ -408,13 +419,9 @@ def exact_chi_square_small(
         a_mat = np.zeros((d_c, p))
         for idx, pat in enumerate(lam1):
             a_mat[idx, list(pat)] = 1.0
-        # one base covariance S0 per bit vector; rows m < r and support
-        # columns >= p - r never meet, so each bumped entry is written once
-        s0 = np.tile(np.eye(p), (len(bumps), 1, 1))
-        for m, pat in enumerate(rows, start=1):
-            s0[:, m, list(pat)] = bumps[:, m - 1, None]
-            s0[:, list(pat), m] = bumps[:, m - 1, None]
-        w = np.linalg.inv(s0)
+        # one base covariance S0 per bit vector; the first row's pattern is
+        # unused, since its bit is off
+        w = np.linalg.inv(_sigma_stack(cfg, bits, np.array((lam1[0],) + rows)))
         # S1 - S0 = eps U J U' with U = [e0, a_i] and J = [[0, 1], [1, 0]],
         # likewise S2 - S0 with V = [e0, a_j], so the p x p determinant
         # reduces to det(I_2 - eps^2 J G J G') with G = U' W V, whose
@@ -430,7 +437,7 @@ def exact_chi_square_small(
             raise DivergenceError(
                 "cross-product integral diverges inside exact enumeration"
             )
-        cells = np.mean(det2 ** (-0.5 * n), axis=(1, 2)) - 1.0
+        cells = np.mean(det2 ** (-0.5 * cfg.n), axis=(1, 2)) - 1.0
         for cell in cells.tolist():
             acc += d_c * cell
         weight_sum += d_c * len(cells)
@@ -445,28 +452,27 @@ def exact_chi_square_small(
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Finite mixture of n-fold product Gaussians on matching dimensions.
+    """Finite mixture of n-fold product centred Gaussians on matching dimensions.
 
-    Each component contributes the n-fold product of N(mean_c, cov_c); the
-    sample space is the full (n, p) data matrix.  Means default to zero.
+    Each component contributes the n-fold product of N(0, cov_c); the sample
+    space is the full (n, p) data matrix.  Every mixture of the lower bound
+    is centred, so a component is its weight and covariance alone.
     """
 
     weights: np.ndarray
     covariances: np.ndarray
-    means: np.ndarray
     n: int
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         covs = np.asarray(self.covariances, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        if w.ndim != 1 or covs.ndim != 3 or means.ndim != 2:
-            raise ValueError("weights (C,), covariances (C,p,p), means (C,p)")
+        if w.ndim != 1 or covs.ndim != 3:
+            raise ValueError("weights (C,), covariances (C,p,p)")
         c = w.size
-        if covs.shape[0] != c or means.shape[0] != c:
+        if covs.shape[0] != c:
             raise ValueError("component count mismatch across fields")
-        if covs.shape[1] != covs.shape[2] or covs.shape[1] != means.shape[1]:
-            raise ValueError("covariance blocks must be p x p matching means")
+        if covs.shape[1] != covs.shape[2]:
+            raise ValueError("covariance blocks must be p x p")
         if self.n < 1:
             raise ValueError(f"product length n must be >= 1, got {self.n}")
         if np.any(w <= 0.0):
@@ -492,22 +498,17 @@ class GaussianMixture:
                 )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "covariances", covs)
-        object.__setattr__(self, "means", means)
 
     @property
     def dim(self) -> int:
         return self.covariances.shape[1]
 
     @classmethod
-    def from_components(cls, components, n: int, means=None) -> "GaussianMixture":
-        """Build from (weight, covariance) pairs; means optional, default zero."""
+    def from_components(cls, components, n: int) -> "GaussianMixture":
+        """Build from (weight, covariance) pairs."""
         weights = np.array([w for w, _ in components], dtype=float)
         covs = np.stack([np.asarray(c, dtype=float) for _, c in components])
-        if means is None:
-            mu = np.zeros((covs.shape[0], covs.shape[1]))
-        else:
-            mu = np.asarray(means, dtype=float)
-        return cls(weights=weights, covariances=covs, means=mu, n=n)
+        return cls(weights=weights, covariances=covs, n=n)
 
 
 def gamma1_mixture(
@@ -522,13 +523,13 @@ def gamma1_mixture(
     different bits never coincide (unless k = 0 or epsilon = 0, where every
     member is the identity), and within one bit vector the distinct
     components are the distinct active pattern tuples.  Components come in
-    the order their first member has in :func:`enumerate_theta`: bit vectors
-    lexicographically, then row-pattern tuples in ``_iter_lambda`` order.
+    the order of their first member: bit vectors lexicographically, then
+    row-pattern tuples in ``_iter_lambda`` order.
 
-    The distinct pattern tuples of every bit vector are collected first; the
-    covariances are then written as epsilon entries into one preallocated
-    identity stack, so the build holds no per-bit-vector blocks or
-    concatenated copy beyond the returned arrays.
+    The first member of every distinct pattern tuple is found first, as
+    pattern ids; the covariances are then built in one stack from those
+    members, so the build holds no per-bit-vector blocks or concatenated
+    copy beyond the returned arrays.
 
     Raises
     ------
@@ -545,46 +546,25 @@ def gamma1_mixture(
         )
     if total == 0:
         raise ConfigError("no family members with the requested anchor bit")
-    p, r, eps = cfg.p, cfg.r, cfg.epsilon
-    if cfg.k == 0 or eps == 0.0:
-        covs, weights = np.eye(p)[None], np.ones(1)
+    if cfg.k == 0 or cfg.epsilon == 0.0:
+        covs, weights = np.eye(cfg.p)[None], np.ones(1)
     else:
-        patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
-        pattern_id = {pat: i for i, pat in enumerate(patterns)}
-        columns = np.array(patterns, dtype=np.intp)
-        # row-pattern ids of every valid tuple, one row per tuple
-        lam = np.array(
-            [[pattern_id[pat] for pat in rows] for rows in _iter_lambda(cfg, r)],
-            dtype=np.intp,
-        )
-        # (active rows, distinct pattern-id tuples, member counts) per bit vector
-        groups = []
-        for rest in itertools.product((0, 1), repeat=r - 1):
-            active = np.flatnonzero((anchor_bit,) + rest)
-            keys, first, count = np.unique(
-                lam[:, active], axis=0, return_index=True, return_counts=True
+        columns, ids = _family_ids(cfg)
+        # per bit vector, the first member of each distinct active pattern
+        # tuple and its member count, in member order
+        bits, firsts, counts = [], [], []
+        for rest in itertools.product((0, 1), repeat=cfg.r - 1):
+            gamma = (anchor_bit,) + rest
+            _, first, count = np.unique(
+                ids[:, np.flatnonzero(gamma)], axis=0, return_index=True, return_counts=True
             )
             order = np.argsort(first)
-            groups.append((active, keys[order], count[order]))
-        weights = np.concatenate([count for *_, count in groups]) / float(total // 2)
-        covs = np.zeros((weights.size, p, p))
-        covs[:, np.arange(p), np.arange(p)] = 1.0
-        lo = 0
-        for active, keys, _ in groups:
-            comp = np.arange(lo, lo + len(keys))[:, None]
-            # rows m < r and support columns >= p - r never meet, so each
-            # bumped entry is written once, from zero
-            for m, ids in zip(active, keys.T):
-                cols = columns[ids]
-                covs[comp, m, cols] = eps
-                covs[comp, cols, m] = eps
-            lo += len(keys)
-    return GaussianMixture(
-        weights=weights,
-        covariances=covs,
-        means=np.zeros((covs.shape[0], p)),
-        n=cfg.n,
-    )
+            bits += [gamma] * len(first)
+            firsts.append(first[order])
+            counts.append(count[order])
+        weights = np.concatenate(counts) / float(total // 2)
+        covs = _sigma_stack(cfg, bits, columns[ids[np.concatenate(firsts)]])
+    return GaussianMixture(weights=weights, covariances=covs, n=cfg.n)
 
 
 @dataclass(frozen=True)
@@ -598,18 +578,17 @@ class AffinityEstimate:
 
 
 class _MixtureDensity:
-    """Folded per-component constants for evaluating and sampling one mixture.
+    """Folded per-component constants for evaluating and sampling one
+    centred mixture.
 
     The log of component c's n-fold product density at a data matrix X is
-    linear in the sufficient statistics s(X) = (upper triangle of X'X, column
-    sums of X):
+    linear in the sufficient statistics s(X), the upper triangle of X'X:
 
-        log w_c + s(X) . coef[:, c] + offset[c].
+        s(X) . coef[:, c] + offset[c].
 
-    Of the p(p+1)/2 + p statistics, the first p(p+1)/2 carry -P_c / 2 on the
-    upper triangle with the off-diagonal entries doubled and the last p carry
-    P_c mu_c; ``offset`` folds in the weight, the normalizer and
-    mu_c' P_c mu_c.  ``features`` lists the statistics that some component
+    The p(p+1)/2 statistics carry -P_c / 2 on the upper triangle with the
+    off-diagonal entries doubled, and ``offset`` folds in the weight and the
+    normalizer.  ``features`` lists the statistics that some component
     weighs with a nonzero coefficient, in their original order, and ``coef``
     keeps only those rows: a dropped row would add exact zeros to every sum,
     so one GEMM over the kept rows scores a tile of samples against every
@@ -619,26 +598,22 @@ class _MixtureDensity:
     """
 
     def __init__(self, mix: GaussianMixture):
-        covs, means = mix.covariances, mix.means
+        covs = mix.covariances
         n, p = mix.n, mix.dim
         c = len(covs)
         rows, cols = np.triu_indices(p)
         scale = np.where(rows == cols, -0.5, -1.0)
-        coef = np.empty((rows.size + p, c))
+        coef = np.empty((rows.size, c))
         logdets = np.empty(c)
-        b = np.empty(c)
         self.roots = np.empty_like(covs)
         for lo in range(0, c, _TILE):
             tile = slice(lo, lo + _TILE)
-            block, mu = covs[tile], means[tile]
+            block = covs[tile]
             signs, logdets[tile] = np.linalg.slogdet(block)
             if np.any(signs <= 0.0):
                 raise ValueError("component covariance with nonpositive determinant")
             precisions = np.linalg.inv(block)
-            a = np.einsum("cij,cj->ci", precisions, mu)
-            b[tile] = np.einsum("ci,ci->c", a, mu)
-            coef[: rows.size, tile] = (precisions[:, rows, cols] * scale).T
-            coef[rows.size :, tile] = a.T
+            coef[:, tile] = (precisions[:, rows, cols] * scale).T
             # sqrt_psd of each component, bit for bit
             w, v = np.linalg.eigh((block + block.transpose(0, 2, 1)) / 2.0)
             v = np.ascontiguousarray(v[:, :, ::-1])
@@ -646,7 +621,7 @@ class _MixtureDensity:
         self.features = np.flatnonzero(np.any(coef != 0.0, axis=1))
         self.coef = coef[self.features]
         self.offset = np.log(mix.weights) - 0.5 * n * (
-            p * math.log(2.0 * math.pi) + logdets + b
+            p * math.log(2.0 * math.pi) + logdets
         )
 
     def log_density(self, stats: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -671,18 +646,14 @@ class _MixtureDensity:
 
 
 def _sufficient_stats(x: np.ndarray, out: np.ndarray, triu: tuple) -> None:
-    """Write the upper triangle of X'X and, if ``out`` has room, the column
-    sums of X, per sample.
+    """Write the upper triangle of X'X per sample.
 
     ``x`` has shape (samples, n, p), ``triu`` is ``np.triu_indices(p)`` and
-    ``out`` has shape (samples, p(p+1)/2 + p), or (samples, p(p+1)/2) when no
-    density reads the column sums.
+    ``out`` has shape (samples, p(p+1)/2).
     """
     rows, cols = triu
     gram = np.matmul(x.transpose(0, 2, 1), x)
-    out[:, : rows.size] = gram[:, rows, cols]
-    if out.shape[1] > rows.size:
-        np.sum(x, axis=1, out=out[:, rows.size :])
+    out[:] = gram[:, rows, cols]
 
 
 def tv_affinity_mc(
@@ -693,7 +664,7 @@ def tv_affinity_mc(
     *,
     chunk_size: int = 4096,
 ) -> AffinityEstimate:
-    """Estimate the total-variation affinity between two Gaussian mixtures.
+    """Estimate the total-variation affinity between two centred Gaussian mixtures.
 
     Importance-samples from the balanced mixture M = (P + Q) / 2 and averages
     min(p, q) / m, an unbiased estimator of the affinity that lives in [0, 1]
@@ -706,10 +677,10 @@ def tv_affinity_mc(
     the whole chunk), forms its sufficient statistics, and scores them
     against each mixture in turn through one preallocated scoring buffer of
     ``_TILE`` x max(C_p, C_q) entries, shared by both.  Each sample's root
-    and mean are gathered from its own side into one preallocated tile of
-    roots and one of means.  Beyond the two folded
-    mixtures (about C p^2 entries each, for the roots), memory is therefore
-    bounded by the tile, whatever ``chunk_size`` and n.
+    is gathered from its own side into one preallocated tile of roots.
+    Beyond the two folded mixtures (about C p^2 entries each, for the
+    roots), memory is therefore bounded by the tile, whatever
+    ``chunk_size`` and n.
 
     Raises
     ------
@@ -726,12 +697,8 @@ def tv_affinity_mc(
     dens_q = _MixtureDensity(q_mix)
     n, p = p_mix.n, p_mix.dim
     triu = np.triu_indices(p)
-    # the column sums are formed only if a kept feature reads them; the
-    # centred gamma mixtures keep none of them
-    reads_sums = max(dens_p.features.max(), dens_q.features.max()) >= triu[0].size
-    stats = np.empty((_TILE, triu[0].size + (p if reads_sums else 0)))
+    stats = np.empty((_TILE, triu[0].size))
     roots = np.empty((_TILE, p, p))
-    means = np.empty((_TILE, p))
     c_p, c_q = p_mix.weights.size, q_mix.weights.size
     # one scoring buffer for both mixtures: log_density returns a fresh
     # array, so lp survives the reuse
@@ -751,15 +718,11 @@ def tv_affinity_mc(
             t = min(_TILE, m - start)
             tile = slice(start, start + t)
             z = rng.standard_normal((t, n, p))
-            # each sample's root and mean, gathered once from its own side
+            # each sample's root, gathered once from its own side
             side, other = from_p[tile], ~from_p[tile]
-            cp, cq = pick_p[tile][side], pick_q[tile][other]
-            roots[:t][side] = dens_p.roots[cp]
-            roots[:t][other] = dens_q.roots[cq]
-            means[:t][side] = p_mix.means[cp]
-            means[:t][other] = q_mix.means[cq]
+            roots[:t][side] = dens_p.roots[pick_p[tile][side]]
+            roots[:t][other] = dens_q.roots[pick_q[tile][other]]
             x = np.matmul(z, roots[:t])
-            x += means[:t, None, :]
             _sufficient_stats(x, stats[:t], triu)
             lp = dens_p.log_density(stats[:t], buf_p[:t])
             lq = dens_q.log_density(stats[:t], buf_q[:t])

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, StructureError
+from .errors import ConfigError, StructureError
 from .matrices import as_symmetric
 from .rng import RngSeed
 
@@ -247,13 +247,28 @@ def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:
 def materialize_sigma(cfg: LeastFavorableConfig, theta: ThetaIndex) -> np.ndarray:
     """Assemble Sigma(theta) = I + epsilon * sum of active row/column bumps."""
     validate_theta(cfg, theta)
-    sigma = np.eye(cfg.p)
-    for m, (bit, row) in enumerate(zip(theta.gamma, theta.rows)):
-        if not bit:
-            continue
-        for j in row:
-            sigma[m, j] += cfg.epsilon
-            sigma[j, m] += cfg.epsilon
+    return _sigma_stack(cfg, [theta.gamma], np.array(theta.rows, dtype=np.intp))[0]
+
+
+def _sigma_stack(cfg: LeastFavorableConfig, bits, cols) -> np.ndarray:
+    """Sigma(theta) of M members at once, as an (M, p, p) stack.
+
+    ``bits`` is (M, R) with member i's bit for row m at ``[i, m]``, rows R and
+    beyond off, and ``cols`` holds each row's k pattern columns, shaped
+    (M, R, k) or (R, k) when every member shares them.  Rows m < r and
+    support columns >= p - r never meet, so each bumped entry is written
+    once, from zero, as epsilon.
+    """
+    bits = np.asarray(bits)
+    cols = np.broadcast_to(cols, bits.shape + (cfg.k,))
+    diag = np.arange(cfg.p)
+    sigma = np.zeros((len(bits), cfg.p, cfg.p))
+    sigma[:, diag, diag] = 1.0
+    for m in range(bits.shape[1]):
+        on = np.flatnonzero(bits[:, m])
+        at = cols[on, m]
+        sigma[on[:, None], m, at] = cfg.epsilon
+        sigma[on[:, None], at, m] = cfg.epsilon
     return sigma
 
 
@@ -333,33 +348,6 @@ def _iter_lambda(cfg: LeastFavorableConfig, rows: int):
                 counts[j] -= 1
 
     yield from rec(0)
-
-
-DEFAULT_ENUMERATION_BUDGET = 10**6
-
-
-def enumerate_theta(
-    cfg: LeastFavorableConfig, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> list[ThetaIndex]:
-    """All family indices in lexicographic (gamma, rows) order.
-
-    Raises
-    ------
-    BudgetError
-        If the exact count exceeds ``budget``; the error carries the count.
-    """
-    total = count_theta(cfg)
-    if total > budget:
-        raise BudgetError(
-            f"family has {total} members, budget is {budget}", count=total
-        )
-    lambdas = list(_iter_lambda(cfg, cfg.r))
-    out = [
-        ThetaIndex(gamma=gamma, rows=rows)
-        for gamma in itertools.product((0, 1), repeat=cfg.r)
-        for rows in lambdas
-    ]
-    return out
 
 
 # Candidate tuples sample_theta draws before it gives up on a configuration.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CellError, ConfigError, DomainError, FitError, SchemaError
+from .errors import CellError, ConfigError, DomainError, FitError, SchemaError, _check_keys
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, _evaluate, resolve_phi
 from .matrices import _Symmetric, as_symmetric
@@ -64,6 +64,15 @@ def toeplitz_decay_sigma(p: int, amplitude: float, exponent: float) -> np.ndarra
     profile[1:] = amplitude * offsets[1:] ** (-exponent)
     idx = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     return profile[idx]
+
+
+# The keys each truth kind reads, "kind" included.
+_TRUTH_KEYS = {
+    "identity": ("kind",),
+    "banded": ("kind", "band", "value", "scale"),
+    "decay": ("kind", "amplitude", "exponent"),
+    "fstar": ("kind", "q", "c", "upsilon", "theta", "theta_seed"),
+}
 
 
 def materialize_truth(spec: dict, n: int, p: int):
@@ -487,6 +496,8 @@ class GridResult:
 
 def _grid_cells(config: dict) -> list[tuple[int, int]]:
     if "cells" in config:
+        for i, cell in enumerate(config["cells"]):
+            _check_keys(cell, ("n", "p"), f"cells[{i}]")
         cells = [(int(c["n"]), int(c["p"])) for c in config["cells"]]
     else:
         ns = [int(v) for v in config.get("n", [])]
@@ -511,6 +522,12 @@ def _default_target(loss: LossSpec, q: float | None) -> float | None:
     return None
 
 
+_GRID_KEYS = (
+    "cells", "n", "p", "truth", "estimators", "losses", "replicates", "seed",
+    "target_exponent",
+)
+
+
 def run_grid(config: dict) -> GridResult:
     """Run every (cell, estimator, loss) combination of a grid config.
 
@@ -518,12 +535,16 @@ def run_grid(config: dict) -> GridResult:
     to their estimator when absent, since those losses are undefined on a
     singular estimate.  Each replicate's data draw and each estimate are
     shared by every estimator/loss combination of a cell, pairing the
-    comparisons.
+    comparisons.  A key that no reader reads raises SchemaError.
     """
+    _check_keys(config, _GRID_KEYS, "grid config")
     cells = _grid_cells(config)
     truth_spec = config.get("truth")
     if not truth_spec:
         raise ConfigError("grid config needs a 'truth' entry")
+    kind = truth_spec.get("kind")
+    if kind in _TRUTH_KEYS:
+        _check_keys(truth_spec, _TRUTH_KEYS[kind], f"truth (kind {kind!r})")
     estimators = [EstimatorSpec.from_json(e) for e in config.get("estimators", [])]
     losses = [LossSpec.from_json(l) for l in config.get("losses", [])]
     if not estimators or not losses:

@@ -27,7 +27,7 @@ from sparsecov.lower_bound import (
     tv_affinity_mc,
 )
 from sparsecov.matrices import frobenius_norm, operator_norm
-from sparsecov.model_spaces import build_config, enumerate_theta, materialize_sigma
+from sparsecov.model_spaces import build_config
 from sparsecov.risk import banded_sigma, export_records, run_grid, run_risk_cell
 from sparsecov.losses import LossSpec
 from sparsecov.rng import RngSeed
@@ -287,13 +287,13 @@ def test_criterion_10_lower_bound_below_empirical_minimax():
     risk of hard thresholding over the deduplicated family."""
     start = time.perf_counter()
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
-    seen = {}
-    for th in enumerate_theta(cfg):
-        sig = materialize_sigma(cfg, th)
-        seen.setdefault(sig.tobytes(), sig)
+    # the distinct members, in family order: the two anchored mixtures'
+    # components, since members with different bits never coincide
+    mixtures = [gamma1_mixture(cfg, 0), gamma1_mixture(cfg, 1)]
+    members = np.concatenate([mix.covariances for mix in mixtures])
     worst = None
     master = RngSeed(10)
-    for i, sig in enumerate(seen.values()):
+    for i, sig in enumerate(members):
         rec = run_risk_cell(
             sig,
             EstimatorSpec(rule="hard", gamma=2.0),
@@ -305,15 +305,13 @@ def test_criterion_10_lower_bound_below_empirical_minimax():
         )
         if worst is None or rec.mean_risk > worst.mean_risk:
             worst = rec
-    aff = tv_affinity_mc(
-        gamma1_mixture(cfg, 0), gamma1_mixture(cfg, 1), 20_000, RngSeed(11)
-    )
+    aff = tv_affinity_mc(*mixtures, 20_000, RngSeed(11))
     bound = assemble_lower_bound(cfg, aff.value)
     elapsed = time.perf_counter() - start
     allowance = worst.mean_risk + 3.0 * worst.std_error
     ok = bound.lower_bound <= allowance and elapsed <= 300.0
     report(10, ok, f"lower bound {bound.lower_bound:.2e} <= empirical minimax "
-                   f"{worst.mean_risk:.4f} + 3se over {len(seen)} members, "
+                   f"{worst.mean_risk:.4f} + 3se over {len(members)} members, "
                    f"{elapsed:.0f}s (cap 300s)")
     assert ok
 

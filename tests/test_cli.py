@@ -211,6 +211,39 @@ def test_lowerbound_config_file(tmp_path):
     assert json.loads(out.read_text())["config"]["p"] == 6
 
 
+def _misspelled(tmp_path, where, key):
+    """A config file with one key its reader does not read."""
+    if where == "lowerbound":
+        path = tmp_path / "lb.json"
+        path.write_text(json.dumps({"p": 6, "n": 100, "q": 0, "c": 4, key: 1}))
+        return ["lowerbound", "--config", str(path), "--samples", "2000"]
+    grid = json.loads(grid_file(tmp_path).read_text())
+    if where == "top":
+        grid[key] = 1
+    else:
+        entry = {"cells": grid["cells"][0], "truth": grid["truth"],
+                 "estimators": grid["estimators"][0], "losses": grid["losses"][0]}[where]
+        entry[key] = 1
+    return ["simulate", "--config", str(grid_file(tmp_path, **grid))]
+
+
+@pytest.mark.parametrize(
+    "where, key, path",
+    [
+        ("top", "replicate", "grid config"),
+        ("cells", "pp", "cells[0]"),
+        ("truth", "bnad", "truth (kind 'banded')"),
+        ("estimators", "psd_project", "estimator"),
+        ("losses", "normalised", "loss"),
+        ("lowerbound", "upsilom", "lowerbound config"),
+    ],
+    ids=["top", "cells", "truth", "estimators", "losses", "lowerbound"],
+)
+def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, path):
+    assert main(_misspelled(tmp_path, where, key)) == 2
+    assert f"unknown key {key!r} in {path}" in capsys.readouterr().err
+
+
 def test_version_flag_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -220,6 +253,7 @@ def test_version_flag_exits_zero(capsys):
 # The documented exit codes, written out independently of the CLI's table.
 EXIT_CASES = [
     (BudgetError, 4, "error: budget exceeded: "),
+    (MemoryError, 4, "error: budget exceeded: "),
     (DomainError, 3, "error: boom"),
     (NotPSDError, 3, "error: boom"),
     (DivergenceError, 3, "error: boom"),

@@ -30,10 +30,11 @@ from sparsecov.lower_bound import (
 )
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
+    ThetaIndex,
     _iter_lambda,
+    _sigma_stack,
     build_config,
     count_theta,
-    enumerate_theta,
     materialize_sigma,
 )
 from sparsecov.rng import RngSeed
@@ -42,6 +43,14 @@ from sparsecov.sampling import sqrt_psd
 
 def criterion_config():
     return build_config(8, 20, 0.0, 4.0, 0.1)
+
+
+def every_member(cfg):
+    """Every family member in lexicographic (gamma, rows) order."""
+    lambdas = list(_iter_lambda(cfg, cfg.r))
+    for gamma in itertools.product((0, 1), repeat=cfg.r):
+        for rows in lambdas:
+            yield ThetaIndex(gamma=gamma, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +236,7 @@ def test_alpha_reference_values():
 
 def alpha_by_pairwise_loop(cfg):
     """Exact alpha with one eigvalsh per member pair, the unbatched reference."""
-    thetas = enumerate_theta(cfg, budget=count_theta(cfg))
+    thetas = list(every_member(cfg))
     sigmas = [materialize_sigma(cfg, th) for th in thetas]
     best = math.inf
     for i, j in itertools.combinations(range(len(thetas)), 2):
@@ -371,7 +380,6 @@ def test_exact_chi_square_budget_counts_work():
 def test_exact_chi_square_zero_cases():
     cfg = build_config(8, 20, 0.0, 1.0, 0.1)  # k = 0
     assert exact_chi_square_small(cfg) == 0.0
-    assert exact_chi_square_small(criterion_config(), n=0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +401,7 @@ def test_gamma1_mixture_weights_and_dedup():
 def mixture_by_member_enumeration(cfg, anchor_bit):
     """Reference mixture: materialize every member with the anchor bit and
     merge equal covariances in first-seen order."""
-    members = [th for th in enumerate_theta(cfg) if th.gamma[0] == anchor_bit]
+    members = [th for th in every_member(cfg) if th.gamma[0] == anchor_bit]
     seen, covs, counts = {}, [], []
     for th in members:
         sigma = materialize_sigma(cfg, th)
@@ -426,6 +434,18 @@ def test_gamma1_mixture_matches_member_enumeration(args):
         assert np.array_equal(mix.weights, weights)
 
 
+@pytest.mark.parametrize("args", [(6, 100, 0.0, 4.0, 0.1), (8, 20, 0.0, 6.0, 0.1)])
+def test_sigma_stack_equals_materialize_sigma_member_by_member(args):
+    cfg = build_config(*args)
+    members = list(every_member(cfg))
+    stack = _sigma_stack(
+        cfg, [th.gamma for th in members], np.array([th.rows for th in members])
+    )
+    assert stack.shape == (count_theta(cfg), cfg.p, cfg.p)
+    for th, sigma in zip(members, stack):
+        assert np.array_equal(sigma, materialize_sigma(cfg, th))
+
+
 def test_gamma1_mixture_budget_counts_members():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
     assert count_theta(cfg) == 192
@@ -443,7 +463,7 @@ def test_mixture_validation():
 
 
 def test_folded_log_density_matches_direct_evaluation():
-    """The folded GEMM form against log sum_c w_c prod_i N(x_i; mu_c, S_c)
+    """The folded GEMM form against log sum_c w_c prod_i N(x_i; 0, S_c)
     evaluated from the raw data matrices."""
     rng = np.random.default_rng(5)
     p, n = 3, 4
@@ -451,21 +471,19 @@ def test_folded_log_density_matches_direct_evaluation():
     for _ in range(3):
         a = rng.standard_normal((p, p))
         covs.append(a @ a.T + 0.5 * np.eye(p))
-    means = rng.standard_normal((3, p))
     weights = [0.2, 0.3, 0.5]
-    mix = GaussianMixture.from_components(list(zip(weights, covs)), n=n, means=means)
+    mix = GaussianMixture.from_components(list(zip(weights, covs)), n=n)
     x = rng.standard_normal((7, n, p)) * 1.5
-    stats = np.empty((7, p * (p + 1) // 2 + p))
+    stats = np.empty((7, p * (p + 1) // 2))
     _sufficient_stats(x, stats, np.triu_indices(p))
     dens = _MixtureDensity(mix)
-    # nonzero means and dense precisions: every statistic is weighed
-    assert np.array_equal(dens.features, np.arange(9))
+    # dense precisions: every statistic is weighed
+    assert np.array_equal(dens.features, np.arange(6))
     got = dens.log_density(stats, np.empty((7, 3)))
     for s in range(7):
         terms = []
-        for w, cov, mu in zip(weights, covs, means):
-            resid = x[s] - mu
-            quad = float(np.sum(resid * np.linalg.solve(cov, resid.T).T))
+        for w, cov in zip(weights, covs):
+            quad = float(np.sum(x[s] * np.linalg.solve(cov, x[s].T).T))
             logdet = np.linalg.slogdet(cov)[1]
             terms.append(
                 math.log(w) - 0.5 * (quad + n * logdet + n * p * math.log(2 * math.pi))
@@ -501,16 +519,11 @@ def test_mixture_validation_names_first_failing_component():
 
 
 def full_coefficients(mix):
-    """Every statistic's coefficient per component, (p(p+1)/2 + p, C), from
-    one dense inverse per covariance."""
-    p = mix.dim
-    rows, cols = np.triu_indices(p)
+    """Every statistic's coefficient per component, (p(p+1)/2, C), from one
+    dense inverse per covariance."""
+    rows, cols = np.triu_indices(mix.dim)
     scale = np.where(rows == cols, -0.5, -1.0)
-    columns = []
-    for cov, mu in zip(mix.covariances, mix.means):
-        prec = np.linalg.inv(cov)
-        columns.append(np.concatenate([prec[rows, cols] * scale, prec @ mu]))
-    return np.array(columns).T
+    return np.array([np.linalg.inv(cov)[rows, cols] * scale for cov in mix.covariances]).T
 
 
 def test_compaction_drops_exactly_the_all_zero_statistics():
@@ -519,13 +532,11 @@ def test_compaction_drops_exactly_the_all_zero_statistics():
         mix = gamma1_mixture(cfg, anchor_bit)
         dens = _MixtureDensity(mix)
         full = full_coefficients(mix)
-        assert full.shape == (65, mix.weights.size)
-        dropped = np.setdiff1d(np.arange(65), dens.features)
+        assert full.shape == (55, mix.weights.size)
+        dropped = np.setdiff1d(np.arange(55), dens.features)
         assert dens.features.size == kept
         assert np.all(full[dropped] == 0.0)
         assert np.all(np.any(full[dens.features] != 0.0, axis=1))
-        # the family is centred, so no mean statistic survives
-        assert np.all(dens.features < 55)
         assert dens.coef.shape == (kept, mix.weights.size)
 
 
@@ -584,14 +595,15 @@ def test_affinity_identical_mixtures_is_exactly_one():
     assert est.std_error == 0.0
 
 
-def test_affinity_mean_shift_oracle():
-    # affinity of N(0,1) vs N(1,1) is 2 Phi(-1/2)
+def test_affinity_variance_ratio_oracle():
+    # N(0,1) and N(0,4) densities cross at +-x with x^2 = 8 ln 2 / 3; the
+    # affinity is N(0,4)'s mass inside and N(0,1)'s mass outside, about 0.67733
     p_mix = GaussianMixture.from_components([(1.0, np.eye(1))], n=1)
-    q_mix = GaussianMixture.from_components(
-        [(1.0, np.eye(1))], n=1, means=[np.ones(1)]
-    )
+    q_mix = GaussianMixture.from_components([(1.0, 4.0 * np.eye(1))], n=1)
     est = tv_affinity_mc(p_mix, q_mix, 120_000, RngSeed(7))
-    truth = 1.0 + math.erf(-0.5 / math.sqrt(2.0))
+    x = math.sqrt(8.0 * math.log(2.0) / 3.0)
+    truth = math.erf(x / (2.0 * math.sqrt(2.0))) + math.erfc(x / math.sqrt(2.0))
+    assert truth == pytest.approx(0.67733, abs=1e-5)
     assert abs(est.value - truth) < 3.0 * est.std_error + 1e-3
 
 

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecov.errors import BudgetError, ConfigError, StructureError
+from sparsecov.errors import ConfigError, StructureError
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
     SparsityClassSpec,
     ThetaIndex,
     _count_lambda,
+    _iter_lambda,
     build_config,
     class_membership,
     count_theta,
-    enumerate_theta,
     materialize_sigma,
     sample_theta,
     validate_theta,
@@ -132,9 +132,17 @@ def test_materialize_sigma_places_bumps():
     assert np.allclose(np.diag(sigma), 1.0)
 
 
+def every_member(cfg):
+    """Every family member in lexicographic (gamma, rows) order."""
+    lambdas = list(_iter_lambda(cfg, cfg.r))
+    for gamma in itertools.product((0, 1), repeat=cfg.r):
+        for rows in lambdas:
+            yield ThetaIndex(gamma=gamma, rows=rows)
+
+
 def test_count_matches_enumeration():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
-    thetas = list(enumerate_theta(cfg))
+    thetas = list(every_member(cfg))
     assert count_theta(cfg) == 192 == len(thetas)
     assert len(set(thetas)) == len(thetas)
     # lexicographic order of (gamma, rows)
@@ -145,7 +153,7 @@ def test_count_matches_enumeration():
 def test_count_matches_enumeration_with_k_two():
     cfg = build_config(8, 20, 0.0, 6.0, 0.1)
     assert cfg.k == 2
-    thetas = list(enumerate_theta(cfg, budget=10**6))
+    thetas = list(every_member(cfg))
     assert count_theta(cfg) == len(thetas) == 20736
     for th in thetas[:: max(len(thetas) // 64, 1)]:
         validate_theta(cfg, th)
@@ -167,14 +175,6 @@ def test_count_lambda_against_direct_product_check():
 
     for r, k in [(3, 1), (4, 1), (4, 2), (4, 3)]:
         assert _count_lambda(r, k) == brute(r, k)
-
-
-def test_enumeration_budget_is_exact():
-    cfg = build_config(6, 100, 0.0, 4.0, 0.1)
-    with pytest.raises(BudgetError) as err:
-        list(enumerate_theta(cfg, budget=191))
-    assert err.value.count == 192
-    assert len(list(enumerate_theta(cfg, budget=192))) == 192
 
 
 def test_sample_theta_is_deterministic_and_valid():
