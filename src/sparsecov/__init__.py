@@ -65,7 +65,6 @@ from .losses import (
     bregman_divergence,
     closed_form_divergence,
     evaluate_loss,
-    operator_loss,
     resolve_phi,
 )
 from .lower_bound import (
@@ -80,7 +79,6 @@ from .lower_bound import (
     cross_product_integral,
     exact_chi_square_small,
     gamma1_mixture,
-    overlap_distribution,
     overlap_fractions,
     overlap_structure,
     per_comparison_alpha,

@@ -188,7 +188,7 @@ def cmd_lowerbound(args, argv) -> int:
             }
         )
     else:
-        alpha = per_comparison_alpha(cfg, exact_budget=args.budget)
+        alpha = per_comparison_alpha(cfg, budget=args.budget)
         report["alpha"] = {
             "bound": alpha.bound,
             "exact": alpha.exact,

@@ -213,12 +213,6 @@ def _validated_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return ma, mb
 
 
-def operator_loss(a, b, w) -> float:
-    """Squared operator norm of the difference, exact orders only."""
-    ma, mb = _validated_pair(a, b)
-    return _operator_norm(ma - mb, w) ** 2
-
-
 def evaluate_loss(spec: LossSpec, estimate, truth) -> float:
     """Dispatch a LossSpec on a validated (estimate, truth) pair."""
     est, tru = _validated_pair(estimate, truth)

@@ -46,7 +46,7 @@ CHI_SQUARE_TARGET = 0.75
 DEFAULT_ENUMERATION_BUDGET = 10**6
 _EIG_TOL = 1e-10
 # Samples scored per GEMM in tv_affinity_mc, and components per step when a
-# mixture is validated or folded; bounds their working memory.
+# mixture is built; bounds their working memory.
 _TILE = 256
 # Rows of a scored tile whose log-sum-exp runs at once, so each block of the
 # (tile, components) buffer stays in cache.
@@ -85,12 +85,12 @@ class AlphaResult:
 
 
 def per_comparison_alpha(
-    cfg: LeastFavorableConfig, exact_budget: int = 2_000_000
+    cfg: LeastFavorableConfig, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> AlphaResult:
     """Separation constant of the family under squared spectral distance.
 
     The bound is ``(k * epsilon)^2 / p``.  When the number of member pairs
-    fits ``exact_budget`` the exact minimum of
+    fits ``budget`` the exact minimum of
     ``|||Sigma(theta) - Sigma(theta')|||_2^2 / H(gamma, gamma')`` over pairs
     with different bit vectors is computed by full enumeration; otherwise
     ``exact`` is None and only the bound is returned.
@@ -98,7 +98,7 @@ def per_comparison_alpha(
     bound = (cfg.k * cfg.epsilon) ** 2 / cfg.p
     total = count_theta(cfg)
     pair_count = total * (total - 1) // 2
-    if pair_count > exact_budget:
+    if pair_count > budget:
         return AlphaResult(bound=bound, exact=None, pair_count=pair_count)
     # every member in (gamma, rows) order: bit vectors lexicographically,
     # then row-pattern tuples in _iter_lambda order
@@ -275,11 +275,6 @@ def overlap_fractions(k: int, p_lambda: int) -> list[Fraction]:
     ]
 
 
-def overlap_distribution(k: int, p_lambda: int) -> np.ndarray:
-    """Float image of :func:`overlap_fractions`."""
-    return np.array([float(f) for f in overlap_fractions(k, p_lambda)])
-
-
 # ---------------------------------------------------------------------------
 # chi-square distance: envelope and exact tiny-scale enumeration
 
@@ -330,7 +325,7 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
             f"k * epsilon^2 = {k * eps**2:.6g} >= 1; envelope diverges",
             ratio=k * eps**2,
         )
-    pmf = overlap_distribution(k, p_lambda_min)
+    pmf = np.array([float(f) for f in overlap_fractions(k, p_lambda_min)])
     js = np.arange(k + 1)
     value = float(np.sum(pmf * ((1.0 - js * eps**2) ** (-n) * 1.5 - 1.0)))
 
@@ -450,22 +445,36 @@ def exact_chi_square_small(
 # mixtures and Monte Carlo affinity
 
 
-@dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Finite mixture of n-fold product centred Gaussians on matching dimensions.
+    """Finite mixture of n-fold product centred Gaussians on matching
+    dimensions, validated and folded for evaluation and sampling.
 
     Each component contributes the n-fold product of N(0, cov_c); the sample
     space is the full (n, p) data matrix.  Every mixture of the lower bound
-    is centred, so a component is its weight and covariance alone.
+    is centred, so a component is its weight and covariance alone.  The log
+    of component c's density at a data matrix X is linear in the sufficient
+    statistics s(X), the upper triangle of X'X:
+
+        s(X) . coef[:, c] + offset[c].
+
+    The statistics carry -P_c / 2 on the upper triangle with the
+    off-diagonal entries doubled, and ``offset`` folds in the weight and the
+    normalizer.  ``features`` lists the statistics that some component
+    weighs with a nonzero coefficient, in their original order, and ``coef``
+    keeps only those rows: a dropped row would add exact zeros to every sum,
+    so one GEMM over the kept rows scores a tile of samples against every
+    component with the same result.  ``roots`` holds each component's
+    ``sqrt_psd``, bit for bit.
+
+    The constructor makes one pass over tiles of ``_TILE`` components: each
+    tile is checked for symmetry; one ``eigh`` per component checks positive
+    definiteness and gives its root, and one ``slogdet`` and ``inv`` give its
+    offset and coefficients.  Memory is the kept arrays plus one tile.
     """
 
-    weights: np.ndarray
-    covariances: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        covs = np.asarray(self.covariances, dtype=float)
+    def __init__(self, weights, covariances, n: int):
+        w = np.asarray(weights, dtype=float)
+        covs = np.asarray(covariances, dtype=float)
         if w.ndim != 1 or covs.ndim != 3:
             raise ValueError("weights (C,), covariances (C,p,p)")
         c = w.size
@@ -473,42 +482,72 @@ class GaussianMixture:
             raise ValueError("component count mismatch across fields")
         if covs.shape[1] != covs.shape[2]:
             raise ValueError("covariance blocks must be p x p")
-        if self.n < 1:
-            raise ValueError(f"product length n must be >= 1, got {self.n}")
+        if n < 1:
+            raise ValueError(f"product length n must be >= 1, got {n}")
         if np.any(w <= 0.0):
             raise ValueError("component weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError("component weights must sum to one")
-        # tile by tile, so the checks hold no full-stack temporary
+        p = covs.shape[1]
+        rows, cols = np.triu_indices(p)
+        scale = np.where(rows == cols, -0.5, -1.0)
+        coef = np.empty((rows.size, c))
+        logdets = np.empty(c)
+        roots = np.empty_like(covs)
         for lo in range(0, c, _TILE):
-            block = covs[lo : lo + _TILE]
+            tile = slice(lo, lo + _TILE)
+            block = covs[tile]
             asym = np.max(np.abs(block - block.transpose(0, 2, 1)), axis=(1, 2))
             asym_bad = asym > 1e-12 * (1.0 + np.max(np.abs(block), axis=(1, 2)))
-            lows = np.linalg.eigvalsh(block)[:, 0]
-            bad = np.flatnonzero(asym_bad | (lows <= 0.0))
+            eigvals, v = np.linalg.eigh((block + block.transpose(0, 2, 1)) / 2.0)
+            signs, logdets[tile] = np.linalg.slogdet(block)
+            bad = np.flatnonzero(asym_bad | (eigvals[:, 0] <= 0.0) | (signs <= 0.0))
             if bad.size:
                 idx = int(bad[0])
                 if asym_bad[idx]:
                     raise ValueError(
                         f"component {lo + idx} covariance is not symmetric"
                     )
+                if eigvals[idx, 0] <= 0.0:
+                    raise ValueError(
+                        f"component {lo + idx} covariance must be positive definite "
+                        f"for density evaluation (min eigenvalue {eigvals[idx, 0]:.3e})"
+                    )
                 raise ValueError(
-                    f"component {lo + idx} covariance must be positive definite "
-                    f"for density evaluation (min eigenvalue {lows[idx]:.3e})"
+                    f"component {lo + idx} covariance with nonpositive determinant"
                 )
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "covariances", covs)
+            coef[:, tile] = (np.linalg.inv(block)[:, rows, cols] * scale).T
+            # sqrt_psd of each component, bit for bit
+            v = np.ascontiguousarray(v[:, :, ::-1])
+            roots[tile] = _from_eigen(v, np.sqrt(np.clip(eigvals[:, ::-1], 0.0, None)))
+        self.weights, self.covariances, self.n, self.roots = w, covs, n, roots
+        self.features = np.flatnonzero(np.any(coef != 0.0, axis=1))
+        self.coef = coef[self.features]
+        self.offset = np.log(w) - 0.5 * n * (p * math.log(2.0 * math.pi) + logdets)
 
     @property
     def dim(self) -> int:
         return self.covariances.shape[1]
 
-    @classmethod
-    def from_components(cls, components, n: int) -> "GaussianMixture":
-        """Build from (weight, covariance) pairs."""
-        weights = np.array([w for w, _ in components], dtype=float)
-        covs = np.stack([np.asarray(c, dtype=float) for _, c in components])
-        return cls(weights=weights, covariances=covs, n=n)
+    def _log_density(self, stats: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """Log mixture density of each sample from its sufficient statistics.
+
+        ``stats`` holds one full row of :func:`_sufficient_stats` per sample;
+        ``buf`` is scratch of shape (samples, components), overwritten.  One
+        GEMM fills the whole of ``buf``; the per-row log-sum-exp then walks it
+        in blocks of ``_BLOCK`` rows, which act on each row alone and so
+        cannot change its bits.  Returns a fresh array.
+        """
+        np.matmul(stats[:, self.features], self.coef, out=buf)
+        out = np.empty(len(buf))
+        for lo in range(0, len(buf), _BLOCK):
+            block = buf[lo : lo + _BLOCK]
+            block += self.offset
+            top = np.max(block, axis=1)
+            block -= top[:, None]
+            np.exp(block, out=block)
+            out[lo : lo + _BLOCK] = top + np.log(np.sum(block, axis=1))
+        return out
 
 
 def gamma1_mixture(
@@ -577,74 +616,6 @@ class AffinityEstimate:
     seed: RngSeed
 
 
-class _MixtureDensity:
-    """Folded per-component constants for evaluating and sampling one
-    centred mixture.
-
-    The log of component c's n-fold product density at a data matrix X is
-    linear in the sufficient statistics s(X), the upper triangle of X'X:
-
-        s(X) . coef[:, c] + offset[c].
-
-    The p(p+1)/2 statistics carry -P_c / 2 on the upper triangle with the
-    off-diagonal entries doubled, and ``offset`` folds in the weight and the
-    normalizer.  ``features`` lists the statistics that some component
-    weighs with a nonzero coefficient, in their original order, and ``coef``
-    keeps only those rows: a dropped row would add exact zeros to every sum,
-    so one GEMM over the kept rows scores a tile of samples against every
-    component with the same result.  The constants and the sampling roots
-    are built in one pass over tiles of ``_TILE`` components, so memory is
-    the kept arrays plus one tile.
-    """
-
-    def __init__(self, mix: GaussianMixture):
-        covs = mix.covariances
-        n, p = mix.n, mix.dim
-        c = len(covs)
-        rows, cols = np.triu_indices(p)
-        scale = np.where(rows == cols, -0.5, -1.0)
-        coef = np.empty((rows.size, c))
-        logdets = np.empty(c)
-        self.roots = np.empty_like(covs)
-        for lo in range(0, c, _TILE):
-            tile = slice(lo, lo + _TILE)
-            block = covs[tile]
-            signs, logdets[tile] = np.linalg.slogdet(block)
-            if np.any(signs <= 0.0):
-                raise ValueError("component covariance with nonpositive determinant")
-            precisions = np.linalg.inv(block)
-            coef[:, tile] = (precisions[:, rows, cols] * scale).T
-            # sqrt_psd of each component, bit for bit
-            w, v = np.linalg.eigh((block + block.transpose(0, 2, 1)) / 2.0)
-            v = np.ascontiguousarray(v[:, :, ::-1])
-            self.roots[tile] = _from_eigen(v, np.sqrt(np.clip(w[:, ::-1], 0.0, None)))
-        self.features = np.flatnonzero(np.any(coef != 0.0, axis=1))
-        self.coef = coef[self.features]
-        self.offset = np.log(mix.weights) - 0.5 * n * (
-            p * math.log(2.0 * math.pi) + logdets
-        )
-
-    def log_density(self, stats: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """Log mixture density of each sample from its sufficient statistics.
-
-        ``stats`` holds one full row of :func:`_sufficient_stats` per sample;
-        ``buf`` is scratch of shape (samples, components), overwritten.  One
-        GEMM fills the whole of ``buf``; the per-row log-sum-exp then walks it
-        in blocks of ``_BLOCK`` rows, which act on each row alone and so
-        cannot change its bits.  Returns a fresh array.
-        """
-        np.matmul(stats[:, self.features], self.coef, out=buf)
-        out = np.empty(len(buf))
-        for lo in range(0, len(buf), _BLOCK):
-            block = buf[lo : lo + _BLOCK]
-            block += self.offset
-            top = np.max(block, axis=1)
-            block -= top[:, None]
-            np.exp(block, out=block)
-            out[lo : lo + _BLOCK] = top + np.log(np.sum(block, axis=1))
-        return out
-
-
 def _sufficient_stats(x: np.ndarray, out: np.ndarray, triu: tuple) -> None:
     """Write the upper triangle of X'X per sample.
 
@@ -677,10 +648,10 @@ def tv_affinity_mc(
     the whole chunk), forms its sufficient statistics, and scores them
     against each mixture in turn through one preallocated scoring buffer of
     ``_TILE`` x max(C_p, C_q) entries, shared by both.  Each sample's root
-    is gathered from its own side into one preallocated tile of roots.
-    Beyond the two folded mixtures (about C p^2 entries each, for the
-    roots), memory is therefore bounded by the tile, whatever
-    ``chunk_size`` and n.
+    is gathered from its own side into one preallocated tile of roots.  The
+    mixtures arrive folded, so they are scored and sampled as they are;
+    beyond them, memory is bounded by the tile, whatever ``chunk_size`` and
+    n.
 
     Raises
     ------
@@ -693,14 +664,12 @@ def tv_affinity_mc(
         raise ValueError(f"dimension mismatch: {p_mix.dim} vs {q_mix.dim}")
     if p_mix.n != q_mix.n:
         raise ValueError(f"product length mismatch: {p_mix.n} vs {q_mix.n}")
-    dens_p = _MixtureDensity(p_mix)
-    dens_q = _MixtureDensity(q_mix)
     n, p = p_mix.n, p_mix.dim
     triu = np.triu_indices(p)
     stats = np.empty((_TILE, triu[0].size))
     roots = np.empty((_TILE, p, p))
     c_p, c_q = p_mix.weights.size, q_mix.weights.size
-    # one scoring buffer for both mixtures: log_density returns a fresh
+    # one scoring buffer for both mixtures: _log_density returns a fresh
     # array, so lp survives the reuse
     scratch = np.empty(_TILE * max(c_p, c_q))
     buf_p = scratch[: _TILE * c_p].reshape(_TILE, c_p)
@@ -720,12 +689,12 @@ def tv_affinity_mc(
             z = rng.standard_normal((t, n, p))
             # each sample's root, gathered once from its own side
             side, other = from_p[tile], ~from_p[tile]
-            roots[:t][side] = dens_p.roots[pick_p[tile][side]]
-            roots[:t][other] = dens_q.roots[pick_q[tile][other]]
+            roots[:t][side] = p_mix.roots[pick_p[tile][side]]
+            roots[:t][other] = q_mix.roots[pick_q[tile][other]]
             x = np.matmul(z, roots[:t])
             _sufficient_stats(x, stats[:t], triu)
-            lp = dens_p.log_density(stats[:t], buf_p[:t])
-            lq = dens_q.log_density(stats[:t], buf_q[:t])
+            lp = p_mix._log_density(stats[:t], buf_p[:t])
+            lq = q_mix._log_density(stats[:t], buf_q[:t])
             if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):
                 raise NumericalError("non-finite log-density in affinity estimate")
             # min(p, q) / ((p + q) / 2) = 2 / (1 + exp|log p - log q|), always in [0, 1]

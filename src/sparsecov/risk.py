@@ -496,6 +496,12 @@ class GridResult:
 
 def _grid_cells(config: dict) -> list[tuple[int, int]]:
     if "cells" in config:
+        arrays = [key for key in ("n", "p") if key in config]
+        if arrays:
+            raise ConfigError(
+                f"grid config sets both 'cells' and {' and '.join(map(repr, arrays))}; "
+                "give the cells or the n/p arrays, not both"
+            )
         for i, cell in enumerate(config["cells"]):
             _check_keys(cell, ("n", "p"), f"cells[{i}]")
         cells = [(int(c["n"]), int(c["p"])) for c in config["cells"]]
@@ -542,6 +548,10 @@ def run_grid(config: dict) -> GridResult:
     truth_spec = config.get("truth")
     if not truth_spec:
         raise ConfigError("grid config needs a 'truth' entry")
+    if not isinstance(truth_spec, dict):
+        raise SchemaError(
+            f"truth must be a JSON object, got {type(truth_spec).__name__}"
+        )
     kind = truth_spec.get("kind")
     if kind in _TRUTH_KEYS:
         _check_keys(truth_spec, _TRUTH_KEYS[kind], f"truth (kind {kind!r})")

@@ -244,6 +244,22 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
     assert f"unknown key {key!r} in {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"truth": "banded"}, "truth must be a JSON object, got str"),
+        ({"cells": [{"n": 20, "p": 10}], "n": [5]}, "both 'cells' and 'n';"),
+        ({"n": [5], "p": [10]}, "both 'cells' and 'n' and 'p';"),
+    ],
+    ids=["truth-not-object", "cells-and-n", "cells-and-n-p"],
+)
+def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
+    assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_version_flag_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -14,7 +14,6 @@ from sparsecov.losses import (
     bregman_divergence,
     closed_form_divergence,
     evaluate_loss,
-    operator_loss,
     resolve_phi,
 )
 from sparsecov.matrices import _Symmetric
@@ -131,8 +130,8 @@ def test_resolve_phi_accepts_custom_generator():
 def test_operator_loss_is_squared_norm():
     a = np.diag([3.0, 0.0])
     b = np.zeros((2, 2))
-    assert operator_loss(a, b, 2) == 9.0
-    assert operator_loss(a, b, 1) == 9.0
+    assert evaluate_loss(LossSpec(kind="operator", w=2), a, b) == 9.0
+    assert evaluate_loss(LossSpec(kind="operator", w=1), a, b) == 9.0
 
 
 def test_loss_spec_validation_and_detail():

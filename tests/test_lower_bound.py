@@ -16,7 +16,6 @@ from sparsecov.errors import (
 )
 from sparsecov.lower_bound import (
     GaussianMixture,
-    _MixtureDensity,
     _sufficient_stats,
     assemble_lower_bound,
     chi_square_mixture_bound,
@@ -258,7 +257,7 @@ def test_alpha_matches_pairwise_loop(args):
 
 def test_alpha_falls_back_to_bound_only_over_budget():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
-    res = per_comparison_alpha(cfg, exact_budget=100)
+    res = per_comparison_alpha(cfg, budget=100)
     assert res.exact is None
     assert res.pair_count == 18336
 
@@ -457,9 +456,9 @@ def test_gamma1_mixture_budget_counts_members():
 
 def test_mixture_validation():
     with pytest.raises(ValueError):
-        GaussianMixture.from_components([(0.5, np.eye(2))], n=1)
+        GaussianMixture([0.5], [np.eye(2)], n=1)
     with pytest.raises(ValueError):
-        GaussianMixture.from_components([(1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))], n=1)
+        GaussianMixture([1.0], [np.array([[1.0, 2.0], [2.0, 1.0]])], n=1)
 
 
 def test_folded_log_density_matches_direct_evaluation():
@@ -472,14 +471,13 @@ def test_folded_log_density_matches_direct_evaluation():
         a = rng.standard_normal((p, p))
         covs.append(a @ a.T + 0.5 * np.eye(p))
     weights = [0.2, 0.3, 0.5]
-    mix = GaussianMixture.from_components(list(zip(weights, covs)), n=n)
+    mix = GaussianMixture(weights, covs, n=n)
     x = rng.standard_normal((7, n, p)) * 1.5
     stats = np.empty((7, p * (p + 1) // 2))
     _sufficient_stats(x, stats, np.triu_indices(p))
-    dens = _MixtureDensity(mix)
     # dense precisions: every statistic is weighed
-    assert np.array_equal(dens.features, np.arange(6))
-    got = dens.log_density(stats, np.empty((7, 3)))
+    assert np.array_equal(mix.features, np.arange(6))
+    got = mix._log_density(stats, np.empty((7, 3)))
     for s in range(7):
         terms = []
         for w, cov in zip(weights, covs):
@@ -498,24 +496,20 @@ def test_mixture_validation_names_first_failing_component():
     asym = np.array([[1.0, 0.1], [0.0, 1.0]])
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="component 1 covariance is not symmetric"):
-        GaussianMixture.from_components(
-            [(0.25, good), (0.25, asym), (0.25, indefinite), (0.25, good)], n=1
-        )
+        GaussianMixture([0.25] * 4, [good, asym, indefinite, good], n=1)
     with pytest.raises(ValueError, match="component 2 covariance must be positive"):
-        GaussianMixture.from_components(
-            [(0.25, good), (0.25, good), (0.25, indefinite), (0.25, asym)], n=1
-        )
+        GaussianMixture([0.25] * 4, [good, good, indefinite, asym], n=1)
     # the checks run over tiles of 256 components; indices stay global
     c = 600
     for idx, bad, message in (
         (300, asym, "component 300 covariance is not symmetric"),
         (511, indefinite, "component 511 covariance must be positive"),
     ):
-        components = [(1.0 / c, good)] * c
-        components[idx] = (1.0 / c, bad)
-        components[idx + 5] = (1.0 / c, indefinite)
+        covs = [good] * c
+        covs[idx] = bad
+        covs[idx + 5] = indefinite
         with pytest.raises(ValueError, match=message):
-            GaussianMixture.from_components(components, n=1)
+            GaussianMixture([1.0 / c] * c, covs, n=1)
 
 
 def full_coefficients(mix):
@@ -530,30 +524,27 @@ def test_compaction_drops_exactly_the_all_zero_statistics():
     cfg = build_config(10, 20, 0.0, 4.0, 0.1)
     for anchor_bit, kept in ((0, 36), (1, 45)):
         mix = gamma1_mixture(cfg, anchor_bit)
-        dens = _MixtureDensity(mix)
         full = full_coefficients(mix)
         assert full.shape == (55, mix.weights.size)
-        dropped = np.setdiff1d(np.arange(55), dens.features)
-        assert dens.features.size == kept
+        dropped = np.setdiff1d(np.arange(55), mix.features)
+        assert mix.features.size == kept
         assert np.all(full[dropped] == 0.0)
-        assert np.all(np.any(full[dens.features] != 0.0, axis=1))
-        assert dens.coef.shape == (kept, mix.weights.size)
+        assert np.all(np.any(full[mix.features] != 0.0, axis=1))
+        assert mix.coef.shape == (kept, mix.weights.size)
 
 
 def test_mixture_build_and_fold_memory_is_bounded():
-    # one identity stack written in place, and one pass over component tiles
+    # one identity stack written in place, then one validating and folding
+    # pass over component tiles: the kept arrays plus one tile's temporaries
     cfg = build_config(10, 20, 0.0, 4.0, 0.1)
     tracemalloc.start()
     try:
         mix = gamma1_mixture(cfg, 1)
-        held, build_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        _MixtureDensity(mix)
-        fold_peak = tracemalloc.get_traced_memory()[1] - held
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert build_peak < 1.5 * mix.covariances.nbytes
-    assert fold_peak < 10 * 2**20
+    kept = mix.covariances.nbytes + mix.roots.nbytes + mix.coef.nbytes
+    assert peak < kept + 4 * 2**20
 
 
 def test_mixture_roots_equal_per_component_sqrt_psd():
@@ -564,18 +555,18 @@ def test_mixture_roots_equal_per_component_sqrt_psd():
     for _ in range(4):
         a = rng.standard_normal((4, 4))
         covs.append(a @ a.T + 0.1 * np.eye(4))
-    random_mix = GaussianMixture.from_components([(0.25, c) for c in covs], n=2)
+    random_mix = GaussianMixture([0.25] * 4, covs, n=2)
     cfg = build_config(10, 20, 0.0, 4.0, 0.1)
     for mix in (random_mix, gamma1_mixture(cfg, 0), gamma1_mixture(cfg, 1)):
-        roots = _MixtureDensity(mix).roots
-        assert roots.shape == mix.covariances.shape
-        for cov, root in zip(mix.covariances, roots):
+        assert mix.roots.shape == mix.covariances.shape
+        for cov, root in zip(mix.covariances, mix.roots):
             assert np.array_equal(root, sqrt_psd(cov))
 
 
 def test_affinity_memory_is_bounded_by_the_tile():
     # the untiled chunk held about ten (4096 x 5205) temporaries: 710 MB;
-    # now the folded mixtures plus one shared (256 x 5205) scoring buffer
+    # the mixtures arrive folded, so this counts one shared (256 x 5205)
+    # scoring buffer and the tile's draws, statistics and gathered roots
     cfg = build_config(10, 20, 0.0, 4.0, 0.1)
     a = gamma1_mixture(cfg, 0)
     b = gamma1_mixture(cfg, 1)
@@ -589,7 +580,7 @@ def test_affinity_memory_is_bounded_by_the_tile():
 
 
 def test_affinity_identical_mixtures_is_exactly_one():
-    mix = GaussianMixture.from_components([(1.0, np.eye(2))], n=3)
+    mix = GaussianMixture([1.0], [np.eye(2)], n=3)
     est = tv_affinity_mc(mix, mix, 2000, RngSeed(1))
     assert est.value == 1.0
     assert est.std_error == 0.0
@@ -598,8 +589,8 @@ def test_affinity_identical_mixtures_is_exactly_one():
 def test_affinity_variance_ratio_oracle():
     # N(0,1) and N(0,4) densities cross at +-x with x^2 = 8 ln 2 / 3; the
     # affinity is N(0,4)'s mass inside and N(0,1)'s mass outside, about 0.67733
-    p_mix = GaussianMixture.from_components([(1.0, np.eye(1))], n=1)
-    q_mix = GaussianMixture.from_components([(1.0, 4.0 * np.eye(1))], n=1)
+    p_mix = GaussianMixture([1.0], [np.eye(1)], n=1)
+    q_mix = GaussianMixture([1.0], [4.0 * np.eye(1)], n=1)
     est = tv_affinity_mc(p_mix, q_mix, 120_000, RngSeed(7))
     x = math.sqrt(8.0 * math.log(2.0) / 3.0)
     truth = math.erf(x / (2.0 * math.sqrt(2.0))) + math.erfc(x / math.sqrt(2.0))
@@ -621,8 +612,8 @@ def test_affinity_is_seed_deterministic():
 
 
 def test_affinity_input_validation():
-    mix = GaussianMixture.from_components([(1.0, np.eye(2))], n=3)
-    other = GaussianMixture.from_components([(1.0, np.eye(3))], n=3)
+    mix = GaussianMixture([1.0], [np.eye(2)], n=3)
+    other = GaussianMixture([1.0], [np.eye(3)], n=3)
     with pytest.raises(ValueError):
         tv_affinity_mc(mix, mix, 100, RngSeed(0))
     with pytest.raises(ValueError):
