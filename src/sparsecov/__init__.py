@@ -90,7 +90,6 @@ from .risk import (
     RiskRecord,
     banded_sigma,
     export_records,
-    import_records,
     materialize_truth,
     rate_fit,
     run_grid,

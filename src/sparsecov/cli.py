@@ -4,7 +4,8 @@ Three subcommands:
 
 - ``estimate``: threshold a sample covariance from data (or a given matrix)
 - ``simulate``: run a Monte Carlo risk grid from a JSON config
-- ``lowerbound``: evaluate the two-point lower bound machinery at one config
+- ``lowerbound``: evaluate the two-point lower bound machinery at one
+  (p, n, q, c, upsilon), given as flags
 
 Exit codes: 0 success, 2 bad input or config, 3 numerical/domain failure,
 4 computation exceeds the requested budget or the available memory.
@@ -32,7 +33,6 @@ from .errors import (
     FitError,
     NumericalError,
     SparseCovError,
-    _check_keys,
 )
 from .estimators import EstimatorSpec, apply_estimator, threshold_level
 from .lower_bound import (
@@ -100,6 +100,8 @@ def cmd_estimate(args, argv) -> int:
     if (args.data is None) == (args.covariance is None):
         raise ConfigError("provide exactly one of --data or --covariance")
     if args.data is not None:
+        if args.n is not None:
+            raise ConfigError("--n goes with --covariance; --data takes n from its rows")
         x = load_data_csv(args.data)
         n = x.shape[0]
         sstar = mle_covariance(x)
@@ -160,21 +162,9 @@ def cmd_simulate(args, argv) -> int:
 
 def cmd_lowerbound(args, argv) -> int:
     started = time.perf_counter()
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        _check_keys(raw, ("p", "n", "q", "c", "upsilon"), "lowerbound config")
-        cfg = build_config(
-            int(raw["p"]),
-            int(raw["n"]),
-            float(raw["q"]),
-            float(raw["c"]),
-            float(raw.get("upsilon", args.upsilon)),
-        )
-    else:
-        if None in (args.p, args.n, args.q, args.c):
-            raise ConfigError("lowerbound needs --p --n --q --c (or --config)")
-        cfg = build_config(args.p, args.n, args.q, args.c, args.upsilon)
+    if None in (args.p, args.n, args.q, args.c):
+        raise ConfigError("lowerbound needs --p --n --q --c")
+    cfg = build_config(args.p, args.n, args.q, args.c, args.upsilon)
     seed = RngSeed.parse(args.seed) if args.seed is not None else RngSeed(0)
 
     report: dict = {"config": cfg.to_json(), "seed": str(seed)}
@@ -270,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", help="write records as .csv or .json")
     sim.set_defaults(func=cmd_simulate)
 
-    low = sub.add_parser("lowerbound", help="evaluate the lower bound at a config")
-    low.add_argument("--config", help="json with p, n, q, c (and upsilon)")
+    low = sub.add_parser(
+        "lowerbound", help="evaluate the lower bound at one (p, n, q, c, upsilon)"
+    )
     low.add_argument("--p", type=int)
     low.add_argument("--n", type=int)
     low.add_argument("--q", type=float)

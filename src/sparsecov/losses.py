@@ -147,6 +147,14 @@ def closed_form_divergence(x, y, kind="stein") -> float:
     return float(np.trace(mx @ log_x - mx @ log_y - mx + my))
 
 
+# The keys a loss of each kind reads, "kind" included.
+_LOSS_KEYS = {
+    "operator": ("kind", "w", "normalized"),
+    "frobenius-squared": ("kind", "normalized"),
+    "bregman": ("kind", "phi", "normalized"),
+}
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Which loss a risk experiment evaluates.
@@ -154,7 +162,8 @@ class LossSpec:
     kind 'operator' uses squared operator norm of the difference for
     w in {1, 2, inf}; 'frobenius-squared' is the entrywise square loss;
     'bregman' uses the named generator.  ``normalized`` divides Bregman-type
-    losses (including frobenius-squared) by the dimension.
+    losses (including frobenius-squared) by the dimension; an operator loss
+    rejects it.
     """
 
     kind: str = "operator"
@@ -163,13 +172,15 @@ class LossSpec:
     normalized: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("operator", "frobenius-squared", "bregman"):
+        if self.kind not in _LOSS_KEYS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.kind == "operator":
             if self.w not in (1, 2, math.inf, 1.0, 2.0):
                 raise ConfigError(
                     f"operator loss needs w in {{1, 2, inf}}, got {self.w!r}"
                 )
+            if self.normalized:
+                raise ConfigError("operator loss cannot be normalized")
         if self.kind == "bregman":
             resolve_phi(self.phi)
 
@@ -194,6 +205,8 @@ class LossSpec:
     def from_json(cls, obj: dict) -> "LossSpec":
         _check_keys(obj, ("kind", "w", "phi", "normalized"), "loss")
         kind = obj.get("kind", "operator")
+        if kind in _LOSS_KEYS:
+            _check_keys(obj, _LOSS_KEYS[kind], f"loss (kind {kind!r})")
         w = obj.get("w", 2 if kind == "operator" else None)
         if w == "inf":
             w = math.inf

@@ -128,19 +128,6 @@ class LeastFavorableConfig:
             "epsilon": self.epsilon,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LeastFavorableConfig":
-        return cls(
-            p=int(obj["p"]),
-            n=int(obj["n"]),
-            q=float(obj["q"]),
-            c=float(obj["c"]),
-            upsilon=float(obj["upsilon"]),
-            r=int(obj["r"]),
-            k=int(obj["k"]),
-            epsilon=float(obj["epsilon"]),
-        )
-
 
 DEFAULT_UPSILON = 0.1
 

@@ -73,6 +73,9 @@ _TRUTH_KEYS = {
     "decay": ("kind", "amplitude", "exponent"),
     "fstar": ("kind", "q", "c", "upsilon", "theta", "theta_seed"),
 }
+# Pairs of truth keys that give one quantity two ways; a truth sets at most
+# one key of each pair.
+_EXCLUSIVE_TRUTH_KEYS = (("value", "scale"), ("theta", "theta_seed"))
 
 
 def materialize_truth(spec: dict, n: int, p: int):
@@ -88,8 +91,15 @@ def materialize_truth(spec: dict, n: int, p: int):
       is the realized maximal column weak-lq radius
     - ``fstar``: params ``q``, ``c``, ``upsilon`` and either ``theta``
       (serialized index) or ``theta_seed`` for a uniform draw
+
+    Giving both keys of an either/or pair raises ConfigError naming them.
     """
     kind = spec.get("kind")
+    for first, second in _EXCLUSIVE_TRUTH_KEYS:
+        if first in spec and second in spec:
+            raise ConfigError(
+                f"truth (kind {kind!r}) sets both {first!r} and {second!r}; give one, not both"
+            )
     if kind == "identity":
         return np.eye(p), 0.0, None, "identity"
     if kind == "banded":
@@ -169,26 +179,6 @@ class RiskRecord:
             "seed": str(self.seed),
             "wall_time": self.wall_time,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RiskRecord":
-        return cls(
-            cell_id=obj["cell_id"],
-            model=obj.get("model", ""),
-            n=int(obj["n"]),
-            p=int(obj["p"]),
-            q=None if obj.get("q") is None else float(obj["q"]),
-            c=None if obj.get("c") is None else float(obj["c"]),
-            estimator=EstimatorSpec.from_json(obj["estimator"]),
-            loss=LossSpec.from_json(obj["loss"]),
-            replicates=int(obj["replicates"]),
-            mean_risk=float(obj["mean_risk"]),
-            std_error=float(obj["std_error"]),
-            median_risk=float(obj["median_risk"]),
-            failures=int(obj.get("failures", 0)),
-            seed=RngSeed.parse(obj["seed"]),
-            wall_time=float(obj.get("wall_time", 0.0)),
-        )
 
 
 def run_risk_cell(
@@ -390,15 +380,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def export_records(records, path, fmt: str | None = None) -> None:
-    """Write records as CSV (fixed flat schema) or JSON (full fidelity).
+def export_records(records, path) -> None:
+    """Write records as CSV (fixed flat schema) or JSON (full fidelity), as
+    the file suffix says.  Nothing in the package reads them back.
 
     The CSV schema requires a homogeneous loss kind across records and keeps
     the wall_time column empty: timings vary run to run and would break the
     byte-identity guarantee for seeded reruns.  JSON carries everything.
     """
     recs = list(records)
-    fmt = fmt or str(path).rsplit(".", 1)[-1].lower()
+    fmt = str(path).rsplit(".", 1)[-1].lower()
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump([r.to_json() for r in recs], fh, indent=2)
@@ -434,54 +425,6 @@ def export_records(records, path, fmt: str | None = None) -> None:
                     "",
                 ]
             )
-
-
-def import_records(path, fmt: str | None = None) -> list[RiskRecord]:
-    """Read records back; CSV restores the flat fields, JSON everything."""
-    fmt = fmt or str(path).rsplit(".", 1)[-1].lower()
-    if fmt == "json":
-        with open(path) as fh:
-            return [RiskRecord.from_json(obj) for obj in json.load(fh)]
-    if fmt != "csv":
-        raise ValueError(f"unknown import format {fmt!r}")
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise SchemaError(f"unexpected csv columns {reader.fieldnames}")
-        for row in reader:
-            loss_kind = row["loss_kind"]
-            detail = row["w_or_phi"]
-            if loss_kind == "operator":
-                loss = LossSpec(
-                    kind="operator", w=math.inf if detail == "inf" else int(detail)
-                )
-            elif loss_kind == "bregman":
-                loss = LossSpec(kind="bregman", w=None, phi=detail)
-            else:
-                loss = LossSpec(kind=loss_kind, w=None)
-            out.append(
-                RiskRecord(
-                    cell_id=row["cell_id"],
-                    model="",
-                    n=int(row["n"]),
-                    p=int(row["p"]),
-                    q=float(row["q"]) if row["q"] else None,
-                    c=float(row["c"]) if row["c"] else None,
-                    estimator=EstimatorSpec(
-                        rule=row["rule"], gamma=float(row["gamma"])
-                    ),
-                    loss=loss,
-                    replicates=int(row["replicates"]),
-                    mean_risk=float(row["mean_risk"]),
-                    std_error=float(row["std_error"]),
-                    median_risk=math.nan,
-                    failures=0,
-                    seed=RngSeed.parse(row["seed"]),
-                    wall_time=float(row["wall_time"]) if row["wall_time"] else math.nan,
-                )
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

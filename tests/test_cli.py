@@ -86,9 +86,15 @@ def test_estimate_from_covariance_needs_n(tmp_path, data_csv, capsys):
     capsys.readouterr()
 
 
-def test_estimate_input_flag_conflicts(data_csv):
+def test_estimate_input_flag_conflicts(data_csv, capsys):
     assert main(["estimate"]) == 2
     assert main(["estimate", "--data", str(data_csv), "--covariance", str(data_csv)]) == 2
+    capsys.readouterr()
+    # --data takes n from its rows, so an --n beside it would be ignored
+    assert main(["estimate", "--data", str(data_csv), "--n", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--n goes with --covariance" in err
+    assert "Traceback" not in err
 
 
 def test_estimate_rejects_asymmetric_covariance(tmp_path):
@@ -200,23 +206,8 @@ def test_lowerbound_missing_parameters():
     assert main(["lowerbound", "--p", "8", "--n", "20"]) == 2
 
 
-def test_lowerbound_config_file(tmp_path):
-    cfg_path = tmp_path / "lb.json"
-    cfg_path.write_text(json.dumps({"p": 6, "n": 100, "q": 0, "c": 4}))
-    out = tmp_path / "report.json"
-    assert main([
-        "lowerbound", "--config", str(cfg_path), "--samples", "2000",
-        "--out", str(out),
-    ]) == 0
-    assert json.loads(out.read_text())["config"]["p"] == 6
-
-
 def _misspelled(tmp_path, where, key):
     """A config file with one key its reader does not read."""
-    if where == "lowerbound":
-        path = tmp_path / "lb.json"
-        path.write_text(json.dumps({"p": 6, "n": 100, "q": 0, "c": 4, key: 1}))
-        return ["lowerbound", "--config", str(path), "--samples", "2000"]
     grid = json.loads(grid_file(tmp_path).read_text())
     if where == "top":
         grid[key] = 1
@@ -235,9 +226,8 @@ def _misspelled(tmp_path, where, key):
         ("truth", "bnad", "truth (kind 'banded')"),
         ("estimators", "psd_project", "estimator"),
         ("losses", "normalised", "loss"),
-        ("lowerbound", "upsilom", "lowerbound config"),
     ],
-    ids=["top", "cells", "truth", "estimators", "losses", "lowerbound"],
+    ids=["top", "cells", "truth", "estimators", "losses"],
 )
 def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, path):
     assert main(_misspelled(tmp_path, where, key)) == 2
@@ -250,8 +240,18 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
         ({"truth": "banded"}, "truth must be a JSON object, got str"),
         ({"cells": [{"n": 20, "p": 10}], "n": [5]}, "both 'cells' and 'n';"),
         ({"n": [5], "p": [10]}, "both 'cells' and 'n' and 'p';"),
+        ({"truth": {"kind": "banded", "band": 2, "value": 0.3, "scale": 1.0}},
+         "both 'value' and 'scale';"),
+        ({"truth": {"kind": "fstar", "q": 0, "c": 4,
+                    "theta": {"gamma": [], "lambda": []}, "theta_seed": 1}},
+         "both 'theta' and 'theta_seed';"),
+        ({"losses": [{"kind": "operator", "w": 2, "normalized": True}]},
+         "operator loss cannot be normalized"),
+        ({"losses": [{"kind": "bregman", "phi": "stein", "w": 1}]},
+         "unknown key 'w' in loss (kind 'bregman')"),
     ],
-    ids=["truth-not-object", "cells-and-n", "cells-and-n-p"],
+    ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "value-and-scale",
+         "theta-and-theta-seed", "normalized-operator", "bregman-w"],
 )
 def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2

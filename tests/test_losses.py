@@ -145,6 +145,8 @@ def test_loss_spec_validation_and_detail():
         LossSpec(kind="bregman", w=None, phi=None)
     with pytest.raises(ConfigError):
         LossSpec(kind="trace")
+    with pytest.raises(ConfigError, match="normalized"):
+        LossSpec(kind="operator", w=2, normalized=True)
 
 
 def test_loss_spec_json_round_trip():

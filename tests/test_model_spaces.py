@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sparsecov.errors import ConfigError, StructureError
 from sparsecov.model_spaces import (
-    LeastFavorableConfig,
     SparsityClassSpec,
     ThetaIndex,
     _count_lambda,
@@ -98,7 +97,10 @@ def test_build_config_k_cannot_exceed_r():
 def test_config_json_round_trip():
     cfg = build_config(100, 20, 0.5, 1.0, 0.1)
     assert cfg.k == 2
-    assert LeastFavorableConfig.from_json(cfg.to_json()) == cfg
+    assert cfg.to_json() == {
+        "p": 100, "n": 20, "q": 0.5, "c": 1.0, "upsilon": 0.1,
+        "r": 50, "k": 2, "epsilon": 0.1 * math.sqrt(math.log(100) / 20),
+    }
 
 
 def test_validate_theta_names_violations():

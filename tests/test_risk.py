@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 import sys
@@ -15,7 +17,6 @@ from sparsecov.risk import (
     _run_cell,
     banded_sigma,
     export_records,
-    import_records,
     materialize_truth,
     rate_fit,
     run_grid,
@@ -337,26 +338,27 @@ def test_csv_round_trip_preserves_numbers_exactly(tmp_path):
     records = run_grid(grid_config(replicates=4)).records
     path = tmp_path / "r.csv"
     export_records(records, path)
-    back = import_records(path)
-    for orig, rec in zip(records, back):
-        assert rec.mean_risk == orig.mean_risk
-        assert rec.std_error == orig.std_error
-        assert rec.n == orig.n and rec.p == orig.p
-        assert rec.seed == orig.seed
-        assert math.isnan(rec.wall_time)  # csv never carries timings
-    header = path.read_text().splitlines()[0]
-    assert header.endswith(",seed,wall_time")
-    first = path.read_text().splitlines()[1]
-    assert first.endswith(",")  # empty wall_time field
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames[-2:] == ["seed", "wall_time"]
+        rows = list(reader)
+    assert len(rows) == len(records)
+    for orig, row in zip(records, rows):
+        assert float(row["mean_risk"]) == orig.mean_risk
+        assert float(row["std_error"]) == orig.std_error
+        assert int(row["n"]) == orig.n and int(row["p"]) == orig.p
+        assert RngSeed.parse(row["seed"]) == orig.seed
+        assert row["wall_time"] == ""  # csv never carries timings
 
 
 def test_json_round_trip_is_lossless(tmp_path):
     records = run_grid(grid_config(replicates=3)).records
     path = tmp_path / "r.json"
     export_records(records, path)
-    back = import_records(path)
-    assert back == records
-    raw = json.loads(path.read_text())
+    with open(path) as fh:
+        raw = json.load(fh)
+    assert raw == [r.to_json() for r in records]
+    assert set(raw[0]) == {f.name for f in dataclasses.fields(RiskRecord)}
     assert raw[0]["estimator"]["rule"] == "hard"
     assert raw[0]["wall_time"] > 0.0
 
