@@ -32,9 +32,11 @@ from .errors import (
     EigenError,
     FitError,
     NumericalError,
+    SchemaError,
     SparseCovError,
 )
 from .estimators import EstimatorSpec, apply_estimator, threshold_level
+from .losses import LossSpec
 from .lower_bound import (
     assemble_lower_bound,
     chi_square_mixture_bound,
@@ -46,17 +48,18 @@ from .lower_bound import (
 from .matrices import load_matrix_csv, save_matrix_csv
 from .model_spaces import build_config
 from .rng import RngSeed
-from .risk import export_records, run_grid
+from .risk import _export_format, export_records, run_grid
 from .sampling import load_data_csv, mle_covariance
 
 
-def _write_manifest(out_path: str, command: str, argv, started: float, outputs):
+def _write_manifest(out_path: str, command: str, argv, started: float, outputs, **extra):
     """Record how a result was produced, next to the primary output.
 
     The manifest carries timestamps and timings, so it is the one output
     that differs between reruns of the same seeded command.  It also records
     what seeded bytes depend on: the numpy and BLAS build and the BLAS thread
-    count, with an unset thread variable written as null.
+    count, with an unset thread variable written as null.  ``extra`` adds
+    command-specific entries.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
@@ -72,6 +75,7 @@ def _write_manifest(out_path: str, command: str, argv, started: float, outputs):
         "started_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - started,
         "outputs": list(outputs),
+        **extra,
     }
     path = f"{out_path}.manifest.json"
     with open(path, "w") as fh:
@@ -132,8 +136,13 @@ def cmd_simulate(args, argv) -> int:
     started = time.perf_counter()
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise SchemaError(f"grid config must be a JSON object, got {type(config).__name__}")
     if args.seed is not None:
         config["seed"] = args.seed
+    if args.out:
+        # an output the grid could not be written to fails before any cell runs
+        _export_format(args.out, [LossSpec.from_json(l) for l in config.get("losses", [])])
     result = run_grid(config)
     # one record per (cell, estimator, loss) and one fit per (estimator, loss)
     cells = len(result.records) // len(result.fits)
@@ -168,6 +177,7 @@ def cmd_lowerbound(args, argv) -> int:
     seed = RngSeed.parse(args.seed) if args.seed is not None else RngSeed(0)
 
     report: dict = {"config": cfg.to_json(), "seed": str(seed)}
+    manifest: dict = {}
     if cfg.k == 0:
         # family degenerates to the identity alone; nothing to distinguish
         report.update(
@@ -202,6 +212,9 @@ def cmd_lowerbound(args, argv) -> int:
         mix0 = gamma1_mixture(cfg, 0, budget=args.budget)
         mix1 = gamma1_mixture(cfg, 1, budget=args.budget)
         affinity = tv_affinity_mc(mix0, mix1, args.samples, seed)
+        # the report's bytes stay free of run settings; the manifest says
+        # whether BLAS was pinned to one thread (1) or ran unpinned (null)
+        manifest["affinity_blas_threads"] = affinity.blas_threads
         report["affinity"] = {
             "value": affinity.value,
             "std_error": affinity.std_error,
@@ -227,7 +240,7 @@ def cmd_lowerbound(args, argv) -> int:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        _write_manifest(args.out, "lowerbound", argv, started, [args.out])
+        _write_manifest(args.out, "lowerbound", argv, started, [args.out], **manifest)
         print(f"wrote {args.out}")
     return 0
 

@@ -163,7 +163,8 @@ class LossSpec:
     w in {1, 2, inf}; 'frobenius-squared' is the entrywise square loss;
     'bregman' uses the named generator.  ``normalized`` divides Bregman-type
     losses (including frobenius-squared) by the dimension; an operator loss
-    rejects it.
+    rejects it.  Only an operator loss reads ``w``; the others set it to None,
+    so a spec equals its JSON round trip.
     """
 
     kind: str = "operator"
@@ -181,6 +182,8 @@ class LossSpec:
                 )
             if self.normalized:
                 raise ConfigError("operator loss cannot be normalized")
+        else:
+            object.__setattr__(self, "w", None)
         if self.kind == "bregman":
             resolve_phi(self.phi)
 

@@ -16,9 +16,14 @@ which is compared against the closed-form rate target c^2 (log p / n)^(1-q).
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import itertools
 import math
+import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,9 +50,13 @@ from .rng import RngSeed
 CHI_SQUARE_TARGET = 0.75
 DEFAULT_ENUMERATION_BUDGET = 10**6
 _EIG_TOL = 1e-10
-# Samples scored per GEMM in tv_affinity_mc, and components per step when a
-# mixture is built; bounds their working memory.
-_TILE = 256
+# Samples scored per GEMM by each tv_affinity_mc worker, and components per
+# step when a mixture is built; bounds their working memory.  OpenBLAS picks
+# its GEMM kernel by shape, so the tile can move the scores' last bits; below
+# 128 rows it switches to its small-matrix kernel.
+_TILE = 128
+# Threads that score tv_affinity_mc's chunks, each with BLAS on one thread.
+_WORKERS = 2
 # Rows of a scored tile whose log-sum-exp runs at once, so each block of the
 # (tile, components) buffer stays in cache.
 _BLOCK = 32
@@ -469,7 +478,9 @@ class GaussianMixture:
     The constructor makes one pass over tiles of ``_TILE`` components: each
     tile is checked for symmetry; one ``eigh`` per component checks positive
     definiteness and gives its root, and one ``slogdet`` and ``inv`` give its
-    offset and coefficients.  Memory is the kept arrays plus one tile.
+    offset and coefficients.  The kept coefficient rows are then moved to
+    the front of the full array, which shrinks in place.  Memory is the kept
+    arrays, the dropped coefficient rows and one tile.
     """
 
     def __init__(self, weights, covariances, n: int):
@@ -522,7 +533,12 @@ class GaussianMixture:
             roots[tile] = _from_eigen(v, np.sqrt(np.clip(eigvals[:, ::-1], 0.0, None)))
         self.weights, self.covariances, self.n, self.roots = w, covs, n, roots
         self.features = np.flatnonzero(np.any(coef != 0.0, axis=1))
-        self.coef = coef[self.features]
+        # compact the kept rows to the front, in order, and shrink the buffer
+        # in place, so no second copy of the coefficients is ever held
+        for dst, src in enumerate(self.features):
+            coef[dst] = coef[src]
+        coef.resize((self.features.size, c), refcheck=False)
+        self.coef = coef
         self.offset = np.log(w) - 0.5 * n * (p * math.log(2.0 * math.pi) + logdets)
 
     @property
@@ -608,12 +624,17 @@ def gamma1_mixture(
 
 @dataclass(frozen=True)
 class AffinityEstimate:
-    """Monte Carlo estimate of the total-variation affinity with its error."""
+    """Monte Carlo estimate of the total-variation affinity with its error.
+
+    ``blas_threads`` is the BLAS thread count the scoring ran at: 1, or None
+    when no OpenBLAS thread setter was found and BLAS ran as configured.
+    """
 
     value: float
     std_error: float
     samples: int
     seed: RngSeed
+    blas_threads: int | None
 
 
 def _sufficient_stats(x: np.ndarray, out: np.ndarray, triu: tuple) -> None:
@@ -625,6 +646,33 @@ def _sufficient_stats(x: np.ndarray, out: np.ndarray, triu: tuple) -> None:
     rows, cols = triu
     gram = np.matmul(x.transpose(0, 2, 1), x)
     out[:] = gram[:, rows, cols]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread, restoring its count on exit.
+
+    Yields 1, or None when no OpenBLAS with thread get/set symbols is found,
+    in which case BLAS runs as configured.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            before = get()
+            put(1)
+            try:
+                yield 1
+            finally:
+                put(before)
+            return
+    yield None
 
 
 def tv_affinity_mc(
@@ -639,19 +687,26 @@ def tv_affinity_mc(
 
     Importance-samples from the balanced mixture M = (P + Q) / 2 and averages
     min(p, q) / m, an unbiased estimator of the affinity that lives in [0, 1]
-    pointwise.  Each chunk of draws uses its own sub-stream, so the estimate
-    depends only on (samples, seed, chunk_size), never on evaluation order.
+    pointwise.  Each chunk of draws uses its own sub-stream and writes only
+    its own slice of the per-sample values, so the estimate depends only on
+    (samples, seed, chunk_size), never on evaluation order.
+
+    The chunks are scored by ``_WORKERS`` threads, worker w taking chunks
+    w, w + ``_WORKERS``, ...; for the duration the numpy-bundled OpenBLAS is
+    pinned to one thread, so each GEMM runs on its caller's thread and its
+    bits depend neither on the worker count nor on ``OPENBLAS_NUM_THREADS``.
+    The previous BLAS thread count is restored on return and on error.
 
     A chunk first draws its side and component picks, then walks its samples
     in tiles of ``_TILE``: each tile draws its Gaussian block from the
     chunk's generator (the same variates, in the same order, as one draw for
     the whole chunk), forms its sufficient statistics, and scores them
-    against each mixture in turn through one preallocated scoring buffer of
+    against each mixture in turn through the worker's scoring buffer of
     ``_TILE`` x max(C_p, C_q) entries, shared by both.  Each sample's root
-    is gathered from its own side into one preallocated tile of roots.  The
+    is gathered from its own side into the worker's tile of roots.  The
     mixtures arrive folded, so they are scored and sampled as they are;
-    beyond them, memory is bounded by the tile, whatever ``chunk_size`` and
-    n.
+    beyond them, memory is bounded by the workers' tiles, whatever
+    ``chunk_size`` and n.
 
     Raises
     ------
@@ -666,42 +721,48 @@ def tv_affinity_mc(
         raise ValueError(f"product length mismatch: {p_mix.n} vs {q_mix.n}")
     n, p = p_mix.n, p_mix.dim
     triu = np.triu_indices(p)
-    stats = np.empty((_TILE, triu[0].size))
-    roots = np.empty((_TILE, p, p))
     c_p, c_q = p_mix.weights.size, q_mix.weights.size
-    # one scoring buffer for both mixtures: _log_density returns a fresh
-    # array, so lp survives the reuse
-    scratch = np.empty(_TILE * max(c_p, c_q))
-    buf_p = scratch[: _TILE * c_p].reshape(_TILE, c_p)
-    buf_q = scratch[: _TILE * c_q].reshape(_TILE, c_q)
     values = np.empty(samples)
     n_chunks = (samples + chunk_size - 1) // chunk_size
-    for ci in range(n_chunks):
-        lo = ci * chunk_size
-        m = min(chunk_size, samples - lo)
-        rng = seed.substream(ci).generator()
-        from_p = rng.random(m) < 0.5
-        pick_p = rng.choice(p_mix.weights.size, size=m, p=p_mix.weights)
-        pick_q = rng.choice(q_mix.weights.size, size=m, p=q_mix.weights)
-        for start in range(0, m, _TILE):
-            t = min(_TILE, m - start)
-            tile = slice(start, start + t)
-            z = rng.standard_normal((t, n, p))
-            # each sample's root, gathered once from its own side
-            side, other = from_p[tile], ~from_p[tile]
-            roots[:t][side] = p_mix.roots[pick_p[tile][side]]
-            roots[:t][other] = q_mix.roots[pick_q[tile][other]]
-            x = np.matmul(z, roots[:t])
-            _sufficient_stats(x, stats[:t], triu)
-            lp = p_mix._log_density(stats[:t], buf_p[:t])
-            lq = q_mix._log_density(stats[:t], buf_q[:t])
-            if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):
-                raise NumericalError("non-finite log-density in affinity estimate")
-            # min(p, q) / ((p + q) / 2) = 2 / (1 + exp|log p - log q|), always in [0, 1]
-            with np.errstate(over="ignore"):
-                values[lo + start : lo + start + t] = 2.0 / (
-                    1.0 + np.exp(np.abs(lp - lq))
-                )
+
+    def score_chunks(worker: int) -> None:
+        stats = np.empty((_TILE, triu[0].size))
+        roots = np.empty((_TILE, p, p))
+        # one scoring buffer for both mixtures: _log_density returns a fresh
+        # array, so lp survives the reuse
+        scratch = np.empty(_TILE * max(c_p, c_q))
+        buf_p = scratch[: _TILE * c_p].reshape(_TILE, c_p)
+        buf_q = scratch[: _TILE * c_q].reshape(_TILE, c_q)
+        for ci in range(worker, n_chunks, _WORKERS):
+            lo = ci * chunk_size
+            m = min(chunk_size, samples - lo)
+            rng = seed.substream(ci).generator()
+            from_p = rng.random(m) < 0.5
+            pick_p = rng.choice(c_p, size=m, p=p_mix.weights)
+            pick_q = rng.choice(c_q, size=m, p=q_mix.weights)
+            for start in range(0, m, _TILE):
+                t = min(_TILE, m - start)
+                tile = slice(start, start + t)
+                z = rng.standard_normal((t, n, p))
+                # each sample's root, gathered once from its own side
+                side, other = from_p[tile], ~from_p[tile]
+                roots[:t][side] = p_mix.roots[pick_p[tile][side]]
+                roots[:t][other] = q_mix.roots[pick_q[tile][other]]
+                x = np.matmul(z, roots[:t])
+                _sufficient_stats(x, stats[:t], triu)
+                lp = p_mix._log_density(stats[:t], buf_p[:t])
+                lq = q_mix._log_density(stats[:t], buf_q[:t])
+                if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):
+                    raise NumericalError("non-finite log-density in affinity estimate")
+                # min(p, q) / ((p + q) / 2) = 2 / (1 + exp|log p - log q|), always in [0, 1]
+                with np.errstate(over="ignore"):
+                    values[lo + start : lo + start + t] = 2.0 / (
+                        1.0 + np.exp(np.abs(lp - lq))
+                    )
+
+    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(_WORKERS) as pool:
+        # reading every result re-raises a worker's error here
+        list(pool.map(score_chunks, range(_WORKERS)))
     value = float(np.mean(values))
     spread = float(np.std(values, ddof=1))
     return AffinityEstimate(
@@ -709,6 +770,7 @@ def tv_affinity_mc(
         std_error=spread / math.sqrt(samples),
         samples=samples,
         seed=seed,
+        blas_threads=blas_threads,
     )
 
 

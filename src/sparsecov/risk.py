@@ -380,6 +380,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _export_format(path, losses) -> str:
+    """The export format the suffix of ``path`` names, ``"csv"`` or
+    ``"json"``, checked against the losses the records carry, so a run can
+    fail before it computes anything it could not write.
+
+    Raises
+    ------
+    ValueError
+        If the suffix names neither format.
+    SchemaError
+        If a CSV would mix loss kinds or normalizations.
+    """
+    fmt = str(path).rsplit(".", 1)[-1].lower()
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown export format {fmt!r}")
+    schemas = {(loss.kind, loss.normalized) for loss in losses}
+    if fmt == "csv" and len(schemas) > 1:
+        raise SchemaError(
+            f"mixed loss kinds {sorted(schemas)} cannot share one flat csv; "
+            "export as json or split the record set"
+        )
+    return fmt
+
+
 def export_records(records, path) -> None:
     """Write records as CSV (fixed flat schema) or JSON (full fidelity), as
     the file suffix says.  Nothing in the package reads them back.
@@ -389,20 +413,11 @@ def export_records(records, path) -> None:
     byte-identity guarantee for seeded reruns.  JSON carries everything.
     """
     recs = list(records)
-    fmt = str(path).rsplit(".", 1)[-1].lower()
-    if fmt == "json":
+    if _export_format(path, [r.loss for r in recs]) == "json":
         with open(path, "w") as fh:
             json.dump([r.to_json() for r in recs], fh, indent=2)
             fh.write("\n")
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown export format {fmt!r}")
-    schemas = {(r.loss.kind, r.loss.normalized) for r in recs}
-    if len(schemas) > 1:
-        raise SchemaError(
-            f"mixed loss kinds {sorted(schemas)} cannot share one flat csv; "
-            "export as json or split the record set"
-        )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)

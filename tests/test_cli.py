@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsecov.cli
 from sparsecov.cli import _EXIT_CODES, main
 from sparsecov.errors import (
     BudgetError,
@@ -142,6 +147,27 @@ def test_simulate_bad_config_paths(tmp_path):
     assert main(["simulate", "--config", str(empty)]) == 2
 
 
+def test_simulate_checks_out_before_the_grid_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(sparsecov.cli, "run_grid", lambda config: calls.append(config))
+    mixed = grid_file(
+        tmp_path, losses=[{"kind": "operator", "w": 2}, {"kind": "frobenius-squared"}]
+    )
+    for out, message in (
+        ("records.txt", "unknown export format 'txt'"),
+        ("records.csv", "mixed loss kinds"),
+    ):
+        code = main(["simulate", "--config", str(mixed), "--out", str(tmp_path / out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+    assert calls == []
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    assert main(["simulate", "--config", str(listed), "--seed", "3"]) == 2
+    assert "grid config must be a JSON object" in capsys.readouterr().err
+
+
 def test_lowerbound_small_family_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([
@@ -170,6 +196,34 @@ def test_lowerbound_seed_zero_affinity_is_pinned(tmp_path):
     affinity = json.loads(out.read_text())["affinity"]
     assert affinity["value"] == 0.973020855326006
     assert affinity["std_error"] == 6.661978690698812e-05
+
+
+def test_lowerbound_report_is_independent_of_blas_threads(tmp_path):
+    # the affinity pins BLAS to one thread, so the process setting cannot
+    # reach the report's bytes; the manifest says it ran pinned.  Unpinned,
+    # this run's std_error differs in its last digit between 1 and 2 threads
+    root = Path(__file__).resolve().parent.parent
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "sparsecov.cli", "lowerbound", "--p", "10",
+                "--n", "20", "--q", "0", "--c", "4", "--samples", "20000",
+                "--seed", "0", "--out", str(out),
+            ],
+            env={**os.environ, "PYTHONPATH": str(root / "src"),
+                 "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / f"report-{threads}.json.manifest.json").read_text())
+        assert manifest["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+        assert manifest["affinity_blas_threads"] == 1
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_lowerbound_trivial_when_k_is_zero(tmp_path):

@@ -153,10 +153,16 @@ def test_loss_spec_json_round_trip():
     for spec in (
         LossSpec(kind="operator", w=math.inf),
         LossSpec(kind="operator", w=2),
+        LossSpec(kind="operator"),
         LossSpec(kind="frobenius-squared", w=None, normalized=True),
         LossSpec(kind="bregman", w=None, phi="von-neumann", normalized=True),
+        # the default w, which only an operator loss reads
+        LossSpec(kind="frobenius-squared", normalized=True),
+        LossSpec(kind="bregman", phi="stein"),
     ):
         assert LossSpec.from_json(spec.to_json()) == spec
+    assert LossSpec(kind="frobenius-squared") == LossSpec(kind="frobenius-squared", w=None)
+    assert LossSpec(kind="bregman", phi="stein").w is None
 
 
 def test_evaluate_loss_normalization():

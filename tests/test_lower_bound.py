@@ -1,5 +1,8 @@
+import ctypes
+import glob
 import itertools
 import math
+import os
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -7,11 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparsecov import lower_bound
 from sparsecov.errors import (
     BudgetError,
     ConfigError,
     DivergenceError,
     DomainError,
+    NumericalError,
     StructureError,
 )
 from sparsecov.lower_bound import (
@@ -499,7 +504,7 @@ def test_mixture_validation_names_first_failing_component():
         GaussianMixture([0.25] * 4, [good, asym, indefinite, good], n=1)
     with pytest.raises(ValueError, match="component 2 covariance must be positive"):
         GaussianMixture([0.25] * 4, [good, good, indefinite, asym], n=1)
-    # the checks run over tiles of 256 components; indices stay global
+    # the checks run over tiles of components; indices stay global
     c = 600
     for idx, bad, message in (
         (300, asym, "component 300 covariance is not symmetric"),
@@ -536,6 +541,8 @@ def test_compaction_drops_exactly_the_all_zero_statistics():
 def test_mixture_build_and_fold_memory_is_bounded():
     # one identity stack written in place, then one validating and folding
     # pass over component tiles: the kept arrays plus one tile's temporaries
+    # and the dropped coefficient rows (1.2 MB over the kept arrays here);
+    # a second copy of the kept coefficients would add 1.8 MB
     cfg = build_config(10, 20, 0.0, 4.0, 0.1)
     tracemalloc.start()
     try:
@@ -544,7 +551,7 @@ def test_mixture_build_and_fold_memory_is_bounded():
     finally:
         tracemalloc.stop()
     kept = mix.covariances.nbytes + mix.roots.nbytes + mix.coef.nbytes
-    assert peak < kept + 4 * 2**20
+    assert peak < kept + 2 * 2**20
 
 
 def test_mixture_roots_equal_per_component_sqrt_psd():
@@ -577,6 +584,66 @@ def test_affinity_memory_is_bounded_by_the_tile():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_affinity_is_independent_of_the_worker_count(monkeypatch):
+    # each chunk draws from its own substream and writes its own slice, so
+    # the split of chunks over workers cannot reach the estimate
+    cfg = build_config(8, 20, 0.0, 4.0, 0.1)
+    a = gamma1_mixture(cfg, 0)
+    b = gamma1_mixture(cfg, 1)
+    estimates = []
+    for workers in (1, 3):
+        monkeypatch.setattr(lower_bound, "_WORKERS", workers)
+        estimates.append(tv_affinity_mc(a, b, 5000, RngSeed(2), chunk_size=700))
+    assert estimates[0] == estimates[1]
+
+
+def _openblas_threads():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, found
+    independently of the code under test, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ):
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def test_affinity_restores_the_blas_thread_count(monkeypatch):
+    found = _openblas_threads()
+    if found is None:
+        pytest.skip("numpy has no bundled OpenBLAS with thread get/set symbols")
+    get, put = found
+    mix = GaussianMixture([0.5, 0.5], [np.eye(2), 2.0 * np.eye(2)], n=3)
+    original = get()
+    put(2)
+    try:
+        est = tv_affinity_mc(mix, mix, 2000, RngSeed(1))
+        assert est.blas_threads == 1
+        assert get() == 2
+        # a worker that fails still leaves the count as it found it; the
+        # scoring itself ran on one BLAS thread
+        seen = []
+
+        def failing(self, stats, buf):
+            seen.append(get())
+            return np.full(len(stats), np.nan)
+
+        monkeypatch.setattr(GaussianMixture, "_log_density", failing)
+        with pytest.raises(NumericalError):
+            tv_affinity_mc(mix, mix, 2000, RngSeed(1))
+        assert seen and set(seen) == {1}
+        assert get() == 2
+    finally:
+        put(original)
 
 
 def test_affinity_identical_mixtures_is_exactly_one():
