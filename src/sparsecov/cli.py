@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -188,6 +189,13 @@ def cmd_lowerbound(args, argv) -> int:
             }
         )
     else:
+        # every valid first row extends to a valid tuple, so the family has at
+        # least 2^r C(r, k) members; past the budget, refuse before counting
+        if 2**cfg.r * math.comb(cfg.r, cfg.k) > args.budget:
+            raise BudgetError(
+                f"family has at least 2^{cfg.r} * C({cfg.r}, {cfg.k}) members, "
+                f"budget is {args.budget}"
+            )
         alpha = per_comparison_alpha(cfg, budget=args.budget)
         report["alpha"] = {
             "bound": alpha.bound,

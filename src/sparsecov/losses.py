@@ -163,8 +163,9 @@ class LossSpec:
     w in {1, 2, inf}; 'frobenius-squared' is the entrywise square loss;
     'bregman' uses the named generator.  ``normalized`` divides Bregman-type
     losses (including frobenius-squared) by the dimension; an operator loss
-    rejects it.  Only an operator loss reads ``w``; the others set it to None,
-    so a spec equals its JSON round trip.
+    rejects it.  Only an operator loss reads ``w`` and only a Bregman loss
+    reads ``phi``; the others set them to None, and a builtin generator is
+    kept by its name, so a spec equals its JSON round trip.
     """
 
     kind: str = "operator"
@@ -184,8 +185,10 @@ class LossSpec:
                 raise ConfigError("operator loss cannot be normalized")
         else:
             object.__setattr__(self, "w", None)
-        if self.kind == "bregman":
-            resolve_phi(self.phi)
+        if self.kind != "bregman":
+            object.__setattr__(self, "phi", None)
+        elif _BUILTIN_PHIS.get(resolve_phi(self.phi).name) is self.phi:
+            object.__setattr__(self, "phi", self.phi.name)
 
     @property
     def detail(self) -> str:

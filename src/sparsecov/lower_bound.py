@@ -21,6 +21,7 @@ import glob
 import itertools
 import math
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -40,9 +41,9 @@ from .errors import (
 from .matrices import _from_eigen, as_symmetric
 from .model_spaces import (
     LeastFavorableConfig,
-    _count_lambda,
     _iter_lambda,
     _sigma_stack,
+    _usage_profiles,
     count_theta,
 )
 from .rng import RngSeed
@@ -365,20 +366,6 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
     )
 
 
-def _completion_work_total(cfg: LeastFavorableConfig) -> int:
-    """Integral evaluations exact_chi_square_small would perform, without
-    enumerating completions: walk the usage profiles of the other r - 1 rows
-    like the family counter does, weighting each by the squared number of
-    admissible first rows."""
-    k, cap = cfg.k, 2 * cfg.k
-
-    def first_row_pairs(profile: tuple[int, ...]) -> int:
-        avail = sum(profile[:cap])
-        return math.comb(avail, k) ** 2 if avail >= k else 0
-
-    return 2 ** (cfg.r - 1) * _count_lambda(cfg.r, k, cfg.r - 1, first_row_pairs)
-
-
 def exact_chi_square_small(
     cfg: LeastFavorableConfig, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> float:
@@ -401,7 +388,12 @@ def exact_chi_square_small(
     if k == 0 or eps == 0.0:
         return 0.0
 
-    work = _completion_work_total(cfg)
+    # one integral per bit vector of the other rows, per valid tuple of
+    # their patterns and per pair of first rows on the columns they leave
+    work = 2 ** (r - 1) * sum(
+        ways * math.comb(sum(profile[: 2 * k]), k) ** 2
+        for profile, ways in _usage_profiles(r, k, r - 1).items()
+    )
     if work > budget:
         raise BudgetError(
             f"exact chi-square needs {work} integral evaluations, budget is {budget}",
@@ -426,17 +418,12 @@ def exact_chi_square_small(
         # one base covariance S0 per bit vector; the first row's pattern is
         # unused, since its bit is off
         w = np.linalg.inv(_sigma_stack(cfg, bits, np.array((lam1[0],) + rows)))
-        # S1 - S0 = eps U J U' with U = [e0, a_i] and J = [[0, 1], [1, 0]],
-        # likewise S2 - S0 with V = [e0, a_j], so the p x p determinant
-        # reduces to det(I_2 - eps^2 J G J G') with G = U' W V, whose
-        # entries are w00, g_i = a_i' W e0 and gram_ij = a_i' W a_j.
-        w00 = w[:, :1, :1]
-        g = a_mat @ w[:, :, :1]
+        # Row 0's bit is off and column 0 is no support column, so S0 e0 = e0
+        # and W e0 = e0.  With S1 - S0 = eps (e0 a_i' + a_i e0') and S2 - S0
+        # likewise for a_j, the p x p determinant reduces by the matrix
+        # determinant lemma to (1 - eps^2 gram_ij)^2, gram_ij = a_i' W a_j.
         gram = a_mat @ w @ a_mat.T
-        gg = g * g.transpose(0, 2, 1)
-        det2 = (1.0 - eps**2 * (w00 * gram + gg)) ** 2 - (
-            4.0 * eps**4 * w00 * gram * gg
-        )
+        det2 = (1.0 - eps**2 * gram) ** 2
         if np.any(det2 <= 0.0):
             raise DivergenceError(
                 "cross-product integral diverges inside exact enumeration"
@@ -695,7 +682,9 @@ def tv_affinity_mc(
     w, w + ``_WORKERS``, ...; for the duration the numpy-bundled OpenBLAS is
     pinned to one thread, so each GEMM runs on its caller's thread and its
     bits depend neither on the worker count nor on ``OPENBLAS_NUM_THREADS``.
-    The previous BLAS thread count is restored on return and on error.
+    The previous BLAS thread count is restored on return and on error.  A
+    worker that raises sets a shared flag, and the other stops before its
+    next chunk.
 
     A chunk first draws its side and component picks, then walks its samples
     in tiles of ``_TILE``: each tile draws its Gaussian block from the
@@ -724,6 +713,7 @@ def tv_affinity_mc(
     c_p, c_q = p_mix.weights.size, q_mix.weights.size
     values = np.empty(samples)
     n_chunks = (samples + chunk_size - 1) // chunk_size
+    failed = threading.Event()
 
     def score_chunks(worker: int) -> None:
         stats = np.empty((_TILE, triu[0].size))
@@ -733,32 +723,39 @@ def tv_affinity_mc(
         scratch = np.empty(_TILE * max(c_p, c_q))
         buf_p = scratch[: _TILE * c_p].reshape(_TILE, c_p)
         buf_q = scratch[: _TILE * c_q].reshape(_TILE, c_q)
-        for ci in range(worker, n_chunks, _WORKERS):
-            lo = ci * chunk_size
-            m = min(chunk_size, samples - lo)
-            rng = seed.substream(ci).generator()
-            from_p = rng.random(m) < 0.5
-            pick_p = rng.choice(c_p, size=m, p=p_mix.weights)
-            pick_q = rng.choice(c_q, size=m, p=q_mix.weights)
-            for start in range(0, m, _TILE):
-                t = min(_TILE, m - start)
-                tile = slice(start, start + t)
-                z = rng.standard_normal((t, n, p))
-                # each sample's root, gathered once from its own side
-                side, other = from_p[tile], ~from_p[tile]
-                roots[:t][side] = p_mix.roots[pick_p[tile][side]]
-                roots[:t][other] = q_mix.roots[pick_q[tile][other]]
-                x = np.matmul(z, roots[:t])
-                _sufficient_stats(x, stats[:t], triu)
-                lp = p_mix._log_density(stats[:t], buf_p[:t])
-                lq = q_mix._log_density(stats[:t], buf_q[:t])
-                if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):
-                    raise NumericalError("non-finite log-density in affinity estimate")
-                # min(p, q) / ((p + q) / 2) = 2 / (1 + exp|log p - log q|), always in [0, 1]
-                with np.errstate(over="ignore"):
-                    values[lo + start : lo + start + t] = 2.0 / (
-                        1.0 + np.exp(np.abs(lp - lq))
-                    )
+        try:
+            for ci in range(worker, n_chunks, _WORKERS):
+                if failed.is_set():
+                    return
+                lo = ci * chunk_size
+                m = min(chunk_size, samples - lo)
+                rng = seed.substream(ci).generator()
+                from_p = rng.random(m) < 0.5
+                pick_p = rng.choice(c_p, size=m, p=p_mix.weights)
+                pick_q = rng.choice(c_q, size=m, p=q_mix.weights)
+                for start in range(0, m, _TILE):
+                    t = min(_TILE, m - start)
+                    tile = slice(start, start + t)
+                    z = rng.standard_normal((t, n, p))
+                    # each sample's root, gathered once from its own side
+                    side, other = from_p[tile], ~from_p[tile]
+                    roots[:t][side] = p_mix.roots[pick_p[tile][side]]
+                    roots[:t][other] = q_mix.roots[pick_q[tile][other]]
+                    x = np.matmul(z, roots[:t])
+                    _sufficient_stats(x, stats[:t], triu)
+                    lp = p_mix._log_density(stats[:t], buf_p[:t])
+                    lq = q_mix._log_density(stats[:t], buf_q[:t])
+                    if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):
+                        raise NumericalError("non-finite log-density in affinity estimate")
+                    # min(p, q) / ((p + q) / 2) = 2 / (1 + exp|log p - log q|), always in [0, 1]
+                    with np.errstate(over="ignore"):
+                        values[lo + start : lo + start + t] = 2.0 / (
+                            1.0 + np.exp(np.abs(lp - lq))
+                        )
+        except BaseException:
+            # the other worker stops at its next chunk
+            failed.set()
+            raise
 
     with _one_blas_thread() as blas_threads, ThreadPoolExecutor(_WORKERS) as pool:
         # reading every result re-raises a worker's error here

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -259,56 +259,43 @@ def _sigma_stack(cfg: LeastFavorableConfig, bits, cols) -> np.ndarray:
     return sigma
 
 
-def _count_lambda(r: int, k: int, rows: int | None = None, leaf=None) -> int:
-    """Exact number of r-tuples of k-subsets with every column used <= 2k times.
+def _usage_profiles(r: int, k: int, rows: int) -> Counter:
+    """Valid tuples of ``rows`` k-subsets of r columns, counted per usage profile.
 
-    Dynamic program over rows on the usage profile (how many of the r columns
-    are currently used u times, u = 0..2k); columns are exchangeable so only
-    the profile matters.  ``rows`` (default r) sets how many patterns a tuple
-    has, and each complete tuple counts ``leaf(profile)`` (default 1).
+    ``profile[u]`` is the number of columns used u times, u = 0..2k; columns
+    are exchangeable, so the profile is all the usage cap needs.  The DP adds
+    one layer per row: the row takes ``take[u]`` of its k columns from the
+    ``profile[u]`` columns used u < 2k times, in prod C(profile[u], take[u])
+    ways, and those columns move up one class.  Availability is read before
+    the move, so one row never picks a column twice.  Returns
+    {final profile: number of tuples}.
     """
-    if k == 0:
-        return 1
     cap = 2 * k
+    takes = [Counter(c) for c in itertools.combinations_with_replacement(range(cap), k)]
+    layer = Counter({(r,) + (0,) * cap: 1})
+    for _ in range(rows):
+        grown = Counter()
+        for profile, ways in layer.items():
+            for take in takes:
+                new, mult = list(profile), ways
+                for u, t in take.items():
+                    mult *= math.comb(profile[u], t)
+                    new[u] -= t
+                    new[u + 1] += t
+                if mult:
+                    grown[tuple(new)] += mult
+        layer = grown
+    return layer
 
-    @lru_cache(maxsize=None)
-    def ways(rows_left: int, profile: tuple[int, ...]) -> int:
-        if rows_left == 0:
-            return 1 if leaf is None else leaf(profile)
-        total = 0
-        # Distribute the k picks of the next row over usage classes < cap.
-        # Availability per class is fixed at the row's start; the shifted
-        # profile applies only from the next row on, so one row cannot pick
-        # the same column twice.
-        def distribute(u: int, remaining: int, mult: int, takes: tuple[int, ...]):
-            nonlocal total
-            if remaining == 0:
-                new = list(profile)
-                for uu, t in enumerate(takes):
-                    new[uu] -= t
-                    new[uu + 1] += t
-                total += mult * ways(rows_left - 1, tuple(new))
-                return
-            if u >= cap:
-                return
-            avail = profile[u]
-            for take in range(min(avail, remaining) + 1):
-                distribute(
-                    u + 1,
-                    remaining - take,
-                    mult * math.comb(avail, take),
-                    takes + (take,),
-                )
 
-        distribute(0, k, 1, ())
-        return total
-
-    start = (r,) + (0,) * cap
-    return ways(r if rows is None else rows, start)
+def _count_lambda(r: int, k: int) -> int:
+    """Exact number of r-tuples of k-subsets with every column used <= 2k times."""
+    return sum(_usage_profiles(r, k, r).values())
 
 
 def count_theta(cfg: LeastFavorableConfig) -> int:
-    """Exact cardinality of the family: 2^r times the number of valid tuples."""
+    """Exact cardinality of the family: 2^r times the number of valid tuples,
+    counted by the iterative usage-profile DP, one layer per row."""
     return 2**cfg.r * _count_lambda(cfg.r, cfg.k)
 
 

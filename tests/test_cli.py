@@ -248,6 +248,29 @@ def test_lowerbound_budget_exit(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "p, c",
+    [
+        ("1000", "4"),  # k = 1, r = 500: past the default recursion limit
+        ("100", "8"),  # k = 3, r = 50: the exact count alone takes minutes
+    ],
+)
+def test_lowerbound_refuses_an_over_budget_family_before_counting(p, c):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "sparsecov.cli", "lowerbound", "--p", p,
+            "--n", "4000", "--q", "0", "--c", c,
+        ],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "budget exceeded: family has at least 2^" in proc.stderr
+
+
 def test_lowerbound_domain_exit():
     # upsilon this large breaks the separation feasibility check
     assert main([

@@ -123,6 +123,10 @@ def test_resolve_phi_accepts_custom_generator():
     x, y = np.diag([2.0, 1.0]), np.eye(2)
     # phi(2) - phi(1) - phi'(1)(2-1) = 8 - 1 - 3 = 4
     assert abs(bregman_divergence(x, y, cubic) - 4.0) < 1e-12
+    # a custom generator stays on its spec as the object
+    spec = LossSpec(kind="bregman", phi=cubic)
+    assert spec.phi is cubic
+    assert abs(evaluate_loss(spec, x, y) - 4.0) < 1e-12
     with pytest.raises(ConfigError):
         resolve_phi("unknown-phi")
 
@@ -159,6 +163,10 @@ def test_loss_spec_json_round_trip():
         # the default w, which only an operator loss reads
         LossSpec(kind="frobenius-squared", normalized=True),
         LossSpec(kind="bregman", phi="stein"),
+        # phi only a Bregman loss reads, and a builtin generator by object
+        LossSpec(kind="operator", phi="stein"),
+        LossSpec(kind="bregman", phi=STEIN),
+        LossSpec(kind="frobenius-squared", phi="stein"),
     ):
         assert LossSpec.from_json(spec.to_json()) == spec
     assert LossSpec(kind="frobenius-squared") == LossSpec(kind="frobenius-squared", w=None)

@@ -646,6 +646,25 @@ def test_affinity_restores_the_blas_thread_count(monkeypatch):
         put(original)
 
 
+def test_affinity_worker_stops_after_the_other_fails(monkeypatch):
+    # 64 one-tile chunks, two density calls per chunk: once the first call
+    # fails, the other worker finishes at most the chunk it is in
+    mix = GaussianMixture([0.5, 0.5], [np.eye(2), 2.0 * np.eye(2)], n=3)
+    original = GaussianMixture._log_density
+    calls = []
+
+    def fail_first(self, stats, buf):
+        calls.append(None)
+        if len(calls) == 1:
+            return np.full(len(stats), np.nan)
+        return original(self, stats, buf)
+
+    monkeypatch.setattr(GaussianMixture, "_log_density", fail_first)
+    with pytest.raises(NumericalError):
+        tv_affinity_mc(mix, mix, 64 * 128, RngSeed(1), chunk_size=128)
+    assert len(calls) <= 8
+
+
 def test_affinity_identical_mixtures_is_exactly_one():
     mix = GaussianMixture([1.0], [np.eye(2)], n=3)
     est = tv_affinity_mc(mix, mix, 2000, RngSeed(1))

@@ -179,6 +179,19 @@ def test_count_lambda_against_direct_product_check():
         assert _count_lambda(r, k) == brute(r, k)
 
 
+def test_count_lambda_at_k_one_matches_closed_form_without_recursion():
+    # at k = 1 a tuple is a map from r rows to r columns with fibres <= 2:
+    # t columns hit twice, r - 2t once, and r! / 2^t row assignments each
+    def closed_form(r):
+        return sum(
+            math.comb(r, t) * math.comb(r - t, r - 2 * t) * math.factorial(r) // 2**t
+            for t in range(r // 2 + 1)
+        )
+
+    assert closed_form(5) == _count_lambda(5, 1) == 2220
+    assert _count_lambda(500, 1) == closed_form(500)
+
+
 def test_sample_theta_is_deterministic_and_valid():
     cfg = build_config(100, 20, 0.0, 4.0, 0.1)
     a = sample_theta(cfg, RngSeed(5))
