@@ -2,22 +2,19 @@
 
 The pipeline: build the family configuration, check the pairwise
 separation, bound and then exactly evaluate the chi-square distance
-between the two bit-anchored mixtures, estimate their total-variation
-affinity by Monte Carlo, and combine everything into a risk bound.
+between the two bit-anchored mixtures, certify their total-variation
+affinity from it as 1 - sqrt(chi-square) / 2, and combine everything
+into a risk bound.
 """
 
-import math
-
 from sparsecov import (
-    RngSeed,
     assemble_lower_bound,
     build_config,
+    certified_affinity,
     chi_square_mixture_bound,
     count_theta,
     exact_chi_square_small,
-    gamma1_mixture,
     per_comparison_alpha,
-    tv_affinity_mc,
 )
 
 
@@ -38,19 +35,16 @@ def main():
     env = chi_square_mixture_bound(cfg)
     chi2 = exact_chi_square_small(cfg)
     print(f"chi-square: envelope {env.value:.4f} "
-          f"(target < {env.target}), exact {chi2:.6f}")
+          f"(target < {env.target}), exact by enumeration {chi2:.6f}")
     if env.series_diverged:
         # the coarse geometric majorant needs p/4 - 1 > k; at p=8 it fails
         # even though the envelope itself is finite and small
         print("  geometric majorant diverges at this size; envelope is the "
               "operative check")
 
-    mix0 = gamma1_mixture(cfg, 0)
-    mix1 = gamma1_mixture(cfg, 1)
-    aff = tv_affinity_mc(mix0, mix1, 50_000, RngSeed(42))
-    floor = 1.0 - math.sqrt(chi2)
-    print(f"affinity: {aff.value:.5f} +/- {aff.std_error:.1e} "
-          f"(chi-square implies >= {floor:.5f})")
+    aff = certified_affinity(cfg)
+    print(f"affinity: certified >= {aff.value:.5f} "
+          f"from chi-square {aff.chi_square:.6f} ({aff.formula})")
     print()
 
     res = assemble_lower_bound(cfg, aff.value)

@@ -68,21 +68,20 @@ from .losses import (
     resolve_phi,
 )
 from .lower_bound import (
-    AffinityEstimate,
     AlphaResult,
+    CertifiedAffinity,
     ChiSquareEnvelope,
-    GaussianMixture,
     LowerBoundResult,
     OverlapResult,
     assemble_lower_bound,
+    certified_affinity,
     chi_square_mixture_bound,
+    closed_form_chi_square,
     cross_product_integral,
     exact_chi_square_small,
-    gamma1_mixture,
     overlap_fractions,
     overlap_structure,
     per_comparison_alpha,
-    tv_affinity_mc,
 )
 from .risk import (
     GridResult,

@@ -1,0 +1,369 @@
+"""Monte Carlo oracles for the lower-bound laboratory.
+
+The two bit-anchored mixtures of the least-favourable family, built member
+by member, and an importance-sampled estimate of their total-variation
+affinity.  ``lowerbound`` certifies the affinity from the exact chi-square
+instead; these oracles check that certificate and the enumerated
+quantities behind it from the sampling side.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import itertools
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass
+
+import numpy as np
+
+from sparsecov.errors import BudgetError, ConfigError, NumericalError
+from sparsecov.lower_bound import DEFAULT_ENUMERATION_BUDGET, _family_ids
+from sparsecov.matrices import _from_eigen
+from sparsecov.model_spaces import LeastFavorableConfig, _sigma_stack, count_theta
+from sparsecov.rng import RngSeed
+
+# Samples scored per GEMM by each tv_affinity_mc worker, and components per
+# step when a mixture is built; bounds their working memory.  OpenBLAS picks
+# its GEMM kernel by shape, so the tile can move the scores' last bits; below
+# 128 rows it switches to its small-matrix kernel.
+_TILE = 128
+# Threads that score tv_affinity_mc's chunks, each with BLAS on one thread.
+_WORKERS = 2
+# Rows of a scored tile whose log-sum-exp runs at once, so each block of the
+# (tile, components) buffer stays in cache.
+_BLOCK = 32
+
+
+class GaussianMixture:
+    """Finite mixture of n-fold product centred Gaussians on matching
+    dimensions, validated and folded for evaluation and sampling.
+
+    Each component contributes the n-fold product of N(0, cov_c); the sample
+    space is the full (n, p) data matrix.  Every mixture of the lower bound
+    is centred, so a component is its weight and covariance alone.  The log
+    of component c's density at a data matrix X is linear in the sufficient
+    statistics s(X), the upper triangle of X'X:
+
+        s(X) . coef[:, c] + offset[c].
+
+    The statistics carry -P_c / 2 on the upper triangle with the
+    off-diagonal entries doubled, and ``offset`` folds in the weight and the
+    normalizer.  ``features`` lists the statistics that some component
+    weighs with a nonzero coefficient, in their original order, and ``coef``
+    keeps only those rows: a dropped row would add exact zeros to every sum,
+    so one GEMM over the kept rows scores a tile of samples against every
+    component with the same result.  ``roots`` holds each component's
+    ``sqrt_psd``, bit for bit.
+
+    The constructor makes one pass over tiles of ``_TILE`` components: each
+    tile is checked for symmetry; one ``eigh`` per component checks positive
+    definiteness and gives its root, and one ``slogdet`` and ``inv`` give its
+    offset and coefficients.  The kept coefficient rows are then moved to
+    the front of the full array, which shrinks in place.  Memory is the kept
+    arrays, the dropped coefficient rows and one tile.
+    """
+
+    def __init__(self, weights, covariances, n: int):
+        w = np.asarray(weights, dtype=float)
+        covs = np.asarray(covariances, dtype=float)
+        if w.ndim != 1 or covs.ndim != 3:
+            raise ValueError("weights (C,), covariances (C,p,p)")
+        c = w.size
+        if covs.shape[0] != c:
+            raise ValueError("component count mismatch across fields")
+        if covs.shape[1] != covs.shape[2]:
+            raise ValueError("covariance blocks must be p x p")
+        if n < 1:
+            raise ValueError(f"product length n must be >= 1, got {n}")
+        if np.any(w <= 0.0):
+            raise ValueError("component weights must be positive")
+        if abs(float(np.sum(w)) - 1.0) > 1e-12:
+            raise ValueError("component weights must sum to one")
+        p = covs.shape[1]
+        rows, cols = np.triu_indices(p)
+        scale = np.where(rows == cols, -0.5, -1.0)
+        coef = np.empty((rows.size, c))
+        logdets = np.empty(c)
+        roots = np.empty_like(covs)
+        for lo in range(0, c, _TILE):
+            tile = slice(lo, lo + _TILE)
+            block = covs[tile]
+            asym = np.max(np.abs(block - block.transpose(0, 2, 1)), axis=(1, 2))
+            asym_bad = asym > 1e-12 * (1.0 + np.max(np.abs(block), axis=(1, 2)))
+            eigvals, v = np.linalg.eigh((block + block.transpose(0, 2, 1)) / 2.0)
+            signs, logdets[tile] = np.linalg.slogdet(block)
+            bad = np.flatnonzero(asym_bad | (eigvals[:, 0] <= 0.0) | (signs <= 0.0))
+            if bad.size:
+                idx = int(bad[0])
+                if asym_bad[idx]:
+                    raise ValueError(
+                        f"component {lo + idx} covariance is not symmetric"
+                    )
+                if eigvals[idx, 0] <= 0.0:
+                    raise ValueError(
+                        f"component {lo + idx} covariance must be positive definite "
+                        f"for density evaluation (min eigenvalue {eigvals[idx, 0]:.3e})"
+                    )
+                raise ValueError(
+                    f"component {lo + idx} covariance with nonpositive determinant"
+                )
+            coef[:, tile] = (np.linalg.inv(block)[:, rows, cols] * scale).T
+            # sqrt_psd of each component, bit for bit
+            v = np.ascontiguousarray(v[:, :, ::-1])
+            roots[tile] = _from_eigen(v, np.sqrt(np.clip(eigvals[:, ::-1], 0.0, None)))
+        self.weights, self.covariances, self.n, self.roots = w, covs, n, roots
+        self.features = np.flatnonzero(np.any(coef != 0.0, axis=1))
+        # compact the kept rows to the front, in order, and shrink the buffer
+        # in place, so no second copy of the coefficients is ever held
+        for dst, src in enumerate(self.features):
+            coef[dst] = coef[src]
+        coef.resize((self.features.size, c), refcheck=False)
+        self.coef = coef
+        self.offset = np.log(w) - 0.5 * n * (p * math.log(2.0 * math.pi) + logdets)
+
+    @property
+    def dim(self) -> int:
+        return self.covariances.shape[1]
+
+    def _log_density(self, stats: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """Log mixture density of each sample from its sufficient statistics.
+
+        ``stats`` holds one full row of :func:`_sufficient_stats` per sample;
+        ``buf`` is scratch of shape (samples, components), overwritten.  One
+        GEMM fills the whole of ``buf``; the per-row log-sum-exp then walks it
+        in blocks of ``_BLOCK`` rows, which act on each row alone and so
+        cannot change its bits.  Returns a fresh array.
+        """
+        np.matmul(stats[:, self.features], self.coef, out=buf)
+        out = np.empty(len(buf))
+        for lo in range(0, len(buf), _BLOCK):
+            block = buf[lo : lo + _BLOCK]
+            block += self.offset
+            top = np.max(block, axis=1)
+            block -= top[:, None]
+            np.exp(block, out=block)
+            out[lo : lo + _BLOCK] = top + np.log(np.sum(block, axis=1))
+        return out
+
+
+def gamma1_mixture(
+    cfg: LeastFavorableConfig, anchor_bit: int, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> GaussianMixture:
+    """Uniform mixture over family members whose first bit equals anchor_bit.
+
+    Members sharing one covariance are merged, so the component list is the
+    set of distinct matrices, each weighted by its member count over the
+    number of members with the anchor bit.  Sigma(theta) depends only on the
+    bits and on the row patterns of the rows whose bit is on, so members with
+    different bits never coincide (unless k = 0 or epsilon = 0, where every
+    member is the identity), and within one bit vector the distinct
+    components are the distinct active pattern tuples.  Components come in
+    the order of their first member: bit vectors lexicographically, then
+    row-pattern tuples in ``_iter_lambda`` order.
+
+    The first member of every distinct pattern tuple is found first, as
+    pattern ids; the covariances are then built in one stack from those
+    members, so the build holds no per-bit-vector blocks or concatenated
+    copy beyond the returned arrays.
+
+    Raises
+    ------
+    BudgetError
+        If the family has more than ``budget`` members (anchor bits of both
+        values counted); the error carries the count.
+    """
+    if anchor_bit not in (0, 1):
+        raise ConfigError(f"anchor bit must be 0 or 1, got {anchor_bit}")
+    total = count_theta(cfg)
+    if total > budget:
+        raise BudgetError(
+            f"family has {total} members, budget is {budget}", count=total
+        )
+    if total == 0:
+        raise ConfigError("no family members with the requested anchor bit")
+    if cfg.k == 0 or cfg.epsilon == 0.0:
+        covs, weights = np.eye(cfg.p)[None], np.ones(1)
+    else:
+        columns, ids = _family_ids(cfg)
+        # per bit vector, the first member of each distinct active pattern
+        # tuple and its member count, in member order
+        bits, firsts, counts = [], [], []
+        for rest in itertools.product((0, 1), repeat=cfg.r - 1):
+            gamma = (anchor_bit,) + rest
+            _, first, count = np.unique(
+                ids[:, np.flatnonzero(gamma)], axis=0, return_index=True, return_counts=True
+            )
+            order = np.argsort(first)
+            bits += [gamma] * len(first)
+            firsts.append(first[order])
+            counts.append(count[order])
+        weights = np.concatenate(counts) / float(total // 2)
+        covs = _sigma_stack(cfg, bits, columns[ids[np.concatenate(firsts)]])
+    return GaussianMixture(weights=weights, covariances=covs, n=cfg.n)
+
+
+@dataclass(frozen=True)
+class AffinityEstimate:
+    """Monte Carlo estimate of the total-variation affinity with its error.
+
+    ``blas_threads`` is the BLAS thread count the scoring ran at: 1, or None
+    when no OpenBLAS thread setter was found and BLAS ran as configured.
+    """
+
+    value: float
+    std_error: float
+    samples: int
+    seed: RngSeed
+    blas_threads: int | None
+
+
+def _sufficient_stats(x: np.ndarray, out: np.ndarray, triu: tuple) -> None:
+    """Write the upper triangle of X'X per sample.
+
+    ``x`` has shape (samples, n, p), ``triu`` is ``np.triu_indices(p)`` and
+    ``out`` has shape (samples, p(p+1)/2).
+    """
+    rows, cols = triu
+    gram = np.matmul(x.transpose(0, 2, 1), x)
+    out[:] = gram[:, rows, cols]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread, restoring its count on exit.
+
+    Yields 1, or None when no OpenBLAS with thread get/set symbols is found,
+    in which case BLAS runs as configured.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            before = get()
+            put(1)
+            try:
+                yield 1
+            finally:
+                put(before)
+            return
+    yield None
+
+
+def tv_affinity_mc(
+    p_mix: GaussianMixture,
+    q_mix: GaussianMixture,
+    samples: int,
+    seed: RngSeed,
+    *,
+    chunk_size: int = 4096,
+) -> AffinityEstimate:
+    """Estimate the total-variation affinity between two centred Gaussian mixtures.
+
+    Importance-samples from the balanced mixture M = (P + Q) / 2 and averages
+    min(p, q) / m, an unbiased estimator of the affinity that lives in [0, 1]
+    pointwise.  Each chunk of draws uses its own sub-stream and writes only
+    its own slice of the per-sample values, so the estimate depends only on
+    (samples, seed, chunk_size), never on evaluation order.
+
+    The chunks are scored by ``_WORKERS`` threads, worker w taking chunks
+    w, w + ``_WORKERS``, ...; for the duration the numpy-bundled OpenBLAS is
+    pinned to one thread, so each GEMM runs on its caller's thread and its
+    bits depend neither on the worker count nor on ``OPENBLAS_NUM_THREADS``.
+    The previous BLAS thread count is restored on return and on error.  A
+    worker that raises sets a shared flag, and the other stops before its
+    next chunk.
+
+    A chunk first draws its side and component picks, then walks its samples
+    in tiles of ``_TILE``: each tile draws its Gaussian block from the
+    chunk's generator (the same variates, in the same order, as one draw for
+    the whole chunk), forms its sufficient statistics, and scores them
+    against each mixture in turn through the worker's scoring buffer of
+    ``_TILE`` x max(C_p, C_q) entries, shared by both.  Each sample's root
+    is gathered from its own side into the worker's tile of roots.  The
+    mixtures arrive folded, so they are scored and sampled as they are;
+    beyond them, memory is bounded by the workers' tiles, whatever
+    ``chunk_size`` and n.
+
+    Raises
+    ------
+    NumericalError
+        If any log-density comes out non-finite.
+    """
+    if samples < 1000:
+        raise ValueError(f"at least 1000 samples required, got {samples}")
+    if p_mix.dim != q_mix.dim:
+        raise ValueError(f"dimension mismatch: {p_mix.dim} vs {q_mix.dim}")
+    if p_mix.n != q_mix.n:
+        raise ValueError(f"product length mismatch: {p_mix.n} vs {q_mix.n}")
+    n, p = p_mix.n, p_mix.dim
+    triu = np.triu_indices(p)
+    c_p, c_q = p_mix.weights.size, q_mix.weights.size
+    values = np.empty(samples)
+    n_chunks = (samples + chunk_size - 1) // chunk_size
+    failed = threading.Event()
+
+    def score_chunks(worker: int) -> None:
+        stats = np.empty((_TILE, triu[0].size))
+        roots = np.empty((_TILE, p, p))
+        # one scoring buffer for both mixtures: _log_density returns a fresh
+        # array, so lp survives the reuse
+        scratch = np.empty(_TILE * max(c_p, c_q))
+        buf_p = scratch[: _TILE * c_p].reshape(_TILE, c_p)
+        buf_q = scratch[: _TILE * c_q].reshape(_TILE, c_q)
+        try:
+            for ci in range(worker, n_chunks, _WORKERS):
+                if failed.is_set():
+                    return
+                lo = ci * chunk_size
+                m = min(chunk_size, samples - lo)
+                rng = seed.substream(ci).generator()
+                from_p = rng.random(m) < 0.5
+                pick_p = rng.choice(c_p, size=m, p=p_mix.weights)
+                pick_q = rng.choice(c_q, size=m, p=q_mix.weights)
+                for start in range(0, m, _TILE):
+                    t = min(_TILE, m - start)
+                    tile = slice(start, start + t)
+                    z = rng.standard_normal((t, n, p))
+                    # each sample's root, gathered once from its own side
+                    side, other = from_p[tile], ~from_p[tile]
+                    roots[:t][side] = p_mix.roots[pick_p[tile][side]]
+                    roots[:t][other] = q_mix.roots[pick_q[tile][other]]
+                    x = np.matmul(z, roots[:t])
+                    _sufficient_stats(x, stats[:t], triu)
+                    lp = p_mix._log_density(stats[:t], buf_p[:t])
+                    lq = q_mix._log_density(stats[:t], buf_q[:t])
+                    if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lq))):
+                        raise NumericalError("non-finite log-density in affinity estimate")
+                    # min(p, q) / ((p + q) / 2) = 2 / (1 + exp|log p - log q|), always in [0, 1]
+                    with np.errstate(over="ignore"):
+                        values[lo + start : lo + start + t] = 2.0 / (
+                            1.0 + np.exp(np.abs(lp - lq))
+                        )
+        except BaseException:
+            # the other worker stops at its next chunk
+            failed.set()
+            raise
+
+    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(_WORKERS) as pool:
+        # reading every result re-raises a worker's error here
+        list(pool.map(score_chunks, range(_WORKERS)))
+    value = float(np.mean(values))
+    spread = float(np.std(values, ddof=1))
+    return AffinityEstimate(
+        value=value,
+        std_error=spread / math.sqrt(samples),
+        samples=samples,
+        seed=seed,
+        blas_threads=blas_threads,
+    )

@@ -13,18 +13,18 @@ from functools import lru_cache
 
 import numpy as np
 
+from lab_oracles import gamma1_mixture, tv_affinity_mc
 from sparsecov.cli import main
 from sparsecov.estimators import EstimatorSpec, psd_project, threshold_estimate
 from sparsecov.losses import bregman_divergence, closed_form_divergence
 from sparsecov.lower_bound import (
     assemble_lower_bound,
+    certified_affinity,
     chi_square_mixture_bound,
     cross_product_integral,
     exact_chi_square_small,
-    gamma1_mixture,
     overlap_fractions,
     overlap_structure,
-    tv_affinity_mc,
 )
 from sparsecov.matrices import frobenius_norm, operator_norm
 from sparsecov.model_spaces import build_config
@@ -283,8 +283,9 @@ def test_criterion_09_psd_projection_chain():
 
 
 def test_criterion_10_lower_bound_below_empirical_minimax():
-    """The assembled two-point bound cannot exceed the empirical worst-case
-    risk of hard thresholding over the deduplicated family."""
+    """The assembled two-point bound, from the certified affinity, cannot
+    exceed the empirical worst-case risk of hard thresholding over the
+    deduplicated family."""
     start = time.perf_counter()
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
     # the distinct members, in family order: the two anchored mixtures'
@@ -305,8 +306,7 @@ def test_criterion_10_lower_bound_below_empirical_minimax():
         )
         if worst is None or rec.mean_risk > worst.mean_risk:
             worst = rec
-    aff = tv_affinity_mc(*mixtures, 20_000, RngSeed(11))
-    bound = assemble_lower_bound(cfg, aff.value)
+    bound = assemble_lower_bound(cfg, certified_affinity(cfg).value)
     elapsed = time.perf_counter() - start
     allowance = worst.mean_risk + 3.0 * worst.std_error
     ok = bound.lower_bound <= allowance and elapsed <= 300.0

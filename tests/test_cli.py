@@ -172,36 +172,69 @@ def test_lowerbound_small_family_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([
         "lowerbound", "--p", "6", "--n", "100", "--q", "0", "--c", "4",
-        "--samples", "2000", "--seed", "3", "--out", str(out),
+        "--seed", "3", "--out", str(out),
     ])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["r"] == 3 and report["config"]["k"] == 1
     assert report["alpha"]["pair_count"] == 18336
     assert report["chi_square"]["exact"] <= report["chi_square"]["envelope"]
+    assert report["chi_square"]["exact_formula"] == "closed-form"
+    assert report["affinity"]["certified"] is True
+    assert report["affinity"]["std_error"] == 0.0
     assert 0.0 < report["affinity"]["value"] <= 1.0
     assert report["lower_bound"] > 0.0
+    assert report["seed"] == "3:0"
     assert "lower bound:" in capsys.readouterr().out
 
 
-def test_lowerbound_seed_zero_affinity_is_pinned(tmp_path):
-    # the p = 10 family of the lowerbound benchmark, 100k samples at seed 0;
-    # the spread is pinned too, since a per-sample drift can leave the mean
+def test_lowerbound_seed_zero_report_is_pinned(tmp_path):
+    # the p = 10 family of the lowerbound benchmark at seed 0: the closed-form
+    # chi-square and the affinity 1 - sqrt(chi2) / 2 it certifies
     out = tmp_path / "report.json"
     code = main([
         "lowerbound", "--p", "10", "--n", "20", "--q", "0", "--c", "4",
         "--upsilon", "0.1", "--seed", "0", "--out", str(out),
     ])
     assert code == 0
-    affinity = json.loads(out.read_text())["affinity"]
-    assert affinity["value"] == 0.973020855326006
-    assert affinity["std_error"] == 6.661978690698812e-05
+    report = json.loads(out.read_text())
+    assert report["chi_square"]["exact"] == 0.005670854977320542
+    assert report["chi_square"]["exact_formula"] == "closed-form"
+    assert report["affinity"] == {
+        "value": 0.9623474603203166, "std_error": 0.0, "certified": True,
+    }
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    stages = manifest["stage_s"]
+    assert sorted(stages) == ["alpha", "assembly", "chi_square", "envelope"]
+    assert all(0.0 <= v <= manifest["elapsed_seconds"] for v in stages.values())
+
+
+def test_lowerbound_certifies_a_family_too_large_to_enumerate(tmp_path):
+    # 1,889,280 members: over the default budget for any enumeration, but the
+    # closed form needs none
+    out = tmp_path / "report.json"
+    code = main([
+        "lowerbound", "--p", "12", "--n", "20", "--q", "0", "--c", "4",
+        "--upsilon", "0.1", "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["alpha"]["exact"] is None
+    assert report["affinity"]["value"] == pytest.approx(0.96387, abs=1e-5)
+
+
+def test_lowerbound_exits_four_naming_the_chi_square_work(capsys):
+    # k = 2: 20,736 members fit this budget, the 62,208 integrals do not
+    code = main([
+        "lowerbound", "--p", "8", "--n", "50", "--q", "0", "--c", "6",
+        "--budget", "30000",
+    ])
+    assert code == 4
+    assert "exact chi-square needs 62208 integral evaluations" in capsys.readouterr().err
 
 
 def test_lowerbound_report_is_independent_of_blas_threads(tmp_path):
-    # the affinity pins BLAS to one thread, so the process setting cannot
-    # reach the report's bytes; the manifest says it ran pinned.  Unpinned,
-    # this run's std_error differs in its last digit between 1 and 2 threads
+    # the process's BLAS thread count cannot reach the report's bytes
     root = Path(__file__).resolve().parent.parent
     reports = []
     for threads in ("1", "2"):
@@ -209,7 +242,7 @@ def test_lowerbound_report_is_independent_of_blas_threads(tmp_path):
         proc = subprocess.run(
             [
                 sys.executable, "-m", "sparsecov.cli", "lowerbound", "--p", "10",
-                "--n", "20", "--q", "0", "--c", "4", "--samples", "20000",
+                "--n", "20", "--q", "0", "--c", "4",
                 "--seed", "0", "--out", str(out),
             ],
             env={**os.environ, "PYTHONPATH": str(root / "src"),
@@ -221,7 +254,6 @@ def test_lowerbound_report_is_independent_of_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         manifest = json.loads((tmp_path / f"report-{threads}.json.manifest.json").read_text())
         assert manifest["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
-        assert manifest["affinity_blas_threads"] == 1
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 
@@ -230,19 +262,18 @@ def test_lowerbound_trivial_when_k_is_zero(tmp_path):
     out = tmp_path / "report.json"
     code = main([
         "lowerbound", "--p", "8", "--n", "20", "--q", "0", "--c", "1",
-        "--samples", "2000", "--out", str(out),
+        "--out", str(out),
     ])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["k"] == 0
     assert report["lower_bound"] == 0.0
-    assert report["affinity"]["value"] == 1.0
+    assert report["affinity"] == {"value": 1.0, "std_error": 0.0, "certified": True}
 
 
 def test_lowerbound_budget_exit(capsys):
     code = main([
         "lowerbound", "--p", "100", "--n", "50", "--q", "0", "--c", "4",
-        "--samples", "2000",
     ])
     assert code == 4
     assert "budget" in capsys.readouterr().err

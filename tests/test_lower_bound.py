@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sparsecov import lower_bound
+import lab_oracles
+from lab_oracles import GaussianMixture, _sufficient_stats, gamma1_mixture, tv_affinity_mc
 from sparsecov.errors import (
     BudgetError,
     ConfigError,
@@ -20,17 +21,15 @@ from sparsecov.errors import (
     StructureError,
 )
 from sparsecov.lower_bound import (
-    GaussianMixture,
-    _sufficient_stats,
     assemble_lower_bound,
+    certified_affinity,
     chi_square_mixture_bound,
+    closed_form_chi_square,
     cross_product_integral,
     exact_chi_square_small,
-    gamma1_mixture,
     overlap_fractions,
     overlap_structure,
     per_comparison_alpha,
-    tv_affinity_mc,
 )
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
@@ -386,6 +385,78 @@ def test_exact_chi_square_zero_cases():
     assert exact_chi_square_small(cfg) == 0.0
 
 
+def test_closed_form_chi_square_matches_enumeration_at_k_one():
+    # the envelope grid's loop over p = 3..11 and one more n: every k = 1
+    # config whose enumeration fits the default budget
+    checked = 0
+    for p, n, q, c, upsilon in itertools.product(
+        range(3, 12), (4, 20, 50, 200), (0.0, 0.3, 0.6), (2.0, 4.0, 8.0), (0.1, 0.3, 0.6)
+    ):
+        try:
+            cfg = build_config(p, n, q, c, upsilon)
+        except ConfigError:
+            continue
+        if cfg.k != 1:
+            continue
+        exact = exact_chi_square_small(cfg)
+        assert closed_form_chi_square(cfg) == pytest.approx(exact, rel=1e-11, abs=0.0)
+        checked += 1
+    assert checked >= 80
+
+
+@pytest.mark.parametrize("epsilon", [0.9, 1.2, 1.5])
+def test_chi_square_refuses_a_divergent_integral(epsilon):
+    # the squared determinant is positive here; the old guard returned
+    # 223.4, 7.41 and -0.254 for these three values
+    cfg = LeastFavorableConfig(
+        p=6, n=4, q=0.0, c=4.0, upsilon=0.1, r=3, k=1, epsilon=epsilon
+    )
+    with pytest.raises(DivergenceError):
+        exact_chi_square_small(cfg)
+    with pytest.raises(DivergenceError):
+        closed_form_chi_square(cfg)
+    with pytest.raises(DivergenceError):
+        certified_affinity(cfg)
+
+
+def test_certified_affinity_formula_by_k():
+    one = certified_affinity(criterion_config())
+    assert one.formula == "closed-form"
+    assert one.chi_square == closed_form_chi_square(criterion_config())
+    assert one.value == 1.0 - 0.5 * math.sqrt(one.chi_square)
+    cfg = build_config(8, 50, 0.0, 6.0, 0.1)  # k = 2: 62,208 integrals
+    assert cfg.k == 2
+    two = certified_affinity(cfg)
+    assert two.formula == "enumeration"
+    assert two.chi_square == exact_chi_square_small(cfg)
+    with pytest.raises(BudgetError):
+        certified_affinity(cfg, budget=62_207)
+    with pytest.raises(ConfigError):
+        closed_form_chi_square(cfg)
+    # past chi^2 = 4 the certificate is the trivial affinity 0, which the
+    # assembly still accepts
+    far = LeastFavorableConfig(p=6, n=1000, q=0.0, c=4.0, upsilon=0.1, r=3, k=1, epsilon=0.1)
+    assert closed_form_chi_square(far) > 4.0
+    assert certified_affinity(far).value == 0.0
+    assert assemble_lower_bound(far, 0.0).lower_bound == 0.0
+
+
+@pytest.mark.parametrize(
+    "args, samples, seed",
+    [
+        ((8, 20, 0.0, 4.0, 0.1), 100_000, 8),  # criterion 8
+        ((6, 100, 0.0, 4.0, 0.1), 20_000, 11),  # criterion 10
+    ],
+)
+def test_certified_affinity_is_below_the_monte_carlo_oracle(args, samples, seed):
+    cfg = build_config(*args)
+    certified = certified_affinity(cfg)
+    est = tv_affinity_mc(
+        gamma1_mixture(cfg, 0), gamma1_mixture(cfg, 1), samples, RngSeed(seed)
+    )
+    assert certified.value <= est.value + 3.0 * est.std_error
+
+
 # ---------------------------------------------------------------------------
 # mixtures and affinity
 
@@ -594,7 +665,7 @@ def test_affinity_is_independent_of_the_worker_count(monkeypatch):
     b = gamma1_mixture(cfg, 1)
     estimates = []
     for workers in (1, 3):
-        monkeypatch.setattr(lower_bound, "_WORKERS", workers)
+        monkeypatch.setattr(lab_oracles, "_WORKERS", workers)
         estimates.append(tv_affinity_mc(a, b, 5000, RngSeed(2), chunk_size=700))
     assert estimates[0] == estimates[1]
 
@@ -663,6 +734,16 @@ def test_affinity_worker_stops_after_the_other_fails(monkeypatch):
     with pytest.raises(NumericalError):
         tv_affinity_mc(mix, mix, 64 * 128, RngSeed(1), chunk_size=128)
     assert len(calls) <= 8
+
+
+def test_affinity_seed_zero_is_pinned():
+    # the p = 10 family of the lowerbound benchmark, 100k samples at seed 0,
+    # as the command once estimated it; the spread is pinned too, since a
+    # per-sample drift can leave the mean
+    cfg = build_config(10, 20, 0.0, 4.0, 0.1)
+    est = tv_affinity_mc(gamma1_mixture(cfg, 0), gamma1_mixture(cfg, 1), 100_000, RngSeed(0))
+    assert est.value == 0.973020855326006
+    assert est.std_error == 6.661978690698812e-05
 
 
 def test_affinity_identical_mixtures_is_exactly_one():
