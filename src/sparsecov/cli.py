@@ -39,13 +39,14 @@ from .errors import (
 from .estimators import EstimatorSpec, apply_estimator, threshold_level
 from .losses import LossSpec
 from .lower_bound import (
+    DEFAULT_ENUMERATION_BUDGET,
     assemble_lower_bound,
     certified_affinity,
     chi_square_mixture_bound,
     per_comparison_alpha,
 )
 from .matrices import load_matrix_csv, save_matrix_csv
-from .model_spaces import build_config
+from .model_spaces import DEFAULT_UPSILON, build_config
 from .rng import RngSeed
 from .risk import _export_format, export_records, run_grid
 from .sampling import load_data_csv, mle_covariance
@@ -298,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     low.add_argument("--n", type=int)
     low.add_argument("--q", type=float)
     low.add_argument("--c", type=float)
-    low.add_argument("--upsilon", type=float, default=0.1)
+    low.add_argument("--upsilon", type=float, default=DEFAULT_UPSILON)
     low.add_argument("--seed", help="recorded in the report; has no effect")
     low.add_argument(
         "--budget",
         type=int,
-        default=1_000_000,
+        default=DEFAULT_ENUMERATION_BUDGET,
         help="cap on the family size floor 2^r C(r, k), on the member pairs "
         "behind the exact alpha, and on the exact chi-square enumeration at k >= 2",
     )

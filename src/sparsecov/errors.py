@@ -72,6 +72,17 @@ def _check_keys(obj, allowed, where: str) -> None:
         )
 
 
+def _check_int(value, where: str) -> int:
+    """Return ``value`` as an int if it is a JSON integer (an int, or a float
+    with no fractional part), else raise SchemaError naming ``where``; a bool
+    is not an integer here."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 class FitError(SparseCovError, ValueError):
     """Regression input is degenerate or under-determined."""
 

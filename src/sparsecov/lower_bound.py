@@ -73,6 +73,11 @@ def _family_ids(cfg: LeastFavorableConfig) -> tuple[np.ndarray, np.ndarray]:
 # per-comparison separation
 
 
+def _alpha_bound(cfg: LeastFavorableConfig) -> float:
+    """The closed-form separation constant ``(k epsilon)^2 / p``."""
+    return (cfg.k * cfg.epsilon) ** 2 / cfg.p
+
+
 @dataclass(frozen=True)
 class AlphaResult:
     """Closed-form bound, optional exact minimum, and the pair count behind it."""
@@ -93,7 +98,7 @@ def per_comparison_alpha(
     with different bit vectors is computed by full enumeration; otherwise
     ``exact`` is None and only the bound is returned.
     """
-    bound = (cfg.k * cfg.epsilon) ** 2 / cfg.p
+    bound = _alpha_bound(cfg)
     total = count_theta(cfg)
     pair_count = total * (total - 1) // 2
     if pair_count > budget:
@@ -548,12 +553,12 @@ def assemble_lower_bound(
     """Combine the separation constant and an affinity into the risk bound.
 
     The bound is ``(1/4) * alpha * (r/2) * affinity`` with alpha the
-    closed-form separation ``(k epsilon)^2 / p``; the rate target
+    closed-form separation :func:`_alpha_bound`; the rate target
     ``c^2 (log p / n)^(1-q)`` is attached for comparison.
     """
     if not 0.0 <= affinity <= 1.0 + 1e-9:
         raise ValueError(f"affinity must lie in [0, 1], got {affinity}")
-    alpha = (cfg.k * cfg.epsilon) ** 2 / cfg.p
+    alpha = _alpha_bound(cfg)
     bound = 0.25 * alpha * (cfg.r / 2.0) * min(affinity, 1.0)
     target = cfg.c**2 * (math.log(cfg.p) / cfg.n) ** (1.0 - cfg.q)
     return LowerBoundResult(

@@ -153,10 +153,10 @@ def build_config(
         raise ConfigError(f"n must be at least 1, got {n}")
     if not 0.0 <= q < 1.0:
         raise ConfigError(f"q must lie in [0, 1), got {q}")
-    if not c > 0.0:
-        raise ConfigError(f"c must be positive, got {c}")
-    if not upsilon > 0.0:
-        raise ConfigError(f"upsilon must be positive, got {upsilon}")
+    if not 0.0 < c < math.inf:
+        raise ConfigError(f"c must be positive and finite, got {c}")
+    if not 0.0 < upsilon < math.inf:
+        raise ConfigError(f"upsilon must be positive and finite, got {upsilon}")
     r = p // 2
     epsilon = upsilon * math.sqrt(math.log(p) / n)
     k = max(math.ceil(c * epsilon ** (-q) / 2.0) - 1, 0)
@@ -183,16 +183,6 @@ class ThetaIndex:
 
     gamma: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {"gamma": list(self.gamma), "lambda": [list(row) for row in self.rows]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ThetaIndex":
-        return cls(
-            gamma=tuple(int(g) for g in obj["gamma"]),
-            rows=tuple(tuple(int(j) for j in row) for row in obj["lambda"]),
-        )
 
 
 def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:

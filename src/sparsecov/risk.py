@@ -25,11 +25,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CellError, ConfigError, DomainError, FitError, SchemaError, _check_keys
+from .errors import (
+    CellError, ConfigError, DomainError, FitError, SchemaError, _check_int, _check_keys,
+)
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, _evaluate, resolve_phi
 from .matrices import _Symmetric, as_symmetric
-from .model_spaces import ThetaIndex, build_config, materialize_sigma, sample_theta, weak_lq_radius
+from .model_spaces import (
+    DEFAULT_UPSILON, build_config, materialize_sigma, sample_theta, weak_lq_radius,
+)
 from .rng import RngSeed
 from .sampling import _sqrt_psd, mle_covariance, sample_gaussian
 
@@ -69,45 +73,36 @@ def toeplitz_decay_sigma(p: int, amplitude: float, exponent: float) -> np.ndarra
 # The keys each truth kind reads, "kind" included.
 _TRUTH_KEYS = {
     "identity": ("kind",),
-    "banded": ("kind", "band", "value", "scale"),
+    "banded": ("kind", "band", "scale"),
     "decay": ("kind", "amplitude", "exponent"),
-    "fstar": ("kind", "q", "c", "upsilon", "theta", "theta_seed"),
+    "fstar": ("kind", "q", "c", "upsilon", "theta_seed"),
 }
-# Pairs of truth keys that give one quantity two ways; a truth sets at most
-# one key of each pair.
-_EXCLUSIVE_TRUTH_KEYS = (("value", "scale"), ("theta", "theta_seed"))
 
 
 def materialize_truth(spec: dict, n: int, p: int):
     """Build the truth covariance for one grid cell.
 
     Returns ``(sigma, q, c, label)`` where q and c describe the sparsity
-    class the truth belongs to (None when not meaningful).  Supported kinds:
+    class the truth belongs to (None when not meaningful).  The keys each
+    kind reads, besides ``kind`` (``_TRUTH_KEYS``; any other raises
+    SchemaError):
 
-    - ``identity``
-    - ``banded``: params ``band`` plus either absolute ``value`` or ``scale``
-      multiplying sqrt(log p / n)
-    - ``decay``: params ``amplitude`` and ``exponent``; q is 1/exponent and c
-      is the realized maximal column weak-lq radius
-    - ``fstar``: params ``q``, ``c``, ``upsilon`` and either ``theta``
-      (serialized index) or ``theta_seed`` for a uniform draw
-
-    Giving both keys of an either/or pair raises ConfigError naming them.
+    - ``identity``: none
+    - ``banded``: the integer ``band``, and ``scale`` (default 1), the
+      off-diagonal value in units of sqrt(log p / n)
+    - ``decay``: ``amplitude`` and ``exponent``; q is 1/exponent and c is
+      the realized maximal column weak-lq radius
+    - ``fstar``: ``q``, ``c``, ``upsilon`` (default ``DEFAULT_UPSILON``) and
+      the integer ``theta_seed`` (default 0) of a uniform member draw
     """
     kind = spec.get("kind")
-    for first, second in _EXCLUSIVE_TRUTH_KEYS:
-        if first in spec and second in spec:
-            raise ConfigError(
-                f"truth (kind {kind!r}) sets both {first!r} and {second!r}; give one, not both"
-            )
+    if kind in _TRUTH_KEYS:
+        _check_keys(spec, _TRUTH_KEYS[kind], f"truth (kind {kind!r})")
     if kind == "identity":
         return np.eye(p), 0.0, None, "identity"
     if kind == "banded":
-        band = int(spec["band"])
-        if "value" in spec:
-            value = float(spec["value"])
-        else:
-            value = float(spec.get("scale", 1.0)) * math.sqrt(math.log(p) / n)
+        band = _check_int(spec["band"], "truth.band")
+        value = float(spec.get("scale", 1.0)) * math.sqrt(math.log(p) / n)
         sigma = banded_sigma(p, band, value)
         return sigma, 0.0, float(2 * band), f"banded(band={band},value={value:.6g})"
     if kind == "decay":
@@ -121,13 +116,10 @@ def materialize_truth(spec: dict, n: int, p: int):
         return sigma, q, float(radius), f"decay(a={amplitude:.6g},e={exponent:.6g})"
     if kind == "fstar":
         cfg = build_config(
-            p, n, float(spec["q"]), float(spec["c"]), float(spec.get("upsilon", 0.1))
+            p, n, float(spec["q"]), float(spec["c"]), float(spec.get("upsilon", DEFAULT_UPSILON))
         )
-        if "theta" in spec:
-            theta = ThetaIndex.from_json(spec["theta"])
-        else:
-            theta = sample_theta(cfg, RngSeed(int(spec.get("theta_seed", 0))))
-        sigma = materialize_sigma(cfg, theta)
+        seed = RngSeed(_check_int(spec.get("theta_seed", 0), "truth.theta_seed"))
+        sigma = materialize_sigma(cfg, sample_theta(cfg, seed))
         return sigma, cfg.q, cfg.c, f"fstar(q={cfg.q:.6g},c={cfg.c:.6g})"
     raise ConfigError(f"unknown truth kind {kind!r}")
 
@@ -190,22 +182,20 @@ def run_risk_cell(
     seed: RngSeed,
     *,
     cell_id: str = "cell",
-    model: str = "explicit",
-    q: float | None = None,
-    c: float | None = None,
 ) -> RiskRecord:
     """Estimate the risk of an estimator at one truth by seeded replication.
 
     Each replicate samples n rows, forms the sample covariance, applies the
     estimator, and evaluates the loss against the truth.  Loss domain errors
     are counted as failures; the cell errors out above
-    ``FAILURE_RATE_LIMIT``.
+    ``FAILURE_RATE_LIMIT``.  The record's model is ``"explicit"``, and its
+    q and c are None.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     (record,) = _run_cell(
         _Symmetric(as_symmetric(sigma)), [estimator], [loss], n, replicates, seed,
-        guard=False, name=lambda ei, li: cell_id, model=model, q=q, c=c,
+        guard=False, name=lambda ei, li: cell_id, model="explicit", q=None, c=None,
     )
     return record
 
@@ -453,25 +443,17 @@ class GridResult:
 
 
 def _grid_cells(config: dict) -> list[tuple[int, int]]:
-    if "cells" in config:
-        arrays = [key for key in ("n", "p") if key in config]
-        if arrays:
-            raise ConfigError(
-                f"grid config sets both 'cells' and {' and '.join(map(repr, arrays))}; "
-                "give the cells or the n/p arrays, not both"
-            )
-        for i, cell in enumerate(config["cells"]):
-            _check_keys(cell, ("n", "p"), f"cells[{i}]")
-        cells = [(int(c["n"]), int(c["p"])) for c in config["cells"]]
-    else:
-        ns = [int(v) for v in config.get("n", [])]
-        ps = [int(v) for v in config.get("p", [])]
-        if len(ns) != len(ps):
-            raise ConfigError("n and p arrays must have equal length")
-        cells = list(zip(ns, ps))
+    cells = config.get("cells")
     if not cells:
         raise ConfigError("grid has no cells")
-    return cells
+    if not isinstance(cells, list):
+        raise SchemaError(f"cells must be a JSON array, got {type(cells).__name__}")
+    for i, cell in enumerate(cells):
+        _check_keys(cell, ("n", "p"), f"cells[{i}]")
+    return [
+        (_check_int(cell["n"], f"cells[{i}].n"), _check_int(cell["p"], f"cells[{i}].p"))
+        for i, cell in enumerate(cells)
+    ]
 
 
 def _default_target(loss: LossSpec, q: float | None) -> float | None:
@@ -486,10 +468,7 @@ def _default_target(loss: LossSpec, q: float | None) -> float | None:
     return None
 
 
-_GRID_KEYS = (
-    "cells", "n", "p", "truth", "estimators", "losses", "replicates", "seed",
-    "target_exponent",
-)
+_GRID_KEYS = ("cells", "truth", "estimators", "losses", "replicates", "seed")
 
 
 def run_grid(config: dict) -> GridResult:
@@ -510,14 +489,11 @@ def run_grid(config: dict) -> GridResult:
         raise SchemaError(
             f"truth must be a JSON object, got {type(truth_spec).__name__}"
         )
-    kind = truth_spec.get("kind")
-    if kind in _TRUTH_KEYS:
-        _check_keys(truth_spec, _TRUTH_KEYS[kind], f"truth (kind {kind!r})")
     estimators = [EstimatorSpec.from_json(e) for e in config.get("estimators", [])]
     losses = [LossSpec.from_json(l) for l in config.get("losses", [])]
     if not estimators or not losses:
         raise ConfigError("grid config needs estimators and losses")
-    replicates = int(config.get("replicates", 0))
+    replicates = _check_int(config.get("replicates", 0), "replicates")
     if replicates < 1:
         raise ConfigError("grid config needs replicates >= 1")
     master = RngSeed.parse(str(config.get("seed", 0)))
@@ -540,10 +516,8 @@ def run_grid(config: dict) -> GridResult:
     for ei in range(n_est):
         for li in range(n_loss):
             group = records[ei * n_loss + li :: n_est * n_loss]
-            target = config.get("target_exponent")
-            if target is None:
-                qs = {r.q for r in group}
-                target = _default_target(losses[li], qs.pop() if len(qs) == 1 else None)
+            qs = {r.q for r in group}
+            target = _default_target(losses[li], qs.pop() if len(qs) == 1 else None)
             entry = {"estimator": ei, "loss": li, "fit": None, "error": None}
             try:
                 entry["fit"] = rate_fit(group, target_exponent=target)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,26 +347,98 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
     "overrides, message",
     [
         ({"truth": "banded"}, "truth must be a JSON object, got str"),
-        ({"cells": [{"n": 20, "p": 10}], "n": [5]}, "both 'cells' and 'n';"),
-        ({"n": [5], "p": [10]}, "both 'cells' and 'n' and 'p';"),
+        # the grid shape comes from cells alone
+        ({"cells": [{"n": 20, "p": 10}], "n": [5]}, "unknown key 'n' in grid config"),
+        ({"n": [5], "p": [10]}, "unknown key 'n' in grid config"),
+        ({"p": [10]}, "unknown key 'p' in grid config"),
+        ({"cells": {"n": 20, "p": 10}}, "cells must be a JSON array, got dict"),
+        # the fit target always follows from the loss and the truth's q
+        ({"target_exponent": 1.0}, "unknown key 'target_exponent' in grid config"),
+        # a banded truth's strength is its scale; an fstar member its theta_seed
         ({"truth": {"kind": "banded", "band": 2, "value": 0.3, "scale": 1.0}},
-         "both 'value' and 'scale';"),
+         "unknown key 'value' in truth (kind 'banded')"),
         ({"truth": {"kind": "fstar", "q": 0, "c": 4,
                     "theta": {"gamma": [], "lambda": []}, "theta_seed": 1}},
-         "both 'theta' and 'theta_seed';"),
+         "unknown key 'theta' in truth (kind 'fstar')"),
         ({"losses": [{"kind": "operator", "w": 2, "normalized": True}]},
          "operator loss cannot be normalized"),
         ({"losses": [{"kind": "bregman", "phi": "stein", "w": 1}]},
          "unknown key 'w' in loss (kind 'bregman')"),
     ],
-    ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "value-and-scale",
-         "theta-and-theta-seed", "normalized-operator", "bregman-w"],
+    ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
+         "target-exponent", "value-and-scale", "theta-and-theta-seed",
+         "normalized-operator", "bregman-w"],
 )
 def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+FSTAR = {"kind": "fstar", "q": 0, "c": 4, "upsilon": 0.1}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"cells": [{"n": 20.9, "p": 10}]}, "cells[0].n must be an integer, got 20.9"),
+        ({"cells": [{"n": 20, "p": 10}, {"n": 40, "p": "20"}]},
+         "cells[1].p must be an integer, got '20'"),
+        ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
+        ({"replicates": True}, "replicates must be an integer, got True"),
+        ({"truth": {"kind": "banded", "band": 1.7, "scale": 1.0}},
+         "truth.band must be an integer, got 1.7"),
+        ({"truth": {**FSTAR, "theta_seed": 1.5}}, "truth.theta_seed must be an integer, got 1.5"),
+        ({"truth": {**FSTAR, "theta_seed": False}},
+         "truth.theta_seed must be an integer, got False"),
+    ],
+    ids=["cell-n-float", "cell-p-string", "replicates-float", "replicates-bool",
+         "band-float", "theta-seed-float", "theta-seed-bool"],
+)
+def test_integer_grid_field_is_not_truncated(tmp_path, capsys, overrides, message):
+    assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_integral_float_grid_field_reads_as_its_integer(tmp_path):
+    # 20.0 is the JSON integer 20: the records match byte for byte
+    outs = []
+    for n, band in ((60, 2), (60.0, 2.0)):
+        cells = [{"n": n, "p": 20}, {"n": 120, "p": 40}, {"n": 240, "p": 80}]
+        truth = {"kind": "banded", "band": band, "scale": 1.0}
+        out = tmp_path / f"r{len(outs)}.csv"
+        config = grid_file(tmp_path, cells=cells, truth=truth, replicates=2.0)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--c", "inf"], "c must be positive and finite, got inf"),
+        (["--c", "1", "--upsilon", "inf"], "upsilon must be positive and finite, got inf"),
+    ],
+    ids=["c-inf", "upsilon-inf"],
+)
+def test_lowerbound_refuses_a_non_finite_parameter(tmp_path, capsys, flags, message):
+    out = tmp_path / "report.json"
+    argv = ["lowerbound", "--p", "10", "--n", "20", "--q", "0", *flags, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["c", "upsilon"])
+def test_fstar_truth_refuses_a_non_finite_parameter(tmp_path, capsys, key):
+    # json writes and reads float("inf") as the non-standard literal Infinity
+    config = grid_file(tmp_path, truth={**FSTAR, key: math.inf})
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert f"{key} must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_version_flag_exits_zero(capsys):

@@ -115,13 +115,6 @@ def test_validate_theta_names_violations():
         validate_theta(cfg, ThetaIndex(gamma=(1, 1, 1), rows=((3,), (3,), (3,))))
 
 
-def test_theta_json_round_trip_uses_lambda_key():
-    theta = ThetaIndex(gamma=(1, 0), rows=((3,), (4,)))
-    obj = theta.to_json()
-    assert "lambda" in obj
-    assert ThetaIndex.from_json(obj) == theta
-
-
 def test_materialize_sigma_places_bumps():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
     theta = ThetaIndex(gamma=(1, 0, 1), rows=((4,), (3,), (5,)))

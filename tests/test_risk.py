@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from sparsecov.errors import CellError, ConfigError, DomainError, FitError, Sche
 from sparsecov.estimators import EstimatorSpec
 from sparsecov.losses import LossSpec
 from sparsecov.risk import (
+    _GRID_KEYS,
+    _TRUTH_KEYS,
     RiskRecord,
     _run_cell,
     banded_sigma,
@@ -54,6 +58,9 @@ def test_materialize_truth_kinds():
     s, q, c, _ = materialize_truth({"kind": "banded", "band": 2, "scale": 1.0}, 400, 100)
     assert q == 0.0 and c == 4.0
     assert abs(s[0, 1] - math.sqrt(math.log(100) / 400)) < 1e-15
+    # a banded truth's strength has one key, scale
+    with pytest.raises(SchemaError, match="unknown key 'value' in truth"):
+        materialize_truth({"kind": "banded", "band": 2, "value": 0.3}, 400, 100)
     s, q, c, _ = materialize_truth(
         {"kind": "decay", "amplitude": 0.3, "exponent": 2.0}, 100, 40
     )
@@ -326,7 +333,7 @@ def test_run_grid_config_validation():
         run_grid(grid_config(cells=[]))
     with pytest.raises(ConfigError):
         run_grid(grid_config(losses=[]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(SchemaError, match="unknown key 'n' in grid config"):
         run_grid({"n": [10, 20], "p": [5], "truth": {"kind": "identity"},
                   "estimators": [{"rule": "hard"}], "losses": [{"kind": "operator", "w": 2}],
                   "replicates": 2})
@@ -370,3 +377,18 @@ def test_mixed_loss_csv_is_rejected(tmp_path):
     with pytest.raises(SchemaError):
         export_records([a, b], tmp_path / "bad.csv")
     export_records([a, b], tmp_path / "ok.json")
+
+
+def test_readme_grid_example_uses_only_keys_the_grid_reads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    example = json.loads(block)
+    assert set(example) <= set(_GRID_KEYS)
+    assert all(set(cell) == {"n", "p"} for cell in example["cells"])
+    truth = example["truth"]
+    assert set(truth) <= set(_TRUTH_KEYS[truth["kind"]])
+
+
+def test_explicit_cell_record_has_no_sparsity_class():
+    rec = run_risk_cell(banded_sigma(8, 1, 0.2), HARD, OP2, 30, 2, RngSeed(3), cell_id="x")
+    assert (rec.cell_id, rec.model, rec.q, rec.c) == ("x", "explicit", None, None)
