@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -46,7 +45,7 @@ from .lower_bound import (
     per_comparison_alpha,
 )
 from .matrices import load_matrix_csv, save_matrix_csv
-from .model_spaces import DEFAULT_UPSILON, build_config
+from .model_spaces import DEFAULT_UPSILON, build_config, family_size_floor
 from .rng import RngSeed
 from .risk import _export_format, export_records, run_grid
 from .sampling import load_data_csv, mle_covariance
@@ -197,9 +196,8 @@ def cmd_lowerbound(args, argv) -> int:
             }
         )
     else:
-        # every valid first row extends to a valid tuple, so the family has at
-        # least 2^r C(r, k) members; past the budget, refuse before counting
-        if 2**cfg.r * math.comb(cfg.r, cfg.k) > args.budget:
+        # past the budget, refuse on the closed-form floor before counting
+        if family_size_floor(cfg) > args.budget:
             raise BudgetError(
                 f"family has at least 2^{cfg.r} * C({cfg.r}, {cfg.k}) members, "
                 f"budget is {args.budget}"

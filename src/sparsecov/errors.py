@@ -83,6 +83,22 @@ def _check_int(value, where: str) -> int:
     return value
 
 
+def _check_real(value, where: str) -> float:
+    """Return ``value`` as a float if it is a JSON number (an int or a float),
+    else raise SchemaError naming ``where``; a bool or a numeric string is not
+    a number here.  Range checks, finiteness included, stay with the reader."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _check_bool(value, where: str) -> bool:
+    """Return ``value`` if it is a JSON boolean, else raise SchemaError naming ``where``."""
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
 class FitError(SparseCovError, ValueError):
     """Regression input is degenerate or under-determined."""
 

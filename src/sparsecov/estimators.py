@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, _check_keys
+from .errors import ConfigError, _check_bool, _check_keys, _check_real
 from .matrices import _from_eigen, _Symmetric, as_symmetric
 
 RULES = ("hard", "soft", "adaptive-lasso")
@@ -70,10 +70,10 @@ class EstimatorSpec:
         )
         return cls(
             rule=obj.get("rule", "hard"),
-            gamma=float(obj.get("gamma", 2.0)),
-            eta=float(obj.get("eta", 3.0)),
+            gamma=_check_real(obj.get("gamma", 2.0), "estimator.gamma"),
+            eta=_check_real(obj.get("eta", 3.0), "estimator.eta"),
             corrections=tuple(obj.get("corrections", ())),
-            keep_diagonal=bool(obj.get("keep_diagonal", False)),
+            keep_diagonal=_check_bool(obj.get("keep_diagonal", False), "estimator.keep_diagonal"),
         )
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _check_keys
+from .errors import ConfigError, DomainError, _check_bool, _check_keys, _check_real
 from .matrices import (
     EigenDecomposition,
     _operator_norm,
@@ -216,11 +216,13 @@ class LossSpec:
         w = obj.get("w", 2 if kind == "operator" else None)
         if w == "inf":
             w = math.inf
+        elif w is not None:
+            _check_real(w, "loss.w")  # keeps an integer w an int, as it is exported
         return cls(
             kind=kind,
             w=w,
             phi=obj.get("phi"),
-            normalized=bool(obj.get("normalized", False)),
+            normalized=_check_bool(obj.get("normalized", False), "loss.normalized"),
         )
 
 

@@ -40,6 +40,7 @@ from .errors import (
 from .matrices import as_symmetric
 from .model_spaces import (
     LeastFavorableConfig,
+    _column_cap,
     _iter_lambda,
     _sigma_stack,
     _usage_profiles,
@@ -386,14 +387,16 @@ def exact_chi_square_small(
     # one integral per bit vector of the other rows, per valid tuple of
     # their patterns and per pair of first rows on the columns they leave
     work = 2 ** (r - 1) * sum(
-        ways * math.comb(sum(profile[: 2 * k]), k) ** 2
-        for profile, ways in _usage_profiles(r, k, r - 1).items()
+        ways * math.comb(sum(profile[: _column_cap(k)]), k) ** 2
+        for profile, ways in _usage_profiles(r, k).items()
     )
     if work > budget:
         raise BudgetError(
             f"exact chi-square needs {work} integral evaluations, budget is {budget}",
             count=work,
         )
+    if work == 0:
+        raise ConfigError("no admissible completions; family is empty")
     # one row per remaining bit vector, in lexicographic order; the first
     # row's bit is off in every base covariance
     bits = np.array([(0,) + rest for rest in itertools.product((0, 1), repeat=r - 1)])
@@ -401,9 +404,8 @@ def exact_chi_square_small(
     weight_sum = 0.0
     for rows in _iter_lambda(cfg, r - 1):
         used = Counter(j for pat in rows for j in pat)
-        avail = [j for j in cfg.support_columns if used[j] < 2 * k]
-        if len(avail) < k:
-            continue
+        # k <= r here (work is 0 otherwise), so k or more columns stay under the cap
+        avail = [j for j in cfg.support_columns if used[j] < _column_cap(k)]
         lam1 = list(itertools.combinations(avail, k))
         d_c = len(lam1)
         # 0/1 indicator per candidate first-row pattern, rows are patterns
@@ -432,8 +434,6 @@ def exact_chi_square_small(
         for cell in cells.tolist():
             acc += d_c * cell
         weight_sum += d_c * len(cells)
-    if weight_sum == 0.0:
-        raise ConfigError("no admissible completions; family is empty")
     return acc / weight_sum
 
 
@@ -469,7 +469,7 @@ def closed_form_chi_square(cfg: LeastFavorableConfig) -> float:
     if cfg.k != 1:
         raise ConfigError(f"the closed-form chi-square needs k = 1, got k = {cfg.k}")
     eps2 = cfg.epsilon**2
-    profiles = _usage_profiles(cfg.r, 1, cfg.r - 1)
+    profiles = _usage_profiles(cfg.r, 1)
     total = sum(profiles.values())
     free = once = 0.0
     for profile, ways in profiles.items():

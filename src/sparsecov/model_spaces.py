@@ -16,6 +16,11 @@ where ``A_m`` has ones of size epsilon along row m / column m at the selected
 columns.  The constraint that every column index is used by at most 2k of the
 r row patterns keeps the matrices diagonally dominated and the family inside
 the sparsity class.
+
+This module owns the family's combinatorics: the 2k column cap
+(``_column_cap``), the usage-profile table of the r - 1 rows other than row 0
+(``_usage_profiles``), the exact count built on it (``count_theta``) and the
+closed-form size floor 2^r C(r, k) (``family_size_floor``).
 """
 
 from __future__ import annotations
@@ -185,6 +190,19 @@ class ThetaIndex:
     rows: tuple[tuple[int, ...], ...]
 
 
+def _column_cap(k: int) -> int:
+    """Most row patterns one support column may appear in: 2k."""
+    return 2 * k
+
+
+def _overused_column(rows, k: int) -> tuple[int, int] | None:
+    """The first column, in order of first use, that more than 2k of ``rows``
+    use, with its usage; None when every column keeps the cap."""
+    cap = _column_cap(k)
+    counts = Counter(itertools.chain.from_iterable(rows))
+    return next(((j, used) for j, used in counts.items() if used > cap), None)
+
+
 def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:
     """Raise StructureError naming the first violated constraint."""
     if len(theta.gamma) != cfg.r:
@@ -196,7 +214,6 @@ def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:
     if len(theta.rows) != cfg.r:
         raise StructureError(f"expected {cfg.r} row patterns, got {len(theta.rows)}")
     support = cfg.support_columns
-    counts: dict[int, int] = {}
     for m, row in enumerate(theta.rows):
         if len(row) != cfg.k:
             raise StructureError(
@@ -212,13 +229,11 @@ def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:
                     f"row pattern {m} uses column {j} outside "
                     f"[{support.start}, {support.stop})"
                 )
-            counts[j] = counts.get(j, 0) + 1
-    cap = 2 * cfg.k
-    for j, used in counts.items():
-        if used > cap:
-            raise StructureError(
-                f"column {j} appears in {used} row patterns, cap is 2k = {cap}"
-            )
+    over = _overused_column(theta.rows, cfg.k)
+    if over is not None:
+        j, used = over
+        cap = _column_cap(cfg.k)
+        raise StructureError(f"column {j} appears in {used} row patterns, cap is 2k = {cap}")
 
 
 def materialize_sigma(cfg: LeastFavorableConfig, theta: ThetaIndex) -> np.ndarray:
@@ -249,8 +264,8 @@ def _sigma_stack(cfg: LeastFavorableConfig, bits, cols) -> np.ndarray:
     return sigma
 
 
-def _usage_profiles(r: int, k: int, rows: int) -> Counter:
-    """Valid tuples of ``rows`` k-subsets of r columns, counted per usage profile.
+def _usage_profiles(r: int, k: int) -> Counter:
+    """Valid k-subset tuples of the r - 1 rows besides row 0, counted per usage profile.
 
     ``profile[u]`` is the number of columns used u times, u = 0..2k; columns
     are exchangeable, so the profile is all the usage cap needs.  The DP adds
@@ -260,10 +275,10 @@ def _usage_profiles(r: int, k: int, rows: int) -> Counter:
     the move, so one row never picks a column twice.  Returns
     {final profile: number of tuples}.
     """
-    cap = 2 * k
+    cap = _column_cap(k)
     takes = [Counter(c) for c in itertools.combinations_with_replacement(range(cap), k)]
     layer = Counter({(r,) + (0,) * cap: 1})
-    for _ in range(rows):
+    for _ in range(r - 1):
         grown = Counter()
         for profile, ways in layer.items():
             for take in takes:
@@ -279,39 +294,33 @@ def _usage_profiles(r: int, k: int, rows: int) -> Counter:
 
 
 def _count_lambda(r: int, k: int) -> int:
-    """Exact number of r-tuples of k-subsets with every column used <= 2k times."""
-    return sum(_usage_profiles(r, k, r).values())
+    """Exact number of r-tuples of k-subsets with every column used <= 2k times:
+    each tuple of the other r - 1 rows takes any row 0 on its columns under the cap."""
+    return sum(
+        ways * math.comb(sum(profile[: _column_cap(k)]), k)
+        for profile, ways in _usage_profiles(r, k).items()
+    )
 
 
 def count_theta(cfg: LeastFavorableConfig) -> int:
     """Exact cardinality of the family: 2^r times the number of valid tuples,
-    counted by the iterative usage-profile DP, one layer per row."""
+    counted by the iterative usage-profile DP, r - 1 layers and a closing sum."""
     return 2**cfg.r * _count_lambda(cfg.r, cfg.k)
 
 
+def family_size_floor(cfg: LeastFavorableConfig) -> int:
+    """2^r C(r, k), at most :func:`count_theta`: with the support columns
+    numbered 0..r-1, rows taking the cyclic shifts S + m (mod r) of any k-set S
+    use every column k <= 2k times, so each row-0 pattern S starts a valid tuple."""
+    return 2**cfg.r * math.comb(cfg.r, cfg.k)
+
+
 def _iter_lambda(cfg: LeastFavorableConfig, rows: int):
-    """Yield valid tuples of ``rows`` row patterns in lexicographic order (pruned DFS)."""
+    """Yield valid tuples of ``rows`` row patterns in lexicographic order."""
     patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
-    cap = 2 * cfg.k
-    counts = {j: 0 for j in cfg.support_columns}
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(m: int):
-        if m == rows:
-            yield tuple(chosen)
-            return
-        for pat in patterns:
-            if any(counts[j] >= cap for j in pat):
-                continue
-            for j in pat:
-                counts[j] += 1
-            chosen.append(pat)
-            yield from rec(m + 1)
-            chosen.pop()
-            for j in pat:
-                counts[j] -= 1
-
-    yield from rec(0)
+    for chosen in itertools.product(patterns, repeat=rows):
+        if _overused_column(chosen, cfg.k) is None:
+            yield chosen
 
 
 # Candidate tuples sample_theta draws before it gives up on a configuration.
@@ -328,19 +337,12 @@ def sample_theta(cfg: LeastFavorableConfig, seed: RngSeed) -> ThetaIndex:
     rng = seed.generator()
     gamma = tuple(int(b) for b in rng.integers(0, 2, size=cfg.r))
     support = np.fromiter(cfg.support_columns, dtype=int)
-    cap = 2 * cfg.k
-    if cfg.k == 0:
-        return ThetaIndex(gamma=gamma, rows=((),) * cfg.r)
     for _ in range(_SAMPLE_MAX_TRIES):
         rows = tuple(
             tuple(sorted(int(j) for j in rng.choice(support, size=cfg.k, replace=False)))
             for _ in range(cfg.r)
         )
-        counts: dict[int, int] = {}
-        for row in rows:
-            for j in row:
-                counts[j] = counts.get(j, 0) + 1
-        if all(used <= cap for used in counts.values()):
+        if _overused_column(rows, cfg.k) is None:
             return ThetaIndex(gamma=gamma, rows=rows)
     raise ConfigError(
         f"rejection sampling failed after {_SAMPLE_MAX_TRIES} tries; "

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     CellError, ConfigError, DomainError, FitError, SchemaError, _check_int, _check_keys,
+    _check_real,
 )
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, _evaluate, resolve_phi
@@ -102,12 +103,12 @@ def materialize_truth(spec: dict, n: int, p: int):
         return np.eye(p), 0.0, None, "identity"
     if kind == "banded":
         band = _check_int(spec["band"], "truth.band")
-        value = float(spec.get("scale", 1.0)) * math.sqrt(math.log(p) / n)
+        value = _check_real(spec.get("scale", 1.0), "truth.scale") * math.sqrt(math.log(p) / n)
         sigma = banded_sigma(p, band, value)
         return sigma, 0.0, float(2 * band), f"banded(band={band},value={value:.6g})"
     if kind == "decay":
-        amplitude = float(spec["amplitude"])
-        exponent = float(spec["exponent"])
+        amplitude = _check_real(spec["amplitude"], "truth.amplitude")
+        exponent = _check_real(spec["exponent"], "truth.exponent")
         sigma = toeplitz_decay_sigma(p, amplitude, exponent)
         q = 1.0 / exponent
         radius = max(
@@ -116,7 +117,10 @@ def materialize_truth(spec: dict, n: int, p: int):
         return sigma, q, float(radius), f"decay(a={amplitude:.6g},e={exponent:.6g})"
     if kind == "fstar":
         cfg = build_config(
-            p, n, float(spec["q"]), float(spec["c"]), float(spec.get("upsilon", DEFAULT_UPSILON))
+            p, n,
+            _check_real(spec["q"], "truth.q"),
+            _check_real(spec["c"], "truth.c"),
+            _check_real(spec.get("upsilon", DEFAULT_UPSILON), "truth.upsilon"),
         )
         seed = RngSeed(_check_int(spec.get("theta_seed", 0), "truth.theta_seed"))
         sigma = materialize_sigma(cfg, sample_theta(cfg, seed))
@@ -471,6 +475,16 @@ def _default_target(loss: LossSpec, q: float | None) -> float | None:
 _GRID_KEYS = ("cells", "truth", "estimators", "losses", "replicates", "seed")
 
 
+def _grid_seed(value) -> RngSeed:
+    """The grid's master seed: an integer, or a "seed" or "seed:stream" string."""
+    try:
+        return RngSeed.parse(value) if isinstance(value, str) else RngSeed(_check_int(value, "seed"))
+    except ValueError as exc:
+        raise SchemaError(
+            f"seed must be an integer or a 'seed' or 'seed:stream' string, got {value!r}"
+        ) from exc
+
+
 def run_grid(config: dict) -> GridResult:
     """Run every (cell, estimator, loss) combination of a grid config.
 
@@ -496,7 +510,7 @@ def run_grid(config: dict) -> GridResult:
     replicates = _check_int(config.get("replicates", 0), "replicates")
     if replicates < 1:
         raise ConfigError("grid config needs replicates >= 1")
-    master = RngSeed.parse(str(config.get("seed", 0)))
+    master = _grid_seed(config.get("seed", 0))
 
     records = []
     for ci, (n, p) in enumerate(cells):

@@ -79,11 +79,8 @@ def mle_covariance(x) -> np.ndarray:
     centered = arr - arr.mean(axis=0)
     s = centered.T @ centered
     s /= n
-    # numpy forms x'x as a symmetric rank-k update, which is exactly
-    # symmetric; averaging such a matrix with its transpose returns the same
-    # bits (s + s = 2s and 2s / 2 = s are exact short of overflow), so that
-    # step, and its two p x p temporaries, run only when they could matter
-    return s if np.array_equal(s, s.T) else (s + s.T) / 2.0
+    # numpy forms x'x as a symmetric rank-k update, so s is exactly symmetric
+    return s
 
 
 def save_data_csv(path, x) -> None:

@@ -403,6 +403,58 @@ def test_integer_grid_field_is_not_truncated(tmp_path, capsys, overrides, messag
     assert "Traceback" not in err
 
 
+DECAY = {"kind": "decay", "amplitude": 0.3, "exponent": 2.0}
+SEED_FORMS = "seed must be an integer or a 'seed' or 'seed:stream' string"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"estimators": [{"rule": "hard", "keep_diagonal": "false"}]},
+         "estimator.keep_diagonal must be true or false, got 'false'"),
+        ({"losses": [{"kind": "frobenius-squared", "normalized": "false"}]},
+         "loss.normalized must be true or false, got 'false'"),
+        ({"estimators": [{"rule": "hard", "gamma": True}]},
+         "estimator.gamma must be a number, got True"),
+        ({"estimators": [{"rule": "hard", "gamma": "2.5"}]},
+         "estimator.gamma must be a number, got '2.5'"),
+        ({"losses": [{"kind": "operator", "w": True}]}, "loss.w must be a number, got True"),
+        ({"truth": {"kind": "banded", "band": 2, "scale": True}},
+         "truth.scale must be a number, got True"),
+        ({"truth": {**DECAY, "amplitude": "0.3"}}, "truth.amplitude must be a number, got '0.3'"),
+        ({"truth": {**DECAY, "exponent": True}}, "truth.exponent must be a number, got True"),
+        ({"truth": {**FSTAR, "q": "0"}}, "truth.q must be a number, got '0'"),
+        ({"truth": {**FSTAR, "c": "4"}}, "truth.c must be a number, got '4'"),
+        ({"truth": {**FSTAR, "upsilon": "0.1"}}, "truth.upsilon must be a number, got '0.1'"),
+        ({"seed": 1.5}, f"{SEED_FORMS}, got 1.5"),
+        ({"seed": True}, f"{SEED_FORMS}, got True"),
+        ({"seed": "7:x"}, f"{SEED_FORMS}, got '7:x'"),
+        ({"seed": -1}, f"{SEED_FORMS}, got -1"),
+    ],
+    ids=["keep-diagonal-string", "normalized-string", "gamma-bool", "gamma-string",
+         "w-bool", "scale-bool", "amplitude-string", "exponent-bool", "q-string",
+         "c-string", "upsilon-string", "seed-float", "seed-bool", "seed-bad-stream",
+         "seed-negative"],
+)
+def test_config_field_of_the_wrong_type_exits_two_naming_it(tmp_path, capsys, overrides, message):
+    assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [7, "7", "7:0"])
+def test_grid_seed_reads_an_integer_or_its_string_forms(tmp_path, seed):
+    out = tmp_path / "r.csv"
+    cells = [{"n": 60, "p": 20}, {"n": 120, "p": 40}]
+    config = grid_file(tmp_path, cells=cells, replicates=2, seed=seed)
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    reference = tmp_path / "ref.csv"
+    config = grid_file(tmp_path, cells=cells, replicates=2)
+    assert main(["simulate", "--config", str(config), "--out", str(reference)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+
+
 def test_integral_float_grid_field_reads_as_its_integer(tmp_path):
     # 20.0 is the JSON integer 20: the records match byte for byte
     outs = []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sparsecov.errors import ConfigError, StructureError
 from sparsecov.model_spaces import (
+    LeastFavorableConfig,
     SparsityClassSpec,
     ThetaIndex,
     _count_lambda,
@@ -15,6 +16,7 @@ from sparsecov.model_spaces import (
     build_config,
     class_membership,
     count_theta,
+    family_size_floor,
     materialize_sigma,
     sample_theta,
     validate_theta,
@@ -183,6 +185,18 @@ def test_count_lambda_at_k_one_matches_closed_form_without_recursion():
 
     assert closed_form(5) == _count_lambda(5, 1) == 2220
     assert _count_lambda(500, 1) == closed_form(500)
+
+
+def test_size_floor_never_exceeds_the_count():
+    # lowerbound's early exit 4 refuses a family on this floor alone
+    pairs = [(r, k) for r in range(1, 11) for k in range(1, 4) if k <= r]
+    assert len(pairs) == 27
+    for r, k in pairs:
+        cfg = LeastFavorableConfig(p=2 * r, n=100, q=0.0, c=1.0, upsilon=0.1, r=r, k=k,
+                                   epsilon=0.01)
+        floor = family_size_floor(cfg)
+        assert floor == 2**r * math.comb(r, k)
+        assert floor <= count_theta(cfg), (r, k)
 
 
 def test_sample_theta_is_deterministic_and_valid():

@@ -101,6 +101,22 @@ def test_mle_covariance_of_a_strided_view_matches_the_old_formula():
     assert np.array_equal(mle_covariance(view), _old_mle_covariance(view))
 
 
+@pytest.mark.parametrize(
+    "n, p",
+    [(1, 1), (1, 50), (2, 3), (50, 1), (37, 53), (100, 300), (300, 100), (400, 400),
+     (1000, 37), (800, 800)],
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_mle_covariance_is_exactly_symmetric_without_averaging(n, p, dtype):
+    # x'x comes out of one symmetric rank-k update, whatever the input's
+    # dtype or memory layout, so no transpose average is needed
+    gen = RngSeed(21).substream(n * 1000 + p).generator()
+    x = (gen.standard_normal((n, p)) * 50).astype(dtype)
+    for data in (x, np.asfortranarray(x), x[::-1, ::-1]):
+        s = mle_covariance(data)
+        assert np.array_equal(s, s.T)
+
+
 def test_data_csv_round_trip(tmp_path):
     x = sample_gaussian(np.eye(3), 10, RngSeed(1))
     path = tmp_path / "x.csv"
