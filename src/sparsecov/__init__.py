@@ -13,7 +13,6 @@ from .errors import (
     FitError,
     NormOrderError,
     NotPSDError,
-    NumericalError,
     SchemaError,
     SparseCovError,
     StructureError,
@@ -72,15 +71,12 @@ from .lower_bound import (
     CertifiedAffinity,
     ChiSquareEnvelope,
     LowerBoundResult,
-    OverlapResult,
     assemble_lower_bound,
     certified_affinity,
     chi_square_mixture_bound,
     closed_form_chi_square,
-    cross_product_integral,
     exact_chi_square_small,
     overlap_fractions,
-    overlap_structure,
     per_comparison_alpha,
 )
 from .risk import (

@@ -31,7 +31,6 @@ from .errors import (
     DomainError,
     EigenError,
     FitError,
-    NumericalError,
     SchemaError,
     SparseCovError,
 )
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 # row whose classes match the raised error decides.  Anything else propagates.
 _EXIT_CODES = (
     ((BudgetError, MemoryError), 4, "budget exceeded: "),
-    ((DomainError, DivergenceError, NumericalError, EigenError, CellError, FitError), 3, ""),
+    ((DomainError, DivergenceError, EigenError, CellError, FitError), 3, ""),
     ((SparseCovError, OSError, ValueError, KeyError), 2, ""),
 )
 _MAPPED_ERRORS = tuple(cls for classes, _, _ in _EXIT_CODES for cls in classes)

@@ -45,15 +45,7 @@ class BudgetError(SparseCovError, RuntimeError):
 
 
 class DivergenceError(SparseCovError, ArithmeticError):
-    """A series or integral failed to converge; ``ratio`` is the offending ratio."""
-
-    def __init__(self, message, ratio=None):
-        super().__init__(message)
-        self.ratio = ratio
-
-
-class NumericalError(SparseCovError, ArithmeticError):
-    """Non-finite intermediate value in a numerical routine."""
+    """A series or integral failed to converge."""
 
 
 class SchemaError(SparseCovError, ValueError):

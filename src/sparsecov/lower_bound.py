@@ -30,17 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    BudgetError,
-    ConfigError,
-    DivergenceError,
-    DomainError,
-    StructureError,
-)
-from .matrices import as_symmetric
+from .errors import BudgetError, ConfigError, DivergenceError
 from .model_spaces import (
     LeastFavorableConfig,
     _column_cap,
+    _fewest_free_columns,
     _iter_lambda,
     _sigma_stack,
     _usage_profiles,
@@ -49,25 +43,6 @@ from .model_spaces import (
 
 CHI_SQUARE_TARGET = 0.75
 DEFAULT_ENUMERATION_BUDGET = 10**6
-_EIG_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# the family as pattern-id arrays
-
-
-def _family_ids(cfg: LeastFavorableConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every valid row-pattern tuple of the family, as pattern ids.
-
-    ``columns[i]`` holds the k columns of the i-th pattern in lexicographic
-    order, and row t of ``ids`` is the t-th tuple ``_iter_lambda`` yields,
-    one pattern id per row, so ``columns[ids]`` is its (tuples, r, k) column
-    array.
-    """
-    patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
-    pattern_id = {pat: i for i, pat in enumerate(patterns)}
-    ids = [[pattern_id[pat] for pat in rows] for rows in _iter_lambda(cfg, cfg.r)]
-    return np.array(patterns, dtype=np.intp), np.array(ids, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +73,28 @@ def per_comparison_alpha(
     ``|||Sigma(theta) - Sigma(theta')|||_2^2 / H(gamma, gamma')`` over pairs
     with different bit vectors is computed by full enumeration; otherwise
     ``exact`` is None and only the bound is returned.
+
+    Raises
+    ------
+    ConfigError
+        If the family is empty (k > r).
     """
     bound = _alpha_bound(cfg)
     total = count_theta(cfg)
+    if total == 0:
+        raise ConfigError(
+            f"no admissible row patterns for k = {cfg.k}, r = {cfg.r}; family is empty"
+        )
     pair_count = total * (total - 1) // 2
     if pair_count > budget:
         return AlphaResult(bound=bound, exact=None, pair_count=pair_count)
     # every member in (gamma, rows) order: bit vectors lexicographically,
-    # then row-pattern tuples in _iter_lambda order
-    columns, ids = _family_ids(cfg)
-    gammas = np.repeat(list(itertools.product((0, 1), repeat=cfg.r)), len(ids), axis=0)
-    sigmas = _sigma_stack(cfg, gammas, columns[np.tile(ids, (2**cfg.r, 1))])
+    # then row-pattern tuples in _iter_lambda order, as a (tuples, r, k)
+    # column array; the explicit count keeps the shape when k = 0
+    lambdas = list(_iter_lambda(cfg, cfg.r))
+    cols = np.array(lambdas, dtype=np.intp).reshape(len(lambdas), cfg.r, cfg.k)
+    gammas = np.repeat(list(itertools.product((0, 1), repeat=cfg.r)), len(cols), axis=0)
+    sigmas = _sigma_stack(cfg, gammas, np.tile(cols, (2**cfg.r, 1, 1)))
     best = math.inf
     for i in range(len(sigmas)):
         ham = np.sum(gammas[i + 1 :] != gammas[i], axis=1)
@@ -121,139 +107,6 @@ def per_comparison_alpha(
         best = min(best, float(np.min(norms**2 / ham[apart])))
     exact = 0.0 if best is math.inf else float(best)
     return AlphaResult(bound=bound, exact=exact, pair_count=pair_count)
-
-
-# ---------------------------------------------------------------------------
-# cross-product integral and overlap structure
-
-
-def cross_product_integral(s0, s1, s2) -> float:
-    """Gaussian cross-product integral of two densities against a base.
-
-    For centered Gaussians with covariances S0, S1, S2 this equals
-
-        det(I - S0^-1 (S1 - S0) S0^-1 (S2 - S0))^(-1/2).
-
-    It is the integral of f1 f2 / f0, which equals
-    det S0^(1/2) (det S1 det S2)^(-1/2) det(M)^(-1/2) with
-    M = S1^-1 + S2^-1 - S0^-1, and it is finite exactly when M is positive
-    definite.  Since I - Q = S0^-1 S1 M S2, the determinant above is then
-    positive; its sign alone does not show convergence, because M can have
-    an even number of negative eigenvalues.
-
-    Raises
-    ------
-    DomainError
-        If S0, S1 or S2 is not positive definite.
-    DivergenceError
-        If M is not positive definite (integral diverges).
-    """
-    m0 = as_symmetric(s0)
-    m1 = as_symmetric(s1)
-    m2 = as_symmetric(s2)
-    if m0.shape != m1.shape or m0.shape != m2.shape:
-        raise ValueError("all three matrices must share one shape")
-    for label, m in (("base", m0), ("S1", m1), ("S2", m2)):
-        if float(np.min(np.linalg.eigvalsh(m))) <= 0.0:
-            raise DomainError(f"{label} covariance must be positive definite")
-    inv0 = np.linalg.inv(m0)
-    mid = np.linalg.inv(m1) + np.linalg.inv(m2) - inv0
-    if float(np.min(np.linalg.eigvalsh(mid))) <= 0.0:
-        raise DivergenceError(
-            "cross-product integral diverges: S1^-1 + S2^-1 - S0^-1 is not "
-            "positive definite"
-        )
-    q = inv0 @ (m1 - m0) @ inv0 @ (m2 - m0)
-    sign, logdet = np.linalg.slogdet(np.eye(m0.shape[0]) - q)
-    if sign <= 0.0:
-        raise DivergenceError(
-            "cross-product integral diverges: det(I - Q) is not positive"
-        )
-    return math.exp(-0.5 * logdet)
-
-
-@dataclass(frozen=True)
-class OverlapResult:
-    """Overlap count and the nonzero eigenvalues of the difference product."""
-
-    j: int
-    epsilon: float
-    nonzero_eigenvalues: tuple[float, ...]
-
-
-def overlap_structure(s0, s1, s2, *, tol: float = _EIG_TOL) -> OverlapResult:
-    """Verify the rank-two eigenstructure of (S0 - S1)(S0 - S2).
-
-    S1 and S2 must differ from S0 only in the first row and column, by a
-    common value epsilon on equally sized index patterns, and S0's first row
-    must be the first basis vector.  The product then has at most rank two,
-    and when the patterns overlap in J > 0 places its only nonzero
-    eigenvalues are J * epsilon^2, twice.
-
-    Raises
-    ------
-    StructureError
-        If the inputs violate the required shape, or the verified
-        eigenstructure fails to hold within ``tol``.
-    """
-    m0 = as_symmetric(s0)
-    m1 = as_symmetric(s1)
-    m2 = as_symmetric(s2)
-    p = m0.shape[0]
-    if m1.shape != m0.shape or m2.shape != m0.shape:
-        raise StructureError("matrices must share one dimension")
-    e1 = np.zeros(p)
-    e1[0] = 1.0
-    if not np.allclose(m0[0], e1, atol=tol):
-        raise StructureError("first row of the base matrix must be the basis vector")
-    patterns = []
-    eps_values = []
-    for label, m in (("S1", m1), ("S2", m2)):
-        diff = m - m0
-        body = diff[1:, 1:]
-        if float(np.max(np.abs(body))) > tol or abs(diff[0, 0]) > tol:
-            raise StructureError(
-                f"{label} may differ from S0 only off-diagonally in row/column 1"
-            )
-        row = diff[0, 1:]
-        support = np.flatnonzero(np.abs(row) > tol)
-        if support.size == 0:
-            raise StructureError(f"{label} has an empty first-row pattern")
-        vals = row[support]
-        if float(np.max(vals) - np.min(vals)) > tol or float(vals[0]) <= 0.0:
-            raise StructureError(
-                f"{label} first-row entries must share one positive value"
-            )
-        patterns.append(set(int(i) for i in support))
-        eps_values.append(float(vals.mean()))
-    if abs(eps_values[0] - eps_values[1]) > tol:
-        raise StructureError("S1 and S2 must use a common epsilon")
-    if len(patterns[0]) != len(patterns[1]):
-        raise StructureError("first-row patterns must have equal size")
-    epsilon = eps_values[0]
-    j = len(patterns[0] & patterns[1])
-    product = (m0 - m1) @ (m0 - m2)
-    eigs = np.linalg.eigvals(product)
-    if float(np.max(np.abs(eigs.imag))) > tol:
-        raise StructureError("difference product has materially complex eigenvalues")
-    re = np.sort(eigs.real)[::-1]
-    target = j * epsilon**2
-    nonzero = re[np.abs(re) > tol]
-    if j > 0:
-        if nonzero.size != 2 or np.max(np.abs(nonzero - target)) > tol:
-            raise StructureError(
-                f"expected two nonzero eigenvalues at {target:.3e}, got {nonzero}"
-            )
-    else:
-        if nonzero.size != 0:
-            raise StructureError(
-                f"expected a nilpotent product for J=0, got eigenvalues {nonzero}"
-            )
-        if np.linalg.matrix_rank(product, tol=tol) > 2:
-            raise StructureError("difference product exceeds rank two")
-    return OverlapResult(
-        j=j, epsilon=epsilon, nonzero_eigenvalues=tuple(float(v) for v in nonzero)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +166,18 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
 
     Raises
     ------
+    ConfigError
+        If the family is empty (k > r).
     DivergenceError
         If ``k * epsilon^2 >= 1``, where the per-term integrals themselves
         diverge and no finite envelope exists.
     """
-    r, k, eps, n = cfg.r, cfg.k, cfg.epsilon, cfg.n
-    p_lambda_min = r - (r - 1) // 2
-    if p_lambda_min < k:
-        raise ConfigError(
-            f"worst-case free column count {p_lambda_min} is below k={k}; "
-            "the completion set can be empty"
-        )
-    if k * eps**2 >= 1.0:
-        raise DivergenceError(
-            f"k * epsilon^2 = {k * eps**2:.6g} >= 1; envelope diverges",
-            ratio=k * eps**2,
-        )
+    k, eps, n = cfg.k, cfg.epsilon, cfg.n
+    p_lambda_min = _fewest_free_columns(cfg.r, k)
+    # overlap_fractions refuses p_lambda_min < k, which only an empty family reaches
     pmf = np.array([float(f) for f in overlap_fractions(k, p_lambda_min)])
+    if k * eps**2 >= 1.0:
+        raise DivergenceError(f"k * epsilon^2 = {k * eps**2:.6g} >= 1; envelope diverges")
     js = np.arange(k + 1)
     value = float(np.sum(pmf * ((1.0 - js * eps**2) ** (-n) * 1.5 - 1.0)))
 
@@ -377,6 +225,8 @@ def exact_chi_square_small(
     ------
     BudgetError
         If the number of integral evaluations would exceed the budget.
+    ConfigError
+        If the family is empty (k > r).
     DivergenceError
         If a cross-product integral is not finite.
     """
@@ -521,6 +371,8 @@ def certified_affinity(
     ------
     BudgetError
         If k >= 2 and the enumeration would exceed ``budget``.
+    ConfigError
+        If the family is empty (k > r).
     DivergenceError
         If a cross-product integral is not finite.
     """

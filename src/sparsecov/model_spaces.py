@@ -19,8 +19,9 @@ the sparsity class.
 
 This module owns the family's combinatorics: the 2k column cap
 (``_column_cap``), the usage-profile table of the r - 1 rows other than row 0
-(``_usage_profiles``), the exact count built on it (``count_theta``) and the
-closed-form size floor 2^r C(r, k) (``family_size_floor``).
+(``_usage_profiles``), the exact count built on it (``count_theta``), the
+closed-form size floor 2^r C(r, k) (``family_size_floor``) and the fewest
+columns those r - 1 rows leave under the cap (``_fewest_free_columns``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -264,7 +267,8 @@ def _sigma_stack(cfg: LeastFavorableConfig, bits, cols) -> np.ndarray:
     return sigma
 
 
-def _usage_profiles(r: int, k: int) -> Counter:
+@lru_cache(maxsize=16)
+def _usage_profiles(r: int, k: int) -> MappingProxyType:
     """Valid k-subset tuples of the r - 1 rows besides row 0, counted per usage profile.
 
     ``profile[u]`` is the number of columns used u times, u = 0..2k; columns
@@ -273,7 +277,8 @@ def _usage_profiles(r: int, k: int) -> Counter:
     ``profile[u]`` columns used u < 2k times, in prod C(profile[u], take[u])
     ways, and those columns move up one class.  Availability is read before
     the move, so one row never picks a column twice.  Returns
-    {final profile: number of tuples}.
+    {final profile: number of tuples}, built once per (r, k) and shared by
+    every caller as a read-only view.
     """
     cap = _column_cap(k)
     takes = [Counter(c) for c in itertools.combinations_with_replacement(range(cap), k)]
@@ -290,7 +295,7 @@ def _usage_profiles(r: int, k: int) -> Counter:
                 if mult:
                     grown[tuple(new)] += mult
         layer = grown
-    return layer
+    return MappingProxyType(layer)
 
 
 def _count_lambda(r: int, k: int) -> int:
@@ -313,6 +318,13 @@ def family_size_floor(cfg: LeastFavorableConfig) -> int:
     numbered 0..r-1, rows taking the cyclic shifts S + m (mod r) of any k-set S
     use every column k <= 2k times, so each row-0 pattern S starts a valid tuple."""
     return 2**cfg.r * math.comb(cfg.r, cfg.k)
+
+
+def _fewest_free_columns(r: int, k: int) -> int:
+    """Fewest of the r support columns that the r - 1 rows besides row 0 leave
+    under the 2k cap.  Their (r - 1) k uses cap at most (r - 1) // 2 columns,
+    and none at all when 2k > r - 1, since no column then reaches 2k uses."""
+    return r if _column_cap(k) > r - 1 else r - (r - 1) // 2
 
 
 def _iter_lambda(cfg: LeastFavorableConfig, rows: int):

@@ -1,10 +1,12 @@
-"""Monte Carlo oracles for the lower-bound laboratory.
+"""Oracles for the lower-bound laboratory.
 
 The two bit-anchored mixtures of the least-favourable family, built member
 by member, and an importance-sampled estimate of their total-variation
 affinity.  ``lowerbound`` certifies the affinity from the exact chi-square
 instead; these oracles check that certificate and the enumerated
-quantities behind it from the sampling side.
+quantities behind it from the sampling side.  The family's pattern-id
+walker and the Gaussian cross-product integral on full p x p matrices live
+here too, since only tests call them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsecov.errors import BudgetError, ConfigError, NumericalError
-from sparsecov.lower_bound import DEFAULT_ENUMERATION_BUDGET, _family_ids
-from sparsecov.matrices import _from_eigen
-from sparsecov.model_spaces import LeastFavorableConfig, _sigma_stack, count_theta
+from sparsecov.errors import (
+    BudgetError,
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    SparseCovError,
+)
+from sparsecov.lower_bound import DEFAULT_ENUMERATION_BUDGET
+from sparsecov.matrices import _from_eigen, as_symmetric
+from sparsecov.model_spaces import (
+    LeastFavorableConfig,
+    _iter_lambda,
+    _sigma_stack,
+    count_theta,
+)
 from sparsecov.rng import RngSeed
 
 # Samples scored per GEMM by each tv_affinity_mc worker, and components per
@@ -37,6 +50,69 @@ _WORKERS = 2
 # Rows of a scored tile whose log-sum-exp runs at once, so each block of the
 # (tile, components) buffer stays in cache.
 _BLOCK = 32
+
+
+class NumericalError(SparseCovError, ArithmeticError):
+    """Non-finite intermediate value in a numerical routine."""
+
+
+def _family_ids(cfg: LeastFavorableConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every valid row-pattern tuple of the family, as pattern ids.
+
+    ``columns[i]`` holds the k columns of the i-th pattern in lexicographic
+    order, and row t of ``ids`` is the t-th tuple ``_iter_lambda`` yields,
+    one pattern id per row, so ``columns[ids]`` is its (tuples, r, k) column
+    array.
+    """
+    patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
+    pattern_id = {pat: i for i, pat in enumerate(patterns)}
+    ids = [[pattern_id[pat] for pat in rows] for rows in _iter_lambda(cfg, cfg.r)]
+    return np.array(patterns, dtype=np.intp), np.array(ids, dtype=np.intp)
+
+
+def cross_product_integral(s0, s1, s2) -> float:
+    """Gaussian cross-product integral of two densities against a base.
+
+    For centered Gaussians with covariances S0, S1, S2 this equals
+
+        det(I - S0^-1 (S1 - S0) S0^-1 (S2 - S0))^(-1/2).
+
+    It is the integral of f1 f2 / f0, which equals
+    det S0^(1/2) (det S1 det S2)^(-1/2) det(M)^(-1/2) with
+    M = S1^-1 + S2^-1 - S0^-1, and it is finite exactly when M is positive
+    definite.  Since I - Q = S0^-1 S1 M S2, the determinant above is then
+    positive; its sign alone does not show convergence, because M can have
+    an even number of negative eigenvalues.
+
+    Raises
+    ------
+    DomainError
+        If S0, S1 or S2 is not positive definite.
+    DivergenceError
+        If M is not positive definite (integral diverges).
+    """
+    m0 = as_symmetric(s0)
+    m1 = as_symmetric(s1)
+    m2 = as_symmetric(s2)
+    if m0.shape != m1.shape or m0.shape != m2.shape:
+        raise ValueError("all three matrices must share one shape")
+    for label, m in (("base", m0), ("S1", m1), ("S2", m2)):
+        if float(np.min(np.linalg.eigvalsh(m))) <= 0.0:
+            raise DomainError(f"{label} covariance must be positive definite")
+    inv0 = np.linalg.inv(m0)
+    mid = np.linalg.inv(m1) + np.linalg.inv(m2) - inv0
+    if float(np.min(np.linalg.eigvalsh(mid))) <= 0.0:
+        raise DivergenceError(
+            "cross-product integral diverges: S1^-1 + S2^-1 - S0^-1 is not "
+            "positive definite"
+        )
+    q = inv0 @ (m1 - m0) @ inv0 @ (m2 - m0)
+    sign, logdet = np.linalg.slogdet(np.eye(m0.shape[0]) - q)
+    if sign <= 0.0:
+        raise DivergenceError(
+            "cross-product integral diverges: det(I - Q) is not positive"
+        )
+    return math.exp(-0.5 * logdet)
 
 
 class GaussianMixture:

@@ -19,14 +19,16 @@ from sparsecov.errors import (
     EigenError,
     FitError,
     NotPSDError,
-    NumericalError,
     SchemaError,
     SparseCovError,
     StructureError,
 )
+from sparsecov.estimators import EstimatorSpec, apply_estimator
+from sparsecov.matrices import load_matrix_csv, save_matrix_csv
+from sparsecov.model_spaces import _usage_profiles
 from sparsecov.rng import RngSeed
 from sparsecov.risk import banded_sigma
-from sparsecov.sampling import sample_gaussian, save_data_csv
+from sparsecov.sampling import load_data_csv, mle_covariance, sample_gaussian, save_data_csv
 
 
 @pytest.fixture
@@ -107,6 +109,32 @@ def test_estimate_rejects_asymmetric_covariance(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,0.9\n0.1,1.0\n")
     assert main(["estimate", "--covariance", str(path), "--n", "10"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, corrections",
+    [
+        (["--psd-project"], ("psd-project",)),
+        (["--bregman-guard"], ("bregman-guard",)),
+        (["--bregman-guard", "--psd-project"], ("psd-project", "bregman-guard")),
+    ],
+    ids=["psd-project", "bregman-guard", "both"],
+)
+def test_estimate_corrections_write_what_apply_estimator_returns(tmp_path, flags, corrections):
+    # n = 10 < p = 15 with a light soft threshold: the estimate has a
+    # negative eigenvalue, so the projection clips and the guard trips
+    data = tmp_path / "data.csv"
+    save_data_csv(data, sample_gaussian(banded_sigma(15, 2, 0.3), 10, RngSeed(42)))
+    plain, out = tmp_path / "plain.csv", tmp_path / "est.csv"
+    args = ["estimate", "--data", str(data), "--rule", "soft", "--gamma", "0.5"]
+    assert main(args + ["--out", str(plain)]) == 0
+    assert main(args + flags + ["--out", str(out)]) == 0
+    spec = EstimatorSpec(rule="soft", gamma=0.5, corrections=corrections)
+    want = apply_estimator(mle_covariance(load_data_csv(data)), spec, 10)
+    assert np.array_equal(load_matrix_csv(out), want)
+    save_matrix_csv(tmp_path / "want.csv", want)
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert out.read_bytes() != plain.read_bytes()
 
 
 def test_simulate_writes_deterministic_csv(tmp_path, capsys):
@@ -259,6 +287,50 @@ def test_lowerbound_report_is_independent_of_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_lowerbound_certifies_a_family_whose_columns_all_stay_free(tmp_path):
+    # r = k = 3, 8 members: no column can reach 2k uses, so all r columns
+    # stay free; r - (r - 1) // 2 = 2 < k would leave no first-row pattern
+    out = tmp_path / "report.json"
+    code = main([
+        "lowerbound", "--p", "6", "--n", "50", "--q", "0", "--c", "8",
+        "--upsilon", "0.1", "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads(out.read_text())
+    chi2 = report["chi_square"]
+    assert chi2["p_lambda_min"] == 3
+    assert chi2["exact_formula"] == "enumeration"
+    assert chi2["exact"] == pytest.approx(0.0553, abs=1e-4)
+    assert chi2["exact"] <= chi2["envelope"]
+
+
+def test_lowerbound_builds_the_usage_profile_table_once(capsys):
+    # k = 2: the member count and the chi-square work gate share one table
+    _usage_profiles.cache_clear()
+    assert main(["lowerbound", "--p", "8", "--n", "50", "--q", "0", "--c", "6"]) == 0
+    info = _usage_profiles.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cli_import_loads_no_pool_and_no_oracle():
+    # the lab oracles and their thread pool are for tests only; numpy itself
+    # loads threading and ctypes, so those are not checked
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, sparsecov.cli; "
+            "print(sorted({'concurrent.futures', 'lab_oracles'} & set(sys.modules)))",
+        ],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_lowerbound_trivial_when_k_is_zero(tmp_path):
     out = tmp_path / "report.json"
     code = main([
@@ -364,10 +436,15 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
          "operator loss cannot be normalized"),
         ({"losses": [{"kind": "bregman", "phi": "stein", "w": 1}]},
          "unknown key 'w' in loss (kind 'bregman')"),
+        # each grid entry is an object
+        ({"estimators": ["hard"]}, "estimator must be a JSON object, got str"),
+        ({"losses": ["operator"]}, "loss must be a JSON object, got str"),
+        ({"cells": [[20, 10]]}, "cells[0] must be a JSON object, got list"),
     ],
     ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
          "target-exponent", "value-and-scale", "theta-and-theta-seed",
-         "normalized-operator", "bregman-w"],
+         "normalized-operator", "bregman-w", "estimator-not-object", "loss-not-object",
+         "cell-not-object"],
 )
 def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
@@ -506,7 +583,6 @@ EXIT_CASES = [
     (DomainError, 3, "error: boom"),
     (NotPSDError, 3, "error: boom"),
     (DivergenceError, 3, "error: boom"),
-    (NumericalError, 3, "error: boom"),
     (EigenError, 3, "error: boom"),
     (CellError, 3, "error: boom"),
     (FitError, 3, "error: boom"),

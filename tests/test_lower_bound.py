@@ -11,24 +11,22 @@ import numpy as np
 import pytest
 
 import lab_oracles
-from lab_oracles import GaussianMixture, _sufficient_stats, gamma1_mixture, tv_affinity_mc
-from sparsecov.errors import (
-    BudgetError,
-    ConfigError,
-    DivergenceError,
-    DomainError,
+from lab_oracles import (
+    GaussianMixture,
     NumericalError,
-    StructureError,
+    _sufficient_stats,
+    cross_product_integral,
+    gamma1_mixture,
+    tv_affinity_mc,
 )
+from sparsecov.errors import BudgetError, ConfigError, DivergenceError, DomainError
 from sparsecov.lower_bound import (
     assemble_lower_bound,
     certified_affinity,
     chi_square_mixture_bound,
     closed_form_chi_square,
-    cross_product_integral,
     exact_chi_square_small,
     overlap_fractions,
-    overlap_structure,
     per_comparison_alpha,
 )
 from sparsecov.model_spaces import (
@@ -158,44 +156,7 @@ def test_integral_rejects_indefinite_perturbed_covariances():
 
 
 # ---------------------------------------------------------------------------
-# overlap structure and law
-
-
-def bump(p, eps, row, cols):
-    s = np.eye(p)
-    for j in cols:
-        s[row, j] += eps
-        s[j, row] += eps
-    return s
-
-
-def test_overlap_two_shared_columns():
-    eps = 0.1
-    s0 = np.eye(6)
-    s1 = bump(6, eps, 0, (3, 4))
-    s2 = bump(6, eps, 0, (3, 4))
-    res = overlap_structure(s0, s1, s2)
-    assert res.j == 2
-    assert np.allclose(res.nonzero_eigenvalues, [0.02, 0.02], atol=1e-12)
-
-
-def test_overlap_partial_and_disjoint():
-    eps = 0.05
-    s0 = np.eye(8)
-    res = overlap_structure(s0, bump(8, eps, 0, (4, 5)), bump(8, eps, 0, (5, 6)))
-    assert res.j == 1
-    assert np.allclose(res.nonzero_eigenvalues, [eps**2], atol=1e-14)
-    res0 = overlap_structure(s0, bump(8, eps, 0, (4, 5)), bump(8, eps, 0, (6, 7)))
-    assert res0.j == 0
-    assert len(res0.nonzero_eigenvalues) == 0
-
-
-def test_overlap_rejects_wrong_shapes():
-    s0 = np.eye(4)
-    with pytest.raises(StructureError):
-        overlap_structure(s0, bump(4, 0.1, 1, (2,)), bump(4, 0.1, 0, (2,)))
-    with pytest.raises(StructureError):
-        overlap_structure(s0, bump(4, 0.1, 0, (2,)), bump(4, 0.2, 0, (2,)))
+# overlap law
 
 
 def test_overlap_fractions_reference_values():
@@ -259,6 +220,18 @@ def test_alpha_matches_pairwise_loop(args):
     assert per_comparison_alpha(cfg).exact == alpha_by_pairwise_loop(cfg)
 
 
+def test_empty_family_is_refused_with_config_error():
+    # k = 3 patterns cannot fit r = 2 support columns; build_config refuses
+    # this config, so it is built by hand
+    cfg = LeastFavorableConfig(p=4, n=20, q=0.0, c=8.0, upsilon=0.1, r=2, k=3, epsilon=0.05)
+    assert count_theta(cfg) == 0
+    for compute in (
+        per_comparison_alpha, chi_square_mixture_bound, exact_chi_square_small, certified_affinity
+    ):
+        with pytest.raises(ConfigError):
+            compute(cfg)
+
+
 def test_alpha_falls_back_to_bound_only_over_budget():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
     res = per_comparison_alpha(cfg, budget=100)
@@ -274,6 +247,18 @@ def test_envelope_reference_configuration():
     # the plain geometric-series form has ratio denominator p/4 - 1 - k = 0 here
     assert env.series_diverged
     assert env.series_value is None
+
+
+def test_envelope_keeps_every_column_free_when_none_can_reach_the_cap():
+    # r = k = 3: the other two rows use a column at most twice, below 2k = 6,
+    # so all three columns stay free
+    cfg = build_config(6, 50, 0.0, 8.0, 0.1)
+    assert (cfg.r, cfg.k) == (3, 3)
+    env = chi_square_mixture_bound(cfg)
+    assert env.p_lambda_min == 3
+    # both first-row patterns are all three columns, so J = 3 surely
+    assert env.value == (1.0 - 3 * cfg.epsilon**2) ** (-cfg.n) * 1.5 - 1.0
+    assert exact_chi_square_small(cfg) <= env.value
 
 
 def test_envelope_k_zero_is_half():

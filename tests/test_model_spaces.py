@@ -12,7 +12,9 @@ from sparsecov.model_spaces import (
     SparsityClassSpec,
     ThetaIndex,
     _count_lambda,
+    _fewest_free_columns,
     _iter_lambda,
+    _usage_profiles,
     build_config,
     class_membership,
     count_theta,
@@ -197,6 +199,18 @@ def test_size_floor_never_exceeds_the_count():
         floor = family_size_floor(cfg)
         assert floor == 2**r * math.comb(r, k)
         assert floor <= count_theta(cfg), (r, k)
+
+
+def test_fewest_free_columns_is_the_profile_table_minimum():
+    # the envelope's worst case: the fewest columns under the 2k cap that any
+    # valid tuple of the r - 1 rows besides row 0 leaves
+    pairs = [(r, k) for r in range(1, 11) for k in range(1, min(r, 4) + 1)]
+    for r, k in pairs:
+        table_min = min(sum(profile[: 2 * k]) for profile in _usage_profiles(r, k))
+        assert _fewest_free_columns(r, k) == table_min, (r, k)
+    # at r = k = 3 no column can reach 2k uses, so r - (r - 1) // 2 = 2 < k
+    # undercounts: all three columns stay free
+    assert _fewest_free_columns(3, 3) == 3
 
 
 def test_sample_theta_is_deterministic_and_valid():
