@@ -34,7 +34,6 @@ from .model_spaces import (
     ThetaIndex,
     build_config,
     class_membership,
-    count_theta,
     materialize_sigma,
     sample_theta,
     validate_theta,
@@ -67,7 +66,6 @@ from .losses import (
     resolve_phi,
 )
 from .lower_bound import (
-    AlphaResult,
     CertifiedAffinity,
     ChiSquareEnvelope,
     LowerBoundResult,
@@ -75,9 +73,7 @@ from .lower_bound import (
     certified_affinity,
     chi_square_mixture_bound,
     closed_form_chi_square,
-    exact_chi_square_small,
     overlap_fractions,
-    per_comparison_alpha,
 )
 from .risk import (
     GridResult,

@@ -5,10 +5,10 @@ Three subcommands:
 - ``estimate``: threshold a sample covariance from data (or a given matrix)
 - ``simulate``: run a Monte Carlo risk grid from a JSON config
 - ``lowerbound``: certify the two-point lower bound at one
-  (p, n, q, c, upsilon), given as flags, from the exact chi-square
+  (p, n, q, c, upsilon), given as flags, in closed form
 
 Exit codes: 0 success, 2 bad input or config, 3 numerical/domain failure,
-4 computation exceeds the requested budget or the available memory.
+4 computation exceeds the available memory.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ from .errors import (
 from .estimators import EstimatorSpec, apply_estimator, threshold_level
 from .losses import LossSpec
 from .lower_bound import (
-    DEFAULT_ENUMERATION_BUDGET,
+    _alpha_bound,
     assemble_lower_bound,
     certified_affinity,
     chi_square_mixture_bound,
-    per_comparison_alpha,
 )
 from .matrices import load_matrix_csv, save_matrix_csv
-from .model_spaces import DEFAULT_UPSILON, build_config, family_size_floor
+from .model_spaces import DEFAULT_UPSILON, build_config
 from .rng import RngSeed
-from .risk import _export_format, export_records, run_grid
+from .risk import _export_format, _grid_specs, export_records, run_grid
 from .sampling import load_data_csv, mle_covariance
 
 
@@ -140,7 +139,7 @@ def cmd_simulate(args, argv) -> int:
         config["seed"] = args.seed
     if args.out:
         # an output the grid could not be written to fails before any cell runs
-        _export_format(args.out, [LossSpec.from_json(l) for l in config.get("losses", [])])
+        _export_format(args.out, _grid_specs(config, "losses", LossSpec.from_json))
     result = run_grid(config)
     # one record per (cell, estimator, loss) and one fit per (estimator, loss)
     cells = len(result.records) // len(result.fits)
@@ -185,51 +184,23 @@ def cmd_lowerbound(args, argv) -> int:
         stage_s[stage] += now - tick
         tick = now
 
-    if cfg.k == 0:
-        # family degenerates to the identity alone; nothing to distinguish
-        report.update(
-            {
-                "alpha": {"bound": 0.0, "exact": None, "pair_count": 0},
-                "chi_square": None,
-                "affinity": {"value": 1.0, "std_error": 0.0, "certified": True},
-            }
-        )
-    else:
-        # past the budget, refuse on the closed-form floor before counting
-        if family_size_floor(cfg) > args.budget:
-            raise BudgetError(
-                f"family has at least 2^{cfg.r} * C({cfg.r}, {cfg.k}) members, "
-                f"budget is {args.budget}"
-            )
-        alpha = per_comparison_alpha(cfg, budget=args.budget)
-        report["alpha"] = {
-            "bound": alpha.bound,
-            "exact": alpha.exact,
-            "pair_count": alpha.pair_count,
-        }
-        lap("alpha")
-        envelope = chi_square_mixture_bound(cfg)
-        lap("envelope")
-        certified = certified_affinity(cfg, budget=args.budget)
-        lap("chi_square")
-        report["chi_square"] = {
-            "envelope": envelope.value,
-            "below_target": envelope.below_target,
-            "target": envelope.target,
-            "p_lambda_min": envelope.p_lambda_min,
-            "series_value": envelope.series_value,
-            "series_ratio": envelope.series_ratio,
-            "series_diverged": envelope.series_diverged,
-            "exact": certified.chi_square,
-            "exact_formula": certified.formula,
-        }
-        # 1 - sqrt(exact) / 2, a lower bound with no sampling error
-        report["affinity"] = {
-            "value": certified.value,
-            "std_error": 0.0,
-            "certified": True,
-        }
-    bound = assemble_lower_bound(cfg, report["affinity"]["value"])
+    report["alpha"] = {"bound": _alpha_bound(cfg)}
+    lap("alpha")
+    envelope = chi_square_mixture_bound(cfg)
+    lap("envelope")
+    certified = certified_affinity(cfg)
+    lap("chi_square")
+    report["chi_square"] = {
+        "envelope": envelope.value,
+        "below_target": envelope.below_target,
+        "target": envelope.target,
+        "p_lambda_min": envelope.p_lambda_min,
+        # past k = 1 the envelope certifies, and no exact value is computed
+        "exact": certified.chi_square if cfg.k == 1 else None,
+    }
+    # 1 - sqrt(chi2) / 2, a lower bound with no sampling error
+    report["affinity"] = {"value": certified.value, "std_error": 0.0, "certified": True}
+    bound = assemble_lower_bound(cfg, certified.value)
     report["lower_bound"] = bound.lower_bound
     report["rate_target"] = bound.rate_target
     lap("assembly")
@@ -239,11 +210,11 @@ def cmd_lowerbound(args, argv) -> int:
         f"r={cfg.r} k={cfg.k} epsilon={cfg.epsilon:.6g}"
     )
     print(f"alpha bound: {report['alpha']['bound']:.6g}")
-    if report["chi_square"] is not None:
-        cs = report["chi_square"]
-        ok = "below" if cs["below_target"] else "ABOVE"
-        print(f"chi-square envelope: {cs['envelope']:.6g} ({ok} target {cs['target']})")
-        print(f"chi-square exact: {cs['exact']:.6g} ({cs['exact_formula']})")
+    cs = report["chi_square"]
+    ok = "below" if cs["below_target"] else "ABOVE"
+    print(f"chi-square envelope: {cs['envelope']:.6g} ({ok} target {cs['target']})")
+    if cs["exact"] is not None:
+        print(f"chi-square exact: {cs['exact']:.6g}")
     print(f"affinity: {report['affinity']['value']:.6g} (certified)")
     print(f"lower bound: {report['lower_bound']:.6g}  rate target: {report['rate_target']:.6g}")
     if args.out:
@@ -289,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify the two-point minimax lower bound "
         "(1/4) alpha (r/2) affinity at one (p, n, q, c, upsilon).  The affinity "
         "is the certified 1 - sqrt(chi2)/2, with chi2 the exact chi-square of the "
-        "two bit-anchored mixtures: in closed form at k = 1, by enumeration "
-        "within --budget at k >= 2.  Nothing is sampled.",
+        "two bit-anchored mixtures as a sum over one index at k = 1, and its "
+        "Gershgorin envelope at k >= 2.  Nothing is sampled or enumerated.",
     )
     low.add_argument("--p", type=int)
     low.add_argument("--n", type=int)
@@ -298,13 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     low.add_argument("--c", type=float)
     low.add_argument("--upsilon", type=float, default=DEFAULT_UPSILON)
     low.add_argument("--seed", help="recorded in the report; has no effect")
-    low.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_ENUMERATION_BUDGET,
-        help="cap on the family size floor 2^r C(r, k), on the member pairs "
-        "behind the exact alpha, and on the exact chi-square enumeration at k >= 2",
-    )
     low.add_argument("--out", help="write the full report as json")
     low.set_defaults(func=cmd_lowerbound)
     return parser

@@ -64,16 +64,16 @@ class EstimatorSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "EstimatorSpec":
-        _check_keys(
-            obj, ("rule", "gamma", "eta", "corrections", "keep_diagonal"), "estimator"
-        )
+    def from_json(cls, obj: dict, where: str = "estimator") -> "EstimatorSpec":
+        """Read a spec from its JSON object; ``where`` names the object's
+        place in its config in every message, such as ``estimators[1]``."""
+        _check_keys(obj, ("rule", "gamma", "eta", "corrections", "keep_diagonal"), where)
         return cls(
             rule=obj.get("rule", "hard"),
-            gamma=_check_real(obj.get("gamma", 2.0), "estimator.gamma"),
-            eta=_check_real(obj.get("eta", 3.0), "estimator.eta"),
+            gamma=_check_real(obj.get("gamma", 2.0), f"{where}.gamma"),
+            eta=_check_real(obj.get("eta", 3.0), f"{where}.eta"),
             corrections=tuple(obj.get("corrections", ())),
-            keep_diagonal=_check_bool(obj.get("keep_diagonal", False), "estimator.keep_diagonal"),
+            keep_diagonal=_check_bool(obj.get("keep_diagonal", False), f"{where}.keep_diagonal"),
         )
 
 

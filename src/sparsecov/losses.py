@@ -208,21 +208,23 @@ class LossSpec:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "LossSpec":
-        _check_keys(obj, ("kind", "w", "phi", "normalized"), "loss")
+    def from_json(cls, obj: dict, where: str = "loss") -> "LossSpec":
+        """Read a spec from its JSON object; ``where`` names the object's
+        place in its config in every message, such as ``losses[1]``."""
+        _check_keys(obj, ("kind", "w", "phi", "normalized"), where)
         kind = obj.get("kind", "operator")
         if kind in _LOSS_KEYS:
-            _check_keys(obj, _LOSS_KEYS[kind], f"loss (kind {kind!r})")
+            _check_keys(obj, _LOSS_KEYS[kind], f"{where} (kind {kind!r})")
         w = obj.get("w", 2 if kind == "operator" else None)
         if w == "inf":
             w = math.inf
         elif w is not None:
-            _check_real(w, "loss.w")  # keeps an integer w an int, as it is exported
+            _check_real(w, f"{where}.w")  # keeps an integer w an int, as it is exported
         return cls(
             kind=kind,
             w=w,
             phi=obj.get("phi"),
-            normalized=_check_bool(obj.get("normalized", False), "loss.normalized"),
+            normalized=_check_bool(obj.get("normalized", False), f"{where}.normalized"),
         )
 
 

@@ -18,10 +18,9 @@ r row patterns keeps the matrices diagonally dominated and the family inside
 the sparsity class.
 
 This module owns the family's combinatorics: the 2k column cap
-(``_column_cap``), the usage-profile table of the r - 1 rows other than row 0
-(``_usage_profiles``), the exact count built on it (``count_theta``), the
-closed-form size floor 2^r C(r, k) (``family_size_floor``) and the fewest
-columns those r - 1 rows leave under the cap (``_fewest_free_columns``).
+(``_column_cap``), the check of a tuple against it (``_overused_column``)
+and the fewest columns the r - 1 rows other than row 0 leave under the cap
+(``_fewest_free_columns``).  Nothing here walks or counts the family.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -267,72 +264,11 @@ def _sigma_stack(cfg: LeastFavorableConfig, bits, cols) -> np.ndarray:
     return sigma
 
 
-@lru_cache(maxsize=16)
-def _usage_profiles(r: int, k: int) -> MappingProxyType:
-    """Valid k-subset tuples of the r - 1 rows besides row 0, counted per usage profile.
-
-    ``profile[u]`` is the number of columns used u times, u = 0..2k; columns
-    are exchangeable, so the profile is all the usage cap needs.  The DP adds
-    one layer per row: the row takes ``take[u]`` of its k columns from the
-    ``profile[u]`` columns used u < 2k times, in prod C(profile[u], take[u])
-    ways, and those columns move up one class.  Availability is read before
-    the move, so one row never picks a column twice.  Returns
-    {final profile: number of tuples}, built once per (r, k) and shared by
-    every caller as a read-only view.
-    """
-    cap = _column_cap(k)
-    takes = [Counter(c) for c in itertools.combinations_with_replacement(range(cap), k)]
-    layer = Counter({(r,) + (0,) * cap: 1})
-    for _ in range(r - 1):
-        grown = Counter()
-        for profile, ways in layer.items():
-            for take in takes:
-                new, mult = list(profile), ways
-                for u, t in take.items():
-                    mult *= math.comb(profile[u], t)
-                    new[u] -= t
-                    new[u + 1] += t
-                if mult:
-                    grown[tuple(new)] += mult
-        layer = grown
-    return MappingProxyType(layer)
-
-
-def _count_lambda(r: int, k: int) -> int:
-    """Exact number of r-tuples of k-subsets with every column used <= 2k times:
-    each tuple of the other r - 1 rows takes any row 0 on its columns under the cap."""
-    return sum(
-        ways * math.comb(sum(profile[: _column_cap(k)]), k)
-        for profile, ways in _usage_profiles(r, k).items()
-    )
-
-
-def count_theta(cfg: LeastFavorableConfig) -> int:
-    """Exact cardinality of the family: 2^r times the number of valid tuples,
-    counted by the iterative usage-profile DP, r - 1 layers and a closing sum."""
-    return 2**cfg.r * _count_lambda(cfg.r, cfg.k)
-
-
-def family_size_floor(cfg: LeastFavorableConfig) -> int:
-    """2^r C(r, k), at most :func:`count_theta`: with the support columns
-    numbered 0..r-1, rows taking the cyclic shifts S + m (mod r) of any k-set S
-    use every column k <= 2k times, so each row-0 pattern S starts a valid tuple."""
-    return 2**cfg.r * math.comb(cfg.r, cfg.k)
-
-
 def _fewest_free_columns(r: int, k: int) -> int:
     """Fewest of the r support columns that the r - 1 rows besides row 0 leave
     under the 2k cap.  Their (r - 1) k uses cap at most (r - 1) // 2 columns,
     and none at all when 2k > r - 1, since no column then reaches 2k uses."""
     return r if _column_cap(k) > r - 1 else r - (r - 1) // 2
-
-
-def _iter_lambda(cfg: LeastFavorableConfig, rows: int):
-    """Yield valid tuples of ``rows`` row patterns in lexicographic order."""
-    patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
-    for chosen in itertools.product(patterns, repeat=rows):
-        if _overused_column(chosen, cfg.k) is None:
-            yield chosen
 
 
 # Candidate tuples sample_theta draws before it gives up on a configuration.

@@ -472,6 +472,15 @@ def _default_target(loss: LossSpec, q: float | None) -> float | None:
     return None
 
 
+def _grid_specs(config: dict, key: str, reader) -> list:
+    """The grid's ``key`` array, each entry read by ``reader`` and named by
+    its index, such as ``losses[1]``."""
+    entries = config.get(key, [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"{key} must be a JSON array, got {type(entries).__name__}")
+    return [reader(entry, f"{key}[{i}]") for i, entry in enumerate(entries)]
+
+
 _GRID_KEYS = ("cells", "truth", "estimators", "losses", "replicates", "seed")
 
 
@@ -503,8 +512,8 @@ def run_grid(config: dict) -> GridResult:
         raise SchemaError(
             f"truth must be a JSON object, got {type(truth_spec).__name__}"
         )
-    estimators = [EstimatorSpec.from_json(e) for e in config.get("estimators", [])]
-    losses = [LossSpec.from_json(l) for l in config.get("losses", [])]
+    estimators = _grid_specs(config, "estimators", EstimatorSpec.from_json)
+    losses = _grid_specs(config, "losses", LossSpec.from_json)
     if not estimators or not losses:
         raise ConfigError("grid config needs estimators and losses")
     replicates = _check_int(config.get("replicates", 0), "replicates")

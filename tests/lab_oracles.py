@@ -2,11 +2,18 @@
 
 The two bit-anchored mixtures of the least-favourable family, built member
 by member, and an importance-sampled estimate of their total-variation
-affinity.  ``lowerbound`` certifies the affinity from the exact chi-square
-instead; these oracles check that certificate and the enumerated
-quantities behind it from the sampling side.  The family's pattern-id
-walker and the Gaussian cross-product integral on full p x p matrices live
-here too, since only tests call them.
+affinity.  ``lowerbound`` certifies the affinity in closed form instead;
+these oracles check that certificate from the sampling side.
+
+The family's walkers and counters live here too, since only tests call
+them: the usage-profile DP over valid row-pattern tuples and the exact
+count built on it, the closed-form size floor, the lexicographic tuple
+walker and the pattern-id walker, the exact separation constant by
+enumerating every member pair, and the exact chi-square by enumerating
+every completion.  So does the Gaussian cross-product integral on full
+p x p matrices.  Each enumeration compares its work with a budget: past
+it the exact separation is skipped, and the other enumerations refuse with
+``BudgetError``.
 """
 
 from __future__ import annotations
@@ -17,9 +24,12 @@ import itertools
 import math
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,13 +40,13 @@ from sparsecov.errors import (
     DomainError,
     SparseCovError,
 )
-from sparsecov.lower_bound import DEFAULT_ENUMERATION_BUDGET
+from sparsecov.lower_bound import _alpha_bound
 from sparsecov.matrices import _from_eigen, as_symmetric
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
-    _iter_lambda,
+    _column_cap,
+    _overused_column,
     _sigma_stack,
-    count_theta,
 )
 from sparsecov.rng import RngSeed
 
@@ -50,6 +60,218 @@ _WORKERS = 2
 # Rows of a scored tile whose log-sum-exp runs at once, so each block of the
 # (tile, components) buffer stays in cache.
 _BLOCK = 32
+
+
+# ---------------------------------------------------------------------------
+# the family's walkers and counters
+
+
+# Family size, member pairs and integral evaluations past which the
+# enumerations below give up.
+DEFAULT_ENUMERATION_BUDGET = 10**6
+
+
+@lru_cache(maxsize=16)
+def _usage_profiles(r: int, k: int) -> MappingProxyType:
+    """Valid k-subset tuples of the r - 1 rows besides row 0, counted per usage profile.
+
+    ``profile[u]`` is the number of columns used u times, u = 0..2k; columns
+    are exchangeable, so the profile is all the usage cap needs.  The DP adds
+    one layer per row: the row takes ``take[u]`` of its k columns from the
+    ``profile[u]`` columns used u < 2k times, in prod C(profile[u], take[u])
+    ways, and those columns move up one class.  Availability is read before
+    the move, so one row never picks a column twice.  Returns
+    {final profile: number of tuples}, built once per (r, k) and shared by
+    every caller as a read-only view.
+    """
+    cap = _column_cap(k)
+    takes = [Counter(c) for c in itertools.combinations_with_replacement(range(cap), k)]
+    layer = Counter({(r,) + (0,) * cap: 1})
+    for _ in range(r - 1):
+        grown = Counter()
+        for profile, ways in layer.items():
+            for take in takes:
+                new, mult = list(profile), ways
+                for u, t in take.items():
+                    mult *= math.comb(profile[u], t)
+                    new[u] -= t
+                    new[u + 1] += t
+                if mult:
+                    grown[tuple(new)] += mult
+        layer = grown
+    return MappingProxyType(layer)
+
+
+def _count_lambda(r: int, k: int) -> int:
+    """Exact number of r-tuples of k-subsets with every column used <= 2k times:
+    each tuple of the other r - 1 rows takes any row 0 on its columns under the cap."""
+    return sum(
+        ways * math.comb(sum(profile[: _column_cap(k)]), k)
+        for profile, ways in _usage_profiles(r, k).items()
+    )
+
+
+def count_theta(cfg: LeastFavorableConfig) -> int:
+    """Exact cardinality of the family: 2^r times the number of valid tuples,
+    counted by the iterative usage-profile DP, r - 1 layers and a closing sum."""
+    return 2**cfg.r * _count_lambda(cfg.r, cfg.k)
+
+
+def family_size_floor(cfg: LeastFavorableConfig) -> int:
+    """2^r C(r, k), at most :func:`count_theta`: with the support columns
+    numbered 0..r-1, rows taking the cyclic shifts S + m (mod r) of any k-set S
+    use every column k <= 2k times, so each row-0 pattern S starts a valid tuple."""
+    return 2**cfg.r * math.comb(cfg.r, cfg.k)
+
+
+def _iter_lambda(cfg: LeastFavorableConfig, rows: int):
+    """Yield valid tuples of ``rows`` row patterns in lexicographic order."""
+    patterns = list(itertools.combinations(cfg.support_columns, cfg.k))
+    for chosen in itertools.product(patterns, repeat=rows):
+        if _overused_column(chosen, cfg.k) is None:
+            yield chosen
+
+
+# ---------------------------------------------------------------------------
+# exact separation and chi-square by enumeration
+
+
+@dataclass(frozen=True)
+class AlphaResult:
+    """Closed-form bound, optional exact minimum, and the pair count behind it."""
+
+    bound: float
+    exact: float | None
+    pair_count: int
+
+
+def per_comparison_alpha(
+    cfg: LeastFavorableConfig, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> AlphaResult:
+    """Separation constant of the family under squared spectral distance.
+
+    The bound is ``(k * epsilon)^2 / p``.  When the number of member pairs
+    fits ``budget`` the exact minimum of
+    ``|||Sigma(theta) - Sigma(theta')|||_2^2 / H(gamma, gamma')`` over pairs
+    with different bit vectors is computed by full enumeration; otherwise
+    ``exact`` is None and only the bound is returned.
+
+    Raises
+    ------
+    ConfigError
+        If the family is empty (k > r).
+    """
+    bound = _alpha_bound(cfg)
+    total = count_theta(cfg)
+    if total == 0:
+        raise ConfigError(
+            f"no admissible row patterns for k = {cfg.k}, r = {cfg.r}; family is empty"
+        )
+    pair_count = total * (total - 1) // 2
+    if pair_count > budget:
+        return AlphaResult(bound=bound, exact=None, pair_count=pair_count)
+    # every member in (gamma, rows) order: bit vectors lexicographically,
+    # then row-pattern tuples in _iter_lambda order, as a (tuples, r, k)
+    # column array; the explicit count keeps the shape when k = 0
+    lambdas = list(_iter_lambda(cfg, cfg.r))
+    cols = np.array(lambdas, dtype=np.intp).reshape(len(lambdas), cfg.r, cfg.k)
+    gammas = np.repeat(list(itertools.product((0, 1), repeat=cfg.r)), len(cols), axis=0)
+    sigmas = _sigma_stack(cfg, gammas, np.tile(cols, (2**cfg.r, 1, 1)))
+    best = math.inf
+    for i in range(len(sigmas)):
+        ham = np.sum(gammas[i + 1 :] != gammas[i], axis=1)
+        apart = ham > 0
+        if not np.any(apart):
+            continue
+        # one stacked eigensolve over every later member with other bits
+        spectra = np.linalg.eigvalsh(sigmas[i] - sigmas[i + 1 :][apart])
+        norms = np.max(np.abs(spectra), axis=1)
+        best = min(best, float(np.min(norms**2 / ham[apart])))
+    exact = 0.0 if best is math.inf else float(best)
+    return AlphaResult(bound=bound, exact=exact, pair_count=pair_count)
+
+
+def exact_chi_square_small(
+    cfg: LeastFavorableConfig, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> float:
+    """Exact chi-square distance anchored at the first bit, by enumeration.
+
+    Averages, over all completions (remaining bits, remaining row patterns)
+    with their induced weights, the quantity
+
+        mean over pattern pairs of [cross-product integral]^n  -  1.
+
+    Feasible only at tiny scale; the amount of pair work is checked against
+    ``budget`` first.
+
+    Raises
+    ------
+    BudgetError
+        If the number of integral evaluations would exceed the budget.
+    ConfigError
+        If the family is empty (k > r).
+    DivergenceError
+        If a cross-product integral is not finite.
+    """
+    r, k, eps, p = cfg.r, cfg.k, cfg.epsilon, cfg.p
+    if k == 0 or eps == 0.0:
+        return 0.0
+
+    # one integral per bit vector of the other rows, per valid tuple of
+    # their patterns and per pair of first rows on the columns they leave
+    work = 2 ** (r - 1) * sum(
+        ways * math.comb(sum(profile[: _column_cap(k)]), k) ** 2
+        for profile, ways in _usage_profiles(r, k).items()
+    )
+    if work > budget:
+        raise BudgetError(
+            f"exact chi-square needs {work} integral evaluations, budget is {budget}",
+            count=work,
+        )
+    if work == 0:
+        raise ConfigError("no admissible completions; family is empty")
+    # one row per remaining bit vector, in lexicographic order; the first
+    # row's bit is off in every base covariance
+    bits = np.array([(0,) + rest for rest in itertools.product((0, 1), repeat=r - 1)])
+    acc = 0.0
+    weight_sum = 0.0
+    for rows in _iter_lambda(cfg, r - 1):
+        used = Counter(j for pat in rows for j in pat)
+        # k <= r here (work is 0 otherwise), so k or more columns stay under the cap
+        avail = [j for j in cfg.support_columns if used[j] < _column_cap(k)]
+        lam1 = list(itertools.combinations(avail, k))
+        d_c = len(lam1)
+        # 0/1 indicator per candidate first-row pattern, rows are patterns
+        a_mat = np.zeros((d_c, p))
+        for idx, pat in enumerate(lam1):
+            a_mat[idx, list(pat)] = 1.0
+        # one base covariance S0 per bit vector; the first row's pattern is
+        # unused, since its bit is off
+        w = np.linalg.inv(_sigma_stack(cfg, bits, np.array((lam1[0],) + rows)))
+        # Row 0's bit is off and column 0 is no support column, so S0 e0 = e0
+        # and W e0 = e0.  With S1 - S0 = eps (e0 a_i' + a_i e0') and S2 - S0
+        # likewise for a_j, the p x p determinant reduces by the matrix
+        # determinant lemma to (1 - eps^2 gram_ij)^2, gram_ij = a_i' W a_j.
+        # By the same lemma det(S1) / det(S0) = 1 - eps^2 gram_ii, and by
+        # Cauchy-Schwarz in W a nonpositive root for any pair means one for a
+        # diagonal pair: then some S1 is not positive definite and the
+        # integral is not finite.  The square det2 cannot show that.
+        root = 1.0 - eps**2 * (a_mat @ w @ a_mat.T)
+        if np.any(root <= 0.0):
+            raise DivergenceError(
+                "cross-product integral diverges inside exact enumeration: "
+                "1 - eps^2 a_i' W a_j <= 0"
+            )
+        det2 = root**2
+        cells = np.mean(det2 ** (-0.5 * cfg.n), axis=(1, 2)) - 1.0
+        for cell in cells.tolist():
+            acc += d_c * cell
+        weight_sum += d_c * len(cells)
+    return acc / weight_sum
+
+
+# ---------------------------------------------------------------------------
+# mixtures and their affinity
 
 
 class NumericalError(SparseCovError, ArithmeticError):

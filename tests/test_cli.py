@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import sparsecov.cli
+import sparsecov.lower_bound
+import sparsecov.model_spaces
 from sparsecov.cli import _EXIT_CODES, main
 from sparsecov.errors import (
     BudgetError,
@@ -25,7 +28,6 @@ from sparsecov.errors import (
 )
 from sparsecov.estimators import EstimatorSpec, apply_estimator
 from sparsecov.matrices import load_matrix_csv, save_matrix_csv
-from sparsecov.model_spaces import _usage_profiles
 from sparsecov.rng import RngSeed
 from sparsecov.risk import banded_sigma
 from sparsecov.sampling import load_data_csv, mle_covariance, sample_gaussian, save_data_csv
@@ -206,9 +208,8 @@ def test_lowerbound_small_family_report(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["r"] == 3 and report["config"]["k"] == 1
-    assert report["alpha"]["pair_count"] == 18336
+    assert sorted(report["alpha"]) == ["bound"]
     assert report["chi_square"]["exact"] <= report["chi_square"]["envelope"]
-    assert report["chi_square"]["exact_formula"] == "closed-form"
     assert report["affinity"]["certified"] is True
     assert report["affinity"]["std_error"] == 0.0
     assert 0.0 < report["affinity"]["value"] <= 1.0
@@ -228,7 +229,6 @@ def test_lowerbound_seed_zero_report_is_pinned(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["chi_square"]["exact"] == 0.005670854977320542
-    assert report["chi_square"]["exact_formula"] == "closed-form"
     assert report["affinity"] == {
         "value": 0.9623474603203166, "std_error": 0.0, "certified": True,
     }
@@ -239,8 +239,7 @@ def test_lowerbound_seed_zero_report_is_pinned(tmp_path):
 
 
 def test_lowerbound_certifies_a_family_too_large_to_enumerate(tmp_path):
-    # 1,889,280 members: over the default budget for any enumeration, but the
-    # closed form needs none
+    # 1,889,280 members: the closed form needs none of them
     out = tmp_path / "report.json"
     code = main([
         "lowerbound", "--p", "12", "--n", "20", "--q", "0", "--c", "4",
@@ -248,18 +247,7 @@ def test_lowerbound_certifies_a_family_too_large_to_enumerate(tmp_path):
     ])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["alpha"]["exact"] is None
     assert report["affinity"]["value"] == pytest.approx(0.96387, abs=1e-5)
-
-
-def test_lowerbound_exits_four_naming_the_chi_square_work(capsys):
-    # k = 2: 20,736 members fit this budget, the 62,208 integrals do not
-    code = main([
-        "lowerbound", "--p", "8", "--n", "50", "--q", "0", "--c", "6",
-        "--budget", "30000",
-    ])
-    assert code == 4
-    assert "exact chi-square needs 62208 integral evaluations" in capsys.readouterr().err
 
 
 def test_lowerbound_report_is_independent_of_blas_threads(tmp_path):
@@ -289,7 +277,8 @@ def test_lowerbound_report_is_independent_of_blas_threads(tmp_path):
 
 def test_lowerbound_certifies_a_family_whose_columns_all_stay_free(tmp_path):
     # r = k = 3, 8 members: no column can reach 2k uses, so all r columns
-    # stay free; r - (r - 1) // 2 = 2 < k would leave no first-row pattern
+    # stay free; r - (r - 1) // 2 = 2 < k would leave no first-row pattern.
+    # At k >= 2 the envelope certifies, and no exact value is computed
     out = tmp_path / "report.json"
     code = main([
         "lowerbound", "--p", "6", "--n", "50", "--q", "0", "--c", "8",
@@ -299,17 +288,9 @@ def test_lowerbound_certifies_a_family_whose_columns_all_stay_free(tmp_path):
     report = json.loads(out.read_text())
     chi2 = report["chi_square"]
     assert chi2["p_lambda_min"] == 3
-    assert chi2["exact_formula"] == "enumeration"
-    assert chi2["exact"] == pytest.approx(0.0553, abs=1e-4)
-    assert chi2["exact"] <= chi2["envelope"]
-
-
-def test_lowerbound_builds_the_usage_profile_table_once(capsys):
-    # k = 2: the member count and the chi-square work gate share one table
-    _usage_profiles.cache_clear()
-    assert main(["lowerbound", "--p", "8", "--n", "50", "--q", "0", "--c", "6"]) == 0
-    info = _usage_profiles.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert chi2["exact"] is None
+    assert report["affinity"]["value"] == 1.0 - 0.5 * math.sqrt(chi2["envelope"])
+    assert report["affinity"]["value"] == pytest.approx(0.88208, abs=1e-5)
 
 
 def test_cli_import_loads_no_pool_and_no_oracle():
@@ -329,6 +310,12 @@ def test_cli_import_loads_no_pool_and_no_oracle():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # nor do the family's walkers, counters and budget live beside the CLI
+    for module, names in (
+        (sparsecov.model_spaces, ("_usage_profiles", "_iter_lambda", "count_theta")),
+        (sparsecov.lower_bound, ("exact_chi_square_small", "DEFAULT_ENUMERATION_BUDGET")),
+    ):
+        assert [name for name in names if hasattr(module, name)] == []
 
 
 def test_lowerbound_trivial_when_k_is_zero(tmp_path):
@@ -340,39 +327,51 @@ def test_lowerbound_trivial_when_k_is_zero(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["k"] == 0
+    assert report["chi_square"]["envelope"] == 0.0
     assert report["lower_bound"] == 0.0
     assert report["affinity"] == {"value": 1.0, "std_error": 0.0, "certified": True}
 
 
-def test_lowerbound_budget_exit(capsys):
-    code = main([
-        "lowerbound", "--p", "100", "--n", "50", "--q", "0", "--c", "4",
-    ])
-    assert code == 4
-    assert "budget" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
-    "p, c",
+    "p, n, c, affinity",
     [
-        ("1000", "4"),  # k = 1, r = 500: past the default recursion limit
-        ("100", "8"),  # k = 3, r = 50: the exact count alone takes minutes
+        ("10000", "40000", "4", 0.99739),  # k = 1, r = 5000: the one-sum
+        ("1000", "4000", "8", 0.97436),  # k = 3, r = 500: the envelope
     ],
 )
-def test_lowerbound_refuses_an_over_budget_family_before_counting(p, c):
+def test_lowerbound_certifies_any_p_in_under_a_second(tmp_path, p, n, c, affinity):
+    # the command's own time, from the manifest: interpreter and numpy
+    # start-up do not depend on p
     root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "report.json"
     proc = subprocess.run(
         [
             sys.executable, "-m", "sparsecov.cli", "lowerbound", "--p", p,
-            "--n", "4000", "--q", "0", "--c", c,
+            "--n", n, "--q", "0", "--c", c, "--out", str(out),
         ],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 4, proc.stderr
-    assert "budget exceeded: family has at least 2^" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    assert manifest["elapsed_seconds"] < 1.0
+    assert json.loads(out.read_text())["affinity"]["value"] == pytest.approx(affinity, abs=1e-4)
+
+
+def test_readme_lowerbound_lines_exit_zero(tmp_path, monkeypatch, capsys):
+    # every `sparsecov lowerbound` command in the README's code blocks
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [
+        line.strip() for block in readme.split("```")[1::2] for line in block.splitlines()
+        if line.strip().startswith("sparsecov lowerbound")
+    ]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
 
 
 def test_lowerbound_domain_exit():
@@ -405,8 +404,8 @@ def _misspelled(tmp_path, where, key):
         ("top", "replicate", "grid config"),
         ("cells", "pp", "cells[0]"),
         ("truth", "bnad", "truth (kind 'banded')"),
-        ("estimators", "psd_project", "estimator"),
-        ("losses", "normalised", "loss"),
+        ("estimators", "psd_project", "estimators[0]"),
+        ("losses", "normalised", "losses[0]"),
     ],
     ids=["top", "cells", "truth", "estimators", "losses"],
 )
@@ -435,16 +434,27 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
         ({"losses": [{"kind": "operator", "w": 2, "normalized": True}]},
          "operator loss cannot be normalized"),
         ({"losses": [{"kind": "bregman", "phi": "stein", "w": 1}]},
-         "unknown key 'w' in loss (kind 'bregman')"),
+         "unknown key 'w' in losses[0] (kind 'bregman')"),
         # each grid entry is an object
-        ({"estimators": ["hard"]}, "estimator must be a JSON object, got str"),
-        ({"losses": ["operator"]}, "loss must be a JSON object, got str"),
+        ({"estimators": ["hard"]}, "estimators[0] must be a JSON object, got str"),
+        ({"losses": ["operator"]}, "losses[0] must be a JSON object, got str"),
         ({"cells": [[20, 10]]}, "cells[0] must be a JSON object, got list"),
+        # a bad entry is named by its index, as a cell is
+        ({"estimators": [{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": "2"}]},
+         "estimators[1].gamma must be a number, got '2'"),
+        ({"estimators": [{"rule": "hard"}, {"rule": "soft", "psd_project": True}]},
+         "unknown key 'psd_project' in estimators[1]"),
+        ({"losses": [{"kind": "operator", "w": 2}, {"kind": "frobenius-squared", "w": 1}]},
+         "unknown key 'w' in losses[1] (kind 'frobenius-squared')"),
+        ({"losses": [{"kind": "operator", "w": 2}, {"kind": "operator", "w": "1"}]},
+         "losses[1].w must be a number, got '1'"),
+        ({"estimators": {"rule": "hard"}}, "estimators must be a JSON array, got dict"),
     ],
     ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
          "target-exponent", "value-and-scale", "theta-and-theta-seed",
          "normalized-operator", "bregman-w", "estimator-not-object", "loss-not-object",
-         "cell-not-object"],
+         "cell-not-object", "second-estimator-gamma", "second-estimator-key",
+         "second-loss-key", "second-loss-w", "estimators-object"],
 )
 def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
@@ -488,14 +498,14 @@ SEED_FORMS = "seed must be an integer or a 'seed' or 'seed:stream' string"
     "overrides, message",
     [
         ({"estimators": [{"rule": "hard", "keep_diagonal": "false"}]},
-         "estimator.keep_diagonal must be true or false, got 'false'"),
+         "estimators[0].keep_diagonal must be true or false, got 'false'"),
         ({"losses": [{"kind": "frobenius-squared", "normalized": "false"}]},
-         "loss.normalized must be true or false, got 'false'"),
+         "losses[0].normalized must be true or false, got 'false'"),
         ({"estimators": [{"rule": "hard", "gamma": True}]},
-         "estimator.gamma must be a number, got True"),
+         "estimators[0].gamma must be a number, got True"),
         ({"estimators": [{"rule": "hard", "gamma": "2.5"}]},
-         "estimator.gamma must be a number, got '2.5'"),
-        ({"losses": [{"kind": "operator", "w": True}]}, "loss.w must be a number, got True"),
+         "estimators[0].gamma must be a number, got '2.5'"),
+        ({"losses": [{"kind": "operator", "w": True}]}, "losses[0].w must be a number, got True"),
         ({"truth": {"kind": "banded", "band": 2, "scale": True}},
          "truth.scale must be a number, got True"),
         ({"truth": {**DECAY, "amplitude": "0.3"}}, "truth.amplitude must be a number, got '0.3'"),

