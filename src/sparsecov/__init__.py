@@ -66,11 +66,8 @@ from .losses import (
     resolve_phi,
 )
 from .lower_bound import (
-    CertifiedAffinity,
-    ChiSquareEnvelope,
-    LowerBoundResult,
-    assemble_lower_bound,
-    certified_affinity,
+    Certificate,
+    certify,
     chi_square_mixture_bound,
     closed_form_chi_square,
     overlap_fractions,

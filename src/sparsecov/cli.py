@@ -36,12 +36,7 @@ from .errors import (
 )
 from .estimators import EstimatorSpec, apply_estimator, threshold_level
 from .losses import LossSpec
-from .lower_bound import (
-    _alpha_bound,
-    assemble_lower_bound,
-    certified_affinity,
-    chi_square_mixture_bound,
-)
+from .lower_bound import CHI_SQUARE_TARGET, certify
 from .matrices import load_matrix_csv, save_matrix_csv
 from .model_spaces import DEFAULT_UPSILON, build_config
 from .rng import RngSeed
@@ -173,37 +168,24 @@ def cmd_lowerbound(args, argv) -> int:
     cfg = build_config(args.p, args.n, args.q, args.c, args.upsilon)
     seed = RngSeed.parse(args.seed) if args.seed is not None else RngSeed(0)
 
-    report: dict = {"config": cfg.to_json(), "seed": str(seed)}
-    # seconds per stage; like every timing, they go to the manifest only
-    stage_s = dict.fromkeys(("alpha", "envelope", "chi_square", "assembly"), 0.0)
-    tick = time.perf_counter()
-
-    def lap(stage: str) -> None:
-        nonlocal tick
-        now = time.perf_counter()
-        stage_s[stage] += now - tick
-        tick = now
-
-    report["alpha"] = {"bound": _alpha_bound(cfg)}
-    lap("alpha")
-    envelope = chi_square_mixture_bound(cfg)
-    lap("envelope")
-    certified = certified_affinity(cfg)
-    lap("chi_square")
-    report["chi_square"] = {
-        "envelope": envelope.value,
-        "below_target": envelope.below_target,
-        "target": envelope.target,
-        "p_lambda_min": envelope.p_lambda_min,
-        # past k = 1 the envelope certifies, and no exact value is computed
-        "exact": certified.chi_square if cfg.k == 1 else None,
+    cert = certify(cfg)
+    report = {
+        "config": cfg.to_json(),
+        "seed": str(seed),
+        "alpha": {"bound": cert.alpha},
+        "chi_square": {
+            "envelope": cert.envelope,
+            "below_target": cert.envelope < CHI_SQUARE_TARGET,
+            "target": CHI_SQUARE_TARGET,
+            "p_lambda_min": cert.p_lambda_min,
+            # past k = 1 the envelope certifies, and no exact value is computed
+            "exact": cert.exact,
+        },
+        # 1 - sqrt(chi2) / 2, a lower bound with no sampling error
+        "affinity": {"value": cert.affinity, "std_error": 0.0, "certified": True},
+        "lower_bound": cert.lower_bound,
+        "rate_target": cert.rate_target,
     }
-    # 1 - sqrt(chi2) / 2, a lower bound with no sampling error
-    report["affinity"] = {"value": certified.value, "std_error": 0.0, "certified": True}
-    bound = assemble_lower_bound(cfg, certified.value)
-    report["lower_bound"] = bound.lower_bound
-    report["rate_target"] = bound.rate_target
-    lap("assembly")
 
     print(
         f"p={cfg.p} n={cfg.n} q={cfg.q:g} c={cfg.c:g} "
@@ -221,7 +203,7 @@ def cmd_lowerbound(args, argv) -> int:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        _write_manifest(args.out, "lowerbound", argv, started, [args.out], stage_s=stage_s)
+        _write_manifest(args.out, "lowerbound", argv, started, [args.out])
         print(f"wrote {args.out}")
     return 0
 

@@ -45,7 +45,7 @@ class BudgetError(SparseCovError, RuntimeError):
 
 
 class DivergenceError(SparseCovError, ArithmeticError):
-    """A series or integral failed to converge."""
+    """A chi-square envelope or integral is not finite."""
 
 
 class SchemaError(SparseCovError, ValueError):

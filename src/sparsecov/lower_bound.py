@@ -18,7 +18,9 @@ and that certified affinity feeds the assembled bound
     (1/4) * alpha * (r / 2) * affinity,
 
 which is compared against the closed-form rate target c^2 (log p / n)^(1-q).
-Nothing here walks or counts the family, so every value costs O(r) at most.
+:func:`certify` computes every one of these numbers once and returns them
+together as one :class:`Certificate`.  Nothing here walks or counts the
+family, so every value costs O(r) at most.
 """
 
 from __future__ import annotations
@@ -31,15 +33,6 @@ from .errors import ConfigError, DivergenceError
 from .model_spaces import LeastFavorableConfig, _fewest_free_columns
 
 CHI_SQUARE_TARGET = 0.75
-
-
-# ---------------------------------------------------------------------------
-# per-comparison separation
-
-
-def _alpha_bound(cfg: LeastFavorableConfig) -> float:
-    """The closed-form separation constant ``(k epsilon)^2 / p``."""
-    return (cfg.k * cfg.epsilon) ** 2 / cfg.p
 
 
 # ---------------------------------------------------------------------------
@@ -69,22 +62,7 @@ def overlap_fractions(k: int, p_lambda: int) -> list[Fraction]:
 # chi-square distance: Gershgorin envelope, closed form at k = 1
 
 
-@dataclass(frozen=True)
-class ChiSquareEnvelope:
-    """Dominating value for the bit-anchored chi-square distance.
-
-    ``value`` is the Gershgorin envelope of :func:`chi_square_mixture_bound`,
-    evaluated at the fewest free columns ``p_lambda_min`` the other rows can
-    leave the first row.
-    """
-
-    value: float
-    below_target: bool
-    p_lambda_min: int
-    target: float = CHI_SQUARE_TARGET
-
-
-def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
+def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> float:
     """Envelope for the chi-square distance between the bit-anchored mixtures.
 
     Anchor the first row's bit, fix the other rows' bits and patterns, and
@@ -117,8 +95,9 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
     ConfigError
         If the family is empty (k > r).
     DivergenceError
-        If rho >= 1 or some base 1 - eps^2 (j + k delta) is not positive,
-        where no finite envelope follows.
+        If rho >= 1, if some base 1 - eps^2 (j + k delta) is not positive, or
+        if a term base^(-n) overflows a float, where no finite envelope
+        follows.
     """
     k, eps2, n = cfg.k, cfg.epsilon**2, cfg.n
     p_lambda_min = _fewest_free_columns(cfg.r, k)
@@ -133,10 +112,13 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> ChiSquareEnvelope:
         raise DivergenceError(
             f"1 - epsilon^2 (k + k delta) = {min(bases):.6g} <= 0; envelope diverges"
         )
-    value = math.fsum(float(pj) * base ** (-n) for pj, base in zip(pmf, bases)) - 1.0
-    return ChiSquareEnvelope(
-        value=value, below_target=value < CHI_SQUARE_TARGET, p_lambda_min=p_lambda_min
-    )
+    try:
+        return math.fsum(float(pj) * base ** (-n) for pj, base in zip(pmf, bases)) - 1.0
+    except OverflowError as exc:
+        raise DivergenceError(
+            f"(1 - epsilon^2 (k + k delta))^(-n) overflows at n = {n}, "
+            f"base {min(bases):.6g}; envelope diverges"
+        ) from exc
 
 
 def _k_one_usage(r: int) -> tuple[float, float]:
@@ -192,6 +174,7 @@ def closed_form_chi_square(cfg: LeastFavorableConfig) -> float:
     DivergenceError
         If 1 - eps^2 u <= 0 or 1 - eps^2 / (1 - eps^2 u) <= 0 for a usage u
         the family reaches: a cross-product integral is then not finite.
+        Also if (1 - eps^2 / (1 - eps^2 u))^(-n) overflows a float.
     """
     if cfg.k != 1:
         raise ConfigError(f"the closed-form chi-square needs k = 1, got k = {cfg.k}")
@@ -205,31 +188,55 @@ def closed_form_chi_square(cfg: LeastFavorableConfig) -> float:
                 f"cross-product integral diverges at column usage {u}: "
                 f"eps^2 = {eps2:.6g}"
             )
-        return (1.0 - eps2 / base) ** (-cfg.n) - 1.0
+        try:
+            return (1.0 - eps2 / base) ** (-cfg.n) - 1.0
+        except OverflowError as exc:
+            raise DivergenceError(
+                f"cross-product integral overflows at column usage {u}: "
+                f"n = {cfg.n}, base {1.0 - eps2 / base:.6g}"
+            ) from exc
 
     f0 = f(0)
     f1 = f(1) if once > 0.0 else f0
     return (f0 + once * (f1 - f0) / 2.0) / free
 
 
+# ---------------------------------------------------------------------------
+# the certificate
+
+
 @dataclass(frozen=True)
-class CertifiedAffinity:
-    """Affinity lower bound ``1 - sqrt(chi_square) / 2`` and the chi-square
-    behind it: the exact value at k = 1, the envelope at k >= 2."""
+class Certificate:
+    """The two-point lower bound at one configuration and every number
+    behind it.
 
-    value: float
-    chi_square: float
+    ``alpha`` is the separation constant ``(k epsilon)^2 / p``; ``envelope``
+    is :func:`chi_square_mixture_bound`, evaluated at the fewest free columns
+    ``p_lambda_min``; ``exact`` is :func:`closed_form_chi_square` at k = 1 and
+    None at other k.  ``affinity`` is ``1 - sqrt(chi^2) / 2`` floored at 0,
+    with chi^2 the exact value where there is one and the envelope otherwise,
+    and ``lower_bound`` is ``(1/4) * alpha * (r / 2) * affinity``, next to the
+    rate target ``c^2 (log p / n)^(1-q)``.
+    """
+
+    config: LeastFavorableConfig
+    alpha: float
+    envelope: float
+    p_lambda_min: int
+    exact: float | None
+    affinity: float
+    lower_bound: float
+    rate_target: float
 
 
-def certified_affinity(cfg: LeastFavorableConfig) -> CertifiedAffinity:
-    """Certified lower bound on the affinity of the two bit-anchored mixtures.
+def certify(cfg: LeastFavorableConfig) -> Certificate:
+    """Certify the two-point minimax lower bound at ``cfg``.
 
-    Both mixtures average, with common weights, per-completion pairs whose
-    total variation is at most sqrt(chi^2)/2 each.  TV is jointly convex and
-    the root concave, so by Jensen the mixtures' affinity 1 - TV is at least
-    ``1 - sqrt(chi^2) / 2`` for any chi^2 at least the exact average.  That
-    chi^2 is :func:`closed_form_chi_square` at k = 1 and the envelope of
-    :func:`chi_square_mixture_bound` otherwise; the value is floored at 0.
+    Both bit-anchored mixtures average, with common weights, per-completion
+    pairs whose total variation is at most sqrt(chi^2)/2 each.  TV is jointly
+    convex and the root concave, so by Jensen the mixtures' affinity 1 - TV
+    is at least ``1 - sqrt(chi^2) / 2`` for any chi^2 at least the exact
+    average: the exact value at k = 1, the envelope otherwise.
 
     Raises
     ------
@@ -238,41 +245,17 @@ def certified_affinity(cfg: LeastFavorableConfig) -> CertifiedAffinity:
     DivergenceError
         If a cross-product integral, or the envelope, is not finite.
     """
-    if cfg.k == 1:
-        chi2 = closed_form_chi_square(cfg)
-    else:
-        chi2 = chi_square_mixture_bound(cfg).value
-    return CertifiedAffinity(value=max(0.0, 1.0 - 0.5 * math.sqrt(chi2)), chi_square=chi2)
-
-
-# ---------------------------------------------------------------------------
-# assembly
-
-
-@dataclass(frozen=True)
-class LowerBoundResult:
-    """Assembled minimax lower bound next to the closed-form rate target."""
-
-    lower_bound: float
-    alpha_bound: float
-    affinity: float
-    rate_target: float
-
-
-def assemble_lower_bound(
-    cfg: LeastFavorableConfig, affinity: float
-) -> LowerBoundResult:
-    """Combine the separation constant and an affinity into the risk bound.
-
-    The bound is ``(1/4) * alpha * (r/2) * affinity`` with alpha the
-    closed-form separation :func:`_alpha_bound`; the rate target
-    ``c^2 (log p / n)^(1-q)`` is attached for comparison.
-    """
-    if not 0.0 <= affinity <= 1.0 + 1e-9:
-        raise ValueError(f"affinity must lie in [0, 1], got {affinity}")
-    alpha = _alpha_bound(cfg)
-    bound = 0.25 * alpha * (cfg.r / 2.0) * min(affinity, 1.0)
-    target = cfg.c**2 * (math.log(cfg.p) / cfg.n) ** (1.0 - cfg.q)
-    return LowerBoundResult(
-        lower_bound=bound, alpha_bound=alpha, affinity=affinity, rate_target=target
+    alpha = (cfg.k * cfg.epsilon) ** 2 / cfg.p
+    envelope = chi_square_mixture_bound(cfg)
+    exact = closed_form_chi_square(cfg) if cfg.k == 1 else None
+    affinity = max(0.0, 1.0 - 0.5 * math.sqrt(envelope if exact is None else exact))
+    return Certificate(
+        config=cfg,
+        alpha=alpha,
+        envelope=envelope,
+        p_lambda_min=_fewest_free_columns(cfg.r, cfg.k),
+        exact=exact,
+        affinity=affinity,
+        lower_bound=0.25 * alpha * (cfg.r / 2.0) * affinity,
+        rate_target=cfg.c**2 * (math.log(cfg.p) / cfg.n) ** (1.0 - cfg.q),
     )

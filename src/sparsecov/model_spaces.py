@@ -1,10 +1,9 @@
 """Sparsity classes over covariance matrices and the least-favorable family.
 
-Two kinds of parameter space appear here.  The first are the weak and strong
-lq balls applied column-wise to a covariance matrix with its diagonal removed:
-``weak`` requires the k-th largest off-diagonal magnitude in every column to
-decay like ``(radius / k)^(1/q)``; ``strong`` bounds the column sum of
-``|entry|^q`` directly (count of nonzeros when q = 0).
+Two kinds of parameter space appear here.  The first is the weak lq ball
+applied column-wise to a covariance matrix with its diagonal removed: it
+requires the k-th largest off-diagonal magnitude in every column to decay
+like ``(radius / k)^(1/q)``.
 
 The second is a finite two-point-mixing family used by the lower-bound lab.
 A member is indexed by ``theta = (gamma, rows)``: ``gamma`` holds r on/off
@@ -41,19 +40,16 @@ _RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SparsityClassSpec:
-    """Column-wise lq ball over off-diagonal entries."""
+    """Column-wise weak lq ball over off-diagonal entries."""
 
     q: float
     radius: float
-    kind: str = "weak"
 
     def __post_init__(self):
         if not 0.0 <= self.q < 1.0:
             raise ConfigError(f"q must lie in [0, 1), got {self.q}")
         if not self.radius > 0.0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
-        if self.kind not in ("weak", "strong"):
-            raise ConfigError(f"kind must be 'weak' or 'strong', got {self.kind!r}")
 
 
 def weak_lq_radius(v, q: float) -> float:
@@ -88,13 +84,7 @@ def class_membership(sigma, spec: SparsityClassSpec):
     allowed = spec.radius * (1.0 + _RTOL)
     for j in range(p):
         col = np.delete(mat[:, j], j)
-        if spec.kind == "weak":
-            value = weak_lq_radius(col, spec.q)
-        elif spec.q == 0.0:
-            value = float(np.count_nonzero(col))
-        else:
-            value = float(np.sum(np.abs(col) ** spec.q))
-        if value > allowed:
+        if weak_lq_radius(col, spec.q) > allowed:
             return False, j
     return True, None
 

@@ -474,11 +474,19 @@ def _default_target(loss: LossSpec, q: float | None) -> float | None:
 
 def _grid_specs(config: dict, key: str, reader) -> list:
     """The grid's ``key`` array, each entry read by ``reader`` and named by
-    its index, such as ``losses[1]``."""
+    its index, such as ``losses[1]``, in every message: the reader's own
+    checks take the name, and a value its spec refuses is re-raised with it."""
     entries = config.get(key, [])
     if not isinstance(entries, list):
         raise SchemaError(f"{key} must be a JSON array, got {type(entries).__name__}")
-    return [reader(entry, f"{key}[{i}]") for i, entry in enumerate(entries)]
+    specs = []
+    for i, entry in enumerate(entries):
+        where = f"{key}[{i}]"
+        try:
+            specs.append(reader(entry, where))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return specs
 
 
 _GRID_KEYS = ("cells", "truth", "estimators", "losses", "replicates", "seed")

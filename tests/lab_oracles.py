@@ -40,7 +40,6 @@ from sparsecov.errors import (
     DomainError,
     SparseCovError,
 )
-from sparsecov.lower_bound import _alpha_bound
 from sparsecov.matrices import _from_eigen, as_symmetric
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
@@ -161,7 +160,7 @@ def per_comparison_alpha(
     ConfigError
         If the family is empty (k > r).
     """
-    bound = _alpha_bound(cfg)
+    bound = (cfg.k * cfg.epsilon) ** 2 / cfg.p
     total = count_theta(cfg)
     if total == 0:
         raise ConfigError(

@@ -22,12 +22,7 @@ from lab_oracles import (
 from sparsecov.cli import main
 from sparsecov.estimators import EstimatorSpec, psd_project, threshold_estimate
 from sparsecov.losses import bregman_divergence, closed_form_divergence
-from sparsecov.lower_bound import (
-    assemble_lower_bound,
-    certified_affinity,
-    chi_square_mixture_bound,
-    overlap_fractions,
-)
+from sparsecov.lower_bound import certify, overlap_fractions
 from sparsecov.matrices import frobenius_norm, operator_norm
 from sparsecov.model_spaces import build_config
 from sparsecov.risk import banded_sigma, export_records, run_grid, run_risk_cell
@@ -225,15 +220,13 @@ def test_criterion_07_chi_square_control():
     start = time.perf_counter()
     pairs = []
     for cfg in (reference_config(), build_config(8, 50, 0.0, 6.0, 0.1)):
-        env = chi_square_mixture_bound(cfg)
-        pairs.append((cfg.k, exact_chi_square_small(cfg), env))
+        pairs.append((cfg.k, exact_chi_square_small(cfg), certify(cfg).envelope))
     elapsed = time.perf_counter() - start
     ok = elapsed <= 60.0 and all(
-        exact <= env.value + 1e-12 and env.value < 0.75 and env.below_target and exact < 0.75
-        for _, exact, env in pairs
+        exact <= env + 1e-12 and env < 0.75 and exact < 0.75 for _, exact, env in pairs
     )
     detail = ", ".join(
-        f"k={k}: exact {exact:.4f} <= envelope {env.value:.4f}" for k, exact, env in pairs
+        f"k={k}: exact {exact:.4f} <= envelope {env:.4f}" for k, exact, env in pairs
     )
     report(7, ok, f"chi-square {detail}, both < 0.75, {elapsed:.0f}s (cap 60s)")
     assert ok
@@ -304,11 +297,11 @@ def test_criterion_10_lower_bound_below_empirical_minimax():
         )
         if worst is None or rec.mean_risk > worst.mean_risk:
             worst = rec
-    bound = assemble_lower_bound(cfg, certified_affinity(cfg).value)
+    bound = certify(cfg).lower_bound
     elapsed = time.perf_counter() - start
     allowance = worst.mean_risk + 3.0 * worst.std_error
-    ok = bound.lower_bound <= allowance and elapsed <= 300.0
-    report(10, ok, f"lower bound {bound.lower_bound:.2e} <= empirical minimax "
+    ok = bound <= allowance and elapsed <= 300.0
+    report(10, ok, f"lower bound {bound:.2e} <= empirical minimax "
                    f"{worst.mean_risk:.4f} + 3se over {len(members)} members, "
                    f"{elapsed:.0f}s (cap 300s)")
     assert ok

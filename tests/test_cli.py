@@ -232,10 +232,6 @@ def test_lowerbound_seed_zero_report_is_pinned(tmp_path):
     assert report["affinity"] == {
         "value": 0.9623474603203166, "std_error": 0.0, "certified": True,
     }
-    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
-    stages = manifest["stage_s"]
-    assert sorted(stages) == ["alpha", "assembly", "chi_square", "envelope"]
-    assert all(0.0 <= v <= manifest["elapsed_seconds"] for v in stages.values())
 
 
 def test_lowerbound_certifies_a_family_too_large_to_enumerate(tmp_path):
@@ -311,9 +307,13 @@ def test_cli_import_loads_no_pool_and_no_oracle():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     # nor do the family's walkers, counters and budget live beside the CLI
+    # and certify is the one place the bound is assembled
     for module, names in (
         (sparsecov.model_spaces, ("_usage_profiles", "_iter_lambda", "count_theta")),
-        (sparsecov.lower_bound, ("exact_chi_square_small", "DEFAULT_ENUMERATION_BUDGET")),
+        (sparsecov.lower_bound, (
+            "exact_chi_square_small", "DEFAULT_ENUMERATION_BUDGET",
+            "certified_affinity", "assemble_lower_bound", "CertifiedAffinity",
+        )),
     ):
         assert [name for name in names if hasattr(module, name)] == []
 
@@ -380,6 +380,20 @@ def test_lowerbound_domain_exit():
         "lowerbound", "--p", "8", "--n", "2", "--q", "0", "--c", "6",
         "--upsilon", "1.0",
     ]) == 2
+
+
+def test_lowerbound_overflowing_chi_square_exits_three(tmp_path, capsys):
+    # k = 1 with epsilon = 0.1446, which build_config accepts: the envelope's
+    # (1 - eps^2 ...)^(-40000) is too large for a float
+    out = tmp_path / "report.json"
+    assert main([
+        "lowerbound", "--p", "1000", "--n", "40000", "--q", "0", "--c", "4",
+        "--upsilon", "11", "--out", str(out),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n = 40000" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_lowerbound_missing_parameters():
@@ -449,12 +463,18 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
         ({"losses": [{"kind": "operator", "w": 2}, {"kind": "operator", "w": "1"}]},
          "losses[1].w must be a number, got '1'"),
         ({"estimators": {"rule": "hard"}}, "estimators must be a JSON array, got dict"),
+        # so is a value the entry's spec refuses
+        ({"estimators": [{"rule": "hard"}, {"rule": "hard", "gamma": -1}]},
+         "estimators[1]: gamma must be positive, got -1.0"),
+        ({"losses": [{"kind": "operator", "w": 2}, {"kind": "operator", "w": 3}]},
+         "losses[1]: operator loss needs w in {1, 2, inf}, got 3"),
     ],
     ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
          "target-exponent", "value-and-scale", "theta-and-theta-seed",
          "normalized-operator", "bregman-w", "estimator-not-object", "loss-not-object",
          "cell-not-object", "second-estimator-gamma", "second-estimator-key",
-         "second-loss-key", "second-loss-w", "estimators-object"],
+         "second-loss-key", "second-loss-w", "estimators-object",
+         "second-estimator-gamma-value", "second-loss-w-value"],
 )
 def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2

@@ -26,9 +26,9 @@ from lab_oracles import (
 )
 from sparsecov.errors import BudgetError, ConfigError, DivergenceError, DomainError
 from sparsecov.lower_bound import (
+    CHI_SQUARE_TARGET,
     _k_one_usage,
-    assemble_lower_bound,
-    certified_affinity,
+    certify,
     chi_square_mixture_bound,
     closed_form_chi_square,
     overlap_fractions,
@@ -194,7 +194,8 @@ def test_overlap_fractions_k_zero():
 def test_alpha_reference_values():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
     res = per_comparison_alpha(cfg)
-    assert abs(res.bound - (cfg.k * cfg.epsilon) ** 2 / cfg.p) < 1e-18
+    # the oracle's paper constant is the alpha the certificate assembles from
+    assert res.bound == certify(cfg).alpha
     assert res.pair_count == 18336
     assert res.exact == pytest.approx(2.0 * res.bound, rel=1e-12)
     assert res.exact >= res.bound
@@ -227,9 +228,7 @@ def test_empty_family_is_refused_with_config_error():
     # this config, so it is built by hand
     cfg = LeastFavorableConfig(p=4, n=20, q=0.0, c=8.0, upsilon=0.1, r=2, k=3, epsilon=0.05)
     assert count_theta(cfg) == 0
-    for compute in (
-        per_comparison_alpha, chi_square_mixture_bound, exact_chi_square_small, certified_affinity
-    ):
+    for compute in (per_comparison_alpha, chi_square_mixture_bound, exact_chi_square_small, certify):
         with pytest.raises(ConfigError):
             compute(cfg)
 
@@ -253,10 +252,10 @@ def test_envelope_reference_configuration():
         + 1.0 / 3.0 * (1.0 - eps2 * (1.0 + delta)) ** -cfg.n
         - 1.0
     )
-    assert env.value == pytest.approx(expected, rel=1e-12)
-    assert env.value == pytest.approx(0.007051374455538495, rel=1e-12)
-    assert env.below_target
-    assert env.p_lambda_min == 3
+    assert env == pytest.approx(expected, rel=1e-12)
+    assert env == pytest.approx(0.007051374455538495, rel=1e-12)
+    assert env < CHI_SQUARE_TARGET
+    assert certify(cfg).p_lambda_min == 3
 
 
 def test_envelope_keeps_every_column_free_when_none_can_reach_the_cap():
@@ -264,25 +263,27 @@ def test_envelope_keeps_every_column_free_when_none_can_reach_the_cap():
     # so all three columns stay free
     cfg = build_config(6, 50, 0.0, 8.0, 0.1)
     assert (cfg.r, cfg.k) == (3, 3)
-    env = chi_square_mixture_bound(cfg)
-    assert env.p_lambda_min == 3
+    cert = certify(cfg)
+    assert cert.p_lambda_min == 3
     # both first-row patterns are all three columns, so J = 3 surely
     eps2 = cfg.epsilon**2
     delta = 18.0 * eps2 / (1.0 - 18.0 * eps2)
-    assert env.value == pytest.approx((1.0 - eps2 * (3 + 3 * delta)) ** -cfg.n - 1.0, rel=1e-12)
+    assert cert.envelope == pytest.approx(
+        (1.0 - eps2 * (3 + 3 * delta)) ** -cfg.n - 1.0, rel=1e-12
+    )
     # the enumerated chi-square the envelope bounds
     exact = exact_chi_square_small(cfg)
     assert exact == pytest.approx(0.0553, abs=1e-4)
-    assert exact <= env.value
+    assert exact <= cert.envelope
 
 
 def test_envelope_k_zero_is_zero():
     cfg = build_config(8, 20, 0.0, 1.0, 0.1)
     assert cfg.k == 0
-    env = chi_square_mixture_bound(cfg)
-    assert env.value == 0.0
-    assert env.below_target
-    assert certified_affinity(cfg).value == 1.0
+    cert = certify(cfg)
+    assert cert.envelope == 0.0
+    assert cert.affinity == 1.0
+    assert cert.lower_bound == 0.0
 
 
 def test_exact_chi_square_is_below_envelope_on_enumerable_grid():
@@ -300,7 +301,7 @@ def test_exact_chi_square_is_below_envelope_on_enumerable_grid():
         if cfg.k == 0:
             continue
         exact = exact_chi_square_small(cfg)
-        assert exact <= chi_square_mixture_bound(cfg).value, (p, n, q, c, upsilon)
+        assert exact <= chi_square_mixture_bound(cfg), (p, n, q, c, upsilon)
         checked[min(cfg.k, 2)] += 1
     assert checked == {1: 76, 2: 96}
 
@@ -321,7 +322,7 @@ def test_exact_chi_square_reference_value():
     cfg = criterion_config()
     value = exact_chi_square_small(cfg)
     assert value == pytest.approx(0.006184912072560571, rel=1e-10)
-    assert value <= chi_square_mixture_bound(cfg).value
+    assert value <= chi_square_mixture_bound(cfg)
     assert value >= 0.0
 
 
@@ -427,28 +428,38 @@ def test_chi_square_refuses_a_divergent_integral(epsilon):
     with pytest.raises(DivergenceError):
         closed_form_chi_square(cfg)
     with pytest.raises(DivergenceError):
-        certified_affinity(cfg)
+        certify(cfg)
+
+
+def test_a_chi_square_too_large_for_a_float_is_a_divergence():
+    # k = 1 with epsilon = 0.1446: (1 - eps^2 ...)^(-40000) overflows a float
+    cfg = build_config(1000, 40000, 0.0, 4.0, 11.0)
+    assert cfg.k == 1
+    for compute in (chi_square_mixture_bound, closed_form_chi_square, certify):
+        with pytest.raises(DivergenceError, match="n = 40000, base 0.97"):
+            compute(cfg)
 
 
 def test_certified_affinity_formula_by_k():
     # the closed form certifies k = 1, the envelope k >= 2
-    one = certified_affinity(criterion_config())
-    assert one.chi_square == closed_form_chi_square(criterion_config())
-    assert one.value == 1.0 - 0.5 * math.sqrt(one.chi_square)
+    one = certify(criterion_config())
+    assert one.exact == closed_form_chi_square(criterion_config())
+    assert one.envelope == chi_square_mixture_bound(criterion_config())
+    assert one.affinity == 1.0 - 0.5 * math.sqrt(one.exact)
     cfg = build_config(8, 50, 0.0, 6.0, 0.1)  # k = 2: 62,208 integrals
     assert cfg.k == 2
-    two = certified_affinity(cfg)
-    assert two.chi_square == chi_square_mixture_bound(cfg).value
-    assert two.value == 1.0 - 0.5 * math.sqrt(two.chi_square)
-    assert exact_chi_square_small(cfg) <= two.chi_square
+    two = certify(cfg)
+    assert two.exact is None
+    assert two.envelope == chi_square_mixture_bound(cfg)
+    assert two.affinity == 1.0 - 0.5 * math.sqrt(two.envelope)
+    assert exact_chi_square_small(cfg) <= two.envelope
     with pytest.raises(ConfigError):
         closed_form_chi_square(cfg)
-    # past chi^2 = 4 the certificate is the trivial affinity 0, which the
-    # assembly still accepts
+    # past chi^2 = 4 the certificate is the trivial affinity 0 and bound 0
     far = LeastFavorableConfig(p=6, n=1000, q=0.0, c=4.0, upsilon=0.1, r=3, k=1, epsilon=0.1)
     assert closed_form_chi_square(far) > 4.0
-    assert certified_affinity(far).value == 0.0
-    assert assemble_lower_bound(far, 0.0).lower_bound == 0.0
+    assert certify(far).affinity == 0.0
+    assert certify(far).lower_bound == 0.0
 
 
 @pytest.mark.parametrize(
@@ -461,11 +472,11 @@ def test_certified_affinity_formula_by_k():
 )
 def test_certified_affinity_is_below_the_monte_carlo_oracle(args, samples, seed):
     cfg = build_config(*args)
-    certified = certified_affinity(cfg)
+    certified = certify(cfg).affinity
     est = tv_affinity_mc(
         gamma1_mixture(cfg, 0), gamma1_mixture(cfg, 1), samples, RngSeed(seed)
     )
-    assert certified.value <= est.value + 3.0 * est.std_error
+    assert certified <= est.value + 3.0 * est.std_error
 
 
 # ---------------------------------------------------------------------------
@@ -804,14 +815,43 @@ def test_affinity_input_validation():
 
 def test_assembled_bound_formula():
     cfg = criterion_config()
-    res = assemble_lower_bound(cfg, 0.9)
-    alpha = (cfg.k * cfg.epsilon) ** 2 / cfg.p
-    assert res.lower_bound == pytest.approx(0.25 * alpha * (cfg.r / 2.0) * 0.9)
-    assert res.rate_target == pytest.approx(
+    cert = certify(cfg)
+    assert cert.config == cfg
+    assert cert.alpha == (cfg.k * cfg.epsilon) ** 2 / cfg.p
+    assert cert.lower_bound == pytest.approx(0.25 * cert.alpha * (cfg.r / 2.0) * cert.affinity)
+    assert cert.rate_target == pytest.approx(
         cfg.c**2 * (math.log(cfg.p) / cfg.n) ** (1.0 - cfg.q)
     )
-    with pytest.raises(ValueError):
-        assemble_lower_bound(cfg, 1.2)
-    # tiny overshoot from monte carlo noise is clipped, not fatal
-    clipped = assemble_lower_bound(cfg, 1.0 + 5e-10)
-    assert clipped.affinity <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "p, n, c",
+    [
+        (8, 20, 1.0),  # k = 0
+        (10, 20, 4.0),  # k = 1, the lowerbound benchmark's family
+        (6, 50, 8.0),  # k = 3 = r: every column stays free
+        (8, 50, 6.0),  # k = 2
+        (12, 20, 4.0),  # k = 1
+        (1000, 4000, 8.0),  # k = 3
+        (1000, 4000, 6.0),  # k = 2
+        (10000, 40000, 4.0),  # k = 1, r = 5000
+        (10000, 40000, 1.0),  # k = 0
+    ],
+)
+def test_certificate_relations_the_benchmark_checks(p, n, c):
+    # the lowerbound benchmark recomputes the bound from the report's
+    # alpha.bound and affinity, and bounds exact <= envelope < 0.75
+    cert = certify(build_config(p, n, 0.0, c, 0.1))
+    cfg = cert.config
+    assert cert.lower_bound == pytest.approx(
+        0.25 * cert.alpha * (cfg.r / 2.0) * cert.affinity, rel=1e-12, abs=0.0
+    )
+    assert (cert.exact is None) == (cfg.k != 1)
+    chi2 = cert.envelope if cert.exact is None else cert.exact
+    assert cert.affinity == pytest.approx(
+        max(0.0, 1.0 - 0.5 * math.sqrt(chi2)), rel=1e-12, abs=0.0
+    )
+    if cert.exact is not None:
+        assert cert.exact <= cert.envelope
+    if (p, n, c) == (10, 20, 4.0):
+        assert cert.exact <= cert.envelope < 0.75

@@ -65,10 +65,10 @@ def test_weak_radius_is_permutation_and_sign_invariant(vals, q):
 def test_class_membership_flags_first_bad_column():
     sigma = np.eye(4)
     sigma[2, 3] = sigma[3, 2] = 0.9
-    spec = SparsityClassSpec(q=0.0, radius=0.5, kind="weak")
+    spec = SparsityClassSpec(q=0.0, radius=0.5)
     ok, witness = class_membership(sigma, spec)
     assert not ok and witness == 2
-    ok, witness = class_membership(sigma, SparsityClassSpec(q=0.0, radius=1.0, kind="weak"))
+    ok, witness = class_membership(sigma, SparsityClassSpec(q=0.0, radius=1.0))
     assert ok and witness is None
 
 
@@ -76,7 +76,7 @@ def test_class_membership_boundary_member_passes():
     # radius hit exactly; the 1e-12 slack keeps it inside
     sigma = np.eye(3)
     sigma[0, 1] = sigma[1, 0] = 0.5
-    spec = SparsityClassSpec(q=0.5, radius=math.sqrt(0.5), kind="weak")
+    spec = SparsityClassSpec(q=0.5, radius=math.sqrt(0.5))
     ok, _ = class_membership(sigma, spec)
     assert ok
 
