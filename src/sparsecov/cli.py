@@ -9,6 +9,9 @@ Three subcommands:
 
 Exit codes: 0 success, 2 bad input or config, 3 numerical/domain failure,
 4 computation exceeds the available memory.
+
+Importing this module, ``--help``, ``--version`` and ``lowerbound`` load no
+numpy: ``estimate`` and ``simulate`` import the numeric layers when they run.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -34,14 +35,9 @@ from .errors import (
     SchemaError,
     SparseCovError,
 )
-from .estimators import EstimatorSpec, apply_estimator, threshold_level
-from .losses import LossSpec
 from .lower_bound import CHI_SQUARE_TARGET, certify
-from .matrices import load_matrix_csv, save_matrix_csv
 from .model_spaces import DEFAULT_UPSILON, build_config
 from .rng import RngSeed
-from .risk import _export_format, _grid_specs, export_records, run_grid
-from .sampling import load_data_csv, mle_covariance
 
 
 def _write_manifest(out_path: str, command: str, argv, started: float, outputs, **extra):
@@ -50,16 +46,19 @@ def _write_manifest(out_path: str, command: str, argv, started: float, outputs, 
     The manifest carries timestamps and timings, so it is the one output
     that differs between reruns of the same seeded command.  It also records
     what seeded bytes depend on: the numpy and BLAS build and the BLAS thread
-    count, with an unset thread variable written as null.  ``extra`` adds
-    command-specific entries.
+    count, with an unset thread variable written as null.  numpy and its
+    BLAS are recorded only when the command loaded numpy; a ``lowerbound``
+    never does, so its output cannot depend on them, and it writes null
+    there.  ``extra`` adds command-specific entries.
     """
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    np = sys.modules.get("numpy")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"] if np else {}
     manifest = {
         "command": command,
         "argv": list(argv),
         "version": __version__,
         "python": sys.version.split()[0],
-        "numpy": np.__version__,
+        "numpy": np.__version__ if np else None,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_threads": {
             name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -76,7 +75,9 @@ def _write_manifest(out_path: str, command: str, argv, started: float, outputs, 
     return path
 
 
-def _estimator_from_args(args) -> EstimatorSpec:
+def _estimator_from_args(args):
+    from .estimators import EstimatorSpec
+
     corrections = []
     if args.psd_project:
         corrections.append("psd-project")
@@ -93,6 +94,12 @@ def _estimator_from_args(args) -> EstimatorSpec:
 
 def cmd_estimate(args, argv) -> int:
     started = time.perf_counter()
+    import numpy as np
+
+    from .estimators import apply_estimator, threshold_level
+    from .matrices import load_matrix_csv, save_matrix_csv
+    from .sampling import load_data_csv, mle_covariance
+
     if (args.data is None) == (args.covariance is None):
         raise ConfigError("provide exactly one of --data or --covariance")
     if args.data is not None:
@@ -126,6 +133,9 @@ def cmd_estimate(args, argv) -> int:
 
 def cmd_simulate(args, argv) -> int:
     started = time.perf_counter()
+    from .losses import LossSpec
+    from .risk import _export_format, _grid_specs, export_records, run_grid
+
     with open(args.config) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):

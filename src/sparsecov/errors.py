@@ -34,9 +34,10 @@ class StructureError(SparseCovError, ValueError):
 
 
 class BudgetError(SparseCovError, RuntimeError):
-    """Exact enumeration would exceed the allowed budget.
+    """A computation would exceed its budget: the memory a grid cell needs,
+    or the objects an exact enumeration would visit.
 
-    ``count`` holds the exact number of objects that enumeration would visit.
+    ``count`` holds that number of objects, when an enumeration raised it.
     """
 
     def __init__(self, message, count=None):

@@ -20,6 +20,10 @@ This module owns the family's combinatorics: the 2k column cap
 (``_column_cap``), the check of a tuple against it (``_overused_column``)
 and the fewest columns the r - 1 rows other than row 0 leave under the cap
 (``_fewest_free_columns``).  Nothing here walks or counts the family.
+
+The lower bound reads only the family's shape, so importing this module
+loads no numpy; the functions that build, check or draw matrices import it
+when they run.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, StructureError
-from .matrices import as_symmetric
 from .rng import RngSeed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RTOL = 1e-12
 
@@ -58,6 +63,8 @@ def weak_lq_radius(v, q: float) -> float:
     For q > 0 this is ``max_k k * |v|_(k)^q`` over the descending order
     statistics; for q = 0 it is the number of nonzero entries.
     """
+    import numpy as np
+
     vec = np.asarray(v, dtype=float).ravel()
     if not 0.0 <= q < 1.0:
         raise ConfigError(f"q must lie in [0, 1), got {q}")
@@ -77,6 +84,10 @@ def class_membership(sigma, spec: SparsityClassSpec):
     violating column, or None.  Comparisons allow 1e-12 relative slack so
     boundary members constructed in floating point are not rejected.
     """
+    import numpy as np
+
+    from .matrices import as_symmetric
+
     mat = as_symmetric(sigma)
     p = mat.shape[0]
     if p < 2:
@@ -228,6 +239,8 @@ def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:
 
 def materialize_sigma(cfg: LeastFavorableConfig, theta: ThetaIndex) -> np.ndarray:
     """Assemble Sigma(theta) = I + epsilon * sum of active row/column bumps."""
+    import numpy as np
+
     validate_theta(cfg, theta)
     return _sigma_stack(cfg, [theta.gamma], np.array(theta.rows, dtype=np.intp))[0]
 
@@ -241,6 +254,8 @@ def _sigma_stack(cfg: LeastFavorableConfig, bits, cols) -> np.ndarray:
     support columns >= p - r never meet, so each bumped entry is written
     once, from zero, as epsilon.
     """
+    import numpy as np
+
     bits = np.asarray(bits)
     cols = np.broadcast_to(cols, bits.shape + (cfg.k,))
     diag = np.arange(cfg.p)
@@ -272,6 +287,8 @@ def sample_theta(cfg: LeastFavorableConfig, seed: RngSeed) -> ThetaIndex:
     the cap is discarded wholesale, which leaves the accepted draw exactly
     uniform.  Deterministic for a fixed seed.
     """
+    import numpy as np
+
     rng = seed.generator()
     gamma = tuple(int(b) for b in rng.integers(0, 2, size=cfg.r))
     support = np.fromiter(cfg.support_columns, dtype=int)

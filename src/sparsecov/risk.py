@@ -11,7 +11,9 @@ from then on; ``run_grid`` drops the raw truth builder output before the
 replicates start.  Each replicate's draw lives only for the
 :func:`~sparsecov.sampling.mle_covariance` call, and its sample covariance
 only until the last estimator has read it, so neither sits beside the
-losses' temporaries or the next replicate's draw.
+losses' temporaries or the next replicate's draw.  :func:`_cell_bytes` writes
+that peak as a model, and ``run_grid`` refuses a grid whose largest cell
+does not fit in physical memory before it allocates anything.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ import csv
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
-    CellError, ConfigError, DomainError, FitError, SchemaError, _check_int, _check_keys,
-    _check_real,
+    BudgetError, CellError, ConfigError, DomainError, FitError, SchemaError, _check_int,
+    _check_keys, _check_real,
 )
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, _evaluate, resolve_phi
@@ -454,10 +457,16 @@ def _grid_cells(config: dict) -> list[tuple[int, int]]:
         raise SchemaError(f"cells must be a JSON array, got {type(cells).__name__}")
     for i, cell in enumerate(cells):
         _check_keys(cell, ("n", "p"), f"cells[{i}]")
-    return [
+    sizes = [
         (_check_int(cell["n"], f"cells[{i}].n"), _check_int(cell["p"], f"cells[{i}].p"))
         for i, cell in enumerate(cells)
     ]
+    # before the memory model reads them: a negative p is no large cell
+    for i, (n, p) in enumerate(sizes):
+        for key, value in (("n", n), ("p", p)):
+            if value < 1:
+                raise ConfigError(f"cells[{i}].{key} must be at least 1, got {value}")
+    return sizes
 
 
 def _default_target(loss: LossSpec, q: float | None) -> float | None:
@@ -489,6 +498,14 @@ def _grid_specs(config: dict, key: str, reader) -> list:
     return specs
 
 
+def _cell_bytes(n: int, p: int) -> int:
+    """Peak bytes of one grid cell, the README's memory model: five float64
+    matrices (the truth, its sampling root and a replicate's sample
+    covariance, p x p each; the draw and its centred copy, n x p each) plus
+    LAPACK's 2p^2 workspace while the truth is eigendecomposed."""
+    return 8 * (3 * p * p + 2 * n * p + 2 * p * p)
+
+
 _GRID_KEYS = ("cells", "truth", "estimators", "losses", "replicates", "seed")
 
 
@@ -509,7 +526,9 @@ def run_grid(config: dict) -> GridResult:
     to their estimator when absent, since those losses are undefined on a
     singular estimate.  Each replicate's data draw and each estimate are
     shared by every estimator/loss combination of a cell, pairing the
-    comparisons.  A key that no reader reads raises SchemaError.
+    comparisons.  A key that no reader reads raises SchemaError, and a
+    largest cell whose :func:`_cell_bytes` exceeds physical memory raises
+    BudgetError before the first cell runs.
     """
     _check_keys(config, _GRID_KEYS, "grid config")
     cells = _grid_cells(config)
@@ -528,6 +547,14 @@ def run_grid(config: dict) -> GridResult:
     if replicates < 1:
         raise ConfigError("grid config needs replicates >= 1")
     master = _grid_seed(config.get("seed", 0))
+    n, p = max(cells, key=lambda cell: _cell_bytes(*cell))
+    need = _cell_bytes(n, p)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise BudgetError(
+            f"a cell at n = {n}, p = {p} needs about {need / 1e9:.3g} GB, "
+            f"more than the {have / 1e9:.3g} GB of physical memory"
+        )
 
     records = []
     for ci, (n, p) in enumerate(cells):

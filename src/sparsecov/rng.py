@@ -10,8 +10,10 @@ scheduling, chunking, or worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # One level of substream() supports this many children.  Streams derived from
 # a common root never collide: child streams of s occupy the half-open block
@@ -34,6 +36,8 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         """Fresh Philox generator for this (seed, stream) pair."""
+        import numpy as np  # on first use, so a seed alone loads no numpy
+
         ss = np.random.SeedSequence(entropy=(int(self.seed), int(self.stream)))
         return np.random.Generator(np.random.Philox(ss))
 

@@ -4,14 +4,16 @@ import os
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sparsecov.cli
 import sparsecov.lower_bound
 import sparsecov.model_spaces
+import sparsecov.risk
 from sparsecov.cli import _EXIT_CODES, main
 from sparsecov.errors import (
     BudgetError,
@@ -180,7 +182,7 @@ def test_simulate_bad_config_paths(tmp_path):
 
 def test_simulate_checks_out_before_the_grid_runs(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(sparsecov.cli, "run_grid", lambda config: calls.append(config))
+    monkeypatch.setattr(sparsecov.risk, "run_grid", lambda config: calls.append(config))
     mixed = grid_file(
         tmp_path, losses=[{"kind": "operator", "w": 2}, {"kind": "frobenius-squared"}]
     )
@@ -246,6 +248,34 @@ def test_lowerbound_certifies_a_family_too_large_to_enumerate(tmp_path):
     assert report["affinity"]["value"] == pytest.approx(0.96387, abs=1e-5)
 
 
+def test_manifest_records_numpy_only_when_the_command_loaded_it(tmp_path):
+    # lowerbound loads no numpy, so its output cannot depend on the numpy or
+    # BLAS build, and its manifest writes null for both; simulate (like
+    # estimate, tested in-process above) records the build its bytes depend on
+    root = Path(__file__).resolve().parent.parent
+    grid = grid_file(tmp_path, cells=[{"n": 30, "p": 10}, {"n": 60, "p": 20}], replicates=2)
+    manifests = {}
+    for command, suffix in (
+        (["lowerbound", "--p", "10", "--n", "20", "--q", "0", "--c", "4"], "json"),
+        (["simulate", "--config", str(grid)], "csv"),
+    ):
+        out = tmp_path / f"{command[0]}.{suffix}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparsecov.cli", *command, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifests[command[0]] = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifests["lowerbound"]["numpy"] is None
+    assert manifests["lowerbound"]["blas"] == {"name": None, "version": None}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifests["simulate"]["numpy"] == np.__version__
+    assert manifests["simulate"]["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+
 def test_lowerbound_report_is_independent_of_blas_threads(tmp_path):
     # the process's BLAS thread count cannot reach the report's bytes
     root = Path(__file__).resolve().parent.parent
@@ -289,15 +319,33 @@ def test_lowerbound_certifies_a_family_whose_columns_all_stay_free(tmp_path):
     assert report["affinity"]["value"] == pytest.approx(0.88208, abs=1e-5)
 
 
-def test_cli_import_loads_no_pool_and_no_oracle():
-    # the lab oracles and their thread pool are for tests only; numpy itself
-    # loads threading and ctypes, so those are not checked
+# A fresh interpreter imports the CLI, then runs --version and lowerbound at
+# k = 1 and k = 3 with a report and its manifest, and prints which of the
+# given modules it has loaded.
+_LOADED_BY_LOWERBOUND = """
+import json, sys
+import sparsecov.cli
+out, watched = sys.argv[1], sys.argv[2:]
+try:
+    sparsecov.cli.main(["--version"])
+except SystemExit:
+    pass
+for flags in (["--p", "10000", "--n", "40000", "--c", "4"],
+              ["--p", "1000", "--n", "4000", "--c", "8"]):
+    assert sparsecov.cli.main(["lowerbound", *flags, "--q", "0", "--out", out]) == 0
+print(json.dumps(sorted(set(watched) & set(sys.modules))))
+"""
+
+
+def test_cli_import_loads_no_pool_and_no_oracle(tmp_path):
+    # the lab oracles and their thread pool are for tests only, and the
+    # command loads no numpy (nor the ctypes that numpy loads); the bare
+    # interpreter already holds threading, so that is not checked
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [
-            sys.executable, "-c",
-            "import sys, sparsecov.cli; "
-            "print(sorted({'concurrent.futures', 'lab_oracles'} & set(sys.modules)))",
+            sys.executable, "-c", _LOADED_BY_LOWERBOUND, str(tmp_path / "report.json"),
+            "concurrent.futures", "lab_oracles", "numpy", "ctypes",
         ],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
@@ -305,7 +353,7 @@ def test_cli_import_loads_no_pool_and_no_oracle():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
     # nor do the family's walkers, counters and budget live beside the CLI
     # and certify is the one place the bound is assembled
     for module, names in (
@@ -340,8 +388,8 @@ def test_lowerbound_trivial_when_k_is_zero(tmp_path):
     ],
 )
 def test_lowerbound_certifies_any_p_in_under_a_second(tmp_path, p, n, c, affinity):
-    # the command's own time, from the manifest: interpreter and numpy
-    # start-up do not depend on p
+    # the command's own time, from the manifest: interpreter start-up does
+    # not depend on p, and the command loads no numpy
     root = Path(__file__).resolve().parent.parent
     out = tmp_path / "report.json"
     proc = subprocess.run(
@@ -453,6 +501,10 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
         ({"estimators": ["hard"]}, "estimators[0] must be a JSON object, got str"),
         ({"losses": ["operator"]}, "losses[0] must be a JSON object, got str"),
         ({"cells": [[20, 10]]}, "cells[0] must be a JSON object, got list"),
+        # a cell size below 1 is refused before the memory model reads it
+        ({"cells": [{"n": 100, "p": -1000000}]}, "cells[0].p must be at least 1, got -1000000"),
+        ({"cells": [{"n": 20, "p": 10}, {"n": 0, "p": 10}]},
+         "cells[1].n must be at least 1, got 0"),
         # a bad entry is named by its index, as a cell is
         ({"estimators": [{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": "2"}]},
          "estimators[1].gamma must be a number, got '2'"),
@@ -472,7 +524,7 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
     ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
          "target-exponent", "value-and-scale", "theta-and-theta-seed",
          "normalized-operator", "bregman-w", "estimator-not-object", "loss-not-object",
-         "cell-not-object", "second-estimator-gamma", "second-estimator-key",
+         "cell-not-object", "cell-negative-p", "cell-zero-n", "second-estimator-gamma", "second-estimator-key",
          "second-loss-key", "second-loss-w", "estimators-object",
          "second-estimator-gamma-value", "second-loss-w-value"],
 )
@@ -600,6 +652,26 @@ def test_fstar_truth_refuses_a_non_finite_parameter(tmp_path, capsys, key):
     assert f"{key} must be positive and finite, got inf" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_cell_larger_than_memory_before_allocating(tmp_path, capsys):
+    # five matrices and the eigh workspace at n = p = 10^6 need 56 TB: the
+    # grid is refused from its cell sizes, not after numpy fails to allocate
+    grid = grid_file(tmp_path, cells=[{"n": 10**6, "p": 10**6}])
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        code = main(["simulate", "--config", str(grid)])
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "error: budget exceeded: a cell at n = 1000000, p = 1000000 needs about 5.6e+04 GB"
+    )
+    assert elapsed < 1.0
+    assert peak < 2**20
+
+
 def test_version_flag_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -639,7 +711,7 @@ def test_every_error_class_maps_to_its_exit_code(tmp_path, monkeypatch, capsys, 
     def fail(config):
         raise cls("boom")
 
-    monkeypatch.setattr("sparsecov.cli.run_grid", fail)
+    monkeypatch.setattr("sparsecov.risk.run_grid", fail)
     assert main(["simulate", "--config", str(grid_file(tmp_path))]) == code
     assert capsys.readouterr().err.startswith(prefix)
 
@@ -648,6 +720,6 @@ def test_unmapped_errors_propagate(tmp_path, monkeypatch):
     def fail(config):
         raise RuntimeError("not a user error")
 
-    monkeypatch.setattr("sparsecov.cli.run_grid", fail)
+    monkeypatch.setattr("sparsecov.risk.run_grid", fail)
     with pytest.raises(RuntimeError):
         main(["simulate", "--config", str(grid_file(tmp_path))])
