@@ -44,8 +44,7 @@ _HOMES = {
     ),
     "risk": (
         "GridResult", "RateFit", "RiskRecord", "banded_sigma", "export_records",
-        "materialize_truth", "rate_fit", "run_grid", "run_risk_cell",
-        "toeplitz_decay_sigma",
+        "materialize_truth", "rate_fit", "run_grid", "toeplitz_decay_sigma",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

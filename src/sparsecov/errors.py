@@ -35,14 +35,7 @@ class StructureError(SparseCovError, ValueError):
 
 class BudgetError(SparseCovError, RuntimeError):
     """A computation would exceed its budget: the memory a grid cell needs,
-    or the objects an exact enumeration would visit.
-
-    ``count`` holds that number of objects, when an enumeration raised it.
-    """
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
+    or the objects an exact enumeration would visit."""
 
 
 class DivergenceError(SparseCovError, ArithmeticError):

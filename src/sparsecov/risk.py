@@ -5,15 +5,15 @@ from ``seed.substream(r)``, so seeded results are byte-identical for a fixed
 numpy/BLAS build and BLAS thread count; ``OPENBLAS_NUM_THREADS`` changes them.
 Each replicate is drawn once and scored by every estimator/loss pair of its cell.
 
-Memory: a cell holds one copy of its truth, validated by the caller
-(:func:`run_grid` or :func:`run_risk_cell`) and owned by the cell pipeline
-from then on; ``run_grid`` drops the raw truth builder output before the
-replicates start.  Each replicate's draw lives only for the
-:func:`~sparsecov.sampling.mle_covariance` call, and its sample covariance
-only until the last estimator has read it, so neither sits beside the
-losses' temporaries or the next replicate's draw.  :func:`_cell_bytes` writes
-that peak as a model, and ``run_grid`` refuses a grid whose largest cell
-does not fit in physical memory before it allocates anything.
+Memory: a cell holds one copy of its truth, validated by :func:`run_grid`
+and owned by the cell pipeline from then on; ``run_grid`` drops the raw
+truth builder output before the replicates start.  Each replicate's draw
+lives only for the :func:`~sparsecov.sampling.mle_covariance` call, and its
+sample covariance only until the last estimator has read it, so neither
+sits beside the losses' temporaries or the next replicate's draw.
+:func:`_cell_bytes` writes that peak as a model, and ``run_grid`` refuses a
+grid whose largest cell does not fit in physical memory before it allocates
+anything.
 """
 
 from __future__ import annotations
@@ -180,33 +180,6 @@ class RiskRecord:
         }
 
 
-def run_risk_cell(
-    sigma,
-    estimator: EstimatorSpec,
-    loss: LossSpec,
-    n: int,
-    replicates: int,
-    seed: RngSeed,
-    *,
-    cell_id: str = "cell",
-) -> RiskRecord:
-    """Estimate the risk of an estimator at one truth by seeded replication.
-
-    Each replicate samples n rows, forms the sample covariance, applies the
-    estimator, and evaluates the loss against the truth.  Loss domain errors
-    are counted as failures; the cell errors out above
-    ``FAILURE_RATE_LIMIT``.  The record's model is ``"explicit"``, and its
-    q and c are None.
-    """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    (record,) = _run_cell(
-        _Symmetric(as_symmetric(sigma)), [estimator], [loss], n, replicates, seed,
-        guard=False, name=lambda ei, li: cell_id, model="explicit", q=None, c=None,
-    )
-    return record
-
-
 def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
     """Stein and von Neumann losses are undefined on a singular estimate, so
     a grid scores them with the bregman-guard correction appended."""
@@ -217,9 +190,9 @@ def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
 
 
 def _run_cell(
-    truth: _Symmetric, estimators, losses, n, replicates, seed, *, guard, name, model, q, c
+    truth: _Symmetric, estimators, losses, n, replicates, seed, *, index, model, q, c
 ) -> list[RiskRecord]:
-    """The cell pipeline behind :func:`run_risk_cell` and :func:`run_grid`.
+    """The pipeline of grid cell ``index`` of :func:`run_grid`.
 
     The truth arrives validated and wrapped in a :class:`_Symmetric` by the
     caller, which hands it over: the cell neither copies it nor keeps any
@@ -229,8 +202,8 @@ def _run_cell(
     from ``seed.substream(r)`` and applies each estimator once to its sample
     covariance, which the cell owns and releases after the last estimator
     has read it, before the losses of that estimate run.  Every loss scores
-    that estimate; with ``guard`` set, Stein and von Neumann losses score the
-    guard of it, which is bit for bit the :func:`_guarded` spec.  The
+    that estimate, except that Stein and von Neumann losses score the guard
+    of it, which is bit for bit the :func:`_guarded` spec.  The
     estimator and loss kernels trust these matrices, which are exactly
     symmetric by construction, and each estimate is eigendecomposed at most
     once, by whichever of the PSD projection, the guard or a Bregman loss
@@ -241,7 +214,7 @@ def _run_cell(
     if all(loss.kind != "bregman" for loss in losses):
         del truth.eigen  # no loss reads it again; frees p x p for the replicates
     # specs[ei][li] is estimators[ei] itself unless the loss adds the guard
-    specs = [[_guarded(est, loss) if guard else est for loss in losses] for est in estimators]
+    specs = [[_guarded(est, loss) for loss in losses] for est in estimators]
     results = np.full((len(estimators), len(losses), replicates), np.nan)
 
     started = time.perf_counter()
@@ -267,18 +240,19 @@ def _run_cell(
 
     records = []
     for ei, li in itertools.product(range(len(estimators)), range(len(losses))):
+        cell_id = f"cell-{index:03d}-e{ei}-l{li}"
         good = results[ei, li][~np.isnan(results[ei, li])]
         failures = replicates - good.size
         if failures > FAILURE_RATE_LIMIT * replicates:
             raise CellError(
-                f"cell {name(ei, li)}: {failures}/{replicates} replicates failed the loss"
+                f"cell {cell_id}: {failures}/{replicates} replicates failed the loss"
             )
         std_error = (
             float(np.std(good, ddof=1)) / math.sqrt(good.size) if good.size > 1 else 0.0
         )
         records.append(
             RiskRecord(
-                cell_id=name(ei, li),
+                cell_id=cell_id,
                 model=model,
                 n=n,
                 p=mat.shape[0],
@@ -449,7 +423,9 @@ class GridResult:
     fits: list
 
 
-def _grid_cells(config: dict) -> list[tuple[int, int]]:
+def _grid_cells(config: dict, min_n: int) -> list[tuple[int, int]]:
+    """The grid's (n, p) cells, each refused before any cell runs unless
+    n >= ``min_n`` and p >= 2, the least the threshold level takes."""
     cells = config.get("cells")
     if not cells:
         raise ConfigError("grid has no cells")
@@ -463,9 +439,9 @@ def _grid_cells(config: dict) -> list[tuple[int, int]]:
     ]
     # before the memory model reads them: a negative p is no large cell
     for i, (n, p) in enumerate(sizes):
-        for key, value in (("n", n), ("p", p)):
-            if value < 1:
-                raise ConfigError(f"cells[{i}].{key} must be at least 1, got {value}")
+        for key, value, least in (("n", n, min_n), ("p", p, 2)):
+            if value < least:
+                raise ConfigError(f"cells[{i}].{key} must be at least {least}, got {value}")
     return sizes
 
 
@@ -498,12 +474,22 @@ def _grid_specs(config: dict, key: str, reader) -> list:
     return specs
 
 
-def _cell_bytes(n: int, p: int) -> int:
+def _cell_bytes(n: int, p: int, estimators, losses) -> int:
     """Peak bytes of one grid cell, the README's memory model: five float64
     matrices (the truth, its sampling root and a replicate's sample
     covariance, p x p each; the draw and its centred copy, n x p each) plus
-    LAPACK's 2p^2 workspace while the truth is eigendecomposed."""
-    return 8 * (3 * p * p + 2 * n * p + 2 * p * p)
+    LAPACK's 2p^2 workspace while the truth is eigendecomposed.
+
+    A cell that eigendecomposes an estimate, for a correction or a Bregman
+    loss, also holds the estimate's eigenvectors and ``_from_eigen``'s two
+    temporaries, 3p^2 more.  A Bregman loss also keeps the truth's
+    eigenvectors and builds ``_bregman``'s overlap, slope and terms, 4p^2
+    more.  Every correction the grid adds is for a Bregman loss, so the
+    estimators and losses as given decide both.
+    """
+    bregman = any(loss.kind == "bregman" for loss in losses)
+    eigen = bregman or any(est.corrections for est in estimators)
+    return 8 * ((5 + 3 * eigen + 4 * bregman) * p * p + 2 * n * p)
 
 
 _GRID_KEYS = ("cells", "truth", "estimators", "losses", "replicates", "seed")
@@ -526,12 +512,12 @@ def run_grid(config: dict) -> GridResult:
     to their estimator when absent, since those losses are undefined on a
     singular estimate.  Each replicate's data draw and each estimate are
     shared by every estimator/loss combination of a cell, pairing the
-    comparisons.  A key that no reader reads raises SchemaError, and a
+    comparisons.  A key that no reader reads raises SchemaError, a cell too
+    small for its specs (see :func:`_grid_cells`) raises ConfigError, and a
     largest cell whose :func:`_cell_bytes` exceeds physical memory raises
-    BudgetError before the first cell runs.
+    BudgetError, all before the first cell runs.
     """
     _check_keys(config, _GRID_KEYS, "grid config")
-    cells = _grid_cells(config)
     truth_spec = config.get("truth")
     if not truth_spec:
         raise ConfigError("grid config needs a 'truth' entry")
@@ -543,12 +529,17 @@ def run_grid(config: dict) -> GridResult:
     losses = _grid_specs(config, "losses", LossSpec.from_json)
     if not estimators or not losses:
         raise ConfigError("grid config needs estimators and losses")
+    guard = any(
+        "bregman-guard" in _guarded(est, loss).corrections
+        for est in estimators for loss in losses
+    )
+    cells = _grid_cells(config, min_n=2 if guard else 1)
     replicates = _check_int(config.get("replicates", 0), "replicates")
     if replicates < 1:
         raise ConfigError("grid config needs replicates >= 1")
     master = _grid_seed(config.get("seed", 0))
-    n, p = max(cells, key=lambda cell: _cell_bytes(*cell))
-    need = _cell_bytes(n, p)
+    n, p = max(cells, key=lambda cell: _cell_bytes(*cell, estimators, losses))
+    need = _cell_bytes(n, p, estimators, losses)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise BudgetError(
@@ -563,8 +554,7 @@ def run_grid(config: dict) -> GridResult:
         del sigma  # the cell holds the validated copy only
         records += _run_cell(
             truth, estimators, losses, n, replicates, master.substream(ci),
-            guard=True, name=lambda ei, li: f"cell-{ci:03d}-e{ei}-l{li}",
-            model=label, q=q, c=c,
+            index=ci, model=label, q=q, c=c,
         )
         del truth  # nor beside the next cell's truth
 

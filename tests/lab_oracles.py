@@ -224,8 +224,7 @@ def exact_chi_square_small(
     )
     if work > budget:
         raise BudgetError(
-            f"exact chi-square needs {work} integral evaluations, budget is {budget}",
-            count=work,
+            f"exact chi-square needs {work} integral evaluations, budget is {budget}"
         )
     if work == 0:
         raise ConfigError("no admissible completions; family is empty")
@@ -472,15 +471,13 @@ def gamma1_mixture(
     ------
     BudgetError
         If the family has more than ``budget`` members (anchor bits of both
-        values counted); the error carries the count.
+        values counted); the message carries the count.
     """
     if anchor_bit not in (0, 1):
         raise ConfigError(f"anchor bit must be 0 or 1, got {anchor_bit}")
     total = count_theta(cfg)
     if total > budget:
-        raise BudgetError(
-            f"family has {total} members, budget is {budget}", count=total
-        )
+        raise BudgetError(f"family has {total} members, budget is {budget}")
     if total == 0:
         raise ConfigError("no family members with the requested anchor bit")
     if cfg.k == 0 or cfg.epsilon == 0.0:

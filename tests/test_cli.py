@@ -354,14 +354,16 @@ def test_cli_import_loads_no_pool_and_no_oracle(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
-    # nor do the family's walkers, counters and budget live beside the CLI
-    # and certify is the one place the bound is assembled
+    # nor do the family's walkers, counters and budget live beside the CLI;
+    # certify is the one place the bound is assembled, and run_grid the one
+    # way into the risk pipeline
     for module, names in (
         (sparsecov.model_spaces, ("_usage_profiles", "_iter_lambda", "count_theta")),
         (sparsecov.lower_bound, (
             "exact_chi_square_small", "DEFAULT_ENUMERATION_BUDGET",
             "certified_affinity", "assemble_lower_bound", "CertifiedAffinity",
         )),
+        (sparsecov.risk, ("run_risk_cell",)),
     ):
         assert [name for name in names if hasattr(module, name)] == []
 
@@ -501,10 +503,17 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
         ({"estimators": ["hard"]}, "estimators[0] must be a JSON object, got str"),
         ({"losses": ["operator"]}, "losses[0] must be a JSON object, got str"),
         ({"cells": [[20, 10]]}, "cells[0] must be a JSON object, got list"),
-        # a cell size below 1 is refused before the memory model reads it
-        ({"cells": [{"n": 100, "p": -1000000}]}, "cells[0].p must be at least 1, got -1000000"),
+        # a cell size too small to run is refused before the memory model
+        # reads it, and before the first cell runs
+        ({"cells": [{"n": 100, "p": -1000000}]}, "cells[0].p must be at least 2, got -1000000"),
         ({"cells": [{"n": 20, "p": 10}, {"n": 0, "p": 10}]},
          "cells[1].n must be at least 1, got 0"),
+        ({"cells": [{"n": 20, "p": 10}, {"n": 300, "p": 1}]},
+         "cells[1].p must be at least 2, got 1"),
+        # the guard a Stein loss adds needs two rows
+        ({"cells": [{"n": 20, "p": 10}, {"n": 1, "p": 10}],
+          "losses": [{"kind": "bregman", "phi": "stein"}]},
+         "cells[1].n must be at least 2, got 1"),
         # a bad entry is named by its index, as a cell is
         ({"estimators": [{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": "2"}]},
          "estimators[1].gamma must be a number, got '2'"),
@@ -524,7 +533,8 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
     ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
          "target-exponent", "value-and-scale", "theta-and-theta-seed",
          "normalized-operator", "bregman-w", "estimator-not-object", "loss-not-object",
-         "cell-not-object", "cell-negative-p", "cell-zero-n", "second-estimator-gamma", "second-estimator-key",
+         "cell-not-object", "cell-negative-p", "cell-zero-n", "late-cell-p-one",
+         "late-cell-n-one-guarded", "second-estimator-gamma", "second-estimator-key",
          "second-loss-key", "second-loss-w", "estimators-object",
          "second-estimator-gamma-value", "second-loss-w-value"],
 )

@@ -372,9 +372,8 @@ def test_exact_chi_square_matches_brute_force_oracle():
 
 def test_exact_chi_square_budget_counts_work():
     cfg = criterion_config()
-    with pytest.raises(BudgetError) as err:
+    with pytest.raises(BudgetError, match="needs 5664 integral evaluations"):
         exact_chi_square_small(cfg, budget=100)
-    assert err.value.count == 5664
 
 
 def test_exact_chi_square_zero_cases():
@@ -546,9 +545,8 @@ def test_sigma_stack_equals_materialize_sigma_member_by_member(args):
 def test_gamma1_mixture_budget_counts_members():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
     assert count_theta(cfg) == 192
-    with pytest.raises(BudgetError) as err:
+    with pytest.raises(BudgetError, match="family has 192 members"):
         gamma1_mixture(cfg, 0, budget=191)
-    assert err.value.count == count_theta(cfg)
     assert gamma1_mixture(cfg, 0, budget=192).weights.size > 0
 
 

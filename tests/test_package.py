@@ -46,7 +46,7 @@ PUBLIC = {
     ],
     "risk": [
         "GridResult", "RateFit", "RiskRecord", "banded_sigma", "export_records",
-        "materialize_truth", "rate_fit", "run_grid", "run_risk_cell", "toeplitz_decay_sigma",
+        "materialize_truth", "rate_fit", "run_grid", "toeplitz_decay_sigma",
     ],
 }
 HOMES = [(module, name) for module, names in PUBLIC.items() for name in names]

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -18,13 +20,13 @@ from sparsecov.risk import (
     _GRID_KEYS,
     _TRUTH_KEYS,
     RiskRecord,
+    _cell_bytes,
     _run_cell,
     banded_sigma,
     export_records,
     materialize_truth,
     rate_fit,
     run_grid,
-    run_risk_cell,
     toeplitz_decay_sigma,
 )
 from sparsecov.rng import RngSeed
@@ -89,9 +91,13 @@ VON_NEUMANN = LossSpec(kind="bregman", w=None, phi="von-neumann")
 def test_cell_matches_hand_rolled_loop(spec, loss):
     # public evaluate_loss decomposes the truth afresh on every call, so it is
     # an independent oracle for the pipeline's once-per-cell decomposition
-    sigma = banded_sigma(10, 1, 0.3)
-    seed = RngSeed(21)
-    rec = run_risk_cell(sigma, spec, loss, 50, 8, seed)
+    cfg = grid_config(
+        cells=[{"n": 50, "p": 10}], truth={"kind": "banded", "band": 1, "scale": 1.4},
+        estimators=[spec.to_json()], losses=[loss.to_json()], replicates=8, seed=21,
+    )
+    (rec,) = run_grid(cfg).records
+    sigma = materialize_truth(cfg["truth"], 50, 10)[0]
+    seed = RngSeed(21).substream(0)  # the grid's cell 0
     values = []
     for r in range(8):
         x = sample_gaussian(sigma, 50, seed.substream(r))
@@ -197,8 +203,11 @@ def test_truth_outside_the_domain_fails_the_cell(coupling):
     with pytest.raises(DomainError, match="second argument"):
         evaluate_loss(STEIN, np.eye(6), sigma)
     # every replicate fails, not only the one that first decomposes the truth
-    with pytest.raises(CellError, match="6/6 replicates failed"):
-        run_risk_cell(sigma, GUARDED, STEIN, 40, 6, RngSeed(5))
+    with pytest.raises(CellError, match="cell-000-e0-l0: 6/6 replicates failed"):
+        _run_cell(
+            _Symmetric(as_symmetric(sigma)), [GUARDED], [STEIN], 40, 6, RngSeed(5),
+            index=0, model="near-singular", q=None, c=None,
+        )
 
 
 def test_cell_memory_is_bounded_by_five_matrices():
@@ -220,8 +229,7 @@ def test_cell_memory_is_bounded_by_five_matrices():
     try:
         entry = tracemalloc.get_traced_memory()[0]
         _run_cell(
-            truth, [HARD], [OP2], p, 3, RngSeed(1),
-            guard=True, name=lambda ei, li: "cell", model="banded", q=None, c=None,
+            truth, [HARD], [OP2], p, 3, RngSeed(1), index=0, model="banded", q=None, c=None,
         )
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
@@ -229,12 +237,63 @@ def test_cell_memory_is_bounded_by_five_matrices():
     assert peak < 5 * 8 * p * p
 
 
-def test_cell_fails_loudly_when_loss_always_errors():
-    # gamma large enough to zero everything makes stein undefined every time
-    spec = EstimatorSpec(rule="hard", gamma=50.0)
-    stein = LossSpec(kind="bregman", w=None, phi="stein")
-    with pytest.raises(CellError):
-        run_risk_cell(np.eye(6), spec, stein, 30, 10, RngSeed(2))
+# Prints the rise in peak RSS, in bytes, over one n = p = 800 grid cell with
+# the (estimators, losses) given as JSON, after a 20 x 20 cell has warmed up
+# numpy, OpenBLAS and the allocator.
+_CELL_RSS_RISE = """
+import json, resource, sys
+from sparsecov.risk import run_grid
+estimators, losses = json.loads(sys.argv[1])
+def grid(size):
+    return {"cells": [{"n": size, "p": size}], "truth": {"kind": "banded", "band": 2},
+            "estimators": estimators, "losses": losses, "replicates": 3, "seed": "2024"}
+run_grid(grid(20))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run_grid(grid(800))
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+"""
+
+# The benchmark's pair sets: the headline grid's one pair, and the
+# estimator menu's twelve, whose corrections and Stein loss eigendecompose
+# every estimate.
+_PAIR_SETS = {
+    "spectral-grid": ([{"rule": "hard", "gamma": 2.0}], [{"kind": "operator", "w": 2}]),
+    "estimator-menu": (
+        [
+            {"rule": "hard", "gamma": 2.0},
+            {"rule": "soft", "gamma": 2.0},
+            {"rule": "adaptive-lasso", "gamma": 2.0, "corrections": ["psd-project"]},
+        ],
+        [
+            {"kind": "operator", "w": 2},
+            {"kind": "operator", "w": 1},
+            {"kind": "frobenius-squared", "normalized": True},
+            {"kind": "bregman", "phi": "stein", "normalized": True},
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("pairs", list(_PAIR_SETS))
+def test_cell_peak_rss_stays_under_the_memory_model(pairs):
+    estimators, losses = _PAIR_SETS[pairs]
+    root = Path(__file__).resolve().parent.parent
+    # OpenBLAS touches a buffer per thread, which the model leaves out; a
+    # fixed thread count keeps the host's core count out of the rise
+    proc = subprocess.run(
+        [sys.executable, "-c", _CELL_RSS_RISE, json.dumps([estimators, losses])],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    model = _cell_bytes(
+        800, 800,
+        [EstimatorSpec.from_json(obj) for obj in estimators],
+        [LossSpec.from_json(obj) for obj in losses],
+    )
+    assert int(proc.stdout) < model
 
 
 def test_rate_fit_recovers_planted_slope():
@@ -303,17 +362,21 @@ def test_run_grid_pairs_estimators_on_shared_draws():
     by_cell = {}
     for rec in result.records:
         by_cell.setdefault((rec.n, rec.p), []).append(rec)
-    for (n, p), recs in by_cell.items():
+    for recs in by_cell.values():
         assert len(recs) == 4
         assert len({rec.seed for rec in recs}) == 1
-        sigma = materialize_truth(cfg["truth"], n, p)[0]
-        for rec in recs:
-            # the grid shares one draw per replicate; a lone cell on the
-            # record's own (guarded) estimator and loss must agree exactly
-            alone = run_risk_cell(sigma, rec.estimator, rec.loss, n, 10, rec.seed)
-            assert rec.mean_risk == alone.mean_risk
-            assert rec.std_error == alone.std_error
-            assert rec.median_risk == alone.median_risk
+    # the grid shares one draw per replicate; a one-pair grid over the same
+    # cells and master seed must agree exactly, record for record
+    for ei, est in enumerate(cfg["estimators"]):
+        for li, loss in enumerate(cfg["losses"]):
+            alone = run_grid({**cfg, "estimators": [est], "losses": [loss]}).records
+            paired = result.records[ei * 2 + li :: 4]
+            assert len(alone) == len(paired) == 3
+            for rec, single in zip(paired, alone):
+                assert rec.estimator == single.estimator and rec.seed == single.seed
+                assert rec.mean_risk == single.mean_risk
+                assert rec.std_error == single.std_error
+                assert rec.median_risk == single.median_risk
     stein = [rec for rec in result.records if rec.loss.kind == "bregman"]
     assert all(rec.estimator.corrections[-1] == "bregman-guard" for rec in stein)
 
@@ -371,9 +434,11 @@ def test_json_round_trip_is_lossless(tmp_path):
 
 
 def test_mixed_loss_csv_is_rejected(tmp_path):
-    sigma = banded_sigma(10, 1, 0.2)
-    a = run_risk_cell(sigma, HARD, OP2, 40, 3, RngSeed(1))
-    b = run_risk_cell(sigma, HARD, LossSpec(kind="frobenius-squared", w=None), 40, 3, RngSeed(1))
+    frobenius = LossSpec(kind="frobenius-squared", w=None)
+    cfg = grid_config(
+        cells=[{"n": 40, "p": 10}], losses=[OP2.to_json(), frobenius.to_json()], replicates=3,
+    )
+    a, b = run_grid(cfg).records
     with pytest.raises(SchemaError):
         export_records([a, b], tmp_path / "bad.csv")
     export_records([a, b], tmp_path / "ok.json")
@@ -388,7 +453,3 @@ def test_readme_grid_example_uses_only_keys_the_grid_reads():
     truth = example["truth"]
     assert set(truth) <= set(_TRUTH_KEYS[truth["kind"]])
 
-
-def test_explicit_cell_record_has_no_sparsity_class():
-    rec = run_risk_cell(banded_sigma(8, 1, 0.2), HARD, OP2, 30, 2, RngSeed(3), cell_id="x")
-    assert (rec.cell_id, rec.model, rec.q, rec.c) == ("x", "explicit", None, None)
