@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, _check_bool, _check_keys, _check_real
-from .matrices import _from_eigen, _Symmetric, as_symmetric
+from .matrices import _from_eigen, _identity, _Symmetric, as_symmetric
 
 RULES = ("hard", "soft", "adaptive-lasso")
 CORRECTIONS = ("psd-project", "bregman-guard")
@@ -158,7 +158,7 @@ def _bregman_guard(est: _Symmetric, n: int) -> _Symmetric:
     big_l = max(math.log(n), math.log(p))
     w = est.eigen.eigenvalues  # descending
     ok = 1.0 / big_l <= float(w[-1]) and float(w[0]) <= big_l
-    return est if ok else _Symmetric(np.eye(p))
+    return est if ok else _identity(p)
 
 
 def apply_estimator(sigma_star, spec: EstimatorSpec, n: int) -> np.ndarray:

@@ -100,6 +100,14 @@ class _Symmetric:
         return _sym_eigen(self.matrix)
 
 
+def _identity(p: int) -> _Symmetric:
+    """I_p with its eigendecomposition already in place, so no eigensolver runs
+    on it: the same bits as ``_sym_eigen(np.eye(p))``."""
+    eye = _Symmetric(np.eye(p))
+    eye.eigen = EigenDecomposition(np.ones(p), np.eye(p)[:, ::-1].copy())
+    return eye
+
+
 def _from_eigen(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Symmetrized ``V diag(w) V'`` of one eigensystem or of a stack of them.
 

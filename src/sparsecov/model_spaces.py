@@ -3,7 +3,10 @@
 Two kinds of parameter space appear here.  The first is the weak lq ball
 applied column-wise to a covariance matrix with its diagonal removed: it
 requires the k-th largest off-diagonal magnitude in every column to decay
-like ``(radius / k)^(1/q)``.
+like ``(radius / k)^(1/q)``.  ``_column_radii`` is the one place a matrix is
+measured against it: one pass over all p columns, which
+``class_membership`` and the risk harness's ``decay`` truth both read;
+``weak_lq_radius`` is the same formula for one vector.
 
 The second is a finite two-point-mixing family used by the lower-bound lab.
 A member is indexed by ``theta = (gamma, rows)``: ``gamma`` holds r on/off
@@ -61,7 +64,8 @@ def weak_lq_radius(v, q: float) -> float:
     """Smallest radius c such that the vector lies in the weak lq ball.
 
     For q > 0 this is ``max_k k * |v|_(k)^q`` over the descending order
-    statistics; for q = 0 it is the number of nonzero entries.
+    statistics; for q = 0 it is the number of nonzero entries.  It is the
+    one-vector case of :func:`_weak_radii`.
     """
     import numpy as np
 
@@ -70,11 +74,40 @@ def weak_lq_radius(v, q: float) -> float:
         raise ConfigError(f"q must lie in [0, 1), got {q}")
     if vec.size == 0:
         return 0.0
+    return float(_weak_radii(np.abs(vec)[None, :], q)[0])
+
+
+def _weak_radii(mags: np.ndarray, q: float) -> np.ndarray:
+    """Weak-lq radius of each row of a nonnegative 2-d array, which it overwrites.
+
+    Sorting a row ascending puts its k-th largest entry at position m - k, so
+    the radius is ``max_k k * mags_(k)^q``, taken in place on the sorted rows;
+    at q = 0 it is the row's number of nonzeros.
+    """
+    import numpy as np
+
     if q == 0.0:
-        return float(np.count_nonzero(vec))
-    mags = np.sort(np.abs(vec))[::-1]
-    ks = np.arange(1, mags.size + 1, dtype=float)
-    return float(np.max(ks * mags**q))
+        return np.count_nonzero(mags, axis=-1).astype(float)
+    mags.sort(axis=-1)
+    mags **= q
+    mags *= np.arange(mags.shape[-1], 0, -1, dtype=float)
+    return np.max(mags, axis=-1)
+
+
+def _column_radii(mat: np.ndarray, q: float) -> np.ndarray:
+    """Weak-lq radius of every column of a symmetric matrix's off-diagonal part.
+
+    The one place the sparsity class is measured.  Column j of a symmetric
+    matrix is its row j, so the rows of ``|mat|`` with the diagonal zeroed are
+    measured in one pass; a zero entry changes neither the count nor any
+    ``k * |v|_(k)^q`` term above it, so this equals measuring each column
+    with its diagonal entry deleted.  Holds one p x p temporary.
+    """
+    import numpy as np
+
+    mags = np.abs(mat)
+    np.fill_diagonal(mags, 0.0)
+    return _weak_radii(mags, q)
 
 
 def class_membership(sigma, spec: SparsityClassSpec):
@@ -89,15 +122,10 @@ def class_membership(sigma, spec: SparsityClassSpec):
     from .matrices import as_symmetric
 
     mat = as_symmetric(sigma)
-    p = mat.shape[0]
-    if p < 2:
+    if mat.shape[0] < 2:
         raise ConfigError("class membership needs dimension >= 2")
-    allowed = spec.radius * (1.0 + _RTOL)
-    for j in range(p):
-        col = np.delete(mat[:, j], j)
-        if weak_lq_radius(col, spec.q) > allowed:
-            return False, j
-    return True, None
+    over = np.flatnonzero(_column_radii(mat, spec.q) > spec.radius * (1.0 + _RTOL))
+    return (True, None) if over.size == 0 else (False, int(over[0]))
 
 
 @dataclass(frozen=True)
@@ -276,30 +304,47 @@ def _fewest_free_columns(r: int, k: int) -> int:
     return r if _column_cap(k) > r - 1 else r - (r - 1) // 2
 
 
-# Candidate tuples sample_theta draws before it gives up on a configuration.
+# Candidate tuples sample_theta draws before it gives up on a configuration,
+# and about how many column indices one batch of candidates holds.
 _SAMPLE_MAX_TRIES = 1_000_000
+_SAMPLE_BATCH_INDICES = 1 << 16
 
 
 def sample_theta(cfg: LeastFavorableConfig, seed: RngSeed) -> ThetaIndex:
     """Uniform draw from the family by rejection on the column-usage cap.
 
-    Row patterns are drawn independently and uniformly; any tuple violating
-    the cap is discarded wholesale, which leaves the accepted draw exactly
+    Each candidate is one (r, k) array whose rows are independent uniform
+    k-subsets of the support, drawn by Floyd's algorithm: step i draws t
+    uniform on [0, r - k + i] for every row, and a row that already holds t
+    takes r - k + i instead.  Candidates are drawn in batches that double
+    from one up to about ``_SAMPLE_BATCH_INDICES`` indices, and one bincount
+    counts each candidate's column uses.  The first candidate that keeps the
+    cap is returned; discarding the others wholesale leaves the draw exactly
     uniform.  Deterministic for a fixed seed.
     """
     import numpy as np
 
     rng = seed.generator()
     gamma = tuple(int(b) for b in rng.integers(0, 2, size=cfg.r))
-    support = np.fromiter(cfg.support_columns, dtype=int)
-    for _ in range(_SAMPLE_MAX_TRIES):
-        rows = tuple(
-            tuple(sorted(int(j) for j in rng.choice(support, size=cfg.k, replace=False)))
-            for _ in range(cfg.r)
-        )
-        if _overused_column(rows, cfg.k) is None:
-            return ThetaIndex(gamma=gamma, rows=rows)
+    r, k = cfg.r, cfg.k
+    widest = max(1, _SAMPLE_BATCH_INDICES // (r * max(k, 1)))
+    tried, batch = 0, 1
+    while tried < _SAMPLE_MAX_TRIES:
+        cols = np.empty((batch, r, k), dtype=np.intp)
+        for i, top in enumerate(range(r - k, r)):
+            t = rng.integers(0, top + 1, size=(batch, r))
+            taken = (cols[..., :i] == t[..., None]).any(axis=-1)
+            cols[..., i] = np.where(taken, top, t)
+        # candidate b counts its uses in bins [b r, (b + 1) r)
+        owner = np.arange(0, batch * r, r).reshape(batch, 1, 1)
+        uses = np.bincount((cols + owner).ravel(), minlength=batch * r)
+        kept = np.flatnonzero(uses.reshape(batch, r).max(axis=1) <= _column_cap(k))
+        if kept.size:
+            rows = np.sort(cols[kept[0]], axis=1) + (cfg.p - r)
+            return ThetaIndex(gamma=gamma, rows=tuple(map(tuple, rows.tolist())))
+        tried += batch
+        batch = min(2 * batch, widest, _SAMPLE_MAX_TRIES - tried)
     raise ConfigError(
-        f"rejection sampling failed after {_SAMPLE_MAX_TRIES} tries; "
+        f"rejection sampling failed after {tried} tries; "
         "the column cap leaves too few valid tuples"
     )

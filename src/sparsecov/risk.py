@@ -36,7 +36,7 @@ from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, _evaluate, resolve_phi
 from .matrices import _Symmetric, as_symmetric
 from .model_spaces import (
-    DEFAULT_UPSILON, build_config, materialize_sigma, sample_theta, weak_lq_radius,
+    DEFAULT_UPSILON, _column_radii, build_config, materialize_sigma, sample_theta,
 )
 from .rng import RngSeed
 from .sampling import _sqrt_psd, mle_covariance, sample_gaussian
@@ -94,8 +94,8 @@ def materialize_truth(spec: dict, n: int, p: int):
     - ``identity``: none
     - ``banded``: the integer ``band``, and ``scale`` (default 1), the
       off-diagonal value in units of sqrt(log p / n)
-    - ``decay``: ``amplitude`` and ``exponent``; q is 1/exponent and c is
-      the realized maximal column weak-lq radius
+    - ``decay``: ``amplitude`` and ``exponent`` > 1; q is 1/exponent and c
+      is the realized maximal column weak-lq radius
     - ``fstar``: ``q``, ``c``, ``upsilon`` (default ``DEFAULT_UPSILON``) and
       the integer ``theta_seed`` (default 0) of a uniform member draw
     """
@@ -112,11 +112,11 @@ def materialize_truth(spec: dict, n: int, p: int):
     if kind == "decay":
         amplitude = _check_real(spec["amplitude"], "truth.amplitude")
         exponent = _check_real(spec["exponent"], "truth.exponent")
+        if not exponent > 1.0:
+            raise ConfigError(f"truth.exponent must exceed 1, got {exponent}")
         sigma = toeplitz_decay_sigma(p, amplitude, exponent)
         q = 1.0 / exponent
-        radius = max(
-            weak_lq_radius(np.delete(sigma[:, j], j), q) for j in range(p)
-        )
+        radius = np.max(_column_radii(sigma, q))
         return sigma, q, float(radius), f"decay(a={amplitude:.6g},e={exponent:.6g})"
     if kind == "fstar":
         cfg = build_config(

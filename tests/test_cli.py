@@ -529,6 +529,9 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
          "estimators[1]: gamma must be positive, got -1.0"),
         ({"losses": [{"kind": "operator", "w": 2}, {"kind": "operator", "w": 3}]},
          "losses[1]: operator loss needs w in {1, 2, inf}, got 3"),
+        # a decay truth's q is 1 / exponent, which must lie in [0, 1)
+        ({"truth": {"kind": "decay", "amplitude": 0.3, "exponent": 0.8}},
+         "truth.exponent must exceed 1, got 0.8"),
     ],
     ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
          "target-exponent", "value-and-scale", "theta-and-theta-seed",
@@ -536,7 +539,7 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
          "cell-not-object", "cell-negative-p", "cell-zero-n", "late-cell-p-one",
          "late-cell-n-one-guarded", "second-estimator-gamma", "second-estimator-key",
          "second-loss-key", "second-loss-w", "estimators-object",
-         "second-estimator-gamma-value", "second-loss-w-value"],
+         "second-estimator-gamma-value", "second-loss-w-value", "decay-exponent"],
 )
 def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2

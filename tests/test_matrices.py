@@ -7,6 +7,8 @@ from sparsecov.errors import AsymmetryError, DomainError, NormOrderError
 from sparsecov.matrices import (
     ASYMMETRY_RTOL,
     _from_eigen,
+    _identity,
+    _sym_eigen,
     as_symmetric,
     frobenius_norm,
     load_matrix_csv,
@@ -174,3 +176,15 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
     back = load_matrix_csv(path)
     # 17 significant digits round-trips float64 exactly
     assert np.array_equal(back, a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 100, 300, 800])
+def test_identity_comes_with_the_eigensolver_bits(p):
+    known = _identity(p)
+    assert "eigen" in vars(known)  # no eigensolver runs when it is read
+    solved = _sym_eigen(np.eye(p))
+    assert np.array_equal(known.matrix, np.eye(p))
+    for ours, theirs in zip(known.eigen, solved):
+        assert ours.dtype == theirs.dtype and ours.flags.c_contiguous == theirs.flags.c_contiguous
+        assert np.array_equal(ours, theirs)
+        assert np.array_equal(np.signbit(ours), np.signbit(theirs))

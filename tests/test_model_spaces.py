@@ -18,6 +18,7 @@ from sparsecov.model_spaces import (
     LeastFavorableConfig,
     SparsityClassSpec,
     ThetaIndex,
+    _column_radii,
     _fewest_free_columns,
     build_config,
     class_membership,
@@ -79,6 +80,60 @@ def test_class_membership_boundary_member_passes():
     spec = SparsityClassSpec(q=0.5, radius=math.sqrt(0.5))
     ok, _ = class_membership(sigma, spec)
     assert ok
+
+
+def _reference_radii(sigma, q, nudge=0.0):
+    """Each column's weak-lq radius from sorted Python lists, its diagonal entry
+    left out; ``nudge`` moves every power one ulp towards it."""
+    p = len(sigma)
+    radii = []
+    for j in range(p):
+        mags = sorted((abs(sigma[i][j]) for i in range(p) if i != j), reverse=True)
+        if q == 0.0:
+            radii.append(float(sum(m != 0.0 for m in mags)))
+        else:
+            terms = (k * math.nextafter(m**q, nudge) if nudge else k * m**q
+                     for k, m in enumerate(mags, start=1))
+            radii.append(max(terms))
+    return radii
+
+
+@pytest.mark.parametrize("q", [0.0, 0.1, 0.5, 0.9])
+@pytest.mark.parametrize("zeros", [0.0, 0.8], ids=["dense", "sparse"])
+@pytest.mark.parametrize("p", [2, 3, 50, 201])
+def test_column_radii_match_a_per_column_reference(p, zeros, q):
+    rng = np.random.default_rng(p)
+    a = rng.standard_normal((p, p))
+    a[rng.random((p, p)) < zeros] = 0.0
+    sigma = np.triu(a) + np.triu(a, 1).T
+    got = _column_radii(sigma, q).tolist()
+    rows = sigma.tolist()
+    if q in (0.0, 0.5):
+        # a count, or a correctly rounded square root: exact
+        assert got == _reference_radii(rows, q)
+    else:
+        # numpy's vectorised pow may land one ulp from the C library's
+        low = _reference_radii(rows, q, nudge=-math.inf)
+        high = _reference_radii(rows, q, nudge=math.inf)
+        assert all(lo <= g <= hi for lo, g, hi in zip(low, got, high))
+
+
+def test_class_membership_witness_is_the_first_column_over_the_radius():
+    sigma = np.eye(40)
+    # column 5 is over radius 1 by three small entries (3 * 0.2^(1/2)), columns
+    # 17 and 23 share one entry of 1.44 and columns 31 and 35 one of 2.25; the
+    # rows 6, 7, 8 and 3, 9 stay inside
+    for i, j, v in ((6, 5, 0.2), (7, 5, 0.2), (8, 5, 0.2), (3, 9, 0.25),
+                    (17, 23, 1.44), (31, 35, 2.25)):
+        sigma[i, j] = sigma[j, i] = v
+    spec = SparsityClassSpec(q=0.5, radius=1.0)
+    radii = [weak_lq_radius(np.delete(sigma[:, j], j), spec.q) for j in range(40)]
+    over = [j for j, c in enumerate(radii) if c > spec.radius * (1 + 1e-12)]
+    assert over == [5, 17, 23, 31, 35]
+    assert class_membership(sigma, spec) == (False, 5)
+    sigma[6:9, 5] = sigma[5, 6:9] = 0.0
+    assert class_membership(sigma, spec) == (False, 17)
+    assert class_membership(sigma, SparsityClassSpec(q=0.5, radius=max(radii))) == (True, None)
 
 
 def test_build_config_reference_values():
@@ -228,3 +283,20 @@ def test_sample_theta_covers_family_uniformly_enough():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)
     seen = {sample_theta(cfg, RngSeed(0, i)) for i in range(4000)}
     assert len(seen) == 192
+
+
+def test_sample_theta_draws_uniform_k_subsets_at_k_two():
+    # r = 3, k = 2: each row is one of 3 pairs, and no column can exceed the
+    # cap of 4, so all 2^3 * 3^3 members are valid and each must appear
+    cfg = build_config(6, 100, 0.0, 6.0, 0.1)
+    assert (cfg.r, cfg.k) == (3, 2)
+    seen = {sample_theta(cfg, RngSeed(0, i)) for i in range(4000)}
+    assert len(seen) == 2**3 * 3**3
+
+
+@pytest.mark.parametrize("p, c", [(10, 6.0), (50, 8.0)], ids=["k2-cap-binds", "k3"])
+def test_sample_theta_members_keep_the_cap(p, c):
+    cfg = build_config(p, 100, 0.0, c, 0.1)
+    assert cfg.k >= 2
+    for i in range(100):
+        validate_theta(cfg, sample_theta(cfg, RngSeed(1, i)))

@@ -56,6 +56,21 @@ def test_toeplitz_decay_layout():
     assert abs(s[1, 4] - 0.3 / 9.0) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "p, radius",
+    [(20, "0x1.186f174f88472p+0"), (100, "0x1.186f174f88473p+0"),
+     (800, "0x1.186f174f88473p+0")],
+)
+def test_decay_truth_radius_keeps_the_per_column_loop_bits(p, radius):
+    # the radii are those of a loop that deletes each column's diagonal entry
+    # and measures the column alone, the route the column-wise kernel replaced
+    spec = {"kind": "decay", "amplitude": 0.3, "exponent": 2.0}
+    sigma, q, c, label = materialize_truth(spec, p, p)
+    assert np.array_equal(sigma, toeplitz_decay_sigma(p, 0.3, 2.0))
+    assert q == 0.5 and label == "decay(a=0.3,e=2)"
+    assert c == float.fromhex(radius)
+
+
 def test_materialize_truth_kinds():
     s, q, c, _ = materialize_truth({"kind": "banded", "band": 2, "scale": 1.0}, 400, 100)
     assert q == 0.0 and c == 4.0
@@ -146,15 +161,16 @@ def test_truth_is_decomposed_once_per_cell(monkeypatch):
         replicates=5,
     )
     _, trips = replayed_corrections(cfg)
+    assert trips > 0
     monkeypatch.setattr(matrices_module, "_sym_eigen", counting)
     run_grid(cfg)
     for n, p in [(60, 20), (120, 40)]:
         sigma = materialize_truth(cfg["truth"], n, p)[0]
         hits = sum(m.shape == sigma.shape and np.array_equal(m, sigma) for m in seen)
         assert hits == 1  # the sampling root and the losses share it
-    # 2 truths, one per estimate (2 cells x 5 replicates x 2 estimators), and
-    # one per identity a tripped guard put in its estimate's place
-    assert len(seen) == 2 + 2 * 5 * 2 + trips
+    # 2 truths and one per estimate (2 cells x 5 replicates x 2 estimators);
+    # the identity a tripped guard puts in its estimate's place comes decomposed
+    assert len(seen) == 2 + 2 * 5 * 2
 
 
 def test_each_estimate_is_decomposed_once(monkeypatch):
@@ -186,10 +202,10 @@ def test_each_estimate_is_decomposed_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     run_grid(cfg)
     # 2 truths; one per estimate (2 cells x 5 replicates x 2 estimators),
-    # shared by the PSD projection, the guard and both Bregman losses; one
-    # per projection that clipped, since its output is a new matrix; and one
-    # per identity a tripped guard put in its estimate's place
-    assert len(eigh_calls) == 2 + 2 * 5 * 2 + clips + trips
+    # shared by the PSD projection, the guard and both Bregman losses; and one
+    # per projection that clipped, since its output is a new matrix.  The
+    # identity a tripped guard puts in its estimate's place costs none.
+    assert len(eigh_calls) == 2 + 2 * 5 * 2 + clips
     # the operator loss is the only spectral work left outside the cache
     assert eigvalsh_callers == ["sparsecov.matrices"] * (2 * 5 * 2)
 
