@@ -19,16 +19,15 @@ _HOMES = {
     ),
     "rng": ("RngSeed",),
     "matrices": (
-        "EigenDecomposition", "as_symmetric", "frobenius_norm", "load_matrix_csv",
-        "matrix_function", "operator_norm", "save_matrix_csv", "sym_eigen",
+        "as_symmetric", "load_matrix_csv", "matrix_function", "operator_norm",
+        "save_matrix_csv",
     ),
     "model_spaces": (
         "LeastFavorableConfig", "SparsityClassSpec", "ThetaIndex", "build_config",
         "class_membership", "materialize_sigma", "sample_theta", "validate_theta",
-        "weak_lq_radius",
     ),
     "sampling": (
-        "load_data_csv", "mle_covariance", "sample_gaussian", "save_data_csv", "sqrt_psd",
+        "load_data_csv", "mle_covariance", "sample_gaussian", "sqrt_psd",
     ),
     "estimators": (
         "EstimatorSpec", "apply_estimator", "bregman_guard", "psd_project",

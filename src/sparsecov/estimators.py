@@ -6,11 +6,18 @@ diagonal.  Corrections run after thresholding: ``psd-project`` clips negative
 eigenvalues at zero, ``bregman-guard`` replaces the estimate by the identity
 unless its spectrum lies inside ``[1/L, L]`` with ``L = max(log n, log p)``.
 
-The public functions validate their input once with :func:`as_symmetric` and
-then call the private kernels that the risk pipeline calls directly.  The
-kernels trust an exactly symmetric input and pass estimates on as
-:class:`~sparsecov.matrices._Symmetric`, so one eigendecomposition serves the
-PSD projection, the guard and the spectral losses of an estimate.
+Every function takes its matrix through :func:`~sparsecov.matrices._symmetric`,
+so a caller's array is validated once and the risk pipeline's
+:class:`~sparsecov.matrices._Symmetric` matrices are not validated again.
+
+Three kernels keep a private form, ``_psd_project``, ``_bregman_guard`` and
+``_apply_estimator``, because they hand the pipeline a ``_Symmetric`` and
+their public forms hand a caller an ndarray.  The ``_Symmetric`` carries what
+the ndarray would lose: one eigendecomposition that serves the PSD
+projection, the guard and the spectral losses of an estimate, the identity's
+preset eigenpairs when the guard trips, and the estimate itself, not a copy,
+when the projection clips nothing.  Merging a pair would make the shared code
+branch on its caller; each public form is ``_x(_symmetric(a), ...).matrix``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, _check_bool, _check_keys, _check_real
-from .matrices import _from_eigen, _identity, _Symmetric, as_symmetric
+from .matrices import _from_eigen, _identity, _Symmetric, _symmetric
 
 RULES = ("hard", "soft", "adaptive-lasso")
 CORRECTIONS = ("psd-project", "bregman-guard")
@@ -95,11 +102,7 @@ def threshold_estimate(sigma_star, spec: EstimatorSpec, n: int) -> np.ndarray:
     magnitudes by the threshold and clips at zero; adaptive-lasso multiplies
     each entry by ``(1 - |t / entry|^eta)_+``.
     """
-    return _threshold(as_symmetric(sigma_star), spec, n)
-
-
-def _threshold(mat: np.ndarray, spec: EstimatorSpec, n: int) -> np.ndarray:
-    """:func:`threshold_estimate` of an exactly symmetric matrix."""
+    mat = _symmetric(sigma_star).matrix
     t = threshold_level(mat.shape[0], n, spec.gamma)
     if spec.rule == "hard":
         # |S| lives only until the mask is taken, never beside the estimate
@@ -129,7 +132,7 @@ def psd_project(sigma_hat) -> np.ndarray:
     This is the Frobenius-nearest PSD matrix; its distance to the truth in
     any eigen-monotone operator norm is at most twice that of the input.
     """
-    return _psd_project(_Symmetric(as_symmetric(sigma_hat))).matrix
+    return _psd_project(_symmetric(sigma_hat)).matrix
 
 
 def _psd_project(est: _Symmetric) -> _Symmetric:
@@ -147,7 +150,7 @@ def bregman_guard(sigma_hat, n: int) -> np.ndarray:
     With ``L = max(log n, log p)``, the check is ``1/L <= min eigenvalue``
     and ``max eigenvalue <= L``; failing either returns the identity.
     """
-    return _bregman_guard(_Symmetric(as_symmetric(sigma_hat)), n).matrix
+    return _bregman_guard(_symmetric(sigma_hat), n).matrix
 
 
 def _bregman_guard(est: _Symmetric, n: int) -> _Symmetric:
@@ -163,13 +166,12 @@ def _bregman_guard(est: _Symmetric, n: int) -> _Symmetric:
 
 def apply_estimator(sigma_star, spec: EstimatorSpec, n: int) -> np.ndarray:
     """Threshold, then run the spec's corrections in declaration order."""
-    return _apply_estimator(as_symmetric(sigma_star), spec, n).matrix
+    return _apply_estimator(_symmetric(sigma_star), spec, n).matrix
 
 
-def _apply_estimator(mat: np.ndarray, spec: EstimatorSpec, n: int) -> _Symmetric:
-    """:func:`apply_estimator` of an exactly symmetric matrix, such as the
-    output of :func:`~sparsecov.sampling.mle_covariance`."""
-    out = _Symmetric(_threshold(mat, spec, n))
+def _apply_estimator(sample: _Symmetric, spec: EstimatorSpec, n: int) -> _Symmetric:
+    """:func:`apply_estimator` of a sample covariance the pipeline carries."""
+    out = _Symmetric(threshold_estimate(sample, spec, n))
     for correction in spec.corrections:
         out = _psd_project(out) if correction == "psd-project" else _bregman_guard(out, n)
     return out

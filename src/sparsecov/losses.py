@@ -22,11 +22,10 @@ import numpy as np
 from .errors import ConfigError, DomainError, _check_bool, _check_keys, _check_real
 from .matrices import (
     EigenDecomposition,
-    _operator_norm,
     _Symmetric,
-    _sym_eigen,
-    as_symmetric,
+    _symmetric,
     matrix_function,
+    operator_norm,
 )
 
 # Eigenvalues below this are outside the open domain (0, inf) for the Stein
@@ -95,16 +94,13 @@ def bregman_divergence(x, y, phi="stein") -> float:
 
     Both arguments must be symmetric with eigenvalues inside the generator's
     domain.  The result is nonnegative up to roundoff and zero iff X == Y.
+    A :class:`~sparsecov.matrices._Symmetric` argument lends its cached
+    decomposition, so the risk pipeline decomposes each estimate and each
+    truth once however many losses read it.
     """
-    return _bregman(
-        _Symmetric(as_symmetric(x)), _Symmetric(as_symmetric(y)), resolve_phi(phi)
-    )
-
-
-def _bregman(x: _Symmetric, y: _Symmetric, gen: BregmanPhi) -> float:
-    """:func:`bregman_divergence` from both arguments' cached decompositions."""
-    ex = _checked_eigenvalues(x.eigen, gen, "first argument")
-    ey = _checked_eigenvalues(y.eigen, gen, "second argument")
+    gen = resolve_phi(phi)
+    ex = _checked_eigenvalues(_symmetric(x).eigen, gen, "first argument")
+    ey = _checked_eigenvalues(_symmetric(y).eigen, gen, "second argument")
     lam = ex.eigenvalues
     gam = ey.eigenvalues
     # (v_i' u_j)^2 [phi(l_i) - phi(g_j) - phi'(g_j)(l_i - g_j)], built in
@@ -128,12 +124,13 @@ def closed_form_divergence(x, y, kind="stein") -> float:
     squared-frobenius:  sum of squared entry differences
     """
     gen = resolve_phi(kind)
-    mx, my = _validated_pair(x, y)
+    x, y = _validated_pair(x, y)
+    mx, my = x.matrix, y.matrix
     if gen.name == "squared-frobenius":
         diff = mx - my
         return float(np.sum(diff * diff))
-    _checked_eigenvalues(_sym_eigen(mx), gen, "first argument")
-    _checked_eigenvalues(_sym_eigen(my), gen, "second argument")
+    _checked_eigenvalues(x.eigen, gen, "first argument")
+    _checked_eigenvalues(y.eigen, gen, "second argument")
     p = mx.shape[0]
     if gen.name == "stein":
         ratio = np.linalg.solve(my, mx)
@@ -142,8 +139,8 @@ def closed_form_divergence(x, y, kind="stein") -> float:
             raise DomainError("X Y^-1 has nonpositive determinant")
         return float(np.trace(ratio) - logdet - p)
     # von Neumann
-    log_x = matrix_function(mx, math.log)
-    log_y = matrix_function(my, math.log)
+    log_x = matrix_function(x, math.log)
+    log_y = matrix_function(y, math.log)
     return float(np.trace(mx @ log_x - mx @ log_y - mx + my))
 
 
@@ -228,28 +225,27 @@ class LossSpec:
         )
 
 
-def _validated_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    ma = as_symmetric(a)
-    mb = as_symmetric(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return ma, mb
+def _validated_pair(a, b) -> tuple[_Symmetric, _Symmetric]:
+    sa, sb = _symmetric(a), _symmetric(b)
+    if sa.matrix.shape != sb.matrix.shape:
+        raise ValueError(f"shape mismatch: {sa.matrix.shape} vs {sb.matrix.shape}")
+    return sa, sb
 
 
 def evaluate_loss(spec: LossSpec, estimate, truth) -> float:
-    """Dispatch a LossSpec on a validated (estimate, truth) pair."""
+    """Score an estimate against the truth under a LossSpec.
+
+    The risk pipeline passes the estimate and the cell's one truth as
+    :class:`~sparsecov.matrices._Symmetric`, so nothing is validated again
+    and a Bregman loss reuses the decompositions the estimator and the
+    sampling root already took.  The difference of two exactly symmetric
+    matrices is exactly symmetric, so the operator norm takes it as one too.
+    """
     est, tru = _validated_pair(estimate, truth)
-    return _evaluate(spec, _Symmetric(est), _Symmetric(tru))
-
-
-def _evaluate(spec: LossSpec, est: _Symmetric, truth: _Symmetric) -> float:
-    """:func:`evaluate_loss` of an exactly symmetric, finite, same-shape pair;
-    the risk harness calls it on matrices it built, with one truth per cell,
-    so a Bregman loss reuses the decompositions the estimator already took."""
     if spec.kind == "operator":
-        return _operator_norm(est.matrix - truth.matrix, spec.w) ** 2
+        return operator_norm(_Symmetric(est.matrix - tru.matrix), spec.w) ** 2
     if spec.kind == "frobenius-squared":
-        value = float(np.sum((est.matrix - truth.matrix) ** 2))
+        value = float(np.sum((est.matrix - tru.matrix) ** 2))
     else:
-        value = _bregman(est, truth, resolve_phi(spec.phi))
+        value = bregman_divergence(est, tru, spec.phi)
     return value / est.matrix.shape[0] if spec.normalized else value

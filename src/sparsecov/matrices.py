@@ -3,9 +3,14 @@
 Every covariance-like object in this package is a plain float64 ndarray that
 has passed :func:`as_symmetric`.  Construction either repairs roundoff-level
 asymmetry by averaging with the transpose or rejects the input outright, so
-downstream code can assume exact symmetry bit for bit.  Inside the risk
-pipeline such a matrix travels as a :class:`_Symmetric`, which takes its
-eigendecomposition at most once.
+downstream code can assume exact symmetry bit for bit.
+
+:func:`_symmetric` is the one validation boundary.  Every kernel that takes
+a matrix passes it through there: a :class:`_Symmetric`, the exactly
+symmetric carrier the risk pipeline builds, goes through untouched, with its
+eigendecomposition taken at most once; anything else is validated by
+:func:`as_symmetric` and wrapped.  So a caller's ndarray is checked once per
+call, and the pipeline's own matrices are never checked again.
 """
 
 from __future__ import annotations
@@ -70,18 +75,13 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def sym_eigen(a) -> EigenDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues sorted descending.
+def _sym_eigen(mat: np.ndarray) -> EigenDecomposition:
+    """Full eigendecomposition of an exactly symmetric matrix, eigenvalues
+    sorted descending; the package's one call of the eigensolver.
 
-    The orthonormality and reconstruction quality are the contract here:
     ``V @ diag(w) @ V.T`` reproduces the input to roughly 1e-10 relative in
     Frobenius norm and ``V.T @ V`` is the identity to 1e-10 per entry.
     """
-    return _sym_eigen(as_symmetric(a))
-
-
-def _sym_eigen(mat: np.ndarray) -> EigenDecomposition:
-    """:func:`sym_eigen` of a matrix that is already exactly symmetric."""
     try:
         w, v = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -98,6 +98,12 @@ class _Symmetric:
     @cached_property
     def eigen(self) -> EigenDecomposition:
         return _sym_eigen(self.matrix)
+
+
+def _symmetric(a) -> _Symmetric:
+    """``a`` itself if it is a :class:`_Symmetric`, else its validated copy
+    wrapped in one: the boundary every matrix kernel takes its input through."""
+    return a if isinstance(a, _Symmetric) else _Symmetric(as_symmetric(a))
 
 
 def _identity(p: int) -> _Symmetric:
@@ -135,11 +141,7 @@ def operator_norm(a, w) -> float:
         makes ``operator_norm(A, 1)`` an upper bound at every order in
         [1, inf].
     """
-    return _operator_norm(as_symmetric(a), w)
-
-
-def _operator_norm(mat: np.ndarray, w) -> float:
-    """:func:`operator_norm` of a matrix that is already exactly symmetric."""
+    mat = _symmetric(a).matrix
     if w in (1, 1.0, np.inf) or w == math.inf:
         return float(np.max(np.sum(np.abs(mat), axis=0)))
     if w in (2, 2.0):
@@ -150,12 +152,6 @@ def _operator_norm(mat: np.ndarray, w) -> float:
     )
 
 
-def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    mat = as_symmetric(a)
-    return float(np.sqrt(np.sum(mat * mat)))
-
-
 def matrix_function(a, f: Callable[[float], float]) -> np.ndarray:
     """Apply a scalar map to a symmetric matrix through its eigenvalues.
 
@@ -163,7 +159,7 @@ def matrix_function(a, f: Callable[[float], float]) -> np.ndarray:
     a time; an exception from ``f`` or a non-finite result raises a
     :class:`DomainError` naming the offending eigenvalue.
     """
-    eig = sym_eigen(a)
+    eig = _symmetric(a).eigen
     vals = np.empty_like(eig.eigenvalues)
     with np.errstate(all="ignore"):
         for i, lam in enumerate(eig.eigenvalues):

@@ -5,8 +5,7 @@ applied column-wise to a covariance matrix with its diagonal removed: it
 requires the k-th largest off-diagonal magnitude in every column to decay
 like ``(radius / k)^(1/q)``.  ``_column_radii`` is the one place a matrix is
 measured against it: one pass over all p columns, which
-``class_membership`` and the risk harness's ``decay`` truth both read;
-``weak_lq_radius`` is the same formula for one vector.
+``class_membership`` and the risk harness's ``decay`` truth both read.
 
 The second is a finite two-point-mixing family used by the lower-bound lab.
 A member is indexed by ``theta = (gamma, rows)``: ``gamma`` holds r on/off
@@ -60,54 +59,29 @@ class SparsityClassSpec:
             raise ConfigError(f"radius must be positive, got {self.radius}")
 
 
-def weak_lq_radius(v, q: float) -> float:
-    """Smallest radius c such that the vector lies in the weak lq ball.
+def _column_radii(mat: np.ndarray, q: float) -> np.ndarray:
+    """Weak-lq radius of every column of a symmetric matrix's off-diagonal part:
+    the smallest c that puts the column in the weak lq ball of radius c.
 
-    For q > 0 this is ``max_k k * |v|_(k)^q`` over the descending order
-    statistics; for q = 0 it is the number of nonzero entries.  It is the
-    one-vector case of :func:`_weak_radii`.
+    The one place the sparsity class is measured.  Column j of a symmetric
+    matrix is its row j, so the rows of ``|mat|`` with the diagonal zeroed are
+    measured in one pass; a zero entry changes neither the count nor any
+    ``k * |v|_(k)^q`` term above it, so this equals measuring each column
+    with its diagonal entry deleted.  Sorting a row ascending puts its k-th
+    largest entry at position p - k, so the radius is ``max_k k * |v|_(k)^q``,
+    taken in place on the sorted rows; at q = 0 it is the row's number of
+    nonzeros.  Holds one p x p temporary.
     """
     import numpy as np
 
-    vec = np.asarray(v, dtype=float).ravel()
-    if not 0.0 <= q < 1.0:
-        raise ConfigError(f"q must lie in [0, 1), got {q}")
-    if vec.size == 0:
-        return 0.0
-    return float(_weak_radii(np.abs(vec)[None, :], q)[0])
-
-
-def _weak_radii(mags: np.ndarray, q: float) -> np.ndarray:
-    """Weak-lq radius of each row of a nonnegative 2-d array, which it overwrites.
-
-    Sorting a row ascending puts its k-th largest entry at position m - k, so
-    the radius is ``max_k k * mags_(k)^q``, taken in place on the sorted rows;
-    at q = 0 it is the row's number of nonzeros.
-    """
-    import numpy as np
-
+    mags = np.abs(mat)
+    np.fill_diagonal(mags, 0.0)
     if q == 0.0:
         return np.count_nonzero(mags, axis=-1).astype(float)
     mags.sort(axis=-1)
     mags **= q
     mags *= np.arange(mags.shape[-1], 0, -1, dtype=float)
     return np.max(mags, axis=-1)
-
-
-def _column_radii(mat: np.ndarray, q: float) -> np.ndarray:
-    """Weak-lq radius of every column of a symmetric matrix's off-diagonal part.
-
-    The one place the sparsity class is measured.  Column j of a symmetric
-    matrix is its row j, so the rows of ``|mat|`` with the diagonal zeroed are
-    measured in one pass; a zero entry changes neither the count nor any
-    ``k * |v|_(k)^q`` term above it, so this equals measuring each column
-    with its diagonal entry deleted.  Holds one p x p temporary.
-    """
-    import numpy as np
-
-    mags = np.abs(mat)
-    np.fill_diagonal(mags, 0.0)
-    return _weak_radii(mags, q)
 
 
 def class_membership(sigma, spec: SparsityClassSpec):

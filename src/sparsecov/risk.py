@@ -33,13 +33,13 @@ from .errors import (
     _check_keys, _check_real,
 )
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
-from .losses import LossSpec, _evaluate, resolve_phi
-from .matrices import _Symmetric, as_symmetric
+from .losses import LossSpec, evaluate_loss, resolve_phi
+from .matrices import _Symmetric, _symmetric
 from .model_spaces import (
     DEFAULT_UPSILON, _column_radii, build_config, materialize_sigma, sample_theta,
 )
 from .rng import RngSeed
-from .sampling import _sqrt_psd, mle_covariance, sample_gaussian
+from .sampling import mle_covariance, sample_gaussian, sqrt_psd
 
 # A cell is declared failed when more than this fraction of replicates hit a
 # loss domain error.
@@ -203,14 +203,16 @@ def _run_cell(
     covariance, which the cell owns and releases after the last estimator
     has read it, before the losses of that estimate run.  Every loss scores
     that estimate, except that Stein and von Neumann losses score the guard
-    of it, which is bit for bit the :func:`_guarded` spec.  The
-    estimator and loss kernels trust these matrices, which are exactly
-    symmetric by construction, and each estimate is eigendecomposed at most
-    once, by whichever of the PSD projection, the guard or a Bregman loss
-    needs it first.  Records come in (estimator, loss) order.
+    of it, which is bit for bit the :func:`_guarded` spec.  The truth, each
+    sample covariance and each estimate travel as :class:`_Symmetric`, which
+    the public kernels take as already validated: they are exactly symmetric
+    by construction, so the cell validates nothing after its truth.  Each
+    estimate is eigendecomposed at most once, by whichever of the PSD
+    projection, the guard or a Bregman loss needs it first.  Records come in
+    (estimator, loss) order.
     """
     mat = truth.matrix
-    root = _sqrt_psd(truth.eigen)
+    root = sqrt_psd(truth)
     if all(loss.kind != "bregman" for loss in losses):
         del truth.eigen  # no loss reads it again; frees p x p for the replicates
     # specs[ei][li] is estimators[ei] itself unless the loss adds the guard
@@ -219,7 +221,10 @@ def _run_cell(
 
     started = time.perf_counter()
     for ridx in range(replicates):
-        sample = mle_covariance(sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root))
+        # exactly symmetric as mle_covariance forms it, so it is not validated
+        sample = _Symmetric(
+            mle_covariance(sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root))
+        )
         for ei, est in enumerate(estimators):
             estimate = _apply_estimator(sample, est, n)
             if ei == len(estimators) - 1:
@@ -229,7 +234,7 @@ def _run_cell(
                 if specs[ei][li] is not est and guarded is None:
                     guarded = _bregman_guard(estimate, n)  # once, on demand
                 try:
-                    results[ei, li, ridx] = _evaluate(
+                    results[ei, li, ridx] = evaluate_loss(
                         loss, estimate if specs[ei][li] is est else guarded, truth
                     )
                 except DomainError:
@@ -483,9 +488,9 @@ def _cell_bytes(n: int, p: int, estimators, losses) -> int:
     A cell that eigendecomposes an estimate, for a correction or a Bregman
     loss, also holds the estimate's eigenvectors and ``_from_eigen``'s two
     temporaries, 3p^2 more.  A Bregman loss also keeps the truth's
-    eigenvectors and builds ``_bregman``'s overlap, slope and terms, 4p^2
-    more.  Every correction the grid adds is for a Bregman loss, so the
-    estimators and losses as given decide both.
+    eigenvectors and builds ``bregman_divergence``'s overlap, slope and
+    terms, 4p^2 more.  Every correction the grid adds is for a Bregman loss,
+    so the estimators and losses as given decide both.
     """
     bregman = any(loss.kind == "bregman" for loss in losses)
     eigen = bregman or any(est.corrections for est in estimators)
@@ -550,7 +555,7 @@ def run_grid(config: dict) -> GridResult:
     records = []
     for ci, (n, p) in enumerate(cells):
         sigma, q, c, label = materialize_truth(truth_spec, n, p)
-        truth = _Symmetric(as_symmetric(sigma))
+        truth = _symmetric(sigma)
         del sigma  # the cell holds the validated copy only
         records += _run_cell(
             truth, estimators, losses, n, replicates, master.substream(ci),

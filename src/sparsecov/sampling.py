@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPSDError
-from .matrices import EigenDecomposition, _from_eigen, sym_eigen
+from .matrices import _from_eigen, _symmetric
 from .rng import RngSeed
 
 # Eigenvalues more negative than -PSD_RTOL * max|eigenvalue| reject the matrix;
@@ -16,16 +16,16 @@ PSD_RTOL = 1e-10
 def sqrt_psd(sigma) -> np.ndarray:
     """Symmetric eigen square root of a PSD matrix.
 
+    A :class:`~sparsecov.matrices._Symmetric` lends its cached
+    eigendecomposition, so the risk pipeline's truth is decomposed once for
+    both its root and its Bregman losses.
+
     Raises
     ------
     NotPSDError
         If the smallest eigenvalue is materially negative.
     """
-    return _sqrt_psd(sym_eigen(sigma))
-
-
-def _sqrt_psd(eig: EigenDecomposition) -> np.ndarray:
-    """:func:`sqrt_psd` from an eigendecomposition already taken."""
+    eig = _symmetric(sigma).eigen
     scale = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
     lo = float(eig.eigenvalues[-1])
     if lo < -PSD_RTOL * max(scale, 1.0):
@@ -83,16 +83,8 @@ def mle_covariance(x) -> np.ndarray:
     return s
 
 
-def save_data_csv(path, x) -> None:
-    """Write a data matrix, one observation per CSV line, 17 significant digits."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d data matrix, got shape {arr.shape}")
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
-
-
 def load_data_csv(path) -> np.ndarray:
-    """Read a data matrix written by :func:`save_data_csv`."""
+    """Read a data matrix, one observation per CSV line."""
     arr = np.loadtxt(path, delimiter=",", ndmin=2)
     if not np.all(np.isfinite(arr)):
         raise ValueError("data matrix entries must be finite")

@@ -32,7 +32,12 @@ from sparsecov.estimators import EstimatorSpec, apply_estimator
 from sparsecov.matrices import load_matrix_csv, save_matrix_csv
 from sparsecov.rng import RngSeed
 from sparsecov.risk import banded_sigma
-from sparsecov.sampling import load_data_csv, mle_covariance, sample_gaussian, save_data_csv
+from sparsecov.sampling import load_data_csv, mle_covariance, sample_gaussian
+
+
+def save_data_csv(path, x):
+    """A data matrix as ``estimate --data`` reads it: one observation per line."""
+    np.savetxt(path, x, fmt="%.17g", delimiter=",")
 
 
 @pytest.fixture

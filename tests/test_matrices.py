@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from sparsecov.errors import AsymmetryError, DomainError, NormOrderError
+from sparsecov.losses import LossSpec, evaluate_loss
 from sparsecov.matrices import (
     ASYMMETRY_RTOL,
     _from_eigen,
     _identity,
     _sym_eigen,
+    _Symmetric,
+    _symmetric,
     as_symmetric,
-    frobenius_norm,
     load_matrix_csv,
     matrix_function,
     operator_norm,
     save_matrix_csv,
-    sym_eigen,
 )
 
 
@@ -87,8 +88,15 @@ def test_from_eigen_matches_the_unbuffered_formula_bit_for_bit():
         assert np.array_equal(_from_eigen(vectors, values), old(vectors, values))
 
 
+def test_symmetric_passes_its_carrier_through_and_validates_the_rest():
+    carried = _Symmetric(np.eye(3))
+    assert _symmetric(carried) is carried
+    with pytest.raises(AsymmetryError):
+        _symmetric([[1.0, 2.0], [0.0, 1.0]])
+
+
 def test_sym_eigen_two_by_two():
-    eig = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
+    eig = _symmetric([[2.0, 1.0], [1.0, 2.0]]).eigen
     assert np.allclose(eig.eigenvalues, [3.0, 1.0])
     # descending order and orthonormal columns
     assert eig.eigenvalues[0] >= eig.eigenvalues[1]
@@ -99,7 +107,7 @@ def test_sym_eigen_reconstructs():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((12, 12))
     a = (a + a.T) / 2
-    eig = sym_eigen(a)
+    eig = _symmetric(a).eigen
     back = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.T
     assert np.max(np.abs(back - a)) < 1e-10 * (1 + np.max(np.abs(a)))
 
@@ -146,7 +154,9 @@ def test_norm_order_interpolation_bound():
 
 
 def test_frobenius_norm_value():
-    assert abs(frobenius_norm([[3.0, 0.0], [0.0, 3.0]]) - math.sqrt(18.0)) < 1e-14
+    squared = LossSpec(kind="frobenius-squared")
+    loss = evaluate_loss(squared, [[3.0, 0.0], [0.0, 3.0]], np.zeros((2, 2)))
+    assert abs(math.sqrt(loss) - math.sqrt(18.0)) < 1e-14
 
 
 def test_matrix_function_exp_of_diagonal():

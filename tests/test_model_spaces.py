@@ -25,28 +25,48 @@ from sparsecov.model_spaces import (
     materialize_sigma,
     sample_theta,
     validate_theta,
-    weak_lq_radius,
 )
 from sparsecov.rng import RngSeed
 
 
+def _weak_radius(v, q, nudge=0.0):
+    """Weak-lq radius of one vector in plain Python, the oracle for
+    ``_column_radii``: its number of nonzeros at q = 0, else max_k k·|v|_(k)^q
+    over the descending order statistics.  ``nudge`` moves every power one
+    ulp towards it."""
+    mags = sorted((abs(x) for x in v), reverse=True)
+    if q == 0.0:
+        return float(sum(m != 0.0 for m in mags))
+    return max(k * (math.nextafter(m**q, nudge) if nudge else m**q)
+               for k, m in enumerate(mags, start=1))
+
+
+def _first_column_radius(v, q):
+    """``_column_radii`` of the matrix whose first column off the diagonal is v."""
+    sigma = np.eye(len(v) + 1)
+    sigma[1:, 0] = sigma[0, 1:] = v
+    return float(_column_radii(sigma, q)[0])
+
+
 def test_weak_radius_counts_nonzeros_at_q_zero():
-    assert weak_lq_radius([1.0, 0.0, 0.0], 0.0) == 1.0
-    assert weak_lq_radius([0.5, -2.0, 0.1], 0.0) == 3.0
+    for radius in (_weak_radius, _first_column_radius):
+        assert radius([1.0, 0.0, 0.0], 0.0) == 1.0
+        assert radius([0.5, -2.0, 0.1], 0.0) == 3.0
 
 
 def test_weak_radius_order_statistic_values():
-    assert weak_lq_radius([1.0, 0.0, 0.0], 0.5) == 1.0
-    assert weak_lq_radius([1.0, 1.0], 0.5) == 2.0
-    # 2nd order statistic dominates: max(1 * 1, 2 * (1/4)^(1/2)) = 1
-    assert weak_lq_radius([1.0, 0.25], 0.5) == 1.0
+    for radius in (_weak_radius, _first_column_radius):
+        assert radius([1.0, 0.0, 0.0], 0.5) == 1.0
+        assert radius([1.0, 1.0], 0.5) == 2.0
+        # 2nd order statistic dominates: max(1 * 1, 2 * (1/4)^(1/2)) = 1
+        assert radius([1.0, 0.25], 0.5) == 1.0
 
 
 def test_weak_radius_rejects_q_out_of_range():
-    with pytest.raises(ConfigError):
-        weak_lq_radius([1.0], 1.0)
-    with pytest.raises(ConfigError):
-        weak_lq_radius([1.0], -0.1)
+    # the class owns the range check: every radius it measures has q in [0, 1)
+    for q, radius in ((1.0, 1.0), (-0.1, 1.0), (0.5, 0.0)):
+        with pytest.raises(ConfigError):
+            SparsityClassSpec(q=q, radius=radius)
 
 
 @settings(max_examples=50, deadline=None)
@@ -56,11 +76,13 @@ def test_weak_radius_rejects_q_out_of_range():
 )
 def test_weak_radius_is_permutation_and_sign_invariant(vals, q):
     v = np.array(vals)
-    base = weak_lq_radius(v, q)
-    assert weak_lq_radius(-v, q) == base
-    assert weak_lq_radius(v[::-1], q) == base
+    base = _first_column_radius(v, q)
+    assert _first_column_radius(-v, q) == base
+    assert _first_column_radius(v[::-1], q) == base
     # dominates the largest magnitude alone
     assert base >= np.max(np.abs(v)) ** q - 1e-12
+    # numpy's vectorised pow may land one ulp from the C library's
+    assert _weak_radius(v, q, -math.inf) <= base <= _weak_radius(v, q, math.inf)
 
 
 def test_class_membership_flags_first_bad_column():
@@ -83,19 +105,10 @@ def test_class_membership_boundary_member_passes():
 
 
 def _reference_radii(sigma, q, nudge=0.0):
-    """Each column's weak-lq radius from sorted Python lists, its diagonal entry
-    left out; ``nudge`` moves every power one ulp towards it."""
+    """Each column's :func:`_weak_radius`, its diagonal entry left out."""
     p = len(sigma)
-    radii = []
-    for j in range(p):
-        mags = sorted((abs(sigma[i][j]) for i in range(p) if i != j), reverse=True)
-        if q == 0.0:
-            radii.append(float(sum(m != 0.0 for m in mags)))
-        else:
-            terms = (k * math.nextafter(m**q, nudge) if nudge else k * m**q
-                     for k, m in enumerate(mags, start=1))
-            radii.append(max(terms))
-    return radii
+    return [_weak_radius([sigma[i][j] for i in range(p) if i != j], q, nudge)
+            for j in range(p)]
 
 
 @pytest.mark.parametrize("q", [0.0, 0.1, 0.5, 0.9])
@@ -127,7 +140,7 @@ def test_class_membership_witness_is_the_first_column_over_the_radius():
                     (17, 23, 1.44), (31, 35, 2.25)):
         sigma[i, j] = sigma[j, i] = v
     spec = SparsityClassSpec(q=0.5, radius=1.0)
-    radii = [weak_lq_radius(np.delete(sigma[:, j], j), spec.q) for j in range(40)]
+    radii = _reference_radii(sigma.tolist(), spec.q)
     over = [j for j, c in enumerate(radii) if c > spec.radius * (1 + 1e-12)]
     assert over == [5, 17, 23, 31, 35]
     assert class_membership(sigma, spec) == (False, 5)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sparsecov
 import sparsecov.matrices as matrices_module
 from sparsecov.errors import CellError, ConfigError, DomainError, FitError, SchemaError
 from sparsecov.estimators import EstimatorSpec
@@ -32,8 +33,9 @@ from sparsecov.risk import (
 from sparsecov.rng import RngSeed
 from sparsecov.sampling import mle_covariance, sample_gaussian
 from sparsecov.estimators import apply_estimator, bregman_guard, psd_project, threshold_estimate
-from sparsecov.losses import evaluate_loss
-from sparsecov.matrices import _Symmetric, _sym_eigen, as_symmetric
+from sparsecov.losses import bregman_divergence, evaluate_loss
+from sparsecov.matrices import _Symmetric, _sym_eigen, as_symmetric, operator_norm
+from sparsecov.sampling import sqrt_psd
 
 
 HARD = EstimatorSpec(rule="hard", gamma=2.0)
@@ -171,6 +173,44 @@ def test_truth_is_decomposed_once_per_cell(monkeypatch):
     # 2 truths and one per estimate (2 cells x 5 replicates x 2 estimators);
     # the identity a tripped guard puts in its estimate's place comes decomposed
     assert len(seen) == 2 + 2 * 5 * 2
+
+
+def test_grid_validates_once_per_cell_and_kernels_take_either_carrier(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return as_symmetric(a)
+
+    # every module that binds the name, so a second validation path cannot hide
+    for name in ("matrices", "sampling", "estimators", "losses", "risk"):
+        module = getattr(sparsecov, name)
+        if hasattr(module, "as_symmetric"):
+            monkeypatch.setattr(module, "as_symmetric", counting)
+    cfg = grid_config(
+        estimators=[{"rule": "soft", "gamma": 1.0, "corrections": ["psd-project"]}],
+        losses=[STEIN.to_json(), OP2.to_json()],
+        cells=[{"n": 15, "p": 20}, {"n": 60, "p": 40}],
+        replicates=3,
+    )
+    run_grid(cfg)
+    assert calls == [(20, 20), (40, 40)]  # each cell's truth, never a replicate's matrix
+
+    sigma = banded_sigma(20, 2, 0.2)
+    sample = mle_covariance(sample_gaussian(sigma, 60, RngSeed(8)))
+    spec = EstimatorSpec(rule="hard", gamma=1.0)
+
+    def outputs(s, t):
+        values = [operator_norm(s, w) for w in (1, 2, np.inf)]
+        values += [bregman_divergence(s, t, "stein")]
+        values += [evaluate_loss(loss, s, t) for loss in (OP2, STEIN, VON_NEUMANN)]
+        arrays = [sqrt_psd(s), threshold_estimate(s, spec, 60)]
+        return [v.hex() for v in values] + [a.tobytes() for a in arrays]
+
+    plain = outputs(sample, sigma)
+    del calls[:]
+    assert outputs(_Symmetric(sample), _Symmetric(sigma)) == plain
+    assert calls == []  # a carried matrix is never validated again
 
 
 def test_each_estimate_is_decomposed_once(monkeypatch):
