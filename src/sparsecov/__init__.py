@@ -23,8 +23,8 @@ _HOMES = {
         "save_matrix_csv",
     ),
     "model_spaces": (
-        "LeastFavorableConfig", "SparsityClassSpec", "ThetaIndex", "build_config",
-        "class_membership", "materialize_sigma", "sample_theta", "validate_theta",
+        "LeastFavorableConfig", "ThetaIndex", "build_config", "class_membership",
+        "materialize_sigma", "sample_theta", "validate_theta",
     ),
     "sampling": (
         "load_data_csv", "mle_covariance", "sample_gaussian", "sqrt_psd",
@@ -34,8 +34,7 @@ _HOMES = {
         "threshold_estimate", "threshold_level",
     ),
     "losses": (
-        "STEIN", "SQUARED_FROBENIUS", "VON_NEUMANN", "BregmanPhi", "LossSpec",
-        "bregman_divergence", "closed_form_divergence", "evaluate_loss", "resolve_phi",
+        "LossSpec", "bregman_divergence", "closed_form_divergence", "evaluate_loss",
     ),
     "lower_bound": (
         "Certificate", "certify", "chi_square_mixture_bound", "closed_form_chi_square",

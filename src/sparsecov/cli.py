@@ -96,8 +96,8 @@ def cmd_estimate(args, argv) -> int:
     started = time.perf_counter()
     import numpy as np
 
-    from .estimators import apply_estimator, threshold_level
-    from .matrices import load_matrix_csv, save_matrix_csv
+    from .estimators import _apply_estimator, threshold_level
+    from .matrices import _Symmetric, load_matrix_csv, save_matrix_csv
     from .sampling import load_data_csv, mle_covariance
 
     if (args.data is None) == (args.covariance is None):
@@ -107,14 +107,16 @@ def cmd_estimate(args, argv) -> int:
             raise ConfigError("--n goes with --covariance; --data takes n from its rows")
         x = load_data_csv(args.data)
         n = x.shape[0]
-        sstar = mle_covariance(x)
+        sstar = mle_covariance(x)  # exactly symmetric as it forms it
     else:
         if args.n is None:
             raise ConfigError("--covariance needs --n (sample size behind it)")
         n = args.n
-        sstar = load_matrix_csv(args.covariance)
+        sstar = load_matrix_csv(args.covariance)  # validated as it is read
     spec = _estimator_from_args(args)
-    estimate = apply_estimator(sstar, spec, n)
+    # the one wrap: neither the estimator nor the writer validates it again
+    result = _apply_estimator(_Symmetric(sstar), spec, n)
+    estimate = result.matrix
     p = estimate.shape[0]
     t = threshold_level(p, n, spec.gamma)
     off = ~np.eye(p, dtype=bool)
@@ -124,7 +126,7 @@ def cmd_estimate(args, argv) -> int:
     print(f"min eigenvalue: {float(np.min(np.linalg.eigvalsh(estimate))):.6g}")
     outputs = []
     if args.out:
-        save_matrix_csv(args.out, estimate)
+        save_matrix_csv(args.out, result)
         outputs.append(args.out)
         outputs.append(_write_manifest(args.out, "estimate", argv, started, outputs))
         print(f"wrote {args.out}")

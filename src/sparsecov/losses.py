@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,59 +31,33 @@ from .matrices import (
 # and von Neumann generators; no clamping, the caller must fix conditioning.
 EIGEN_DOMAIN_FLOOR = 1e-12
 
-
-@dataclass(frozen=True)
-class BregmanPhi:
-    """Separable convex generator phi and its derivative, with a domain floor."""
-
-    name: str
-    phi: Callable[[np.ndarray], np.ndarray]
-    dphi: Callable[[np.ndarray], np.ndarray]
-    domain_min: float = -math.inf
-
-
-STEIN = BregmanPhi(
-    name="stein",
-    phi=lambda lam: -np.log(lam),
-    dphi=lambda lam: -1.0 / lam,
-    domain_min=0.0,
-)
-VON_NEUMANN = BregmanPhi(
-    name="von-neumann",
-    phi=lambda lam: lam * np.log(lam) - lam,
-    dphi=lambda lam: np.log(lam),
-    domain_min=0.0,
-)
-SQUARED_FROBENIUS = BregmanPhi(
-    name="squared-frobenius",
-    phi=lambda lam: lam**2,
-    dphi=lambda lam: 2.0 * lam,
-)
-
-_BUILTIN_PHIS = {p.name: p for p in (STEIN, VON_NEUMANN, SQUARED_FROBENIUS)}
+# Each generator by name: the separable convex phi, its derivative, and the
+# least eigenvalue its domain admits (-inf when it has no floor).
+_GENERATORS = {
+    "stein": (lambda lam: -np.log(lam), lambda lam: -1.0 / lam, EIGEN_DOMAIN_FLOOR),
+    "von-neumann": (
+        lambda lam: lam * np.log(lam) - lam, lambda lam: np.log(lam), EIGEN_DOMAIN_FLOOR,
+    ),
+    "squared-frobenius": (lambda lam: lam**2, lambda lam: 2.0 * lam, -math.inf),
+}
 
 
-def resolve_phi(phi) -> BregmanPhi:
-    """Accept a builtin generator name or a BregmanPhi instance."""
-    if isinstance(phi, BregmanPhi):
-        return phi
-    if isinstance(phi, str) and phi in _BUILTIN_PHIS:
-        return _BUILTIN_PHIS[phi]
-    raise ConfigError(
-        f"unknown generator {phi!r}; builtins are {sorted(_BUILTIN_PHIS)} "
-        "or pass a BregmanPhi"
-    )
+def _generator(phi):
+    """The (phi, phi', domain floor) of a generator name; ConfigError for
+    anything that is not one of the names."""
+    if isinstance(phi, str) and phi in _GENERATORS:
+        return _GENERATORS[phi]
+    raise ConfigError(f"generator must be one of {sorted(_GENERATORS)}, got {phi!r}")
 
 
 def _checked_eigenvalues(
-    eig: EigenDecomposition, gen: BregmanPhi, label: str
+    eig: EigenDecomposition, phi: str, floor: float, label: str
 ) -> EigenDecomposition:
-    floor = gen.domain_min + EIGEN_DOMAIN_FLOOR  # -inf for an unbounded domain
     lo = float(eig.eigenvalues[-1])
     if lo < floor:
         raise DomainError(
             f"{label} eigenvalue {lo:.6e} is outside the domain of the "
-            f"{gen.name} generator (needs >= {floor:.1e})"
+            f"{phi} generator (needs >= {floor:.1e})"
         )
     return eig
 
@@ -92,15 +65,16 @@ def _checked_eigenvalues(
 def bregman_divergence(x, y, phi="stein") -> float:
     """Eigen double-sum route for the Bregman matrix divergence D(X, Y).
 
-    Both arguments must be symmetric with eigenvalues inside the generator's
-    domain.  The result is nonnegative up to roundoff and zero iff X == Y.
-    A :class:`~sparsecov.matrices._Symmetric` argument lends its cached
+    ``phi`` names the generator: 'stein', 'von-neumann' or
+    'squared-frobenius'.  Both arguments must be symmetric with eigenvalues
+    inside the generator's domain.  The result is nonnegative up to roundoff
+    and zero iff X == Y.  A :class:`~sparsecov.matrices._Symmetric` argument lends its cached
     decomposition, so the risk pipeline decomposes each estimate and each
     truth once however many losses read it.
     """
-    gen = resolve_phi(phi)
-    ex = _checked_eigenvalues(_symmetric(x).eigen, gen, "first argument")
-    ey = _checked_eigenvalues(_symmetric(y).eigen, gen, "second argument")
+    f, df, floor = _generator(phi)
+    ex = _checked_eigenvalues(_symmetric(x).eigen, phi, floor, "first argument")
+    ey = _checked_eigenvalues(_symmetric(y).eigen, phi, floor, "second argument")
     lam = ex.eigenvalues
     gam = ey.eigenvalues
     # (v_i' u_j)^2 [phi(l_i) - phi(g_j) - phi'(g_j)(l_i - g_j)], built in
@@ -108,31 +82,31 @@ def bregman_divergence(x, y, phi="stein") -> float:
     overlap = ex.eigenvectors.T @ ey.eigenvectors
     overlap **= 2
     slope = np.subtract(lam[:, None], gam[None, :])
-    slope *= gen.dphi(gam)[None, :]
-    terms = np.subtract(gen.phi(lam)[:, None], gen.phi(gam)[None, :])
+    slope *= df(gam)[None, :]
+    terms = np.subtract(f(lam)[:, None], f(gam)[None, :])
     terms -= slope
     del slope
     overlap *= terms
     return float(np.sum(overlap))
 
 
-def closed_form_divergence(x, y, kind="stein") -> float:
-    """Matrix-identity route for the builtin divergences; serves as the oracle.
+def closed_form_divergence(x, y, phi="stein") -> float:
+    """Matrix-identity route for the three named divergences; serves as the oracle.
 
     stein:              tr(X Y^-1) - log det(X Y^-1) - p
     von-neumann:        tr(X log X - X log Y - X + Y)
     squared-frobenius:  sum of squared entry differences
     """
-    gen = resolve_phi(kind)
+    _, _, floor = _generator(phi)
     x, y = _validated_pair(x, y)
     mx, my = x.matrix, y.matrix
-    if gen.name == "squared-frobenius":
+    if phi == "squared-frobenius":
         diff = mx - my
         return float(np.sum(diff * diff))
-    _checked_eigenvalues(x.eigen, gen, "first argument")
-    _checked_eigenvalues(y.eigen, gen, "second argument")
+    _checked_eigenvalues(x.eigen, phi, floor, "first argument")
+    _checked_eigenvalues(y.eigen, phi, floor, "second argument")
     p = mx.shape[0]
-    if gen.name == "stein":
+    if phi == "stein":
         ratio = np.linalg.solve(my, mx)
         sign, logdet = np.linalg.slogdet(ratio)
         if sign <= 0.0:
@@ -158,16 +132,16 @@ class LossSpec:
 
     kind 'operator' uses squared operator norm of the difference for
     w in {1, 2, inf}; 'frobenius-squared' is the entrywise square loss;
-    'bregman' uses the named generator.  ``normalized`` divides Bregman-type
-    losses (including frobenius-squared) by the dimension; an operator loss
-    rejects it.  Only an operator loss reads ``w`` and only a Bregman loss
-    reads ``phi``; the others set them to None, and a builtin generator is
-    kept by its name, so a spec equals its JSON round trip.
+    'bregman' uses the generator ``phi`` names: 'stein', 'von-neumann' or
+    'squared-frobenius'.  ``normalized`` divides Bregman-type losses
+    (including frobenius-squared) by the dimension; an operator loss rejects
+    it.  Only an operator loss reads ``w`` and only a Bregman loss reads
+    ``phi``; the others set them to None, so a spec equals its JSON round trip.
     """
 
     kind: str = "operator"
     w: float | None = 2
-    phi: str | BregmanPhi | None = None
+    phi: str | None = None
     normalized: bool = False
 
     def __post_init__(self):
@@ -184,24 +158,22 @@ class LossSpec:
             object.__setattr__(self, "w", None)
         if self.kind != "bregman":
             object.__setattr__(self, "phi", None)
-        elif _BUILTIN_PHIS.get(resolve_phi(self.phi).name) is self.phi:
-            object.__setattr__(self, "phi", self.phi.name)
+        else:
+            _generator(self.phi)
 
     @property
     def detail(self) -> str:
         """Short label for the w-or-phi slot in flat exports."""
         if self.kind == "operator":
             return "inf" if self.w == math.inf else str(int(self.w))
-        if self.kind == "bregman":
-            return resolve_phi(self.phi).name
-        return ""
+        return self.phi or ""
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind, "normalized": self.normalized}
         if self.kind == "operator":
             obj["w"] = "inf" if self.w == math.inf else self.w
         if self.kind == "bregman":
-            obj["phi"] = resolve_phi(self.phi).name
+            obj["phi"] = self.phi
         return obj
 
     @classmethod

@@ -177,7 +177,7 @@ def matrix_function(a, f: Callable[[float], float]) -> np.ndarray:
 
 def save_matrix_csv(path, a) -> None:
     """Write one matrix row per CSV line with 17 significant digits."""
-    mat = as_symmetric(a)
+    mat = _symmetric(a).matrix
     np.savetxt(path, mat, fmt="%.17g", delimiter=",")
 
 

@@ -45,20 +45,6 @@ if TYPE_CHECKING:
 _RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SparsityClassSpec:
-    """Column-wise weak lq ball over off-diagonal entries."""
-
-    q: float
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.q < 1.0:
-            raise ConfigError(f"q must lie in [0, 1), got {self.q}")
-        if not self.radius > 0.0:
-            raise ConfigError(f"radius must be positive, got {self.radius}")
-
-
 def _column_radii(mat: np.ndarray, q: float) -> np.ndarray:
     """Weak-lq radius of every column of a symmetric matrix's off-diagonal part:
     the smallest c that puts the column in the weak lq ball of radius c.
@@ -84,8 +70,9 @@ def _column_radii(mat: np.ndarray, q: float) -> np.ndarray:
     return np.max(mags, axis=-1)
 
 
-def class_membership(sigma, spec: SparsityClassSpec):
-    """Test column-wise membership of a covariance matrix in a sparsity class.
+def class_membership(sigma, q: float, radius: float):
+    """Test column-wise membership of a covariance matrix in the weak lq ball
+    of radius ``radius``, for q in [0, 1) and radius > 0.
 
     Returns ``(ok, witness)`` where ``witness`` is the index of the first
     violating column, or None.  Comparisons allow 1e-12 relative slack so
@@ -95,10 +82,14 @@ def class_membership(sigma, spec: SparsityClassSpec):
 
     from .matrices import as_symmetric
 
+    if not 0.0 <= q < 1.0:
+        raise ConfigError(f"q must lie in [0, 1), got {q}")
+    if not radius > 0.0:
+        raise ConfigError(f"radius must be positive, got {radius}")
     mat = as_symmetric(sigma)
     if mat.shape[0] < 2:
         raise ConfigError("class membership needs dimension >= 2")
-    over = np.flatnonzero(_column_radii(mat, spec.q) > spec.radius * (1.0 + _RTOL))
+    over = np.flatnonzero(_column_radii(mat, q) > radius * (1.0 + _RTOL))
     return (True, None) if over.size == 0 else (False, int(over[0]))
 
 

@@ -33,7 +33,7 @@ from .errors import (
     _check_keys, _check_real,
 )
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
-from .losses import LossSpec, evaluate_loss, resolve_phi
+from .losses import LossSpec, evaluate_loss
 from .matrices import _Symmetric, _symmetric
 from .model_spaces import (
     DEFAULT_UPSILON, _column_radii, build_config, materialize_sigma, sample_theta,
@@ -183,8 +183,7 @@ class RiskRecord:
 def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
     """Stein and von Neumann losses are undefined on a singular estimate, so
     a grid scores them with the bregman-guard correction appended."""
-    spectral = loss.kind == "bregman" and resolve_phi(loss.phi).name in ("stein", "von-neumann")
-    if not spectral or "bregman-guard" in est.corrections:
+    if loss.phi not in ("stein", "von-neumann") or "bregman-guard" in est.corrections:
         return est
     return replace(est, corrections=est.corrections + ("bregman-guard",))
 

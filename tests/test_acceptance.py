@@ -52,10 +52,19 @@ def spectral_grid_config():
     }
 
 
+# Criteria 1 and 2 read the headline grid under one loss each.  A replicate's
+# draw depends only on the seed and the cell index, so one run scores both:
+# fit 0 is the spectral loss, fit 1 the normalized Frobenius loss.
+SHARED_LOSSES = [
+    {"kind": "operator", "w": 2},
+    {"kind": "frobenius-squared", "normalized": True},
+]
+
+
 @lru_cache(maxsize=None)
 def spectral_grid():
     start = time.perf_counter()
-    result = run_grid(spectral_grid_config())
+    result = run_grid(dict(spectral_grid_config(), losses=SHARED_LOSSES))
     return result, time.perf_counter() - start
 
 
@@ -73,10 +82,9 @@ def test_criterion_01_spectral_rate_slope():
 def test_criterion_02_frobenius_rate_slopes():
     """Normalized Frobenius risk follows (log p / n)^(1 - q/2): slope near
     1.0 on the exactly sparse grid and near 0.75 on a q = 1/2 decay truth."""
+    result, shared = spectral_grid()
+    fit0 = result.fits[1]["fit"]
     start = time.perf_counter()
-    cfg_q0 = dict(spectral_grid_config(),
-                  losses=[{"kind": "frobenius-squared", "normalized": True}])
-    fit0 = run_grid(cfg_q0).fits[0]["fit"]
     cfg_half = {
         "cells": [{"n": n, "p": 100} for n in (3200, 6400, 12800, 25600)],
         "truth": {"kind": "decay", "amplitude": 0.36, "exponent": 2.0},
@@ -86,7 +94,7 @@ def test_criterion_02_frobenius_rate_slopes():
         "seed": "2025",
     }
     fit_half = run_grid(cfg_half).fits[0]["fit"]
-    elapsed = time.perf_counter() - start
+    elapsed = shared + time.perf_counter() - start
     ok = (
         abs(fit0.slope - 1.0) <= 0.25
         and abs(fit_half.slope - 0.75) <= 0.25
@@ -310,14 +318,14 @@ def test_criterion_10_lower_bound_below_empirical_minimax():
 
 
 def test_criterion_11_thread_count_byte_identity(tmp_path):
-    """Rerunning the headline grid through ``simulate --threads 8`` reproduces
-    the cached single-thread CSV byte for byte."""
+    """Rerunning the headline grid's spectral loss alone through ``simulate
+    --threads 8`` reproduces the cached grid's spectral records byte for byte."""
     one, _ = spectral_grid()
     config = tmp_path / "grid.json"
     config.write_text(json.dumps(spectral_grid_config()))
     a_path = tmp_path / "one.csv"
     b_path = tmp_path / "eight.csv"
-    export_records(one.records, a_path)
+    export_records([r for r in one.records if r.loss.kind == "operator"], a_path)
     code = main(["simulate", "--config", str(config), "--threads", "8", "--out", str(b_path)])
     same = code == 0 and a_path.read_bytes() == b_path.read_bytes()
     report(11, same, f"cached csv vs simulate --threads 8 csv identical: {same} "

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sparsecov.lower_bound
+import sparsecov.matrices
 import sparsecov.model_spaces
 import sparsecov.risk
 from sparsecov.cli import _EXIT_CODES, main
@@ -144,6 +145,41 @@ def test_estimate_corrections_write_what_apply_estimator_returns(tmp_path, flags
     save_matrix_csv(tmp_path / "want.csv", want)
     assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert out.read_bytes() != plain.read_bytes()
+
+
+@pytest.mark.parametrize("source, validations", [("data", 0), ("covariance", 1)])
+@pytest.mark.parametrize(
+    "flags, corrections",
+    [([], ()), (["--psd-project", "--bregman-guard"], ("psd-project", "bregman-guard"))],
+    ids=["plain", "corrected"],
+)
+def test_estimate_validates_its_input_once(
+    tmp_path, monkeypatch, data_csv, source, validations, flags, corrections
+):
+    # the reader validates a covariance as it loads it, and mle_covariance
+    # forms an exactly symmetric one: neither the estimator nor the writer
+    # checks it again
+    x = load_data_csv(data_csv)
+    cov = tmp_path / "cov.csv"
+    save_matrix_csv(cov, mle_covariance(x))
+    source_args = (
+        ["--data", str(data_csv)] if source == "data" else ["--covariance", str(cov), "--n", "120"]
+    )
+    # what the command wrote before it validated once: the public path
+    spec = EstimatorSpec(rule="hard", gamma=2.0, corrections=corrections)
+    sstar = mle_covariance(x) if source == "data" else load_matrix_csv(cov)
+    want = tmp_path / "want.csv"
+    save_matrix_csv(want, apply_estimator(sstar, spec, 120))
+
+    calls = []
+    validate = sparsecov.matrices.as_symmetric
+    monkeypatch.setattr(
+        sparsecov.matrices, "as_symmetric", lambda a: calls.append(1) or validate(a)
+    )
+    out = tmp_path / "est.csv"
+    assert main(["estimate", *source_args, *flags, "--out", str(out)]) == 0
+    assert len(calls) == validations
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_simulate_writes_deterministic_csv(tmp_path, capsys):

@@ -5,17 +5,16 @@ import pytest
 
 from sparsecov.errors import ConfigError, DomainError
 from sparsecov.losses import (
-    SQUARED_FROBENIUS,
-    STEIN,
-    VON_NEUMANN,
-    BregmanPhi,
+    _GENERATORS,
     LossSpec,
     bregman_divergence,
     closed_form_divergence,
     evaluate_loss,
-    resolve_phi,
 )
 from sparsecov.matrices import _Symmetric
+from sparsecov.risk import run_grid
+
+GENERATOR_NAMES = ("stein", "von-neumann", "squared-frobenius")
 
 
 def spd_pair(seed, p=5, lo=0.5, hi=4.0):
@@ -47,7 +46,7 @@ def test_von_neumann_closed_form_value():
 def test_quadratic_generator_is_squared_frobenius():
     x, y = spd_pair(21)
     direct = float(np.sum((x - y) ** 2))
-    assert abs(bregman_divergence(x, y, SQUARED_FROBENIUS) - direct) < 1e-10
+    assert abs(bregman_divergence(x, y, "squared-frobenius") - direct) < 1e-10
     assert abs(closed_form_divergence(x, y, "squared-frobenius") - direct) < 1e-14
 
 
@@ -61,20 +60,21 @@ def test_double_sum_matches_closed_forms():
 
 
 def test_double_sum_kernel_matches_the_old_formula_bit_for_bit():
-    def old(x, y, gen):
+    def old(x, y, name):
+        phi, dphi, _ = _GENERATORS[name]
         lam, gam = x.eigen.eigenvalues, y.eigen.eigenvalues
         overlap = (x.eigen.eigenvectors.T @ y.eigen.eigenvectors) ** 2
         terms = (
-            gen.phi(lam)[:, None]
-            - gen.phi(gam)[None, :]
-            - gen.dphi(gam)[None, :] * (lam[:, None] - gam[None, :])
+            phi(lam)[:, None]
+            - phi(gam)[None, :]
+            - dphi(gam)[None, :] * (lam[:, None] - gam[None, :])
         )
         return float(np.sum(overlap * terms))
 
     for seed, p in ((3, 5), (4, 40), (5, 120)):
         x, y = (_Symmetric((m + m.T) / 2.0) for m in spd_pair(seed, p=p))
-        for gen in (STEIN, VON_NEUMANN, SQUARED_FROBENIUS):
-            assert bregman_divergence(x, y, gen) == old(x, y, gen)
+        for name in GENERATOR_NAMES:
+            assert bregman_divergence(x, y, name) == old(x, y, name)
 
 
 def test_divergences_are_nonnegative_and_zero_at_equality():
@@ -111,23 +111,42 @@ def test_no_silent_clamping_near_the_floor():
         bregman_divergence(bad, np.eye(2), "stein")
 
 
-def test_resolve_phi_accepts_custom_generator():
-    cubic = BregmanPhi(
-        name="cubic",
-        phi=lambda lam: lam**3,
-        dphi=lambda lam: 3.0 * lam**2,
-        domain_min=0.0,
-    )
-    assert resolve_phi(cubic) is cubic
+def test_each_generator_name_round_trips_with_its_loss_value():
+    x, y = spd_pair(7)
+    for name in GENERATOR_NAMES:
+        spec = LossSpec(kind="bregman", phi=name)
+        back = LossSpec.from_json(spec.to_json())
+        assert back == spec and back.phi == name
+        assert evaluate_loss(back, x, y) == evaluate_loss(spec, x, y)
+        assert evaluate_loss(spec, x, y) == bregman_divergence(x, y, name)
+
+
+class _Cubic:
+    """A generator object, phi = lam^3, named like a builtin."""
+
+    name = "stein"
+    phi = staticmethod(lambda lam: lam**3)
+    dphi = staticmethod(lambda lam: 3.0 * lam**2)
+
+
+@pytest.mark.parametrize("phi", [_Cubic(), "cubic", "Stein", 3, ["stein"], None])
+def test_a_generator_that_is_not_a_name_is_refused(phi):
+    with pytest.raises(ConfigError, match="generator must be one of"):
+        LossSpec(kind="bregman", phi=phi)
     x, y = np.diag([2.0, 1.0]), np.eye(2)
-    # phi(2) - phi(1) - phi'(1)(2-1) = 8 - 1 - 3 = 4
-    assert abs(bregman_divergence(x, y, cubic) - 4.0) < 1e-12
-    # a custom generator stays on its spec as the object
-    spec = LossSpec(kind="bregman", phi=cubic)
-    assert spec.phi is cubic
-    assert abs(evaluate_loss(spec, x, y) - 4.0) < 1e-12
-    with pytest.raises(ConfigError):
-        resolve_phi("unknown-phi")
+    for divergence in (bregman_divergence, closed_form_divergence):
+        with pytest.raises(ConfigError, match="generator must be one of"):
+            divergence(x, y, phi)
+    config = {
+        "cells": [{"n": 20, "p": 4}],
+        "truth": {"kind": "banded", "band": 1, "scale": 0.3},
+        "estimators": [{"rule": "hard", "gamma": 2.0}],
+        "losses": [{"kind": "operator", "w": 2}, {"kind": "bregman", "phi": phi}],
+        "replicates": 2,
+        "seed": 1,
+    }
+    with pytest.raises(ConfigError, match=r"losses\[1\]: generator must be one of"):
+        run_grid(config)
 
 
 def test_operator_loss_is_squared_norm():
@@ -162,9 +181,8 @@ def test_loss_spec_json_round_trip():
         # the default w, which only an operator loss reads
         LossSpec(kind="frobenius-squared", normalized=True),
         LossSpec(kind="bregman", phi="stein"),
-        # phi only a Bregman loss reads, and a builtin generator by object
+        # phi, which only a Bregman loss reads
         LossSpec(kind="operator", phi="stein"),
-        LossSpec(kind="bregman", phi=STEIN),
         LossSpec(kind="frobenius-squared", phi="stein"),
     ):
         assert LossSpec.from_json(spec.to_json()) == spec

@@ -16,7 +16,6 @@ from lab_oracles import (
 from sparsecov.errors import ConfigError, StructureError
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
-    SparsityClassSpec,
     ThetaIndex,
     _column_radii,
     _fewest_free_columns,
@@ -63,10 +62,10 @@ def test_weak_radius_order_statistic_values():
 
 
 def test_weak_radius_rejects_q_out_of_range():
-    # the class owns the range check: every radius it measures has q in [0, 1)
+    # membership owns the range check: every radius it measures has q in [0, 1)
     for q, radius in ((1.0, 1.0), (-0.1, 1.0), (0.5, 0.0)):
         with pytest.raises(ConfigError):
-            SparsityClassSpec(q=q, radius=radius)
+            class_membership(np.eye(3), q, radius)
 
 
 @settings(max_examples=50, deadline=None)
@@ -88,10 +87,9 @@ def test_weak_radius_is_permutation_and_sign_invariant(vals, q):
 def test_class_membership_flags_first_bad_column():
     sigma = np.eye(4)
     sigma[2, 3] = sigma[3, 2] = 0.9
-    spec = SparsityClassSpec(q=0.0, radius=0.5)
-    ok, witness = class_membership(sigma, spec)
+    ok, witness = class_membership(sigma, 0.0, 0.5)
     assert not ok and witness == 2
-    ok, witness = class_membership(sigma, SparsityClassSpec(q=0.0, radius=1.0))
+    ok, witness = class_membership(sigma, 0.0, 1.0)
     assert ok and witness is None
 
 
@@ -99,8 +97,7 @@ def test_class_membership_boundary_member_passes():
     # radius hit exactly; the 1e-12 slack keeps it inside
     sigma = np.eye(3)
     sigma[0, 1] = sigma[1, 0] = 0.5
-    spec = SparsityClassSpec(q=0.5, radius=math.sqrt(0.5))
-    ok, _ = class_membership(sigma, spec)
+    ok, _ = class_membership(sigma, 0.5, math.sqrt(0.5))
     assert ok
 
 
@@ -139,14 +136,13 @@ def test_class_membership_witness_is_the_first_column_over_the_radius():
     for i, j, v in ((6, 5, 0.2), (7, 5, 0.2), (8, 5, 0.2), (3, 9, 0.25),
                     (17, 23, 1.44), (31, 35, 2.25)):
         sigma[i, j] = sigma[j, i] = v
-    spec = SparsityClassSpec(q=0.5, radius=1.0)
-    radii = _reference_radii(sigma.tolist(), spec.q)
-    over = [j for j, c in enumerate(radii) if c > spec.radius * (1 + 1e-12)]
+    radii = _reference_radii(sigma.tolist(), 0.5)
+    over = [j for j, c in enumerate(radii) if c > 1.0 * (1 + 1e-12)]
     assert over == [5, 17, 23, 31, 35]
-    assert class_membership(sigma, spec) == (False, 5)
+    assert class_membership(sigma, 0.5, 1.0) == (False, 5)
     sigma[6:9, 5] = sigma[5, 6:9] = 0.0
-    assert class_membership(sigma, spec) == (False, 17)
-    assert class_membership(sigma, SparsityClassSpec(q=0.5, radius=max(radii))) == (True, None)
+    assert class_membership(sigma, 0.5, 1.0) == (False, 17)
+    assert class_membership(sigma, 0.5, max(radii)) == (True, None)
 
 
 def test_build_config_reference_values():

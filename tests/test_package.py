@@ -26,8 +26,8 @@ PUBLIC = {
         "save_matrix_csv",
     ],
     "model_spaces": [
-        "LeastFavorableConfig", "SparsityClassSpec", "ThetaIndex", "build_config",
-        "class_membership", "materialize_sigma", "sample_theta", "validate_theta",
+        "LeastFavorableConfig", "ThetaIndex", "build_config", "class_membership",
+        "materialize_sigma", "sample_theta", "validate_theta",
     ],
     "sampling": [
         "load_data_csv", "mle_covariance", "sample_gaussian", "sqrt_psd",
@@ -37,8 +37,7 @@ PUBLIC = {
         "threshold_estimate", "threshold_level",
     ],
     "losses": [
-        "BregmanPhi", "LossSpec", "SQUARED_FROBENIUS", "STEIN", "VON_NEUMANN",
-        "bregman_divergence", "closed_form_divergence", "evaluate_loss", "resolve_phi",
+        "LossSpec", "bregman_divergence", "closed_form_divergence", "evaluate_loss",
     ],
     "lower_bound": [
         "Certificate", "certify", "chi_square_mixture_bound", "closed_form_chi_square",
