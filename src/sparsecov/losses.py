@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, _check_bool, _check_keys, _check_real
-from .matrices import (
-    EigenDecomposition,
-    _Symmetric,
-    _symmetric,
-    matrix_function,
-    operator_norm,
-)
+from .matrices import EigenDecomposition, _from_eigen, _Symmetric, _symmetric, operator_norm
 
 # Eigenvalues below this are outside the open domain (0, inf) for the Stein
 # and von Neumann generators; no clamping, the caller must fix conditioning.
@@ -103,8 +97,8 @@ def closed_form_divergence(x, y, phi="stein") -> float:
     if phi == "squared-frobenius":
         diff = mx - my
         return float(np.sum(diff * diff))
-    _checked_eigenvalues(x.eigen, phi, floor, "first argument")
-    _checked_eigenvalues(y.eigen, phi, floor, "second argument")
+    ex = _checked_eigenvalues(x.eigen, phi, floor, "first argument")
+    ey = _checked_eigenvalues(y.eigen, phi, floor, "second argument")
     p = mx.shape[0]
     if phi == "stein":
         ratio = np.linalg.solve(my, mx)
@@ -112,9 +106,9 @@ def closed_form_divergence(x, y, phi="stein") -> float:
         if sign <= 0.0:
             raise DomainError("X Y^-1 has nonpositive determinant")
         return float(np.trace(ratio) - logdet - p)
-    # von Neumann
-    log_x = matrix_function(x, math.log)
-    log_y = matrix_function(y, math.log)
+    # von Neumann; both spectra are held to the domain floor above, so log is finite
+    log_x = _from_eigen(ex.eigenvectors, np.log(ex.eigenvalues))
+    log_y = _from_eigen(ey.eigenvectors, np.log(ey.eigenvalues))
     return float(np.trace(mx @ log_x - mx @ log_y - mx + my))
 
 

@@ -8,23 +8,28 @@ downstream code can assume exact symmetry bit for bit.
 :func:`_symmetric` is the one validation boundary.  Every kernel that takes
 a matrix passes it through there: a :class:`_Symmetric`, the exactly
 symmetric carrier the risk pipeline builds, goes through untouched, with its
-eigendecomposition taken at most once; anything else is validated by
-:func:`as_symmetric` and wrapped.  So a caller's ndarray is checked once per
-call, and the pipeline's own matrices are never checked again.
+eigendecomposition and square root each taken at most once; anything else is
+validated by :func:`as_symmetric` and wrapped.  So a caller's ndarray is
+checked once per call, and the pipeline's own matrices are never checked
+again.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AsymmetryError, DomainError, EigenError, NormOrderError
+from .errors import AsymmetryError, EigenError, NormOrderError, NotPSDError
 
 # Asymmetry beyond rtol * (1 + max |entry|) is treated as a caller bug, not noise.
 ASYMMETRY_RTOL = 1e-12
+
+# Eigenvalues more negative than -PSD_RTOL * max|eigenvalue| reject the matrix;
+# anything between there and zero is clamped as roundoff.
+PSD_RTOL = 1e-10
 
 
 def as_symmetric(a) -> np.ndarray:
@@ -90,7 +95,8 @@ def _sym_eigen(mat: np.ndarray) -> EigenDecomposition:
 
 
 class _Symmetric:
-    """An exactly symmetric matrix whose eigendecomposition is taken once, when first needed."""
+    """An exactly symmetric matrix whose eigendecomposition and square root
+    are each taken once, when first needed."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
@@ -98,6 +104,24 @@ class _Symmetric:
     @cached_property
     def eigen(self) -> EigenDecomposition:
         return _sym_eigen(self.matrix)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Symmetric eigen square root, built from :attr:`eigen`.
+
+        Raises
+        ------
+        NotPSDError
+            If the smallest eigenvalue is materially negative.
+        """
+        eig = self.eigen
+        scale = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
+        lo = float(eig.eigenvalues[-1])
+        if lo < -PSD_RTOL * max(scale, 1.0):
+            raise NotPSDError(
+                f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
+            )
+        return _from_eigen(eig.eigenvectors, np.sqrt(np.clip(eig.eigenvalues, 0.0, None)))
 
 
 def _symmetric(a) -> _Symmetric:
@@ -150,29 +174,6 @@ def operator_norm(a, w) -> float:
         f"no exact formula for operator norm of order {w!r}; "
         "for symmetric input the order-1 norm bounds every order in [1, inf]"
     )
-
-
-def matrix_function(a, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar map to a symmetric matrix through its eigenvalues.
-
-    Computes ``V @ diag(f(w)) @ V.T``.  The map is evaluated one eigenvalue at
-    a time; an exception from ``f`` or a non-finite result raises a
-    :class:`DomainError` naming the offending eigenvalue.
-    """
-    eig = _symmetric(a).eigen
-    vals = np.empty_like(eig.eigenvalues)
-    with np.errstate(all="ignore"):
-        for i, lam in enumerate(eig.eigenvalues):
-            try:
-                y = float(f(float(lam)))
-            except Exception as exc:
-                raise DomainError(
-                    f"scalar map failed at eigenvalue {lam!r}: {exc}"
-                ) from exc
-            if not math.isfinite(y):
-                raise DomainError(f"scalar map is not finite at eigenvalue {lam!r}")
-            vals[i] = y
-    return _from_eigen(eig.eigenvectors, vals)
 
 
 def save_matrix_csv(path, a) -> None:

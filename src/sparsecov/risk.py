@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -39,7 +40,7 @@ from .model_spaces import (
     DEFAULT_UPSILON, _column_radii, build_config, materialize_sigma, sample_theta,
 )
 from .rng import RngSeed
-from .sampling import mle_covariance, sample_gaussian, sqrt_psd
+from .sampling import mle_covariance, sample_gaussian
 
 # A cell is declared failed when more than this fraction of replicates hit a
 # loss domain error.
@@ -83,6 +84,15 @@ _TRUTH_KEYS = {
 }
 
 
+def _finite(value, where: str) -> float:
+    """``value`` as a float if it is a finite JSON number; else SchemaError
+    or ConfigError naming ``where``."""
+    real = _check_real(value, where)
+    if not math.isfinite(real):
+        raise ConfigError(f"{where} must be finite, got {real}")
+    return real
+
+
 def materialize_truth(spec: dict, n: int, p: int):
     """Build the truth covariance for one grid cell.
 
@@ -106,12 +116,12 @@ def materialize_truth(spec: dict, n: int, p: int):
         return np.eye(p), 0.0, None, "identity"
     if kind == "banded":
         band = _check_int(spec["band"], "truth.band")
-        value = _check_real(spec.get("scale", 1.0), "truth.scale") * math.sqrt(math.log(p) / n)
+        value = _finite(spec.get("scale", 1.0), "truth.scale") * math.sqrt(math.log(p) / n)
         sigma = banded_sigma(p, band, value)
         return sigma, 0.0, float(2 * band), f"banded(band={band},value={value:.6g})"
     if kind == "decay":
-        amplitude = _check_real(spec["amplitude"], "truth.amplitude")
-        exponent = _check_real(spec["exponent"], "truth.exponent")
+        amplitude = _finite(spec["amplitude"], "truth.amplitude")
+        exponent = _finite(spec["exponent"], "truth.exponent")
         if not exponent > 1.0:
             raise ConfigError(f"truth.exponent must exceed 1, got {exponent}")
         sigma = toeplitz_decay_sigma(p, amplitude, exponent)
@@ -196,22 +206,22 @@ def _run_cell(
     The truth arrives validated and wrapped in a :class:`_Symmetric` by the
     caller, which hands it over: the cell neither copies it nor keeps any
     other copy.  It is eigendecomposed once; that decomposition gives both
-    the sampling square root and the truth side of every Bregman loss, and
-    is dropped after the root when no loss reads it.  Replicate r draws once
-    from ``seed.substream(r)`` and applies each estimator once to its sample
-    covariance, which the cell owns and releases after the last estimator
-    has read it, before the losses of that estimate run.  Every loss scores
-    that estimate, except that Stein and von Neumann losses score the guard
-    of it, which is bit for bit the :func:`_guarded` spec.  The truth, each
-    sample covariance and each estimate travel as :class:`_Symmetric`, which
-    the public kernels take as already validated: they are exactly symmetric
-    by construction, so the cell validates nothing after its truth.  Each
+    the square root the truth holds for sampling and the truth side of every
+    Bregman loss, and is dropped after the root when no loss reads it.
+    Replicate r draws once from ``seed.substream(r)`` with that root, and
+    applies each estimator once to its sample covariance, which the cell
+    owns and releases after the last estimator has read it, before the
+    losses of that estimate run.  Every loss scores that estimate, except
+    that Stein and von Neumann losses score the guard of it, which is bit
+    for bit the :func:`_guarded` spec.  The truth, each sample covariance
+    and each estimate travel as :class:`_Symmetric`, which the public
+    kernels take as already validated: they are exactly symmetric by
+    construction, so the cell validates nothing after its truth.  Each
     estimate is eigendecomposed at most once, by whichever of the PSD
     projection, the guard or a Bregman loss needs it first.  Records come in
     (estimator, loss) order.
     """
-    mat = truth.matrix
-    root = sqrt_psd(truth)
+    truth.root  # taken now, while the decomposition it is built from is held
     if all(loss.kind != "bregman" for loss in losses):
         del truth.eigen  # no loss reads it again; frees p x p for the replicates
     # specs[ei][li] is estimators[ei] itself unless the loss adds the guard
@@ -221,9 +231,7 @@ def _run_cell(
     started = time.perf_counter()
     for ridx in range(replicates):
         # exactly symmetric as mle_covariance forms it, so it is not validated
-        sample = _Symmetric(
-            mle_covariance(sample_gaussian(mat, n, seed.substream(ridx), sqrt_factor=root))
-        )
+        sample = _Symmetric(mle_covariance(sample_gaussian(truth, n, seed.substream(ridx))))
         for ei, est in enumerate(estimators):
             estimate = _apply_estimator(sample, est, n)
             if ei == len(estimators) - 1:
@@ -259,7 +267,7 @@ def _run_cell(
                 cell_id=cell_id,
                 model=model,
                 n=n,
-                p=mat.shape[0],
+                p=truth.matrix.shape[0],
                 q=q,
                 c=c,
                 estimator=specs[ei][li],
@@ -267,7 +275,7 @@ def _run_cell(
                 replicates=replicates,
                 mean_risk=float(np.mean(good)),
                 std_error=std_error,
-                median_risk=float(np.median(good)),
+                median_risk=statistics.median(good.tolist()),  # np.median loads numpy.ma
                 failures=failures,
                 seed=seed,
                 wall_time=elapsed,

@@ -4,53 +4,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPSDError
-from .matrices import _from_eigen, _symmetric
+from .matrices import _symmetric
 from .rng import RngSeed
-
-# Eigenvalues more negative than -PSD_RTOL * max|eigenvalue| reject the matrix;
-# anything between there and zero is clamped as roundoff.
-PSD_RTOL = 1e-10
 
 
 def sqrt_psd(sigma) -> np.ndarray:
     """Symmetric eigen square root of a PSD matrix.
 
-    A :class:`~sparsecov.matrices._Symmetric` lends its cached
-    eigendecomposition, so the risk pipeline's truth is decomposed once for
-    both its root and its Bregman losses.
+    The root is :attr:`~sparsecov.matrices._Symmetric.root` of the validated
+    matrix, so a carried ``_Symmetric`` computes it once from the
+    eigendecomposition it also lends its Bregman losses.
 
     Raises
     ------
     NotPSDError
         If the smallest eigenvalue is materially negative.
     """
-    eig = _symmetric(sigma).eigen
-    scale = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
-    lo = float(eig.eigenvalues[-1])
-    if lo < -PSD_RTOL * max(scale, 1.0):
-        raise NotPSDError(
-            f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
-        )
-    return _from_eigen(eig.eigenvectors, np.sqrt(np.clip(eig.eigenvalues, 0.0, None)))
+    return _symmetric(sigma).root
 
 
-def sample_gaussian(
-    sigma, n: int, seed: RngSeed, *, sqrt_factor: np.ndarray | None = None
-) -> np.ndarray:
+def sample_gaussian(sigma, n: int, seed: RngSeed) -> np.ndarray:
     """Draw n iid mean-zero Gaussian rows with the given covariance.
 
     Parameters
     ----------
     sigma : array_like
-        PSD covariance, p x p.
+        PSD covariance, p x p.  A carried ``_Symmetric`` lends the root it
+        holds, so repeated draws from one truth decompose it once.
     n : int
         Number of rows, at least 1.
     seed : RngSeed
         Stream to draw from; equal seeds give bit-identical output.
-    sqrt_factor : ndarray, optional
-        Precomputed :func:`sqrt_psd` of sigma.  Passing it skips the
-        eigendecomposition but never changes the sampled values.
 
     Returns
     -------
@@ -58,7 +42,7 @@ def sample_gaussian(
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    root = sqrt_psd(sigma) if sqrt_factor is None else sqrt_factor
+    root = _symmetric(sigma).root
     rng = seed.generator()
     z = rng.standard_normal((n, root.shape[0]))
     return z @ root

@@ -378,6 +378,31 @@ print(json.dumps(sorted(set(watched) & set(sys.modules))))
 """
 
 
+_LOADED_BY_SIMULATE = """
+import json, sys
+import sparsecov.cli
+config, out = sys.argv[1:]
+assert sparsecov.cli.main(["simulate", "--config", config, "--out", out]) == 0
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+
+
+def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
+    # a cell's median is statistics.median: np.median imports numpy.ma, which
+    # costs every simulate run milliseconds and more than a megabyte
+    config = grid_file(tmp_path, cells=[{"n": 30, "p": 10}, {"n": 60, "p": 20}])
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_SIMULATE, str(config), str(tmp_path / "r.csv")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) is False
+
+
 def test_cli_import_loads_no_pool_and_no_oracle(tmp_path):
     # the lab oracles and their thread pool are for tests only, and the
     # command loads no numpy (nor the ctypes that numpy loads); the bare
@@ -704,6 +729,23 @@ def test_fstar_truth_refuses_a_non_finite_parameter(tmp_path, capsys, key):
     config = grid_file(tmp_path, truth={**FSTAR, key: math.inf})
     assert main(["simulate", "--config", str(config)]) == 2
     assert f"{key} must be positive and finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "truth, key",
+    [
+        ({"kind": "banded", "band": 2, "scale": math.inf}, "scale"),
+        ({"kind": "decay", "amplitude": math.nan, "exponent": 2.0}, "amplitude"),
+        # 1^(-inf) = 1 would put ones beside the diagonal: not PSD, exit 3
+        ({"kind": "decay", "amplitude": 1.0, "exponent": math.inf}, "exponent"),
+    ],
+    ids=["scale-inf", "amplitude-nan", "exponent-inf"],
+)
+def test_truth_refuses_a_non_finite_real(tmp_path, capsys, truth, key):
+    config = grid_file(tmp_path, truth=truth)
+    assert main(["simulate", "--config", str(config)]) == 2
+    value = truth[key]
+    assert f"truth.{key} must be finite, got {value}" in capsys.readouterr().err
 
 
 def test_simulate_refuses_a_cell_larger_than_memory_before_allocating(tmp_path, capsys):

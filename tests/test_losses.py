@@ -100,6 +100,9 @@ def test_domain_error_names_argument_and_generator():
         bregman_divergence(singular, np.eye(2), "stein")
     with pytest.raises(DomainError, match="second argument"):
         bregman_divergence(np.eye(2), singular, "von-neumann")
+    # the closed form refuses the same spectra before it takes a logarithm
+    with pytest.raises(DomainError, match="first argument"):
+        closed_form_divergence(singular, np.eye(2), "von-neumann")
     # no domain restriction for the quadratic generator
     bregman_divergence(singular, np.eye(2), "squared-frobenius")
 

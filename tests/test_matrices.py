@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsecov.errors import AsymmetryError, DomainError, NormOrderError
+from sparsecov.errors import AsymmetryError, NormOrderError
 from sparsecov.losses import LossSpec, evaluate_loss
 from sparsecov.matrices import (
     ASYMMETRY_RTOL,
@@ -14,7 +14,6 @@ from sparsecov.matrices import (
     _symmetric,
     as_symmetric,
     load_matrix_csv,
-    matrix_function,
     operator_norm,
     save_matrix_csv,
 )
@@ -157,24 +156,6 @@ def test_frobenius_norm_value():
     squared = LossSpec(kind="frobenius-squared")
     loss = evaluate_loss(squared, [[3.0, 0.0], [0.0, 3.0]], np.zeros((2, 2)))
     assert abs(math.sqrt(loss) - math.sqrt(18.0)) < 1e-14
-
-
-def test_matrix_function_exp_of_diagonal():
-    out = matrix_function(np.diag([0.0, 1.0]), math.exp)
-    assert np.allclose(out, np.diag([1.0, math.e]), atol=1e-12)
-
-
-def test_matrix_function_log_names_bad_eigenvalue():
-    with pytest.raises(DomainError) as err:
-        matrix_function(np.diag([1.0, 0.0]), math.log)
-    assert "0.0" in str(err.value)
-
-
-def test_matrix_function_square_matches_matmul():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((8, 8))
-    a = (a + a.T) / 2
-    assert np.max(np.abs(matrix_function(a, lambda x: x * x) - a @ a)) < 1e-10
 
 
 def test_matrix_csv_round_trip_is_exact(tmp_path):

@@ -22,8 +22,7 @@ PUBLIC = {
     ],
     "rng": ["RngSeed"],
     "matrices": [
-        "as_symmetric", "load_matrix_csv", "matrix_function", "operator_norm",
-        "save_matrix_csv",
+        "as_symmetric", "load_matrix_csv", "operator_norm", "save_matrix_csv",
     ],
     "model_spaces": [
         "LeastFavorableConfig", "ThetaIndex", "build_config", "class_membership",

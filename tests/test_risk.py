@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -173,6 +174,30 @@ def test_truth_is_decomposed_once_per_cell(monkeypatch):
     # 2 truths and one per estimate (2 cells x 5 replicates x 2 estimators);
     # the identity a tripped guard puts in its estimate's place comes decomposed
     assert len(seen) == 2 + 2 * 5 * 2
+
+
+def test_truth_roots_once_per_cell(monkeypatch):
+    # every replicate draws from the root its cell's truth holds
+    roots = []
+    root = _Symmetric.root.func
+
+    def counting(self):
+        roots.append(self.matrix.copy())
+        return root(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(_Symmetric, "root")
+    monkeypatch.setattr(_Symmetric, "root", prop)
+    cfg = grid_config(
+        estimators=[{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": 2.0}],
+        losses=[{"kind": "operator", "w": 2}, STEIN.to_json()],
+        cells=[{"n": 60, "p": 20}, {"n": 120, "p": 40}],
+        replicates=4,
+    )
+    run_grid(cfg)
+    truths = [materialize_truth(cfg["truth"], n, p)[0] for n, p in [(60, 20), (120, 40)]]
+    assert len(roots) == 2
+    assert all(np.array_equal(r, t) for r, t in zip(roots, truths))
 
 
 def test_grid_validates_once_per_cell_and_kernels_take_either_carrier(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsecov.errors import NotPSDError
+from sparsecov.matrices import _Symmetric
 from sparsecov.rng import RngSeed
 from sparsecov.risk import banded_sigma
 from sparsecov.sampling import (
@@ -39,12 +40,26 @@ def test_sample_gaussian_is_seed_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_sample_gaussian_accepts_precomputed_root():
+def test_sample_gaussian_accepts_precomputed_root(monkeypatch):
+    # a carried truth holds its root: draws from one _Symmetric decompose it
+    # once, and give the bits of the ndarray path, which decomposes per call
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
-    root = sqrt_psd(sigma)
-    a = sample_gaussian(sigma, 20, RngSeed(3))
-    b = sample_gaussian(sigma, 20, RngSeed(3), sqrt_factor=root)
-    assert np.array_equal(a, b)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    carried = _Symmetric(sigma)
+    a = sample_gaussian(carried, 20, RngSeed(3))
+    b = sample_gaussian(carried, 20, RngSeed(4))
+    assert sqrt_psd(carried) is carried.root
+    assert calls == [(2, 2)]
+    assert np.array_equal(a, sample_gaussian(sigma, 20, RngSeed(3)))
+    assert np.array_equal(b, sample_gaussian(sigma, 20, RngSeed(4)))
+    assert calls == [(2, 2)] * 3
 
 
 def test_sample_gaussian_matches_target_covariance():
@@ -84,7 +99,7 @@ def _old_mle_covariance(x):
 )
 def test_mle_covariance_matches_the_old_formula_bit_for_bit(n, p):
     sigma = banded_sigma(p, 2, 0.2)
-    x = sample_gaussian(sigma, n, RngSeed(9).substream(n), sqrt_factor=sqrt_psd(sigma))
+    x = sample_gaussian(sigma, n, RngSeed(9).substream(n))
     for data in (x, np.asfortranarray(x)):
         before = data.copy()
         got = mle_covariance(data)
