@@ -40,7 +40,7 @@ from .model_spaces import DEFAULT_UPSILON, build_config
 from .rng import RngSeed
 
 
-def _write_manifest(out_path: str, command: str, argv, started: float, outputs, **extra):
+def _write_manifest(out_path: str, command: str, argv, started: float, outputs):
     """Record how a result was produced, next to the primary output.
 
     The manifest carries timestamps and timings, so it is the one output
@@ -49,7 +49,7 @@ def _write_manifest(out_path: str, command: str, argv, started: float, outputs, 
     count, with an unset thread variable written as null.  numpy and its
     BLAS are recorded only when the command loaded numpy; a ``lowerbound``
     never does, so its output cannot depend on them, and it writes null
-    there.  ``extra`` adds command-specific entries.
+    there.
     """
     np = sys.modules.get("numpy")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"] if np else {}
@@ -66,7 +66,6 @@ def _write_manifest(out_path: str, command: str, argv, started: float, outputs, 
         "started_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - started,
         "outputs": list(outputs),
-        **extra,
     }
     path = f"{out_path}.manifest.json"
     with open(path, "w") as fh:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON readers that raise them."""
+
+from dataclasses import field, fields
 
 
 class SparseCovError(Exception):
@@ -83,6 +85,29 @@ def _check_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(f"{where} must be true or false, got {value!r}")
     return value
+
+
+def _json_field(read, **kwargs):
+    """A dataclass field whose JSON value :func:`_from_json` passes through
+    ``read(value, where)``; ``kwargs`` go to :func:`dataclasses.field`."""
+    return field(metadata={"read": read}, **kwargs)
+
+
+def _from_json(cls, obj, where: str):
+    """The dataclass ``cls`` built from the JSON object ``obj``, whose keys
+    must be field names of ``cls``; ``where`` names the object's place in its
+    config in every message, such as ``estimators[1]``.
+
+    Each key present is read by its field's :func:`_json_field` reader, or
+    passed as given for ``__post_init__`` to check, and each key absent takes
+    its dataclass default.
+    """
+    readers = {f.name: f.metadata.get("read") for f in fields(cls)}
+    _check_keys(obj, readers, where)
+    return cls(**{
+        key: value if readers[key] is None else readers[key](value, f"{where}.{key}")
+        for key, value in obj.items()
+    })
 
 
 class FitError(SparseCovError, ValueError):

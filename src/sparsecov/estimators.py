@@ -23,11 +23,11 @@ branch on its caller; each public form is ``_x(_symmetric(a), ...).matrix``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, _check_bool, _check_keys, _check_real
+from .errors import ConfigError, _check_bool, _check_real, _from_json, _json_field
 from .matrices import _from_eigen, _identity, _Symmetric, _symmetric
 
 RULES = ("hard", "soft", "adaptive-lasso")
@@ -39,13 +39,15 @@ class EstimatorSpec:
     """Thresholding rule plus optional post-corrections.
 
     ``eta`` only matters for the adaptive-lasso rule and must be >= 1.
+    ``gamma`` and ``eta`` must be finite: an infinite threshold would zero
+    every entry and still look like an estimate.
     """
 
     rule: str = "hard"
-    gamma: float = 2.0
-    eta: float = 3.0
+    gamma: float = _json_field(_check_real, default=2.0)
+    eta: float = _json_field(_check_real, default=3.0)
     corrections: tuple[str, ...] = field(default_factory=tuple)
-    keep_diagonal: bool = False
+    keep_diagonal: bool = _json_field(_check_bool, default=False)
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -54,6 +56,9 @@ class EstimatorSpec:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if not self.eta >= 1.0:
             raise ConfigError(f"eta must be at least 1, got {self.eta}")
+        for name, value in (("gamma", self.gamma), ("eta", self.eta)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         object.__setattr__(self, "corrections", tuple(self.corrections))
         for c in self.corrections:
             if c not in CORRECTIONS:
@@ -62,26 +67,13 @@ class EstimatorSpec:
                 )
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "corrections": list(self.corrections),
-            "keep_diagonal": self.keep_diagonal,
-        }
+        return {**asdict(self), "corrections": list(self.corrections)}
 
     @classmethod
     def from_json(cls, obj: dict, where: str = "estimator") -> "EstimatorSpec":
         """Read a spec from its JSON object; ``where`` names the object's
         place in its config in every message, such as ``estimators[1]``."""
-        _check_keys(obj, ("rule", "gamma", "eta", "corrections", "keep_diagonal"), where)
-        return cls(
-            rule=obj.get("rule", "hard"),
-            gamma=_check_real(obj.get("gamma", 2.0), f"{where}.gamma"),
-            eta=_check_real(obj.get("eta", 3.0), f"{where}.eta"),
-            corrections=tuple(obj.get("corrections", ())),
-            keep_diagonal=_check_bool(obj.get("keep_diagonal", False), f"{where}.keep_diagonal"),
-        )
+        return _from_json(cls, obj, where)
 
 
 def threshold_level(p: int, n: int, gamma: float) -> float:
@@ -92,6 +84,8 @@ def threshold_level(p: int, n: int, gamma: float) -> float:
         raise ConfigError(f"n must be at least 1, got {n}")
     if not gamma > 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
+    if not math.isfinite(gamma):
+        raise ConfigError(f"gamma must be finite, got {gamma}")
     return gamma * math.sqrt(math.log(p) / n)
 
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _check_bool, _check_keys, _check_real
+from .errors import (
+    ConfigError, DomainError, _check_bool, _check_keys, _check_real, _from_json, _json_field,
+)
 from .matrices import EigenDecomposition, _from_eigen, _Symmetric, _symmetric, operator_norm
 
 # Eigenvalues below this are outside the open domain (0, inf) for the Stein
@@ -112,6 +114,15 @@ def closed_form_divergence(x, y, phi="stein") -> float:
     return float(np.trace(mx @ log_x - mx @ log_y - mx + my))
 
 
+def _read_w(value, where: str):
+    """An operator loss's ``w`` as JSON spells it: ``"inf"``, or a number
+    kept as given, so an integer w is exported as an integer again."""
+    if value == "inf":
+        return math.inf
+    _check_real(value, where)
+    return value
+
+
 # The keys a loss of each kind reads, "kind" included.
 _LOSS_KEYS = {
     "operator": ("kind", "w", "normalized"),
@@ -134,9 +145,9 @@ class LossSpec:
     """
 
     kind: str = "operator"
-    w: float | None = 2
+    w: float | None = _json_field(_read_w, default=2)
     phi: str | None = None
-    normalized: bool = False
+    normalized: bool = _json_field(_check_bool, default=False)
 
     def __post_init__(self):
         if self.kind not in _LOSS_KEYS:
@@ -163,6 +174,8 @@ class LossSpec:
         return self.phi or ""
 
     def to_json(self) -> dict:
+        """The spec as JSON, written by hand rather than from the fields: the
+        keys depend on the kind, and w = inf is spelled ``"inf"``."""
         obj: dict = {"kind": self.kind, "normalized": self.normalized}
         if self.kind == "operator":
             obj["w"] = "inf" if self.w == math.inf else self.w
@@ -173,22 +186,11 @@ class LossSpec:
     @classmethod
     def from_json(cls, obj: dict, where: str = "loss") -> "LossSpec":
         """Read a spec from its JSON object; ``where`` names the object's
-        place in its config in every message, such as ``losses[1]``."""
-        _check_keys(obj, ("kind", "w", "phi", "normalized"), where)
-        kind = obj.get("kind", "operator")
-        if kind in _LOSS_KEYS:
-            _check_keys(obj, _LOSS_KEYS[kind], f"{where} (kind {kind!r})")
-        w = obj.get("w", 2 if kind == "operator" else None)
-        if w == "inf":
-            w = math.inf
-        elif w is not None:
-            _check_real(w, f"{where}.w")  # keeps an integer w an int, as it is exported
-        return cls(
-            kind=kind,
-            w=w,
-            phi=obj.get("phi"),
-            normalized=_check_bool(obj.get("normalized", False), f"{where}.normalized"),
-        )
+        place in its config in every message, such as ``losses[1]``.  A key
+        that the spec's kind does not read is refused, not dropped."""
+        spec = _from_json(cls, obj, where)
+        _check_keys(obj, _LOSS_KEYS[spec.kind], f"{where} (kind {spec.kind!r})")
+        return spec
 
 
 def _validated_pair(a, b) -> tuple[_Symmetric, _Symmetric]:

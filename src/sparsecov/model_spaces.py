@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, StructureError
@@ -77,16 +77,18 @@ def class_membership(sigma, q: float, radius: float):
     Returns ``(ok, witness)`` where ``witness`` is the index of the first
     violating column, or None.  Comparisons allow 1e-12 relative slack so
     boundary members constructed in floating point are not rejected.
+    ``sigma`` is taken through :func:`~sparsecov.matrices._symmetric`, so a
+    carried :class:`~sparsecov.matrices._Symmetric` is not validated again.
     """
     import numpy as np
 
-    from .matrices import as_symmetric
+    from .matrices import _symmetric
 
     if not 0.0 <= q < 1.0:
         raise ConfigError(f"q must lie in [0, 1), got {q}")
     if not radius > 0.0:
         raise ConfigError(f"radius must be positive, got {radius}")
-    mat = as_symmetric(sigma)
+    mat = _symmetric(sigma).matrix
     if mat.shape[0] < 2:
         raise ConfigError("class membership needs dimension >= 2")
     over = np.flatnonzero(_column_radii(mat, q) > radius * (1.0 + _RTOL))
@@ -116,16 +118,7 @@ class LeastFavorableConfig:
         return range(self.p - self.r, self.p)
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "q": self.q,
-            "c": self.c,
-            "upsilon": self.upsilon,
-            "r": self.r,
-            "k": self.k,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
 
 DEFAULT_UPSILON = 0.1

@@ -25,7 +25,8 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -135,7 +136,11 @@ def materialize_truth(spec: dict, n: int, p: int):
             _check_real(spec["c"], "truth.c"),
             _check_real(spec.get("upsilon", DEFAULT_UPSILON), "truth.upsilon"),
         )
-        seed = RngSeed(_check_int(spec.get("theta_seed", 0), "truth.theta_seed"))
+        theta_seed = _check_int(spec.get("theta_seed", 0), "truth.theta_seed")
+        try:
+            seed = RngSeed(theta_seed)
+        except ValueError as exc:
+            raise ConfigError(f"truth.theta_seed: {exc}") from exc
         sigma = materialize_sigma(cfg, sample_theta(cfg, seed))
         return sigma, cfg.q, cfg.c, f"fstar(q={cfg.q:.6g},c={cfg.c:.6g})"
     raise ConfigError(f"unknown truth kind {kind!r}")
@@ -171,23 +176,13 @@ class RiskRecord:
     wall_time: float
 
     def to_json(self) -> dict:
-        return {
-            "cell_id": self.cell_id,
-            "model": self.model,
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "c": self.c,
-            "estimator": self.estimator.to_json(),
-            "loss": self.loss.to_json(),
-            "replicates": self.replicates,
-            "mean_risk": self.mean_risk,
-            "std_error": self.std_error,
-            "median_risk": self.median_risk,
-            "failures": self.failures,
-            "seed": str(self.seed),
-            "wall_time": self.wall_time,
-        }
+        """One entry per field, in field order; the specs and the seed are
+        written in their own JSON forms."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj.update(
+            estimator=self.estimator.to_json(), loss=self.loss.to_json(), seed=str(self.seed)
+        )
+        return obj
 
 
 def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
@@ -337,21 +332,23 @@ def rate_fit(records, target_exponent: float | None = None) -> RateFit:
 # ---------------------------------------------------------------------------
 # flat exports
 
+# The flat CSV schema, in column order: each column's name and how a record
+# fills it.  wall_time is left empty, so seeded reruns match byte for byte.
 CSV_COLUMNS = (
-    "cell_id",
-    "n",
-    "p",
-    "q",
-    "c",
-    "rule",
-    "gamma",
-    "loss_kind",
-    "w_or_phi",
-    "replicates",
-    "mean_risk",
-    "std_error",
-    "seed",
-    "wall_time",
+    ("cell_id", attrgetter("cell_id")),
+    ("n", attrgetter("n")),
+    ("p", attrgetter("p")),
+    ("q", attrgetter("q")),
+    ("c", attrgetter("c")),
+    ("rule", attrgetter("estimator.rule")),
+    ("gamma", attrgetter("estimator.gamma")),
+    ("loss_kind", attrgetter("loss.kind")),
+    ("w_or_phi", attrgetter("loss.detail")),
+    ("replicates", attrgetter("replicates")),
+    ("mean_risk", attrgetter("mean_risk")),
+    ("std_error", attrgetter("std_error")),
+    ("seed", attrgetter("seed")),
+    ("wall_time", lambda record: None),
 )
 
 
@@ -403,26 +400,9 @@ def export_records(records, path) -> None:
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow([name for name, _ in CSV_COLUMNS])
         for r in recs:
-            writer.writerow(
-                [
-                    r.cell_id,
-                    r.n,
-                    r.p,
-                    _fmt(r.q),
-                    _fmt(r.c),
-                    r.estimator.rule,
-                    _fmt(r.estimator.gamma),
-                    r.loss.kind,
-                    r.loss.detail,
-                    r.replicates,
-                    _fmt(r.mean_risk),
-                    _fmt(r.std_error),
-                    str(r.seed),
-                    "",
-                ]
-            )
+            writer.writerow([_fmt(value(r)) for _, value in CSV_COLUMNS])
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,11 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
         # a decay truth's q is 1 / exponent, which must lie in [0, 1)
         ({"truth": {"kind": "decay", "amplitude": 0.3, "exponent": 0.8}},
          "truth.exponent must exceed 1, got 0.8"),
+        # a member's seed is a uint64, named by its path
+        ({"truth": {"kind": "fstar", "q": 0, "c": 4, "theta_seed": -1}},
+         "truth.theta_seed: seed must be a uint64, got -1"),
+        ({"truth": {"kind": "fstar", "q": 0, "c": 4, "theta_seed": 2**64}},
+         f"truth.theta_seed: seed must be a uint64, got {2**64}"),
     ],
     ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
          "target-exponent", "value-and-scale", "theta-and-theta-seed",
@@ -605,7 +610,8 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
          "cell-not-object", "cell-negative-p", "cell-zero-n", "late-cell-p-one",
          "late-cell-n-one-guarded", "second-estimator-gamma", "second-estimator-key",
          "second-loss-key", "second-loss-w", "estimators-object",
-         "second-estimator-gamma-value", "second-loss-w-value", "decay-exponent"],
+         "second-estimator-gamma-value", "second-loss-w-value", "decay-exponent",
+         "theta-seed-negative", "theta-seed-too-large"],
 )
 def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
@@ -720,6 +726,48 @@ def test_lowerbound_refuses_a_non_finite_parameter(tmp_path, capsys, flags, mess
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "estimator, message",
+    [
+        ({"rule": "hard", "gamma": math.inf}, "estimators[0]: gamma must be finite, got inf"),
+        ({"rule": "adaptive-lasso", "eta": math.inf},
+         "estimators[0]: eta must be finite, got inf"),
+        # refused before today: the message stays
+        ({"rule": "hard", "gamma": -math.inf},
+         "estimators[0]: gamma must be positive, got -inf"),
+    ],
+    ids=["gamma-inf", "eta-inf", "gamma-minus-inf"],
+)
+def test_grid_refuses_a_non_finite_threshold_parameter(tmp_path, capsys, estimator, message):
+    # an infinite threshold zeroes every entry; that must not pass as a result
+    out = tmp_path / "records.csv"
+    config = grid_file(tmp_path, estimators=[estimator])
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--gamma", "inf"], "gamma must be finite, got inf"),
+        (["--rule", "adaptive-lasso", "--eta", "inf"], "eta must be finite, got inf"),
+        (["--gamma", "nan"], "gamma must be positive, got nan"),
+    ],
+    ids=["gamma-inf", "eta-inf", "gamma-nan"],
+)
+def test_estimate_refuses_a_non_finite_threshold_flag(tmp_path, capsys, flags, message):
+    cov = tmp_path / "cov.csv"
+    save_matrix_csv(cov, np.eye(5) + 0.1)
+    out = tmp_path / "estimate.csv"
+    argv = ["estimate", "--covariance", str(cov), "--n", "50", *flags, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,23 @@ def test_threshold_level_reference_value():
         threshold_level(100, 400, 0.0)
 
 
+def test_threshold_level_refuses_an_infinite_gamma():
+    with pytest.raises(ConfigError, match="gamma must be finite, got inf"):
+        threshold_level(100, 400, math.inf)
+
+
+def test_spec_refuses_a_non_finite_threshold_parameter():
+    with pytest.raises(ConfigError, match="gamma must be finite, got inf"):
+        EstimatorSpec(gamma=math.inf)
+    with pytest.raises(ConfigError, match="eta must be finite, got inf"):
+        EstimatorSpec(rule="adaptive-lasso", eta=math.inf)
+    # refused before either check was finite: the messages stay
+    with pytest.raises(ConfigError, match="gamma must be positive, got nan"):
+        EstimatorSpec(gamma=math.nan)
+    with pytest.raises(ConfigError, match="eta must be at least 1, got -inf"):
+        EstimatorSpec(eta=-math.inf)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         EstimatorSpec(rule="median")
@@ -47,6 +65,16 @@ def test_spec_json_round_trip():
         keep_diagonal=True,
     )
     assert EstimatorSpec.from_json(spec.to_json()) == spec
+
+
+def test_spec_json_keys_follow_the_field_order():
+    obj = EstimatorSpec(corrections=("psd-project",)).to_json()
+    assert list(obj) == [f.name for f in dataclasses.fields(EstimatorSpec)]
+    assert list(obj) == ["rule", "gamma", "eta", "corrections", "keep_diagonal"]
+    assert obj["corrections"] == ["psd-project"]
+    # every default comes from the dataclass: an empty object is the default spec
+    assert EstimatorSpec.from_json({}) == EstimatorSpec()
+    assert EstimatorSpec.from_json({"gamma": 1}).gamma == 1.0
 
 
 def test_hard_threshold_keeps_boundary_entries():

@@ -191,6 +191,9 @@ def test_loss_spec_json_round_trip():
         assert LossSpec.from_json(spec.to_json()) == spec
     assert LossSpec(kind="frobenius-squared") == LossSpec(kind="frobenius-squared", w=None)
     assert LossSpec(kind="bregman", phi="stein").w is None
+    # every default comes from the dataclass, and an integer w stays an int
+    assert LossSpec.from_json({}) == LossSpec()
+    assert LossSpec.from_json({"w": 1}).to_json() == {"kind": "operator", "normalized": False, "w": 1}
 
 
 def test_evaluate_loss_normalization():

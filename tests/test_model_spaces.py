@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -93,6 +94,23 @@ def test_class_membership_flags_first_bad_column():
     assert ok and witness is None
 
 
+def test_class_membership_takes_the_carrier_without_validating_it(monkeypatch):
+    import sparsecov.matrices as matrices
+    from sparsecov.matrices import _symmetric
+
+    sigma = np.eye(4)
+    sigma[2, 3] = sigma[3, 2] = 0.9
+    carried = _symmetric(sigma)
+    verdicts = [class_membership(sigma, 0.0, r) for r in (0.5, 1.0)]
+    assert verdicts == [(False, 2), (True, None)]
+
+    def no_validation(a):
+        raise AssertionError("a carried matrix was validated again")
+
+    monkeypatch.setattr(matrices, "as_symmetric", no_validation)
+    assert [class_membership(carried, 0.0, r) for r in (0.5, 1.0)] == verdicts
+
+
 def test_class_membership_boundary_member_passes():
     # radius hit exactly; the 1e-12 slack keeps it inside
     sigma = np.eye(3)
@@ -171,6 +189,9 @@ def test_config_json_round_trip():
         "p": 100, "n": 20, "q": 0.5, "c": 1.0, "upsilon": 0.1,
         "r": 50, "k": 2, "epsilon": 0.1 * math.sqrt(math.log(100) / 20),
     }
+    # the report's config keys follow the field order
+    assert list(cfg.to_json()) == [f.name for f in dataclasses.fields(LeastFavorableConfig)]
+    assert list(cfg.to_json()) == ["p", "n", "q", "c", "upsilon", "r", "k", "epsilon"]
 
 
 def test_validate_theta_names_violations():

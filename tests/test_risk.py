@@ -514,6 +514,25 @@ def test_json_round_trip_is_lossless(tmp_path):
     assert raw[0]["wall_time"] > 0.0
 
 
+def test_export_schema_is_pinned(tmp_path):
+    records = run_grid(grid_config(cells=[{"n": 40, "p": 10}], replicates=2)).records
+    export_records(records, tmp_path / "r.csv")
+    with open(tmp_path / "r.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == [
+        "cell_id", "n", "p", "q", "c", "rule", "gamma", "loss_kind", "w_or_phi",
+        "replicates", "mean_risk", "std_error", "seed", "wall_time",
+    ]
+    export_records(records, tmp_path / "r.json")
+    with open(tmp_path / "r.json") as fh:
+        (raw,) = json.load(fh)
+    assert list(raw) == [f.name for f in dataclasses.fields(RiskRecord)]
+    assert list(raw) == [
+        "cell_id", "model", "n", "p", "q", "c", "estimator", "loss", "replicates",
+        "mean_risk", "std_error", "median_risk", "failures", "seed", "wall_time",
+    ]
+
+
 def test_mixed_loss_csv_is_rejected(tmp_path):
     frobenius = LossSpec(kind="frobenius-squared", w=None)
     cfg = grid_config(
