@@ -118,11 +118,15 @@ def cmd_estimate(args, argv) -> int:
     estimate = result.matrix
     p = estimate.shape[0]
     t = threshold_level(p, n, spec.gamma)
-    off = ~np.eye(p, dtype=bool)
-    kept = float(np.count_nonzero(estimate[off])) / max(int(off.sum()), 1)
+    kept = np.count_nonzero(estimate) - np.count_nonzero(np.diagonal(estimate))
+    # a guard or a projection that clipped nothing leaves the spectrum in the carrier
+    if "eigen" in vars(result):
+        least = float(result.eigen.eigenvalues[-1])
+    else:
+        least = float(np.min(np.linalg.eigvalsh(estimate)))
     print(f"p={p} n={n} rule={spec.rule} gamma={spec.gamma:g} threshold={t:.6g}")
-    print(f"off-diagonal entries kept: {kept:.4f}")
-    print(f"min eigenvalue: {float(np.min(np.linalg.eigvalsh(estimate))):.6g}")
+    print(f"off-diagonal entries kept: {kept / max(p * p - p, 1):.4f}")
+    print(f"min eigenvalue: {least:.6g}")
     outputs = []
     if args.out:
         save_matrix_csv(args.out, result)

@@ -60,6 +60,21 @@ def _check_keys(obj, allowed, where: str) -> None:
         )
 
 
+def _required(obj: dict, key: str, where: str):
+    """``obj[key]``, or SchemaError naming the key's path ``where.key`` when
+    the config leaves it out."""
+    if key not in obj:
+        raise SchemaError(f"{where}.{key} is required")
+    return obj[key]
+
+
+def _check_str(value, where: str) -> str:
+    """Return ``value`` if it is a JSON string, else raise SchemaError naming ``where``."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _check_int(value, where: str) -> int:
     """Return ``value`` as an int if it is a JSON integer (an int, or a float
     with no fractional part), else raise SchemaError naming ``where``; a bool

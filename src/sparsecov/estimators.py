@@ -23,15 +23,22 @@ branch on its caller; each public form is ``_x(_symmetric(a), ...).matrix``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _check_bool, _check_real, _from_json, _json_field
+from .errors import ConfigError, SchemaError, _check_bool, _check_real, _from_json, _json_field
 from .matrices import _from_eigen, _identity, _Symmetric, _symmetric
 
 RULES = ("hard", "soft", "adaptive-lasso")
 CORRECTIONS = ("psd-project", "bregman-guard")
+
+
+def _read_corrections(value, where: str) -> tuple[str, ...]:
+    """A spec's ``corrections`` as JSON spells it: an array of strings."""
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise SchemaError(f"{where} must be an array of strings, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,7 @@ class EstimatorSpec:
     rule: str = "hard"
     gamma: float = _json_field(_check_real, default=2.0)
     eta: float = _json_field(_check_real, default=3.0)
-    corrections: tuple[str, ...] = field(default_factory=tuple)
+    corrections: tuple[str, ...] = _json_field(_read_corrections, default_factory=tuple)
     keep_diagonal: bool = _json_field(_check_bool, default=False)
 
     def __post_init__(self):

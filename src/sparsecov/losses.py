@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError, DomainError, _check_bool, _check_keys, _check_real, _from_json, _json_field,
+    ConfigError, DomainError, _check_bool, _check_keys, _check_real, _check_str, _from_json,
+    _json_field,
 )
 from .matrices import EigenDecomposition, _from_eigen, _Symmetric, _symmetric, operator_norm
 
@@ -144,7 +145,7 @@ class LossSpec:
     ``phi``; the others set them to None, so a spec equals its JSON round trip.
     """
 
-    kind: str = "operator"
+    kind: str = _json_field(_check_str, default="operator")
     w: float | None = _json_field(_read_w, default=2)
     phi: str | None = None
     normalized: bool = _json_field(_check_bool, default=False)

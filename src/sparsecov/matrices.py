@@ -83,8 +83,9 @@ class EigenDecomposition(NamedTuple):
 def _sym_eigen(mat: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of an exactly symmetric matrix, eigenvalues
     sorted descending; the package's one call of ``eigh``.  Only
-    :func:`operator_norm` and the ``estimate`` command's summary line, which
-    need eigenvalues alone, call ``eigvalsh`` instead.
+    :func:`operator_norm`, and the ``estimate`` command's summary line when
+    its estimate holds no decomposition, need eigenvalues alone and call
+    ``eigvalsh`` instead.
 
     ``V @ diag(w) @ V.T`` reproduces the input to roughly 1e-10 relative in
     Frobenius norm and ``V.T @ V`` is the identity to 1e-10 per entry.

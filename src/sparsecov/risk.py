@@ -19,7 +19,6 @@ anything.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import (
     BudgetError, CellError, ConfigError, DomainError, FitError, SchemaError, _check_int,
-    _check_keys, _check_real,
+    _check_keys, _check_real, _check_str, _required,
 )
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, evaluate_loss
@@ -99,8 +98,9 @@ def materialize_truth(spec: dict, n: int, p: int):
 
     Returns ``(sigma, q, c, label)`` where q and c describe the sparsity
     class the truth belongs to (None when not meaningful).  The keys each
-    kind reads, besides ``kind`` (``_TRUTH_KEYS``; any other raises
-    SchemaError):
+    kind reads, besides the string ``kind`` (``_TRUTH_KEYS``; any other
+    raises SchemaError, as does a required key left out, named with its
+    path, such as ``truth.band``):
 
     - ``identity``: none
     - ``banded``: the integer ``band``, and ``scale`` (default 1), the
@@ -110,19 +110,19 @@ def materialize_truth(spec: dict, n: int, p: int):
     - ``fstar``: ``q``, ``c``, ``upsilon`` (default ``DEFAULT_UPSILON``) and
       the integer ``theta_seed`` (default 0) of a uniform member draw
     """
-    kind = spec.get("kind")
+    kind = _check_str(_required(spec, "kind", "truth"), "truth.kind")
     if kind in _TRUTH_KEYS:
         _check_keys(spec, _TRUTH_KEYS[kind], f"truth (kind {kind!r})")
     if kind == "identity":
         return np.eye(p), 0.0, None, "identity"
     if kind == "banded":
-        band = _check_int(spec["band"], "truth.band")
+        band = _check_int(_required(spec, "band", "truth"), "truth.band")
         value = _finite(spec.get("scale", 1.0), "truth.scale") * math.sqrt(math.log(p) / n)
         sigma = banded_sigma(p, band, value)
         return sigma, 0.0, float(2 * band), f"banded(band={band},value={value:.6g})"
     if kind == "decay":
-        amplitude = _finite(spec["amplitude"], "truth.amplitude")
-        exponent = _finite(spec["exponent"], "truth.exponent")
+        amplitude = _finite(_required(spec, "amplitude", "truth"), "truth.amplitude")
+        exponent = _finite(_required(spec, "exponent", "truth"), "truth.exponent")
         if not exponent > 1.0:
             raise ConfigError(f"truth.exponent must exceed 1, got {exponent}")
         sigma = toeplitz_decay_sigma(p, amplitude, exponent)
@@ -132,8 +132,8 @@ def materialize_truth(spec: dict, n: int, p: int):
     if kind == "fstar":
         cfg = build_config(
             p, n,
-            _check_real(spec["q"], "truth.q"),
-            _check_real(spec["c"], "truth.c"),
+            _check_real(_required(spec, "q", "truth"), "truth.q"),
+            _check_real(_required(spec, "c", "truth"), "truth.c"),
             _check_real(spec.get("upsilon", DEFAULT_UPSILON), "truth.upsilon"),
         )
         theta_seed = _check_int(spec.get("theta_seed", 0), "truth.theta_seed")
@@ -193,11 +193,13 @@ def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
     return replace(est, corrections=est.corrections + ("bregman-guard",))
 
 
-def _run_cell(
-    truth: _Symmetric, estimators, losses, n, replicates, seed, *, index, model, q, c
-) -> list[RiskRecord]:
-    """The pipeline of grid cell ``index`` of :func:`run_grid`.
+def _run_cell(truth: _Symmetric, estimators, specs, losses, n, replicates, seed):
+    """The replicate loop of one grid cell: ``(losses, seconds)``, the
+    (estimator, loss, replicate) array of losses, nan where a loss raised
+    DomainError, and the wall time of the loop.
 
+    ``specs[ei][li]`` is the :func:`_guarded` spec of ``estimators[ei]``
+    under ``losses[li]``, which :func:`run_grid` decides once per grid.
     The truth arrives validated and wrapped in a :class:`_Symmetric` by the
     caller, which hands it over: the cell neither copies it nor keeps any
     other copy.  It is eigendecomposed once; that decomposition gives both
@@ -207,20 +209,17 @@ def _run_cell(
     applies each estimator once to its sample covariance, which the cell
     owns and releases after the last estimator has read it, before the
     losses of that estimate run.  Every loss scores that estimate, except
-    that Stein and von Neumann losses score the guard of it, which is bit
-    for bit the :func:`_guarded` spec.  The truth, each sample covariance
+    that a loss whose spec adds the guard scores the guard of it, which is
+    bit for bit that spec's estimate.  The truth, each sample covariance
     and each estimate travel as :class:`_Symmetric`, which the public
     kernels take as already validated: they are exactly symmetric by
     construction, so the cell validates nothing after its truth.  Each
     estimate is eigendecomposed at most once, by whichever of the PSD
-    projection, the guard or a Bregman loss needs it first.  Records come in
-    (estimator, loss) order.
+    projection, the guard or a Bregman loss needs it first.
     """
     truth.root  # taken now, while the decomposition it is built from is held
     if all(loss.kind != "bregman" for loss in losses):
         del truth.eigen  # no loss reads it again; frees p x p for the replicates
-    # specs[ei][li] is estimators[ei] itself unless the loss adds the guard
-    specs = [[_guarded(est, loss) for loss in losses] for est in estimators]
     results = np.full((len(estimators), len(losses), replicates), np.nan)
 
     started = time.perf_counter()
@@ -240,43 +239,10 @@ def _run_cell(
                         loss, estimate if specs[ei][li] is est else guarded, truth
                     )
                 except DomainError:
-                    pass  # leaves nan; counted below
+                    pass  # leaves nan; counted by run_grid
             # free both before the next estimate is built; keeps peak RSS down
             del estimate, guarded
-    elapsed = time.perf_counter() - started
-
-    records = []
-    for ei, li in itertools.product(range(len(estimators)), range(len(losses))):
-        cell_id = f"cell-{index:03d}-e{ei}-l{li}"
-        good = results[ei, li][~np.isnan(results[ei, li])]
-        failures = replicates - good.size
-        if failures > FAILURE_RATE_LIMIT * replicates:
-            raise CellError(
-                f"cell {cell_id}: {failures}/{replicates} replicates failed the loss"
-            )
-        std_error = (
-            float(np.std(good, ddof=1)) / math.sqrt(good.size) if good.size > 1 else 0.0
-        )
-        records.append(
-            RiskRecord(
-                cell_id=cell_id,
-                model=model,
-                n=n,
-                p=truth.matrix.shape[0],
-                q=q,
-                c=c,
-                estimator=specs[ei][li],
-                loss=losses[li],
-                replicates=replicates,
-                mean_risk=float(np.mean(good)),
-                std_error=std_error,
-                median_risk=statistics.median(good.tolist()),  # np.median loads numpy.ma
-                failures=failures,
-                seed=seed,
-                wall_time=elapsed,
-            )
-        )
-    return records
+    return results, time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +392,7 @@ def _grid_cells(config: dict, min_n: int) -> list[tuple[int, int]]:
     for i, cell in enumerate(cells):
         _check_keys(cell, ("n", "p"), f"cells[{i}]")
     sizes = [
-        (_check_int(cell["n"], f"cells[{i}].n"), _check_int(cell["p"], f"cells[{i}].p"))
+        tuple(_check_int(_required(cell, k, f"cells[{i}]"), f"cells[{i}].{k}") for k in "np")
         for i, cell in enumerate(cells)
     ]
     # before the memory model reads them: a negative p is no large cell
@@ -500,14 +466,20 @@ def _grid_seed(value) -> RngSeed:
 def run_grid(config: dict) -> GridResult:
     """Run every (cell, estimator, loss) combination of a grid config.
 
-    Stein and von Neumann loss cells get the bregman-guard correction added
-    to their estimator when absent, since those losses are undefined on a
-    singular estimate.  Each replicate's data draw and each estimate are
-    shared by every estimator/loss combination of a cell, pairing the
-    comparisons.  A key that no reader reads raises SchemaError, a cell too
-    small for its specs (see :func:`_grid_cells`) raises ConfigError, and a
-    largest cell whose :func:`_cell_bytes` exceeds physical memory raises
-    BudgetError, all before the first cell runs.
+    The grid decides each (estimator, loss) pair's spec once, by
+    :func:`_guarded`: Stein and von Neumann losses get the bregman-guard
+    correction added to their estimator when absent, since those losses are
+    undefined on a singular estimate.  Each replicate's data draw and each
+    estimate are shared by every estimator/loss combination of a cell,
+    pairing the comparisons.  A key that no reader reads raises
+    SchemaError, a cell too small for its specs (see :func:`_grid_cells`)
+    raises ConfigError, and a largest cell whose :func:`_cell_bytes` exceeds
+    physical memory raises BudgetError, all before the first cell runs.
+
+    Each cell's :func:`_run_cell` losses become its records here, in
+    (estimator, loss) order, as soon as the cell is done: a pair whose
+    losses failed on more than ``FAILURE_RATE_LIMIT`` of the replicates
+    raises CellError before the next cell runs.
     """
     _check_keys(config, _GRID_KEYS, "grid config")
     truth_spec = config.get("truth")
@@ -521,10 +493,9 @@ def run_grid(config: dict) -> GridResult:
     losses = _grid_specs(config, "losses", LossSpec.from_json)
     if not estimators or not losses:
         raise ConfigError("grid config needs estimators and losses")
-    guard = any(
-        "bregman-guard" in _guarded(est, loss).corrections
-        for est in estimators for loss in losses
-    )
+    # specs[ei][li] is estimators[ei] itself unless losses[li] adds the guard
+    specs = [[_guarded(est, loss) for loss in losses] for est in estimators]
+    guard = any("bregman-guard" in spec.corrections for row in specs for spec in row)
     cells = _grid_cells(config, min_n=2 if guard else 1)
     replicates = _check_int(config.get("replicates", 0), "replicates")
     if replicates < 1:
@@ -544,24 +515,50 @@ def run_grid(config: dict) -> GridResult:
         sigma, q, c, label = materialize_truth(truth_spec, n, p)
         truth = _symmetric(sigma)
         del sigma  # the cell holds the validated copy only
-        records += _run_cell(
-            truth, estimators, losses, n, replicates, master.substream(ci),
-            index=ci, model=label, q=q, c=c,
-        )
+        seed = master.substream(ci)
+        results, seconds = _run_cell(truth, estimators, specs, losses, n, replicates, seed)
         del truth  # nor beside the next cell's truth
+        for ei, li in np.ndindex(results.shape[:2]):
+            cell_id = f"cell-{ci:03d}-e{ei}-l{li}"
+            good = results[ei, li][~np.isnan(results[ei, li])]
+            failures = replicates - good.size
+            if failures > FAILURE_RATE_LIMIT * replicates:
+                raise CellError(
+                    f"cell {cell_id}: {failures}/{replicates} replicates failed the loss"
+                )
+            std_error = (
+                float(np.std(good, ddof=1)) / math.sqrt(good.size) if good.size > 1 else 0.0
+            )
+            records.append(
+                RiskRecord(
+                    cell_id=cell_id,
+                    model=label,
+                    n=n,
+                    p=p,
+                    q=q,
+                    c=c,
+                    estimator=specs[ei][li],
+                    loss=losses[li],
+                    replicates=replicates,
+                    mean_risk=float(np.mean(good)),
+                    std_error=std_error,
+                    median_risk=statistics.median(good.tolist()),  # np.median loads numpy.ma
+                    failures=failures,
+                    seed=seed,
+                    wall_time=seconds,
+                )
+            )
 
     fits = []
-    n_est = len(estimators)
-    n_loss = len(losses)
-    for ei in range(n_est):
-        for li in range(n_loss):
-            group = records[ei * n_loss + li :: n_est * n_loss]
-            qs = {r.q for r in group}
-            target = _default_target(losses[li], qs.pop() if len(qs) == 1 else None)
-            entry = {"estimator": ei, "loss": li, "fit": None, "error": None}
-            try:
-                entry["fit"] = rate_fit(group, target_exponent=target)
-            except FitError as exc:
-                entry["error"] = str(exc)
-            fits.append(entry)
+    pairs = len(estimators) * len(losses)
+    for ei, li in np.ndindex(len(estimators), len(losses)):
+        group = records[ei * len(losses) + li :: pairs]
+        qs = {r.q for r in group}
+        target = _default_target(losses[li], qs.pop() if len(qs) == 1 else None)
+        entry = {"estimator": ei, "loss": li, "fit": None, "error": None}
+        try:
+            entry["fit"] = rate_fit(group, target_exponent=target)
+        except FitError as exc:
+            entry["error"] = str(exc)
+        fits.append(entry)
     return GridResult(records=records, fits=fits)

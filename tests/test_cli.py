@@ -147,6 +147,39 @@ def test_estimate_corrections_write_what_apply_estimator_returns(tmp_path, flags
     assert out.read_bytes() != plain.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "samples, rule, gamma", [(120, "hard", 2.0), (10, "soft", 0.5)],
+    ids=["guard-keeps", "guard-trips"],
+)
+def test_estimate_summary_reads_the_guards_spectrum(
+    tmp_path, monkeypatch, capsys, samples, rule, gamma
+):
+    # the guard decomposes the estimate, and the identity it trips to comes
+    # decomposed: the summary's least eigenvalue costs no second eigensolver
+    data = tmp_path / "data.csv"
+    save_data_csv(data, sample_gaussian(banded_sigma(15, 2, 0.3), samples, RngSeed(42)))
+    spec = EstimatorSpec(rule=rule, gamma=gamma, corrections=("bregman-guard",))
+    estimate = apply_estimator(mle_covariance(load_data_csv(data)), spec, samples)
+    assert np.array_equal(estimate, np.eye(15)) == (samples == 10)
+    off = ~np.eye(15, dtype=bool)
+    want = [
+        f"off-diagonal entries kept: {np.count_nonzero(estimate[off]) / off.sum():.4f}",
+        f"min eigenvalue: {float(np.min(np.linalg.eigvalsh(estimate))):.6g}",
+    ]
+
+    calls = []
+
+    def counting(solver):
+        return lambda *args, **kwargs: calls.append(solver.__name__) or solver(*args, **kwargs)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    args = ["--rule", rule, "--gamma", str(gamma), "--bregman-guard"]
+    assert main(["estimate", "--data", str(data), *args]) == 0
+    assert calls == ["eigh"]
+    assert capsys.readouterr().out.splitlines()[1:] == want
+
+
 @pytest.mark.parametrize("source, validations", [("data", 0), ("covariance", 1)])
 @pytest.mark.parametrize(
     "flags, corrections",
@@ -603,6 +636,26 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
          "truth.theta_seed: seed must be a uint64, got -1"),
         ({"truth": {"kind": "fstar", "q": 0, "c": 4, "theta_seed": 2**64}},
          f"truth.theta_seed: seed must be a uint64, got {2**64}"),
+        # corrections are an array of strings, not a number or one string
+        ({"estimators": [{"rule": "hard", "corrections": 5}]},
+         "estimators[0].corrections must be an array of strings, got 5"),
+        ({"estimators": [{"rule": "hard", "corrections": "psd-project"}]},
+         "estimators[0].corrections must be an array of strings, got 'psd-project'"),
+        # a kind is a string, not an array or an object
+        ({"losses": [{"kind": ["operator"]}]}, "losses[0].kind must be a string, got ['operator']"),
+        ({"losses": [{"kind": {"operator": 2}}]},
+         "losses[0].kind must be a string, got {'operator': 2}"),
+        ({"truth": {"kind": ["banded"], "band": 2}},
+         "truth.kind must be a string, got ['banded']"),
+        ({"truth": {"kind": {"banded": 2}}}, "truth.kind must be a string, got {'banded': 2}"),
+        # a required key left out is named with its path
+        ({"truth": {"kind": "banded"}}, "truth.band is required"),
+        ({"cells": [{"n": 20, "p": 10}, {"p": 10}]}, "cells[1].n is required"),
+        ({"cells": [{"n": 20}]}, "cells[0].p is required"),
+        ({"truth": {"kind": "fstar", "c": 4}}, "truth.q is required"),
+        ({"truth": {"kind": "fstar", "q": 0}}, "truth.c is required"),
+        ({"truth": {"kind": "decay", "amplitude": 0.3}}, "truth.exponent is required"),
+        ({"truth": {"band": 2}}, "truth.kind is required"),
     ],
     ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
          "target-exponent", "value-and-scale", "theta-and-theta-seed",
@@ -611,7 +664,10 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
          "late-cell-n-one-guarded", "second-estimator-gamma", "second-estimator-key",
          "second-loss-key", "second-loss-w", "estimators-object",
          "second-estimator-gamma-value", "second-loss-w-value", "decay-exponent",
-         "theta-seed-negative", "theta-seed-too-large"],
+         "theta-seed-negative", "theta-seed-too-large", "corrections-number",
+         "corrections-string", "loss-kind-array", "loss-kind-object", "truth-kind-array",
+         "truth-kind-object", "banded-no-band", "cell-no-n", "cell-no-p", "fstar-no-q",
+         "fstar-no-c", "decay-no-exponent", "truth-no-kind"],
 )
 def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2

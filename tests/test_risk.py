@@ -15,6 +15,7 @@ import pytest
 
 import sparsecov
 import sparsecov.matrices as matrices_module
+import sparsecov.risk as risk_module
 from sparsecov.errors import CellError, ConfigError, DomainError, FitError, SchemaError
 from sparsecov.estimators import EstimatorSpec
 from sparsecov.losses import LossSpec
@@ -276,19 +277,49 @@ def test_each_estimate_is_decomposed_once(monkeypatch):
 
 
 @pytest.mark.parametrize("coupling", [1.0, 1.0 - 1e-13], ids=["singular", "below-floor"])
-def test_truth_outside_the_domain_fails_the_cell(coupling):
+def test_truth_outside_the_domain_fails_the_cell(monkeypatch, coupling):
     # PSD with smallest eigenvalue 1 - coupling, below the domain floor:
     # sampling works, the Stein loss is undefined at the truth
     sigma = np.eye(6)
     sigma[0, 1] = sigma[1, 0] = coupling
     with pytest.raises(DomainError, match="second argument"):
         evaluate_loss(STEIN, np.eye(6), sigma)
+    # no truth kind builds it, so the grid's builder is swapped for one that does
+    monkeypatch.setattr(
+        risk_module, "materialize_truth", lambda spec, n, p: (sigma, None, None, "near-singular")
+    )
+    cfg = {
+        "cells": [{"n": 40, "p": 6}], "truth": {"kind": "identity"},
+        "estimators": [GUARDED.to_json()], "losses": [STEIN.to_json()],
+        "replicates": 6, "seed": 5,
+    }
     # every replicate fails, not only the one that first decomposes the truth
     with pytest.raises(CellError, match="cell-000-e0-l0: 6/6 replicates failed"):
-        _run_cell(
-            _Symmetric(as_symmetric(sigma)), [GUARDED], [STEIN], 40, 6, RngSeed(5),
-            index=0, model="near-singular", q=None, c=None,
-        )
+        run_grid(cfg)
+
+
+def test_each_pair_is_guarded_once_per_grid(monkeypatch):
+    calls = []
+    guarded = risk_module._guarded
+
+    def counting_guarded(est, loss):
+        calls.append((est, loss))
+        return guarded(est, loss)
+
+    monkeypatch.setattr(risk_module, "_guarded", counting_guarded)
+    cfg = grid_config(
+        estimators=[{"rule": "hard"}, {"rule": "soft", "corrections": ["psd-project"]}],
+        losses=[{"kind": "operator", "w": 2}, {"kind": "bregman", "phi": "stein"}],
+        cells=[{"n": 40, "p": 10}, {"n": 80, "p": 20}, {"n": 160, "p": 40}],
+        replicates=2,
+    )
+    records = run_grid(cfg).records
+    assert len(records) == 3 * 2 * 2
+    # one call per (estimator, loss) pair, not one more per cell
+    assert len(calls) == 2 * 2
+    assert [rec.estimator for rec in records[:4]] == [
+        guarded(est, loss) for est, loss in calls
+    ]
 
 
 def test_cell_memory_is_bounded_by_five_matrices():
@@ -309,9 +340,7 @@ def test_cell_memory_is_bounded_by_five_matrices():
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        _run_cell(
-            truth, [HARD], [OP2], p, 3, RngSeed(1), index=0, model="banded", q=None, c=None,
-        )
+        _run_cell(truth, [HARD], [[HARD]], [OP2], p, 3, RngSeed(1))
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
