@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 # Home module of every public name.
 _HOMES = {
     "errors": (
-        "AsymmetryError", "BudgetError", "CellError", "ConfigError", "DivergenceError",
-        "DomainError", "EigenError", "FitError", "NormOrderError", "NotPSDError",
-        "SchemaError", "SparseCovError", "StructureError",
+        "BudgetError", "ConfigError", "DomainError", "EigenError", "SchemaError",
+        "SparseCovError",
     ),
     "rng": ("RngSeed",),
     "matrices": (

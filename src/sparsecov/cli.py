@@ -24,23 +24,13 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .errors import (
-    BudgetError,
-    CellError,
-    ConfigError,
-    DivergenceError,
-    DomainError,
-    EigenError,
-    FitError,
-    SchemaError,
-    SparseCovError,
-)
+from .errors import BudgetError, ConfigError, DomainError, EigenError, SchemaError, SparseCovError
 from .lower_bound import CHI_SQUARE_TARGET, certify
 from .model_spaces import DEFAULT_UPSILON, build_config
 from .rng import RngSeed
 
 
-def _write_manifest(out_path: str, command: str, argv, started: float, outputs):
+def _write_manifest(out_path: str, command: str, argv, started: float):
     """Record how a result was produced, next to the primary output.
 
     The manifest carries timestamps and timings, so it is the one output
@@ -65,13 +55,11 @@ def _write_manifest(out_path: str, command: str, argv, started: float, outputs):
         },
         "started_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - started,
-        "outputs": list(outputs),
+        "outputs": [out_path],
     }
-    path = f"{out_path}.manifest.json"
-    with open(path, "w") as fh:
+    with open(f"{out_path}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return path
 
 
 def _estimator_from_args(args):
@@ -95,7 +83,7 @@ def cmd_estimate(args, argv) -> int:
     started = time.perf_counter()
     import numpy as np
 
-    from .estimators import _apply_estimator, threshold_level
+    from .estimators import _corrected, threshold_estimate, threshold_level
     from .matrices import _Symmetric, load_matrix_csv, save_matrix_csv
     from .sampling import load_data_csv, mle_covariance
 
@@ -113,12 +101,14 @@ def cmd_estimate(args, argv) -> int:
         n = args.n
         sstar = load_matrix_csv(args.covariance)  # validated as it is read
     spec = _estimator_from_args(args)
-    # the one wrap: neither the estimator nor the writer validates it again
-    result = _apply_estimator(_Symmetric(sstar), spec, n)
+    # wrapped, not validated: neither the estimator nor the writer checks it again
+    thresholded = threshold_estimate(_Symmetric(sstar), spec, n)
+    # what the threshold kept, before a correction fills or replaces it
+    kept = np.count_nonzero(thresholded) - np.count_nonzero(np.diagonal(thresholded))
+    result = _corrected(_Symmetric(thresholded), spec, n)
     estimate = result.matrix
     p = estimate.shape[0]
     t = threshold_level(p, n, spec.gamma)
-    kept = np.count_nonzero(estimate) - np.count_nonzero(np.diagonal(estimate))
     # a guard or a projection that clipped nothing leaves the spectrum in the carrier
     if "eigen" in vars(result):
         least = float(result.eigen.eigenvalues[-1])
@@ -127,11 +117,9 @@ def cmd_estimate(args, argv) -> int:
     print(f"p={p} n={n} rule={spec.rule} gamma={spec.gamma:g} threshold={t:.6g}")
     print(f"off-diagonal entries kept: {kept / max(p * p - p, 1):.4f}")
     print(f"min eigenvalue: {least:.6g}")
-    outputs = []
     if args.out:
         save_matrix_csv(args.out, result)
-        outputs.append(args.out)
-        outputs.append(_write_manifest(args.out, "estimate", argv, started, outputs))
+        _write_manifest(args.out, "estimate", argv, started)
         print(f"wrote {args.out}")
     return 0
 
@@ -167,11 +155,9 @@ def cmd_simulate(args, argv) -> int:
             f"fit e{entry['estimator']}/l{entry['loss']}: "
             f"slope={fit.slope:.4f} r2={fit.r_squared:.4f}{target}"
         )
-    outputs = []
     if args.out:
         export_records(result.records, args.out)
-        outputs.append(args.out)
-        outputs.append(_write_manifest(args.out, "simulate", argv, started, outputs))
+        _write_manifest(args.out, "simulate", argv, started)
         print(f"wrote {args.out}")
     return 0
 
@@ -218,7 +204,7 @@ def cmd_lowerbound(args, argv) -> int:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        _write_manifest(args.out, "lowerbound", argv, started, [args.out])
+        _write_manifest(args.out, "lowerbound", argv, started)
         print(f"wrote {args.out}")
     return 0
 
@@ -275,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 # row whose classes match the raised error decides.  Anything else propagates.
 _EXIT_CODES = (
     ((BudgetError, MemoryError), 4, "budget exceeded: "),
-    ((DomainError, DivergenceError, EigenError, CellError, FitError), 3, ""),
+    ((DomainError, EigenError), 3, ""),
     ((SparseCovError, OSError, ValueError, KeyError), 2, ""),
 )
 _MAPPED_ERRORS = tuple(cls for classes, _, _ in _EXIT_CODES for cls in classes)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the JSON readers that raise them."""
+"""Exception types, one per way the code handles an error, and the JSON
+readers that raise them."""
 
 from dataclasses import field, fields
 
@@ -7,41 +8,23 @@ class SparseCovError(Exception):
     """Base class for all package-specific errors."""
 
 
-class AsymmetryError(SparseCovError, ValueError):
-    """Input matrix is too far from symmetric to repair by averaging."""
-
-
 class EigenError(SparseCovError, RuntimeError):
     """Symmetric eigensolver failed to converge."""
 
 
-class NormOrderError(SparseCovError, ValueError):
-    """Operator norm requested for an order without an exact formula."""
-
-
 class DomainError(SparseCovError, ValueError):
-    """A scalar map or divergence was evaluated outside its domain."""
-
-
-class NotPSDError(DomainError):
-    """Matrix expected to be positive semidefinite is not."""
+    """A computation left its domain: a loss, divergence or chi-square that is
+    not finite, a matrix not PSD, a failed grid cell or a degenerate rate fit."""
 
 
 class ConfigError(SparseCovError, ValueError):
-    """Invalid or infeasible configuration parameters."""
-
-
-class StructureError(SparseCovError, ValueError):
-    """Object violates a required combinatorial or structural constraint."""
+    """Invalid or infeasible input: a parameter, a matrix too asymmetric to
+    average, a norm order with no exact formula, or a malformed family member."""
 
 
 class BudgetError(SparseCovError, RuntimeError):
     """A computation would exceed its budget: the memory a grid cell needs,
     or the objects an exact enumeration would visit."""
-
-
-class DivergenceError(SparseCovError, ArithmeticError):
-    """A chi-square envelope or integral is not finite."""
 
 
 class SchemaError(SparseCovError, ValueError):
@@ -123,11 +106,3 @@ def _from_json(cls, obj, where: str):
         key: value if readers[key] is None else readers[key](value, f"{where}.{key}")
         for key, value in obj.items()
     })
-
-
-class FitError(SparseCovError, ValueError):
-    """Regression input is degenerate or under-determined."""
-
-
-class CellError(SparseCovError, RuntimeError):
-    """Too many replicate failures inside one simulation cell."""

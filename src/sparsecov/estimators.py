@@ -172,7 +172,12 @@ def apply_estimator(sigma_star, spec: EstimatorSpec, n: int) -> np.ndarray:
 
 def _apply_estimator(sample: _Symmetric, spec: EstimatorSpec, n: int) -> _Symmetric:
     """:func:`apply_estimator` of a sample covariance the pipeline carries."""
-    out = _Symmetric(threshold_estimate(sample, spec, n))
+    return _corrected(_Symmetric(threshold_estimate(sample, spec, n)), spec, n)
+
+
+def _corrected(out: _Symmetric, spec: EstimatorSpec, n: int) -> _Symmetric:
+    """The corrections half of :func:`_apply_estimator`, for a caller that
+    reads the thresholded estimate ``out`` before they run."""
     for correction in spec.corrections:
         out = _psd_project(out) if correction == "psd-project" else _bregman_guard(out, n)
     return out

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DomainError
 from .model_spaces import LeastFavorableConfig, _fewest_free_columns
 
 CHI_SQUARE_TARGET = 0.75
@@ -94,7 +94,7 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> float:
     ------
     ConfigError
         If the family is empty (k > r).
-    DivergenceError
+    DomainError
         If rho >= 1, if some base 1 - eps^2 (j + k delta) is not positive, or
         if a term base^(-n) overflows a float, where no finite envelope
         follows.
@@ -105,17 +105,17 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> float:
     pmf = overlap_fractions(k, p_lambda_min)
     rho = 2.0 * k * k * eps2
     if rho >= 1.0:
-        raise DivergenceError(f"rho = 2 k^2 epsilon^2 = {rho:.6g} >= 1; envelope diverges")
+        raise DomainError(f"rho = 2 k^2 epsilon^2 = {rho:.6g} >= 1; envelope diverges")
     delta = rho / (1.0 - rho)
     bases = [1.0 - eps2 * (j + k * delta) for j in range(k + 1)]
     if min(bases) <= 0.0:
-        raise DivergenceError(
+        raise DomainError(
             f"1 - epsilon^2 (k + k delta) = {min(bases):.6g} <= 0; envelope diverges"
         )
     try:
         return math.fsum(float(pj) * base ** (-n) for pj, base in zip(pmf, bases)) - 1.0
     except OverflowError as exc:
-        raise DivergenceError(
+        raise DomainError(
             f"(1 - epsilon^2 (k + k delta))^(-n) overflows at n = {n}, "
             f"base {min(bases):.6g}; envelope diverges"
         ) from exc
@@ -171,7 +171,7 @@ def closed_form_chi_square(cfg: LeastFavorableConfig) -> float:
     ------
     ConfigError
         If k is not 1.
-    DivergenceError
+    DomainError
         If 1 - eps^2 u <= 0 or 1 - eps^2 / (1 - eps^2 u) <= 0 for a usage u
         the family reaches: a cross-product integral is then not finite.
         Also if (1 - eps^2 / (1 - eps^2 u))^(-n) overflows a float.
@@ -184,14 +184,14 @@ def closed_form_chi_square(cfg: LeastFavorableConfig) -> float:
     def f(u: int) -> float:
         base = 1.0 - eps2 * u
         if base <= 0.0 or 1.0 - eps2 / base <= 0.0:
-            raise DivergenceError(
+            raise DomainError(
                 f"cross-product integral diverges at column usage {u}: "
                 f"eps^2 = {eps2:.6g}"
             )
         try:
             return (1.0 - eps2 / base) ** (-cfg.n) - 1.0
         except OverflowError as exc:
-            raise DivergenceError(
+            raise DomainError(
                 f"cross-product integral overflows at column usage {u}: "
                 f"n = {cfg.n}, base {1.0 - eps2 / base:.6g}"
             ) from exc
@@ -242,7 +242,7 @@ def certify(cfg: LeastFavorableConfig) -> Certificate:
     ------
     ConfigError
         If the family is empty (k > r).
-    DivergenceError
+    DomainError
         If a cross-product integral, or the envelope, is not finite.
     """
     alpha = (cfg.k * cfg.epsilon) ** 2 / cfg.p

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AsymmetryError, EigenError, NormOrderError, NotPSDError
+from .errors import ConfigError, DomainError, EigenError
 
 # Asymmetry beyond rtol * (1 + max |entry|) is treated as a caller bug, not noise.
 ASYMMETRY_RTOL = 1e-12
@@ -47,7 +47,7 @@ def as_symmetric(a) -> np.ndarray:
 
     Raises
     ------
-    AsymmetryError
+    ConfigError
         If the worst asymmetry ``max |A - A.T|`` exceeds the tolerance.
     ValueError
         If the input is not a square 2-d array of finite reals.
@@ -64,7 +64,7 @@ def as_symmetric(a) -> np.ndarray:
     gap = float(np.max(np.abs(buf, out=buf)))
     tol = ASYMMETRY_RTOL * (1.0 + float(np.max(np.abs(arr, out=buf))))
     if gap > tol:
-        raise AsymmetryError(
+        raise ConfigError(
             f"matrix asymmetry {gap:.3e} exceeds tolerance {tol:.3e}; "
             "symmetrize explicitly if this is intended"
         )
@@ -114,14 +114,14 @@ class _Symmetric:
 
         Raises
         ------
-        NotPSDError
+        DomainError
             If the smallest eigenvalue is materially negative.
         """
         eig = self.eigen
         scale = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
         lo = float(eig.eigenvalues[-1])
         if lo < -PSD_RTOL * max(scale, 1.0):
-            raise NotPSDError(
+            raise DomainError(
                 f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}"
             )
         return _from_eigen(eig.eigenvectors, np.sqrt(np.clip(eig.eigenvalues, 0.0, None)))
@@ -163,7 +163,7 @@ def operator_norm(a, w) -> float:
 
     Raises
     ------
-    NormOrderError
+    ConfigError
         For any other order.  For symmetric A, Riesz-Thorin interpolation
         makes ``operator_norm(A, 1)`` an upper bound at every order in
         [1, inf].
@@ -173,7 +173,7 @@ def operator_norm(a, w) -> float:
         return float(np.max(np.sum(np.abs(mat), axis=0)))
     if w in (2, 2.0):
         return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-    raise NormOrderError(
+    raise ConfigError(
         f"no exact formula for operator norm of order {w!r}; "
         "for symmetric input the order-1 norm bounds every order in [1, inf]"
     )

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, StructureError
+from .errors import ConfigError
 from .rng import RngSeed
 
 if TYPE_CHECKING:
@@ -191,28 +191,28 @@ def _overused_column(rows, k: int) -> tuple[int, int] | None:
 
 
 def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:
-    """Raise StructureError naming the first violated constraint."""
+    """Raise ConfigError naming the first violated constraint."""
     if len(theta.gamma) != cfg.r:
-        raise StructureError(
+        raise ConfigError(
             f"gamma has length {len(theta.gamma)}, expected r = {cfg.r}"
         )
     if any(g not in (0, 1) for g in theta.gamma):
-        raise StructureError("gamma entries must be 0 or 1")
+        raise ConfigError("gamma entries must be 0 or 1")
     if len(theta.rows) != cfg.r:
-        raise StructureError(f"expected {cfg.r} row patterns, got {len(theta.rows)}")
+        raise ConfigError(f"expected {cfg.r} row patterns, got {len(theta.rows)}")
     support = cfg.support_columns
     for m, row in enumerate(theta.rows):
         if len(row) != cfg.k:
-            raise StructureError(
+            raise ConfigError(
                 f"row pattern {m} has {len(row)} indices, expected k = {cfg.k}"
             )
         if len(set(row)) != len(row):
-            raise StructureError(f"row pattern {m} repeats a column index")
+            raise ConfigError(f"row pattern {m} repeats a column index")
         if tuple(sorted(row)) != tuple(row):
-            raise StructureError(f"row pattern {m} is not sorted")
+            raise ConfigError(f"row pattern {m} is not sorted")
         for j in row:
             if j not in support:
-                raise StructureError(
+                raise ConfigError(
                     f"row pattern {m} uses column {j} outside "
                     f"[{support.start}, {support.stop})"
                 )
@@ -220,7 +220,7 @@ def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:
     if over is not None:
         j, used = over
         cap = _column_cap(cfg.k)
-        raise StructureError(f"column {j} appears in {used} row patterns, cap is 2k = {cap}")
+        raise ConfigError(f"column {j} appears in {used} row patterns, cap is 2k = {cap}")
 
 
 def materialize_sigma(cfg: LeastFavorableConfig, theta: ThetaIndex) -> np.ndarray:

@@ -30,8 +30,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import (
-    BudgetError, CellError, ConfigError, DomainError, FitError, SchemaError, _check_int,
-    _check_keys, _check_real, _check_str, _required,
+    BudgetError, ConfigError, DomainError, SchemaError, _check_int, _check_keys, _check_real,
+    _check_str, _required,
 )
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, evaluate_loss
@@ -51,10 +51,14 @@ FAILURE_RATE_LIMIT = 0.01
 # truth builders
 
 
-def banded_sigma(p: int, band: int, value: float) -> np.ndarray:
-    """Unit diagonal with a constant value on the first ``band`` off-diagonals."""
+def _check_band(p: int, band: int) -> None:
     if p < 2 or band < 0 or band >= p:
         raise ConfigError(f"invalid banded truth: p={p}, band={band}")
+
+
+def banded_sigma(p: int, band: int, value: float) -> np.ndarray:
+    """Unit diagonal with a constant value on the first ``band`` off-diagonals."""
+    _check_band(p, band)
     sigma = np.eye(p)
     for offset in range(1, band + 1):
         idx = np.arange(p - offset)
@@ -103,46 +107,64 @@ def materialize_truth(spec: dict, n: int, p: int):
     path, such as ``truth.band``):
 
     - ``identity``: none
-    - ``banded``: the integer ``band``, and ``scale`` (default 1), the
-      off-diagonal value in units of sqrt(log p / n)
+    - ``banded``: the integer ``band``, below p, and ``scale`` (default 1),
+      the off-diagonal value in units of sqrt(log p / n)
     - ``decay``: ``amplitude`` and ``exponent`` > 1; q is 1/exponent and c
       is the realized maximal column weak-lq radius
     - ``fstar``: ``q``, ``c``, ``upsilon`` (default ``DEFAULT_UPSILON``) and
       the integer ``theta_seed`` (default 0) of a uniform member draw
     """
+    return _truth_reader(spec)(n, p)()
+
+
+def _truth_reader(spec: dict):
+    """:func:`materialize_truth` split at its cell: reads the spec once and
+    returns ``at(n, p)``, which checks the band or ``build_config`` at the
+    cell and returns the function that builds the cell's truth."""
     kind = _check_str(_required(spec, "kind", "truth"), "truth.kind")
     if kind in _TRUTH_KEYS:
         _check_keys(spec, _TRUTH_KEYS[kind], f"truth (kind {kind!r})")
     if kind == "identity":
-        return np.eye(p), 0.0, None, "identity"
+        return lambda n, p: lambda: (np.eye(p), 0.0, None, "identity")
     if kind == "banded":
         band = _check_int(_required(spec, "band", "truth"), "truth.band")
-        value = _finite(spec.get("scale", 1.0), "truth.scale") * math.sqrt(math.log(p) / n)
-        sigma = banded_sigma(p, band, value)
-        return sigma, 0.0, float(2 * band), f"banded(band={band},value={value:.6g})"
+        scale = _finite(spec.get("scale", 1.0), "truth.scale")
+
+        def banded(n, p):
+            _check_band(p, band)
+            value = scale * math.sqrt(math.log(p) / n)
+            label = f"banded(band={band},value={value:.6g})"
+            return lambda: (banded_sigma(p, band, value), 0.0, float(2 * band), label)
+
+        return banded
     if kind == "decay":
         amplitude = _finite(_required(spec, "amplitude", "truth"), "truth.amplitude")
         exponent = _finite(_required(spec, "exponent", "truth"), "truth.exponent")
         if not exponent > 1.0:
             raise ConfigError(f"truth.exponent must exceed 1, got {exponent}")
-        sigma = toeplitz_decay_sigma(p, amplitude, exponent)
-        q = 1.0 / exponent
-        radius = np.max(_column_radii(sigma, q))
-        return sigma, q, float(radius), f"decay(a={amplitude:.6g},e={exponent:.6g})"
+
+        def decay(p):
+            sigma = toeplitz_decay_sigma(p, amplitude, exponent)
+            q = 1.0 / exponent
+            radius = np.max(_column_radii(sigma, q))
+            return sigma, q, float(radius), f"decay(a={amplitude:.6g},e={exponent:.6g})"
+
+        return lambda n, p: lambda: decay(p)
     if kind == "fstar":
-        cfg = build_config(
-            p, n,
-            _check_real(_required(spec, "q", "truth"), "truth.q"),
-            _check_real(_required(spec, "c", "truth"), "truth.c"),
-            _check_real(spec.get("upsilon", DEFAULT_UPSILON), "truth.upsilon"),
-        )
+        q, c = (_check_real(_required(spec, key, "truth"), f"truth.{key}") for key in "qc")
+        upsilon = _check_real(spec.get("upsilon", DEFAULT_UPSILON), "truth.upsilon")
         theta_seed = _check_int(spec.get("theta_seed", 0), "truth.theta_seed")
         try:
             seed = RngSeed(theta_seed)
         except ValueError as exc:
             raise ConfigError(f"truth.theta_seed: {exc}") from exc
-        sigma = materialize_sigma(cfg, sample_theta(cfg, seed))
-        return sigma, cfg.q, cfg.c, f"fstar(q={cfg.q:.6g},c={cfg.c:.6g})"
+
+        def fstar(n, p):
+            cfg = build_config(p, n, q, c, upsilon)
+            label = f"fstar(q={cfg.q:.6g},c={cfg.c:.6g})"
+            return lambda: (materialize_sigma(cfg, sample_theta(cfg, seed)), cfg.q, cfg.c, label)
+
+        return fstar
     raise ConfigError(f"unknown truth kind {kind!r}")
 
 
@@ -265,20 +287,20 @@ def rate_fit(records, target_exponent: float | None = None) -> RateFit:
 
     Raises
     ------
-    FitError
+    DomainError
         With fewer than 3 cells, or when the regressor values log(p)/n span
         less than a factor of 4 end to end (too narrow to identify a slope).
     """
     recs = list(records)
     if len(recs) < 3:
-        raise FitError(f"rate fit needs at least 3 cells, got {len(recs)}")
+        raise DomainError(f"rate fit needs at least 3 cells, got {len(recs)}")
     xlin = np.array([math.log(r.p) / r.n for r in recs])
     if float(np.max(xlin)) / float(np.min(xlin)) < 4.0:
-        raise FitError(
+        raise DomainError(
             "regressor spread below factor 4; widen the (n, p) grid"
         )
     if any(r.mean_risk <= 0.0 for r in recs):
-        raise FitError("mean risks must be positive for a log-log fit")
+        raise DomainError("mean risks must be positive for a log-log fit")
     x = np.log(xlin)
     y = np.log(np.array([r.mean_risk for r in recs]))
     slope, intercept = np.polyfit(x, y, 1)
@@ -473,13 +495,15 @@ def run_grid(config: dict) -> GridResult:
     estimate are shared by every estimator/loss combination of a cell,
     pairing the comparisons.  A key that no reader reads raises
     SchemaError, a cell too small for its specs (see :func:`_grid_cells`)
-    raises ConfigError, and a largest cell whose :func:`_cell_bytes` exceeds
-    physical memory raises BudgetError, all before the first cell runs.
+    raises ConfigError, a largest cell whose :func:`_cell_bytes` exceeds
+    physical memory raises BudgetError, and a truth that some cell cannot
+    hold (see :func:`_truth_reader`) raises ConfigError naming the cell,
+    such as ``cells[2]: …``, all before the first cell runs.
 
     Each cell's :func:`_run_cell` losses become its records here, in
     (estimator, loss) order, as soon as the cell is done: a pair whose
     losses failed on more than ``FAILURE_RATE_LIMIT`` of the replicates
-    raises CellError before the next cell runs.
+    raises DomainError before the next cell runs.
     """
     _check_keys(config, _GRID_KEYS, "grid config")
     truth_spec = config.get("truth")
@@ -510,9 +534,18 @@ def run_grid(config: dict) -> GridResult:
             f"more than the {have / 1e9:.3g} GB of physical memory"
         )
 
-    records = []
+    # every cell's truth is checked, and none built, before the first cell runs
+    at = _truth_reader(truth_spec)
+    builders = []
     for ci, (n, p) in enumerate(cells):
-        sigma, q, c, label = materialize_truth(truth_spec, n, p)
+        try:
+            builders.append(at(n, p))
+        except ConfigError as exc:
+            raise ConfigError(f"cells[{ci}]: {exc}") from exc
+
+    records = []
+    for ci, ((n, p), build) in enumerate(zip(cells, builders)):
+        sigma, q, c, label = build()
         truth = _symmetric(sigma)
         del sigma  # the cell holds the validated copy only
         seed = master.substream(ci)
@@ -523,7 +556,7 @@ def run_grid(config: dict) -> GridResult:
             good = results[ei, li][~np.isnan(results[ei, li])]
             failures = replicates - good.size
             if failures > FAILURE_RATE_LIMIT * replicates:
-                raise CellError(
+                raise DomainError(
                     f"cell {cell_id}: {failures}/{replicates} replicates failed the loss"
                 )
             std_error = (
@@ -558,7 +591,7 @@ def run_grid(config: dict) -> GridResult:
         entry = {"estimator": ei, "loss": li, "fit": None, "error": None}
         try:
             entry["fit"] = rate_fit(group, target_exponent=target)
-        except FitError as exc:
+        except DomainError as exc:
             entry["error"] = str(exc)
         fits.append(entry)
     return GridResult(records=records, fits=fits)

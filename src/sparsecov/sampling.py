@@ -17,7 +17,7 @@ def sqrt_psd(sigma) -> np.ndarray:
 
     Raises
     ------
-    NotPSDError
+    DomainError
         If the smallest eigenvalue is materially negative.
     """
     return _symmetric(sigma).root

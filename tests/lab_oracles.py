@@ -36,7 +36,6 @@ import numpy as np
 from sparsecov.errors import (
     BudgetError,
     ConfigError,
-    DivergenceError,
     DomainError,
     SparseCovError,
 )
@@ -209,7 +208,7 @@ def exact_chi_square_small(
         If the number of integral evaluations would exceed the budget.
     ConfigError
         If the family is empty (k > r).
-    DivergenceError
+    DomainError
         If a cross-product integral is not finite.
     """
     r, k, eps, p = cfg.r, cfg.k, cfg.epsilon, cfg.p
@@ -256,7 +255,7 @@ def exact_chi_square_small(
         # integral is not finite.  The square det2 cannot show that.
         root = 1.0 - eps**2 * (a_mat @ w @ a_mat.T)
         if np.any(root <= 0.0):
-            raise DivergenceError(
+            raise DomainError(
                 "cross-product integral diverges inside exact enumeration: "
                 "1 - eps^2 a_i' W a_j <= 0"
             )
@@ -308,7 +307,7 @@ def cross_product_integral(s0, s1, s2) -> float:
     ------
     DomainError
         If S0, S1 or S2 is not positive definite.
-    DivergenceError
+    DomainError
         If M is not positive definite (integral diverges).
     """
     m0 = as_symmetric(s0)
@@ -322,14 +321,14 @@ def cross_product_integral(s0, s1, s2) -> float:
     inv0 = np.linalg.inv(m0)
     mid = np.linalg.inv(m1) + np.linalg.inv(m2) - inv0
     if float(np.min(np.linalg.eigvalsh(mid))) <= 0.0:
-        raise DivergenceError(
+        raise DomainError(
             "cross-product integral diverges: S1^-1 + S2^-1 - S0^-1 is not "
             "positive definite"
         )
     q = inv0 @ (m1 - m0) @ inv0 @ (m2 - m0)
     sign, logdet = np.linalg.slogdet(np.eye(m0.shape[0]) - q)
     if sign <= 0.0:
-        raise DivergenceError(
+        raise DomainError(
             "cross-product integral diverges: det(I - Q) is not positive"
         )
     return math.exp(-0.5 * logdet)

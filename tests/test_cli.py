@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sparsecov.estimators
 import sparsecov.lower_bound
 import sparsecov.matrices
 import sparsecov.model_spaces
@@ -18,22 +19,19 @@ import sparsecov.risk
 from sparsecov.cli import _EXIT_CODES, main
 from sparsecov.errors import (
     BudgetError,
-    CellError,
     ConfigError,
-    DivergenceError,
     DomainError,
     EigenError,
-    FitError,
-    NotPSDError,
     SchemaError,
     SparseCovError,
-    StructureError,
 )
 from sparsecov.estimators import EstimatorSpec, apply_estimator
 from sparsecov.matrices import load_matrix_csv, save_matrix_csv
+from sparsecov.lower_bound import chi_square_mixture_bound
+from sparsecov.model_spaces import LeastFavorableConfig, ThetaIndex, build_config, validate_theta
 from sparsecov.rng import RngSeed
-from sparsecov.risk import banded_sigma
-from sparsecov.sampling import load_data_csv, mle_covariance, sample_gaussian
+from sparsecov.risk import banded_sigma, rate_fit, run_grid
+from sparsecov.sampling import load_data_csv, mle_covariance, sample_gaussian, sqrt_psd
 
 
 def save_data_csv(path, x):
@@ -158,12 +156,15 @@ def test_estimate_summary_reads_the_guards_spectrum(
     # decomposed: the summary's least eigenvalue costs no second eigensolver
     data = tmp_path / "data.csv"
     save_data_csv(data, sample_gaussian(banded_sigma(15, 2, 0.3), samples, RngSeed(42)))
+    sstar = mle_covariance(load_data_csv(data))
     spec = EstimatorSpec(rule=rule, gamma=gamma, corrections=("bregman-guard",))
-    estimate = apply_estimator(mle_covariance(load_data_csv(data)), spec, samples)
+    estimate = apply_estimator(sstar, spec, samples)
     assert np.array_equal(estimate, np.eye(15)) == (samples == 10)
+    # the kept fraction is the threshold's, before the guard
+    thresholded = apply_estimator(sstar, EstimatorSpec(rule=rule, gamma=gamma), samples)
     off = ~np.eye(15, dtype=bool)
     want = [
-        f"off-diagonal entries kept: {np.count_nonzero(estimate[off]) / off.sum():.4f}",
+        f"off-diagonal entries kept: {np.count_nonzero(thresholded[off]) / off.sum():.4f}",
         f"min eigenvalue: {float(np.min(np.linalg.eigvalsh(estimate))):.6g}",
     ]
 
@@ -178,6 +179,39 @@ def test_estimate_summary_reads_the_guards_spectrum(
     assert main(["estimate", "--data", str(data), *args]) == 0
     assert calls == ["eigh"]
     assert capsys.readouterr().out.splitlines()[1:] == want
+
+
+@pytest.mark.parametrize(
+    "correction, filled", [("psd-project", 1.0), ("bregman-guard", 0.0)],
+    ids=["projection-clips", "guard-trips"],
+)
+def test_estimate_counts_what_the_threshold_kept(
+    tmp_path, monkeypatch, capsys, correction, filled
+):
+    # n = 10 < p = 15 with a light soft threshold: the projection clips, which
+    # fills the estimate, and the guard trips to the identity; the kept
+    # fraction is the threshold's either way, and the data is thresholded once
+    data = tmp_path / "data.csv"
+    save_data_csv(data, sample_gaussian(banded_sigma(15, 2, 0.3), 10, RngSeed(42)))
+    sstar = mle_covariance(load_data_csv(data))
+    off = ~np.eye(15, dtype=bool)
+    spec = EstimatorSpec(rule="soft", gamma=0.5, corrections=(correction,))
+    assert np.count_nonzero(apply_estimator(sstar, spec, 10)[off]) / off.sum() == filled
+    thresholded = apply_estimator(sstar, EstimatorSpec(rule="soft", gamma=0.5), 10)
+    kept = np.count_nonzero(thresholded[off]) / off.sum()
+    assert 0.0 < kept < 1.0
+
+    calls = []
+    threshold = sparsecov.estimators.threshold_estimate
+    monkeypatch.setattr(
+        sparsecov.estimators, "threshold_estimate", lambda *a: calls.append(1) or threshold(*a)
+    )
+    args = ["estimate", "--data", str(data), "--rule", "soft", "--gamma", "0.5"]
+    for flags in ([], [f"--{correction}"]):
+        calls.clear()
+        assert main(args + flags) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"off-diagonal entries kept: {kept:.4f}"
+        assert calls == [1]
 
 
 @pytest.mark.parametrize("source, validations", [("data", 0), ("covariance", 1)])
@@ -545,6 +579,63 @@ def test_lowerbound_overflowing_chi_square_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["estimate", "--covariance", "cov.csv", "--n", "50"], "estimate.csv"),
+        (["simulate", "--config", "grid.json"], "records.csv"),
+        (["lowerbound", "--p", "10", "--n", "20", "--q", "0", "--c", "4"], "report.json"),
+    ],
+    ids=["estimate", "simulate", "lowerbound"],
+)
+def test_manifest_lists_the_output_it_sits_beside(tmp_path, monkeypatch, command, out):
+    monkeypatch.chdir(tmp_path)
+    save_matrix_csv("cov.csv", np.eye(5) + 0.1)
+    grid_file(tmp_path, cells=[{"n": 60, "p": 20}], replicates=2)
+    assert main([*command, "--out", out]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["command"] == command[0]
+    assert manifest["outputs"] == [out]
+
+
+def test_simulate_prints_a_degenerate_rate_fit_as_skipped(tmp_path, capsys):
+    # two cells cannot fit a rate: the grid reports it and still succeeds
+    grid = grid_file(tmp_path, cells=[{"n": 60, "p": 20}, {"n": 120, "p": 40}], replicates=2)
+    assert main(["simulate", "--config", str(grid)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "fit e0/l0: skipped (rate fit needs at least 3 cells, got 2)"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["estimate", "--covariance", "asym.csv", "--n", "50"], 2,
+         "error: matrix asymmetry 3.000e-01 exceeds tolerance 2.000e-12; "
+         "symmetrize explicitly if this is intended\n"),
+        (["simulate", "--config", "grid.json"], 3,
+         "error: matrix is not positive semidefinite: min eigenvalue -4.396e-01\n"),
+        (["lowerbound", "--p", "1000", "--n", "40000", "--q", "0", "--c", "4", "--upsilon", "11"],
+         3, "error: (1 - epsilon^2 (k + k delta))^(-n) overflows at n = 40000, "
+         "base 0.978193; envelope diverges\n"),
+    ],
+    ids=["asymmetric-covariance", "truth-not-psd", "chi-square-overflow"],
+)
+def test_folded_error_classes_keep_their_exit_codes_and_messages(
+    tmp_path, monkeypatch, capsys, argv, code, err
+):
+    # a matrix too far from symmetric is a ConfigError, a truth that is not
+    # PSD and a chi-square too large for a float are DomainErrors
+    monkeypatch.chdir(tmp_path)
+    asym = np.eye(5)
+    asym[0, 1] = 0.3
+    np.savetxt("asym.csv", asym, delimiter=",")
+    truth = {"kind": "banded", "band": 2, "scale": 3.0}
+    grid_file(tmp_path, cells=[{"n": 40, "p": 10}], truth=truth, replicates=3)
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+
+
 def test_lowerbound_missing_parameters():
     assert main(["lowerbound", "--p", "8", "--n", "20"]) == 2
 
@@ -852,6 +943,28 @@ def test_truth_refuses_a_non_finite_real(tmp_path, capsys, truth, key):
     assert f"truth.{key} must be finite, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "truth, cell, message",
+    [
+        ({"kind": "banded", "band": 3}, {"n": 60, "p": 3}, "invalid banded truth: p=3, band=3"),
+        (FSTAR, {"n": 1, "p": 40},
+         "2*k*epsilon = 0.384129 >= 1/3; shrink c or upsilon, or raise n"),
+        ({**FSTAR, "c": 6}, {"n": 60, "p": 3}, "k = 2 exceeds r = 1; the family would be empty"),
+    ],
+    ids=["band-not-below-p", "fstar-at-n-one", "fstar-k-above-r"],
+)
+def test_grid_refuses_a_truth_a_later_cell_cannot_hold_before_any_cell_runs(
+    tmp_path, monkeypatch, capsys, truth, cell, message
+):
+    calls = []
+    run_cell = sparsecov.risk._run_cell
+    monkeypatch.setattr(sparsecov.risk, "_run_cell", lambda *a: calls.append(1) or run_cell(*a))
+    cells = [{"n": 60, "p": 20}, {"n": 120, "p": 40}, cell]
+    assert main(["simulate", "--config", str(grid_file(tmp_path, cells=cells, truth=truth))]) == 2
+    assert capsys.readouterr().err == f"error: cells[2]: {message}\n"
+    assert calls == []
+
+
 def test_simulate_refuses_a_cell_larger_than_memory_before_allocating(tmp_path, capsys):
     # five matrices and the eigh workspace at n = p = 10^6 need 56 TB: the
     # grid is refused from its cell sizes, not after numpy fails to allocate
@@ -878,38 +991,86 @@ def test_version_flag_exits_zero(capsys):
     assert exc.value.code == 0
 
 
-# The documented exit codes, written out independently of the CLI's table.
+def _boom(cls):
+    def trigger():
+        raise cls("boom")
+
+    return trigger
+
+
+# a p = 2 banded truth with off-diagonal 1: singular, so it samples, but
+# outside the Stein generator's domain, so every replicate fails the loss
+_SINGULAR_TRUTH_GRID = {
+    "cells": [{"n": 40, "p": 2}],
+    "truth": {"kind": "banded", "band": 1, "scale": 1.0 / math.sqrt(math.log(2) / 40)},
+    "estimators": [{"rule": "hard", "gamma": 2.0}],
+    "losses": [{"kind": "bregman", "phi": "stein"}],
+    "replicates": 3,
+    "seed": 5,
+}
+
+# The documented exit codes, written out independently of the CLI's table:
+# (case, class, what raises it, exit code, stderr prefix).
 EXIT_CASES = [
-    (BudgetError, 4, "error: budget exceeded: "),
-    (MemoryError, 4, "error: budget exceeded: "),
-    (DomainError, 3, "error: boom"),
-    (NotPSDError, 3, "error: boom"),
-    (DivergenceError, 3, "error: boom"),
-    (EigenError, 3, "error: boom"),
-    (CellError, 3, "error: boom"),
-    (FitError, 3, "error: boom"),
-    (ConfigError, 2, "error: boom"),
-    (SchemaError, 2, "error: boom"),
-    (StructureError, 2, "error: boom"),
-    (SparseCovError, 2, "error: boom"),
-    (OSError, 2, "error: boom"),
-    (ValueError, 2, "error: boom"),
-    (KeyError, 2, "error: 'boom'"),
+    (BudgetError.__name__, BudgetError, _boom(BudgetError), 4, "error: budget exceeded: "),
+    (MemoryError.__name__, MemoryError, _boom(MemoryError), 4, "error: budget exceeded: "),
+    (DomainError.__name__, DomainError, _boom(DomainError), 3, "error: boom"),
+    (EigenError.__name__, EigenError, _boom(EigenError), 3, "error: boom"),
+    (ConfigError.__name__, ConfigError, _boom(ConfigError), 2, "error: boom"),
+    (SchemaError.__name__, SchemaError, _boom(SchemaError), 2, "error: boom"),
+    (SparseCovError.__name__, SparseCovError, _boom(SparseCovError), 2, "error: boom"),
+    (OSError.__name__, OSError, _boom(OSError), 2, "error: boom"),
+    (ValueError.__name__, ValueError, _boom(ValueError), 2, "error: boom"),
+    (KeyError.__name__, KeyError, _boom(KeyError), 2, "error: 'boom'"),
+    # each refusal that had a class of its own, raised where it is raised,
+    # keeps its exit code under the class it was folded into
+    (
+        "StructureError", ConfigError,
+        lambda: validate_theta(
+            build_config(6, 100, 0.0, 4.0, 0.1), ThetaIndex(gamma=(1, 0), rows=((3,), (4,), (5,)))
+        ),
+        2, "error: gamma has length 2, expected r = 3\n",
+    ),
+    (
+        "NotPSDError", DomainError, lambda: sqrt_psd(np.diag([1.0, -1.0])),
+        3, "error: matrix is not positive semidefinite: min eigenvalue -1.000e+00\n",
+    ),
+    (
+        "DivergenceError", DomainError,
+        lambda: chi_square_mixture_bound(
+            LeastFavorableConfig(p=8, n=2, q=0.0, c=4.0, upsilon=3.0, r=4, k=1, epsilon=1.2)
+        ),
+        3, "error: rho = 2 k^2 epsilon^2 = 2.88 >= 1; envelope diverges\n",
+    ),
+    (
+        "CellError", DomainError, lambda: run_grid(_SINGULAR_TRUTH_GRID),
+        3, "error: cell cell-000-e0-l0: 3/3 replicates failed the loss\n",
+    ),
+    (
+        "FitError", DomainError, lambda: rate_fit([]),
+        3, "error: rate fit needs at least 3 cells, got 0\n",
+    ),
 ]
 
 
 def test_exit_cases_cover_every_row_of_the_table():
-    listed = {cls for cls, _, _ in EXIT_CASES}
+    listed = {cls for _, cls, _, _, _ in EXIT_CASES}
     for classes, _, _ in _EXIT_CODES:
         assert set(classes) <= listed
 
 
 @pytest.mark.parametrize(
-    "cls, code, prefix", EXIT_CASES, ids=[case[0].__name__ for case in EXIT_CASES]
+    "cls, trigger, code, prefix", [case[1:] for case in EXIT_CASES],
+    ids=[case[0] for case in EXIT_CASES],
 )
-def test_every_error_class_maps_to_its_exit_code(tmp_path, monkeypatch, capsys, cls, code, prefix):
+def test_every_error_class_maps_to_its_exit_code(
+    tmp_path, monkeypatch, capsys, cls, trigger, code, prefix
+):
+    with pytest.raises(cls):
+        trigger()
+
     def fail(config):
-        raise cls("boom")
+        trigger()
 
     monkeypatch.setattr("sparsecov.risk.run_grid", fail)
     assert main(["simulate", "--config", str(grid_file(tmp_path))]) == code

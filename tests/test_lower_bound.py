@@ -24,7 +24,7 @@ from lab_oracles import (
     per_comparison_alpha,
     tv_affinity_mc,
 )
-from sparsecov.errors import BudgetError, ConfigError, DivergenceError, DomainError
+from sparsecov.errors import BudgetError, ConfigError, DomainError
 from sparsecov.lower_bound import (
     CHI_SQUARE_TARGET,
     _k_one_usage,
@@ -138,14 +138,14 @@ def test_integral_matches_determinant_oracle_on_non_identity_bases():
 
 
 def test_integral_divergence_error():
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError, match="S1\\^-1 \\+ S2\\^-1 - S0\\^-1 is not positive"):
         cross_product_integral([[1.0]], [[3.0]], [[2.0]])
 
 
 def test_integral_diverges_even_when_the_determinant_is_positive():
     # det(I - Q) = det(I - 4 I) = 9 > 0, yet S1^-1 + S2^-1 - S0^-1 = -I/3
     eye = np.eye(2)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError, match="S1\\^-1 \\+ S2\\^-1 - S0\\^-1 is not positive"):
         cross_product_integral(eye, 3.0 * eye, 3.0 * eye)
 
 
@@ -313,7 +313,7 @@ def test_envelope_diverges_for_large_epsilon():
         cfg = LeastFavorableConfig(
             p=8, n=2, q=0.0, c=4.0, upsilon=3.0, r=4, k=1, epsilon=epsilon
         )
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DomainError, match="; envelope diverges"):
             chi_square_mixture_bound(cfg)
 
 
@@ -422,11 +422,11 @@ def test_chi_square_refuses_a_divergent_integral(epsilon):
     cfg = LeastFavorableConfig(
         p=6, n=4, q=0.0, c=4.0, upsilon=0.1, r=3, k=1, epsilon=epsilon
     )
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError, match="diverges inside exact enumeration"):
         exact_chi_square_small(cfg)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError, match="cross-product integral diverges at column usage"):
         closed_form_chi_square(cfg)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError, match="; envelope diverges"):
         certify(cfg)
 
 
@@ -435,7 +435,7 @@ def test_a_chi_square_too_large_for_a_float_is_a_divergence():
     cfg = build_config(1000, 40000, 0.0, 4.0, 11.0)
     assert cfg.k == 1
     for compute in (chi_square_mixture_bound, closed_form_chi_square, certify):
-        with pytest.raises(DivergenceError, match="n = 40000, base 0.97"):
+        with pytest.raises(DomainError, match="n = 40000, base 0.97"):
             compute(cfg)
 
 

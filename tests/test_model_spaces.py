@@ -14,7 +14,7 @@ from lab_oracles import (
     count_theta,
     family_size_floor,
 )
-from sparsecov.errors import ConfigError, StructureError
+from sparsecov.errors import ConfigError
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
     ThetaIndex,
@@ -198,11 +198,11 @@ def test_validate_theta_names_violations():
     cfg = build_config(6, 100, 0.0, 4.0, 0.1)  # r = 3, k = 1, support {3,4,5}
     good = ThetaIndex(gamma=(1, 0, 1), rows=((3,), (4,), (5,)))
     validate_theta(cfg, good)
-    with pytest.raises(StructureError, match="gamma"):
+    with pytest.raises(ConfigError, match="gamma"):
         validate_theta(cfg, ThetaIndex(gamma=(1, 0), rows=((3,), (4,), (5,))))
-    with pytest.raises(StructureError, match="outside"):
+    with pytest.raises(ConfigError, match="outside"):
         validate_theta(cfg, ThetaIndex(gamma=(1, 0, 1), rows=((2,), (4,), (5,))))
-    with pytest.raises(StructureError, match="cap"):
+    with pytest.raises(ConfigError, match="cap"):
         validate_theta(cfg, ThetaIndex(gamma=(1, 1, 1), rows=((3,), (3,), (3,))))
 
 

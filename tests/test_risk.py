@@ -16,7 +16,7 @@ import pytest
 import sparsecov
 import sparsecov.matrices as matrices_module
 import sparsecov.risk as risk_module
-from sparsecov.errors import CellError, ConfigError, DomainError, FitError, SchemaError
+from sparsecov.errors import ConfigError, DomainError, SchemaError
 from sparsecov.estimators import EstimatorSpec
 from sparsecov.losses import LossSpec
 from sparsecov.risk import (
@@ -284,9 +284,10 @@ def test_truth_outside_the_domain_fails_the_cell(monkeypatch, coupling):
     sigma[0, 1] = sigma[1, 0] = coupling
     with pytest.raises(DomainError, match="second argument"):
         evaluate_loss(STEIN, np.eye(6), sigma)
-    # no truth kind builds it, so the grid's builder is swapped for one that does
+    # no truth kind builds it, so the grid's reader is swapped for one that does
     monkeypatch.setattr(
-        risk_module, "materialize_truth", lambda spec, n, p: (sigma, None, None, "near-singular")
+        risk_module, "_truth_reader",
+        lambda spec: lambda n, p: lambda: (sigma, None, None, "near-singular"),
     )
     cfg = {
         "cells": [{"n": 40, "p": 6}], "truth": {"kind": "identity"},
@@ -294,7 +295,7 @@ def test_truth_outside_the_domain_fails_the_cell(monkeypatch, coupling):
         "replicates": 6, "seed": 5,
     }
     # every replicate fails, not only the one that first decomposes the truth
-    with pytest.raises(CellError, match="cell-000-e0-l0: 6/6 replicates failed"):
+    with pytest.raises(DomainError, match="cell-000-e0-l0: 6/6 replicates failed"):
         run_grid(cfg)
 
 
@@ -423,9 +424,9 @@ def test_rate_fit_recovers_planted_slope():
 def test_rate_fit_rejects_degenerate_grids():
     base = RiskRecord("c", "m", 100, 50, 0.0, 4.0, HARD, OP2, 10,
                       0.5, 0.0, 0.0, 0, RngSeed(1), 0.0)
-    with pytest.raises(FitError):
+    with pytest.raises(DomainError, match="rate fit needs at least 3 cells, got 2"):
         rate_fit([base, base])
-    with pytest.raises(FitError):
+    with pytest.raises(DomainError, match="regressor spread below factor 4"):
         rate_fit([base, base, base])
 
 

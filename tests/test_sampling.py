@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsecov.errors import NotPSDError
+from sparsecov.errors import DomainError
 from sparsecov.matrices import _Symmetric
 from sparsecov.rng import RngSeed
 from sparsecov.risk import banded_sigma
@@ -20,7 +20,7 @@ def test_sqrt_psd_squares_back():
 
 
 def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(NotPSDError):
+    with pytest.raises(DomainError, match="not positive semidefinite: min eigenvalue -1.000e"):
         sqrt_psd([[1.0, 2.0], [2.0, 1.0]])
 
 
