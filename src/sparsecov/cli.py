@@ -79,8 +79,7 @@ def _estimator_from_args(args):
     )
 
 
-def cmd_estimate(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_estimate(args) -> None:
     import numpy as np
 
     from .estimators import _corrected, threshold_estimate, threshold_level
@@ -119,15 +118,10 @@ def cmd_estimate(args, argv) -> int:
     print(f"min eigenvalue: {least:.6g}")
     if args.out:
         save_matrix_csv(args.out, result)
-        _write_manifest(args.out, "estimate", argv, started)
-        print(f"wrote {args.out}")
-    return 0
 
 
-def cmd_simulate(args, argv) -> int:
-    started = time.perf_counter()
-    from .losses import LossSpec
-    from .risk import _export_format, _grid_specs, export_records, run_grid
+def cmd_simulate(args) -> None:
+    from .risk import _export_format, _read_grid, _run_grid, export_records
 
     with open(args.config) as fh:
         config = json.load(fh)
@@ -135,10 +129,11 @@ def cmd_simulate(args, argv) -> int:
         raise SchemaError(f"grid config must be a JSON object, got {type(config).__name__}")
     if args.seed is not None:
         config["seed"] = args.seed
+    grid = _read_grid(config)
     if args.out:
         # an output the grid could not be written to fails before any cell runs
-        _export_format(args.out, _grid_specs(config, "losses", LossSpec.from_json))
-    result = run_grid(config)
+        _export_format(args.out, grid.losses)
+    result = _run_grid(grid)
     # one record per (cell, estimator, loss) and one fit per (estimator, loss)
     cells = len(result.records) // len(result.fits)
     print(f"{cells} cells done ({len(result.records)} records)")
@@ -157,13 +152,9 @@ def cmd_simulate(args, argv) -> int:
         )
     if args.out:
         export_records(result.records, args.out)
-        _write_manifest(args.out, "simulate", argv, started)
-        print(f"wrote {args.out}")
-    return 0
 
 
-def cmd_lowerbound(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_lowerbound(args) -> None:
     if None in (args.p, args.n, args.q, args.c):
         raise ConfigError("lowerbound needs --p --n --q --c")
     cfg = build_config(args.p, args.n, args.q, args.c, args.upsilon)
@@ -204,9 +195,6 @@ def cmd_lowerbound(args, argv) -> int:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        _write_manifest(args.out, "lowerbound", argv, started)
-        print(f"wrote {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +260,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, argv)
+        started = time.perf_counter()
+        args.func(args)
+        if args.out:
+            _write_manifest(args.out, args.command, argv, started)
+            print(f"wrote {args.out}")
+        return 0
     except _MAPPED_ERRORS as exc:
         for classes, code, prefix in _EXIT_CODES:
             if isinstance(exc, classes):

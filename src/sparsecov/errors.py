@@ -1,7 +1,7 @@
 """Exception types, one per way the code handles an error, and the JSON
 readers that raise them."""
 
-from dataclasses import field, fields
+from dataclasses import MISSING, field, fields
 
 
 class SparseCovError(Exception):
@@ -41,14 +41,6 @@ def _check_keys(obj, allowed, where: str) -> None:
         raise SchemaError(
             f"unknown key {unknown[0]!r} in {where}; expected keys {sorted(allowed)}"
         )
-
-
-def _required(obj: dict, key: str, where: str):
-    """``obj[key]``, or SchemaError naming the key's path ``where.key`` when
-    the config leaves it out."""
-    if key not in obj:
-        raise SchemaError(f"{where}.{key} is required")
-    return obj[key]
 
 
 def _check_str(value, where: str) -> str:
@@ -91,18 +83,26 @@ def _json_field(read, **kwargs):
     return field(metadata={"read": read}, **kwargs)
 
 
-def _from_json(cls, obj, where: str):
+def _from_json(cls, obj, where: str, label: str | None = None):
     """The dataclass ``cls`` built from the JSON object ``obj``, whose keys
-    must be field names of ``cls``; ``where`` names the object's place in its
-    config in every message, such as ``estimators[1]``.
+    must be field names of ``cls``.
 
-    Each key present is read by its field's :func:`_json_field` reader, or
-    passed as given for ``__post_init__`` to check, and each key absent takes
-    its dataclass default.
+    ``where`` is the object's path in its config, such as ``estimators[1]``,
+    or empty for the config itself, and each field is named by its path
+    under it, such as ``estimators[1].gamma`` or ``seed``; ``label`` names
+    the object in a message about its keys, ``where`` by default.  The fields
+    are read in their order: each key present by its field's
+    :func:`_json_field` reader, or passed as given for ``__post_init__`` to
+    check; each key absent takes its dataclass default, and a field with no
+    default raises SchemaError, such as ``truth.band is required``.
     """
-    readers = {f.name: f.metadata.get("read") for f in fields(cls)}
-    _check_keys(obj, readers, where)
-    return cls(**{
-        key: value if readers[key] is None else readers[key](value, f"{where}.{key}")
-        for key, value in obj.items()
-    })
+    _check_keys(obj, [f.name for f in fields(cls)], label or where)
+    values = {}
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        if f.name in obj:
+            read = f.metadata.get("read")
+            values[f.name] = obj[f.name] if read is None else read(obj[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise SchemaError(f"{path} is required")
+    return cls(**values)

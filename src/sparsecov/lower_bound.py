@@ -26,6 +26,7 @@ family, so every value costs O(r) at most.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,10 @@ from .errors import ConfigError, DomainError
 from .model_spaces import LeastFavorableConfig, _fewest_free_columns
 
 CHI_SQUARE_TARGET = 0.75
+
+# exp(x) is exactly 0.0 for every x below -745.14, where the true value
+# falls under half the smallest subnormal double.
+_EXP_UNDERFLOW = 746.0
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +139,31 @@ def _k_one_usage(r: int) -> tuple[float, float]:
 
     and both expectations are sums over t alone: the log-weights are
     accumulated from the ratios, shifted by their maximum and exponentiated,
-    and each sum is taken with ``math.fsum``.
+    and each sum is taken with ``math.fsum``.  The ratio falls in t, so the
+    log-weights rise to one peak and then fall.  A weight more than
+    ``_EXP_UNDERFLOW`` below the peak is exactly 0.0 after ``exp`` and adds
+    nothing to a correctly rounded sum, so only the band within it is kept,
+    a window that slides up to the peak, and the walk stops where the fall
+    leaves the band: the sums are bit for bit those over every t.
     """
-    log_w = [0.0]
+    band = deque([0.0])  # the log-weights of t = first, first + 1, ...
+    first = 0
+    log_w = top = 0.0
     for t in range(1, (r - 1) // 2 + 1):
         s = r - 1 - 2 * t
-        log_w.append(log_w[-1] + math.log((s + 2) * (s + 1) / (2 * t * (t + 1))))
-    top = max(log_w)
-    w = [math.exp(v - top) for v in log_w]
+        log_w += math.log((s + 2) * (s + 1) / (2 * t * (t + 1)))
+        if log_w - top < -_EXP_UNDERFLOW:
+            break  # past the peak, and every later weight lies lower still
+        top = max(top, log_w)
+        band.append(log_w)
+        while band[0] - top < -_EXP_UNDERFLOW:
+            band.popleft()
+            first += 1
+    w = [math.exp(v - top) for v in band]
     total = math.fsum(w)
     # a0 + a1 = r - t and a1 = r - 1 - 2t
-    free = math.fsum(w_t * (r - t) for t, w_t in enumerate(w)) / total
-    once = math.fsum(w_t * (r - 1 - 2 * t) / (r - t) for t, w_t in enumerate(w)) / total
+    free = math.fsum(w_t * (r - t) for t, w_t in enumerate(w, first)) / total
+    once = math.fsum(w_t * (r - 1 - 2 * t) / (r - t) for t, w_t in enumerate(w, first)) / total
     return free, once
 
 

@@ -25,13 +25,15 @@ import os
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
+from . import rng
 from .errors import (
     BudgetError, ConfigError, DomainError, SchemaError, _check_int, _check_keys, _check_real,
-    _check_str, _required,
+    _check_str, _from_json, _json_field,
 )
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, evaluate_loss
@@ -79,15 +81,6 @@ def toeplitz_decay_sigma(p: int, amplitude: float, exponent: float) -> np.ndarra
     return profile[idx]
 
 
-# The keys each truth kind reads, "kind" included.
-_TRUTH_KEYS = {
-    "identity": ("kind",),
-    "banded": ("kind", "band", "scale"),
-    "decay": ("kind", "amplitude", "exponent"),
-    "fstar": ("kind", "q", "c", "upsilon", "theta_seed"),
-}
-
-
 def _finite(value, where: str) -> float:
     """``value`` as a float if it is a finite JSON number; else SchemaError
     or ConfigError naming ``where``."""
@@ -97,14 +90,102 @@ def _finite(value, where: str) -> float:
     return real
 
 
+def _above_one(value, where: str) -> float:
+    """``value`` as a float if it is a finite JSON number above 1."""
+    real = _finite(value, where)
+    if not real > 1.0:
+        raise ConfigError(f"{where} must exceed 1, got {real}")
+    return real
+
+
+def _uint64_seed(value, where: str) -> RngSeed:
+    """The seed of the JSON integer ``value``, which must lie in [0, 2^64)."""
+    seed = _check_int(value, where)
+    try:
+        return RngSeed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class _Truth:
+    """A grid's truth object, read first for its ``kind``; the dataclass of
+    each kind adds the other keys it reads as fields, and its ``at(n, p)``
+    checks the truth at one cell and returns the function that builds it."""
+
+    kind: str = _json_field(_check_str)
+
+
+@dataclass(frozen=True)
+class _Identity(_Truth):
+    def at(self, n, p):
+        return lambda: (np.eye(p), 0.0, None, "identity")
+
+
+@dataclass(frozen=True)
+class _Banded(_Truth):
+    band: int = _json_field(_check_int)
+    scale: float = _json_field(_finite, default=1.0)
+
+    def at(self, n, p):
+        _check_band(p, self.band)
+        value = self.scale * math.sqrt(math.log(p) / n)
+        label = f"banded(band={self.band},value={value:.6g})"
+        return lambda: (banded_sigma(p, self.band, value), 0.0, float(2 * self.band), label)
+
+
+@dataclass(frozen=True)
+class _Decay(_Truth):
+    amplitude: float = _json_field(_finite)
+    exponent: float = _json_field(_above_one)
+
+    def at(self, n, p):
+        def build():
+            sigma = toeplitz_decay_sigma(p, self.amplitude, self.exponent)
+            q = 1.0 / self.exponent
+            radius = np.max(_column_radii(sigma, q))
+            return sigma, q, float(radius), f"decay(a={self.amplitude:.6g},e={self.exponent:.6g})"
+
+        return build
+
+
+@dataclass(frozen=True)
+class _FStar(_Truth):
+    q: float = _json_field(_check_real)
+    c: float = _json_field(_check_real)
+    upsilon: float = _json_field(_check_real, default=DEFAULT_UPSILON)
+    theta_seed: RngSeed = _json_field(_uint64_seed, default=RngSeed(0))
+
+    def at(self, n, p):
+        cfg = build_config(p, n, self.q, self.c, self.upsilon)
+        label = f"fstar(q={cfg.q:.6g},c={cfg.c:.6g})"
+        return lambda: (
+            materialize_sigma(cfg, sample_theta(cfg, self.theta_seed)), cfg.q, cfg.c, label
+        )
+
+
+_TRUTHS = {"identity": _Identity, "banded": _Banded, "decay": _Decay, "fstar": _FStar}
+
+
+def _read_truth(spec, where: str) -> _Truth:
+    """The truth object ``spec`` as the dataclass of its string ``kind``,
+    whose fields, ``kind`` among them, are the keys it may have."""
+    _check_keys(spec, spec, where)  # an object; its kind decides which keys it may have
+    kind = _from_json(_Truth, {k: v for k, v in spec.items() if k == "kind"}, where).kind
+    if kind not in _TRUTHS:
+        raise ConfigError(f"unknown truth kind {kind!r}")
+    return _from_json(_TRUTHS[kind], spec, where, f"{where} (kind {kind!r})")
+
+
 def materialize_truth(spec: dict, n: int, p: int):
     """Build the truth covariance for one grid cell.
 
     Returns ``(sigma, q, c, label)`` where q and c describe the sparsity
-    class the truth belongs to (None when not meaningful).  The keys each
-    kind reads, besides the string ``kind`` (``_TRUTH_KEYS``; any other
-    raises SchemaError, as does a required key left out, named with its
-    path, such as ``truth.band``):
+    class the truth belongs to (None when not meaningful).  The spec is read
+    as a grid reads its ``truth``: the string ``kind`` picks the dataclass
+    (``_Identity``, ``_Banded``, ``_Decay`` or ``_FStar``) whose fields are
+    the keys that kind reads.  Any other key raises SchemaError, as does a
+    required key left out, named with its path, such as ``truth.band``:
 
     - ``identity``: none
     - ``banded``: the integer ``band``, below p, and ``scale`` (default 1),
@@ -114,58 +195,7 @@ def materialize_truth(spec: dict, n: int, p: int):
     - ``fstar``: ``q``, ``c``, ``upsilon`` (default ``DEFAULT_UPSILON``) and
       the integer ``theta_seed`` (default 0) of a uniform member draw
     """
-    return _truth_reader(spec)(n, p)()
-
-
-def _truth_reader(spec: dict):
-    """:func:`materialize_truth` split at its cell: reads the spec once and
-    returns ``at(n, p)``, which checks the band or ``build_config`` at the
-    cell and returns the function that builds the cell's truth."""
-    kind = _check_str(_required(spec, "kind", "truth"), "truth.kind")
-    if kind in _TRUTH_KEYS:
-        _check_keys(spec, _TRUTH_KEYS[kind], f"truth (kind {kind!r})")
-    if kind == "identity":
-        return lambda n, p: lambda: (np.eye(p), 0.0, None, "identity")
-    if kind == "banded":
-        band = _check_int(_required(spec, "band", "truth"), "truth.band")
-        scale = _finite(spec.get("scale", 1.0), "truth.scale")
-
-        def banded(n, p):
-            _check_band(p, band)
-            value = scale * math.sqrt(math.log(p) / n)
-            label = f"banded(band={band},value={value:.6g})"
-            return lambda: (banded_sigma(p, band, value), 0.0, float(2 * band), label)
-
-        return banded
-    if kind == "decay":
-        amplitude = _finite(_required(spec, "amplitude", "truth"), "truth.amplitude")
-        exponent = _finite(_required(spec, "exponent", "truth"), "truth.exponent")
-        if not exponent > 1.0:
-            raise ConfigError(f"truth.exponent must exceed 1, got {exponent}")
-
-        def decay(p):
-            sigma = toeplitz_decay_sigma(p, amplitude, exponent)
-            q = 1.0 / exponent
-            radius = np.max(_column_radii(sigma, q))
-            return sigma, q, float(radius), f"decay(a={amplitude:.6g},e={exponent:.6g})"
-
-        return lambda n, p: lambda: decay(p)
-    if kind == "fstar":
-        q, c = (_check_real(_required(spec, key, "truth"), f"truth.{key}") for key in "qc")
-        upsilon = _check_real(spec.get("upsilon", DEFAULT_UPSILON), "truth.upsilon")
-        theta_seed = _check_int(spec.get("theta_seed", 0), "truth.theta_seed")
-        try:
-            seed = RngSeed(theta_seed)
-        except ValueError as exc:
-            raise ConfigError(f"truth.theta_seed: {exc}") from exc
-
-        def fstar(n, p):
-            cfg = build_config(p, n, q, c, upsilon)
-            label = f"fstar(q={cfg.q:.6g},c={cfg.c:.6g})"
-            return lambda: (materialize_sigma(cfg, sample_theta(cfg, seed)), cfg.q, cfg.c, label)
-
-        return fstar
-    raise ConfigError(f"unknown truth kind {kind!r}")
+    return _read_truth(spec, "truth").at(n, p)()
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +380,25 @@ def _fmt(value) -> str:
 
 def _export_format(path, losses) -> str:
     """The export format the suffix of ``path`` names, ``"csv"`` or
-    ``"json"``, checked against the losses the records carry, so a run can
-    fail before it computes anything it could not write.
+    ``"json"``, checked against the losses the records carry and against
+    the directory ``path`` lies in, so a run can fail before it computes
+    anything it could not write.
 
     Raises
     ------
     ValueError
         If the suffix names neither format.
+    ConfigError
+        If the directory of ``path`` does not exist or cannot be written.
     SchemaError
         If a CSV would mix loss kinds or normalizations.
     """
     fmt = str(path).rsplit(".", 1)[-1].lower()
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: {folder} is not a writable directory")
     schemas = {(loss.kind, loss.normalized) for loss in losses}
     if fmt == "csv" and len(schemas) > 1:
         raise SchemaError(
@@ -403,28 +439,6 @@ class GridResult:
     fits: list
 
 
-def _grid_cells(config: dict, min_n: int) -> list[tuple[int, int]]:
-    """The grid's (n, p) cells, each refused before any cell runs unless
-    n >= ``min_n`` and p >= 2, the least the threshold level takes."""
-    cells = config.get("cells")
-    if not cells:
-        raise ConfigError("grid has no cells")
-    if not isinstance(cells, list):
-        raise SchemaError(f"cells must be a JSON array, got {type(cells).__name__}")
-    for i, cell in enumerate(cells):
-        _check_keys(cell, ("n", "p"), f"cells[{i}]")
-    sizes = [
-        tuple(_check_int(_required(cell, k, f"cells[{i}]"), f"cells[{i}].{k}") for k in "np")
-        for i, cell in enumerate(cells)
-    ]
-    # before the memory model reads them: a negative p is no large cell
-    for i, (n, p) in enumerate(sizes):
-        for key, value, least in (("n", n, min_n), ("p", p, 2)):
-            if value < least:
-                raise ConfigError(f"cells[{i}].{key} must be at least {least}, got {value}")
-    return sizes
-
-
 def _default_target(loss: LossSpec, q: float | None) -> float | None:
     if q is None:
         return None
@@ -437,28 +451,12 @@ def _default_target(loss: LossSpec, q: float | None) -> float | None:
     return None
 
 
-def _grid_specs(config: dict, key: str, reader) -> list:
-    """The grid's ``key`` array, each entry read by ``reader`` and named by
-    its index, such as ``losses[1]``, in every message: the reader's own
-    checks take the name, and a value its spec refuses is re-raised with it."""
-    entries = config.get(key, [])
-    if not isinstance(entries, list):
-        raise SchemaError(f"{key} must be a JSON array, got {type(entries).__name__}")
-    specs = []
-    for i, entry in enumerate(entries):
-        where = f"{key}[{i}]"
-        try:
-            specs.append(reader(entry, where))
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return specs
-
-
-def _cell_bytes(n: int, p: int, estimators, losses) -> int:
+def _cell_bytes(n: int, p: int, estimators, losses, replicates: int) -> int:
     """Peak bytes of one grid cell, the README's memory model: five float64
     matrices (the truth, its sampling root and a replicate's sample
     covariance, p x p each; the draw and its centred copy, n x p each) plus
-    LAPACK's 2p^2 workspace while the truth is eigendecomposed.
+    LAPACK's 2p^2 workspace while the truth is eigendecomposed, and the
+    cell's (estimator, loss, replicate) array of losses, held throughout.
 
     A cell that eigendecomposes an estimate, for a correction or a Bregman
     loss, also holds the estimate's eigenvectors and ``_from_eigen``'s two
@@ -469,86 +467,139 @@ def _cell_bytes(n: int, p: int, estimators, losses) -> int:
     """
     bregman = any(loss.kind == "bregman" for loss in losses)
     eigen = bregman or any(est.corrections for est in estimators)
-    return 8 * ((5 + 3 * eigen + 4 * bregman) * p * p + 2 * n * p)
+    pairs = len(estimators) * len(losses)
+    return 8 * ((5 + 3 * eigen + 4 * bregman) * p * p + 2 * n * p + pairs * replicates)
 
 
-_GRID_KEYS = ("cells", "truth", "estimators", "losses", "replicates", "seed")
+def _read_array(read, entries, where: str) -> tuple:
+    """The JSON array ``entries``, each entry read by ``read`` and named by
+    its index, such as ``losses[1]``, in every message: the reader's own
+    checks take the name, and a value its spec refuses is re-raised with it.
+    A :func:`_json_field` takes it with ``read`` bound by ``partial``."""
+    if not isinstance(entries, list):
+        raise SchemaError(f"{where} must be a JSON array, got {type(entries).__name__}")
+    specs = []
+    for i, entry in enumerate(entries):
+        try:
+            specs.append(read(entry, f"{where}[{i}]"))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}[{i}]: {exc}") from exc
+    return tuple(specs)
 
 
-def _grid_seed(value) -> RngSeed:
+@dataclass(frozen=True)
+class _Cell:
+    """One (n, p) cell of a grid."""
+
+    n: int = _json_field(_check_int)
+    p: int = _json_field(_check_int)
+
+
+def _grid_seed(value, where: str) -> RngSeed:
     """The grid's master seed: an integer, or a "seed" or "seed:stream" string."""
     try:
-        return RngSeed.parse(value) if isinstance(value, str) else RngSeed(_check_int(value, "seed"))
+        if isinstance(value, str):
+            return RngSeed.parse(value)
+        return RngSeed(_check_int(value, where))
     except ValueError as exc:
         raise SchemaError(
-            f"seed must be an integer or a 'seed' or 'seed:stream' string, got {value!r}"
+            f"{where} must be an integer or a 'seed' or 'seed:stream' string, got {value!r}"
         ) from exc
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """A grid config as read, its fields not yet checked against each other."""
+
+    truth: _Truth = _json_field(_read_truth)
+    estimators: tuple = _json_field(partial(_read_array, EstimatorSpec.from_json), default=())
+    losses: tuple = _json_field(partial(_read_array, LossSpec.from_json), default=())
+    cells: tuple = _json_field(partial(_read_array, partial(_from_json, _Cell)), default=())
+    replicates: int = _json_field(_check_int, default=0)
+    seed: RngSeed = _json_field(_grid_seed, default=RngSeed(0))
 
 
 def run_grid(config: dict) -> GridResult:
     """Run every (cell, estimator, loss) combination of a grid config.
 
-    The grid decides each (estimator, loss) pair's spec once, by
-    :func:`_guarded`: Stein and von Neumann losses get the bregman-guard
-    correction added to their estimator when absent, since those losses are
-    undefined on a singular estimate.  Each replicate's data draw and each
-    estimate are shared by every estimator/loss combination of a cell,
-    pairing the comparisons.  A key that no reader reads raises
-    SchemaError, a cell too small for its specs (see :func:`_grid_cells`)
-    raises ConfigError, a largest cell whose :func:`_cell_bytes` exceeds
-    physical memory raises BudgetError, and a truth that some cell cannot
-    hold (see :func:`_truth_reader`) raises ConfigError naming the cell,
-    such as ``cells[2]: …``, all before the first cell runs.
+    The config is read once, by :func:`_read_grid`, and run by
+    :func:`_run_grid`.  The grid decides each (estimator, loss) pair's spec
+    once, by :func:`_guarded`: Stein and von Neumann losses get the
+    bregman-guard correction added to their estimator when absent, since
+    those losses are undefined on a singular estimate.  Each replicate's
+    data draw and each estimate are shared by every estimator/loss
+    combination of a cell, pairing the comparisons.
+
+    Before the first cell runs: a key that no reader reads, or a value of
+    the wrong type, raises SchemaError; a cell below n = 1 (n = 2 once a
+    spec carries the guard) or p = 2 raises ConfigError, as do more
+    replicates or cells than one seed has substreams; a largest cell whose
+    :func:`_cell_bytes` exceeds physical memory raises BudgetError; and a
+    truth that some cell cannot hold (see the ``at`` of its kind's
+    dataclass) raises ConfigError naming the cell, such as ``cells[2]: …``.
 
     Each cell's :func:`_run_cell` losses become its records here, in
     (estimator, loss) order, as soon as the cell is done: a pair whose
     losses failed on more than ``FAILURE_RATE_LIMIT`` of the replicates
     raises DomainError before the next cell runs.
     """
-    _check_keys(config, _GRID_KEYS, "grid config")
-    truth_spec = config.get("truth")
-    if not truth_spec:
-        raise ConfigError("grid config needs a 'truth' entry")
-    if not isinstance(truth_spec, dict):
-        raise SchemaError(
-            f"truth must be a JSON object, got {type(truth_spec).__name__}"
-        )
-    estimators = _grid_specs(config, "estimators", EstimatorSpec.from_json)
-    losses = _grid_specs(config, "losses", LossSpec.from_json)
+    return _run_grid(_read_grid(config))
+
+
+def _read_grid(config: dict) -> _Grid:
+    """The grid config read field by field, each named by its path, such as
+    ``cells[0].n``, ``truth.band`` or ``seed``; nothing is checked across
+    fields yet."""
+    return _from_json(_Grid, config, "", "grid config")
+
+
+def _run_grid(grid: _Grid) -> GridResult:
+    """:func:`run_grid` on a grid :func:`_read_grid` has read: the checks
+    across its fields, then its cells."""
+    estimators, losses, cells = grid.estimators, grid.losses, grid.cells
+    replicates = grid.replicates
     if not estimators or not losses:
         raise ConfigError("grid config needs estimators and losses")
     # specs[ei][li] is estimators[ei] itself unless losses[li] adds the guard
     specs = [[_guarded(est, loss) for loss in losses] for est in estimators]
     guard = any("bregman-guard" in spec.corrections for row in specs for spec in row)
-    cells = _grid_cells(config, min_n=2 if guard else 1)
-    replicates = _check_int(config.get("replicates", 0), "replicates")
+    if not cells:
+        raise ConfigError("grid has no cells")
+    # before the memory model reads them: a negative p is no large cell
+    for i, cell in enumerate(cells):
+        for key, value, least in (("n", cell.n, 2 if guard else 1), ("p", cell.p, 2)):
+            if value < least:
+                raise ConfigError(f"cells[{i}].{key} must be at least {least}, got {value}")
     if replicates < 1:
         raise ConfigError("grid config needs replicates >= 1")
-    master = _grid_seed(config.get("seed", 0))
-    n, p = max(cells, key=lambda cell: _cell_bytes(*cell, estimators, losses))
-    need = _cell_bytes(n, p, estimators, losses)
+    limit = 2**rng.SUBSTREAM_BITS - 1  # the indices seed.substream() takes
+    for key, count in (("cells", len(cells)), ("replicates", replicates)):
+        if count > limit:
+            raise ConfigError(f"{key} must number at most {limit}, got {count}")
+    big = max(cells, key=lambda cell: _cell_bytes(cell.n, cell.p, estimators, losses, replicates))
+    need = _cell_bytes(big.n, big.p, estimators, losses, replicates)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise BudgetError(
-            f"a cell at n = {n}, p = {p} needs about {need / 1e9:.3g} GB, "
+            f"a cell at n = {big.n}, p = {big.p} needs about {need / 1e9:.3g} GB, "
             f"more than the {have / 1e9:.3g} GB of physical memory"
         )
 
     # every cell's truth is checked, and none built, before the first cell runs
-    at = _truth_reader(truth_spec)
     builders = []
-    for ci, (n, p) in enumerate(cells):
+    for ci, cell in enumerate(cells):
         try:
-            builders.append(at(n, p))
+            builders.append(grid.truth.at(cell.n, cell.p))
         except ConfigError as exc:
             raise ConfigError(f"cells[{ci}]: {exc}") from exc
 
     records = []
-    for ci, ((n, p), build) in enumerate(zip(cells, builders)):
+    for ci, (cell, build) in enumerate(zip(cells, builders)):
+        n, p = cell.n, cell.p
         sigma, q, c, label = build()
         truth = _symmetric(sigma)
         del sigma  # the cell holds the validated copy only
-        seed = master.substream(ci)
+        seed = grid.seed.substream(ci)
         results, seconds = _run_cell(truth, estimators, specs, losses, n, replicates, seed)
         del truth  # nor beside the next cell's truth
         for ei, li in np.ndindex(results.shape[:2]):

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import sparsecov.estimators
+import sparsecov.losses
 import sparsecov.lower_bound
 import sparsecov.matrices
 import sparsecov.model_spaces
 import sparsecov.risk
+import sparsecov.rng
 from sparsecov.cli import _EXIT_CODES, main
 from sparsecov.errors import (
     BudgetError,
@@ -290,23 +292,38 @@ def test_simulate_bad_config_paths(tmp_path):
 
 def test_simulate_checks_out_before_the_grid_runs(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(sparsecov.risk, "run_grid", lambda config: calls.append(config))
+    monkeypatch.setattr(sparsecov.risk, "_run_grid", lambda grid: calls.append(grid))
     mixed = grid_file(
         tmp_path, losses=[{"kind": "operator", "w": 2}, {"kind": "frobenius-squared"}]
     )
     for out, message in (
         ("records.txt", "unknown export format 'txt'"),
         ("records.csv", "mixed loss kinds"),
+        ("missing/records.csv", f"cannot write {tmp_path / 'missing/records.csv'}"),
     ):
         code = main(["simulate", "--config", str(mixed), "--out", str(tmp_path / out)])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / out).exists()
+    assert not (tmp_path / "missing").exists()
     assert calls == []
     listed = tmp_path / "list.json"
     listed.write_text("[]")
     assert main(["simulate", "--config", str(listed), "--seed", "3"]) == 2
     assert "grid config must be a JSON object" in capsys.readouterr().err
+
+
+def test_simulate_reads_each_loss_once(tmp_path, monkeypatch):
+    # LossSpec.from_json reads its object through the losses module's _from_json
+    calls = []
+    from_json = sparsecov.losses._from_json
+    monkeypatch.setattr(
+        sparsecov.losses, "_from_json", lambda *a: calls.append(a[2]) or from_json(*a)
+    )
+    losses = [{"kind": "operator", "w": 2}, {"kind": "operator", "w": 1}]
+    grid = grid_file(tmp_path, cells=[{"n": 60, "p": 20}], losses=losses, replicates=2)
+    assert main(["simulate", "--config", str(grid), "--out", str(tmp_path / "r.csv")]) == 0
+    assert calls == ["losses[0]", "losses[1]"]
 
 
 def test_lowerbound_small_family_report(tmp_path, capsys):
@@ -985,6 +1002,50 @@ def test_simulate_refuses_a_cell_larger_than_memory_before_allocating(tmp_path, 
     assert peak < 2**20
 
 
+def test_simulate_counts_the_loss_array_in_the_memory_model(tmp_path, monkeypatch, capsys):
+    # at n = p = 2 the matrices need 224 bytes and the 1,000 losses 8,000:
+    # only the loss array takes the cell past a 4 KB machine
+    calls = []
+    run_cell = sparsecov.risk._run_cell
+    monkeypatch.setattr(sparsecov.risk, "_run_cell", lambda *a: calls.append(1) or run_cell(*a))
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}.get)
+    grid = grid_file(
+        tmp_path, cells=[{"n": 2, "p": 2}], truth={"kind": "identity"}, replicates=1000
+    )
+    assert main(["simulate", "--config", str(grid)]) == 4
+    assert capsys.readouterr().err == (
+        "error: budget exceeded: a cell at n = 2, p = 2 needs about 8.22e-06 GB, "
+        "more than the 4.1e-06 GB of physical memory\n"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "cells, replicates, message",
+    [
+        ([{"n": 20, "p": 10}], 8, "replicates must number at most 7, got 8"),
+        ([{"n": 20, "p": 10}] * 8, 1, "cells must number at most 7, got 8"),
+    ],
+    ids=["replicates", "cells"],
+)
+def test_grid_refuses_more_draws_than_a_seed_has_substreams(
+    tmp_path, monkeypatch, capsys, cells, replicates, message
+):
+    # a seed indexes 2^SUBSTREAM_BITS - 1 substreams; at 24 bits the first
+    # cell of 2^24 replicates ran for hours before the last index failed
+    calls = []
+    run_cell = sparsecov.risk._run_cell
+    monkeypatch.setattr(sparsecov.risk, "_run_cell", lambda *a: calls.append(1) or run_cell(*a))
+    monkeypatch.setattr(sparsecov.rng, "SUBSTREAM_BITS", 3)
+    grid = grid_file(tmp_path, cells=cells, replicates=replicates)
+    assert main(["simulate", "--config", str(grid)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    # one fewer fits
+    grid = grid_file(tmp_path, cells=cells[:7], replicates=min(replicates, 7))
+    assert main(["simulate", "--config", str(grid)]) == 0
+
+
 def test_version_flag_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -1066,21 +1127,21 @@ def test_exit_cases_cover_every_row_of_the_table():
 def test_every_error_class_maps_to_its_exit_code(
     tmp_path, monkeypatch, capsys, cls, trigger, code, prefix
 ):
-    with pytest.raises(cls):
+    with pytest.raises(cls) as raised:
         trigger()
 
-    def fail(config):
-        trigger()
+    def fail(grid):
+        raise raised.value  # as raised at its real site, which may itself run a grid
 
-    monkeypatch.setattr("sparsecov.risk.run_grid", fail)
+    monkeypatch.setattr("sparsecov.risk._run_grid", fail)
     assert main(["simulate", "--config", str(grid_file(tmp_path))]) == code
     assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_unmapped_errors_propagate(tmp_path, monkeypatch):
-    def fail(config):
+    def fail(grid):
         raise RuntimeError("not a user error")
 
-    monkeypatch.setattr("sparsecov.risk.run_grid", fail)
+    monkeypatch.setattr("sparsecov.risk._run_grid", fail)
     with pytest.raises(RuntimeError):
         main(["simulate", "--config", str(grid_file(tmp_path))])

@@ -415,6 +415,35 @@ def test_k_one_sum_matches_the_exact_profile_expectations(r):
     assert got_once == pytest.approx(float(once), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "p, n, bits",
+    [
+        (8, 20, "0x1.95559b148e77cp-8"),
+        (10, 20, "0x1.73a528aafeceap-8"),
+        (10**4, 40000, "0x1.c9bdf3de45575p-16"),
+        (10**6, 40000, "0x1.c1f173d55d123p-22"),
+    ],
+)
+def test_closed_form_chi_square_keeps_its_bits(p, n, bits):
+    # the values of the sum over every t, before it kept only the band
+    # of weights that exp does not round to zero
+    cfg = build_config(p, n, 0.0, 4.0, 0.1)
+    assert cfg.k == 1
+    assert closed_form_chi_square(cfg).hex() == bits
+
+
+def test_k_one_usage_memory_grows_far_slower_than_r():
+    # r = 10^5 has 50,000 log-weights, of which about 6,000 lie within
+    # exp's range of the peak; a list of all of them peaked at 3.3 MB
+    tracemalloc.start()
+    try:
+        _k_one_usage(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("epsilon", [0.9, 1.2, 1.5])
 def test_chi_square_refuses_a_divergent_integral(epsilon):
     # the squared determinant is positive here; the old guard returned

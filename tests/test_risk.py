@@ -20,9 +20,10 @@ from sparsecov.errors import ConfigError, DomainError, SchemaError
 from sparsecov.estimators import EstimatorSpec
 from sparsecov.losses import LossSpec
 from sparsecov.risk import (
-    _GRID_KEYS,
-    _TRUTH_KEYS,
+    _TRUTHS,
     RiskRecord,
+    _Cell,
+    _Grid,
     _cell_bytes,
     _run_cell,
     banded_sigma,
@@ -284,11 +285,12 @@ def test_truth_outside_the_domain_fails_the_cell(monkeypatch, coupling):
     sigma[0, 1] = sigma[1, 0] = coupling
     with pytest.raises(DomainError, match="second argument"):
         evaluate_loss(STEIN, np.eye(6), sigma)
-    # no truth kind builds it, so the grid's reader is swapped for one that does
-    monkeypatch.setattr(
-        risk_module, "_truth_reader",
-        lambda spec: lambda n, p: lambda: (sigma, None, None, "near-singular"),
-    )
+
+    # no truth kind builds it, so the identity's builder is swapped for one that does
+    def near_singular(self, n, p):
+        return lambda: (sigma, None, None, "near-singular")
+
+    monkeypatch.setattr(risk_module._Identity, "at", near_singular)
     cfg = {
         "cells": [{"n": 40, "p": 6}], "truth": {"kind": "identity"},
         "estimators": [GUARDED.to_json()], "losses": [STEIN.to_json()],
@@ -403,6 +405,7 @@ def test_cell_peak_rss_stays_under_the_memory_model(pairs):
         800, 800,
         [EstimatorSpec.from_json(obj) for obj in estimators],
         [LossSpec.from_json(obj) for obj in losses],
+        3,
     )
     assert int(proc.stdout) < model
 
@@ -578,8 +581,12 @@ def test_readme_grid_example_uses_only_keys_the_grid_reads():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
     example = json.loads(block)
-    assert set(example) <= set(_GRID_KEYS)
-    assert all(set(cell) == {"n", "p"} for cell in example["cells"])
+
+    def keys(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(example) <= keys(_Grid)
+    assert all(set(cell) == keys(_Cell) for cell in example["cells"])
     truth = example["truth"]
-    assert set(truth) <= set(_TRUTH_KEYS[truth["kind"]])
+    assert set(truth) <= keys(_TRUTHS[truth["kind"]])
 
