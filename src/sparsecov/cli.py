@@ -138,18 +138,12 @@ def cmd_simulate(args) -> None:
     cells = len(result.records) // len(result.fits)
     print(f"{cells} cells done ({len(result.records)} records)")
     for entry in result.fits:
-        fit = entry["fit"]
+        fit, label = entry["fit"], f"fit e{entry['estimator']}/l{entry['loss']}:"
         if fit is None:
-            print(
-                f"fit e{entry['estimator']}/l{entry['loss']}: "
-                f"skipped ({entry['error']})"
-            )
+            print(f"{label} skipped ({entry['error']})")
             continue
         target = "" if fit.target_exponent is None else f" target={fit.target_exponent:g}"
-        print(
-            f"fit e{entry['estimator']}/l{entry['loss']}: "
-            f"slope={fit.slope:.4f} r2={fit.r_squared:.4f}{target}"
-        )
+        print(f"{label} slope={fit.slope:.4f} r2={fit.r_squared:.4f}{target}")
     if args.out:
         export_records(result.records, args.out)
 
@@ -158,7 +152,12 @@ def cmd_lowerbound(args) -> None:
     if None in (args.p, args.n, args.q, args.c):
         raise ConfigError("lowerbound needs --p --n --q --c")
     cfg = build_config(args.p, args.n, args.q, args.c, args.upsilon)
-    seed = RngSeed.parse(args.seed) if args.seed is not None else RngSeed(0)
+    try:
+        seed = RngSeed.parse(args.seed)
+    except ValueError as exc:
+        raise ConfigError(
+            f"--seed must be an integer in [0, 2^64) or 'seed:stream', got {args.seed!r}"
+        ) from exc
 
     cert = certify(cfg)
     report = {
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     low.add_argument("--q", type=float)
     low.add_argument("--c", type=float)
     low.add_argument("--upsilon", type=float, default=DEFAULT_UPSILON)
-    low.add_argument("--seed", help="recorded in the report; has no effect")
+    low.add_argument("--seed", default="0", help="recorded in the report; has no effect")
     low.add_argument("--out", help="write the full report as json")
     low.set_defaults(func=cmd_lowerbound)
     return parser
@@ -261,6 +260,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         started = time.perf_counter()
+        if args.out:
+            # checked before the command computes anything it could not write
+            folder = os.path.dirname(os.path.abspath(args.out))
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ConfigError(f"cannot write {args.out}: {folder} is not a writable directory")
         args.func(args)
         if args.out:
             _write_manifest(args.out, args.command, argv, started)

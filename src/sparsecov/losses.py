@@ -14,7 +14,7 @@ the closed forms as the oracle for the double sum and neither calls the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +45,12 @@ def _generator(phi):
     if isinstance(phi, str) and phi in _GENERATORS:
         return _GENERATORS[phi]
     raise ConfigError(f"generator must be one of {sorted(_GENERATORS)}, got {phi!r}")
+
+
+def _floored(phi) -> bool:
+    """Whether the generator ``phi`` names, if any, has a domain floor, so
+    that its loss is undefined on a singular estimate."""
+    return phi is not None and _generator(phi)[2] > -math.inf
 
 
 def _checked_eigenvalues(
@@ -124,12 +130,8 @@ def _read_w(value, where: str):
     return value
 
 
-# The keys a loss of each kind reads, "kind" included.
-_LOSS_KEYS = {
-    "operator": ("kind", "w", "normalized"),
-    "frobenius-squared": ("kind", "normalized"),
-    "bregman": ("kind", "phi", "normalized"),
-}
+# The loss kinds; a LossSpec field that not all of them read names its own.
+_LOSS_KINDS = ("operator", "frobenius-squared", "bregman")
 
 
 @dataclass(frozen=True)
@@ -141,18 +143,21 @@ class LossSpec:
     'bregman' uses the generator ``phi`` names: 'stein', 'von-neumann' or
     'squared-frobenius'.  ``normalized`` divides Bregman-type losses
     (including frobenius-squared) by the dimension; an operator loss rejects
-    it.  Only an operator loss reads ``w`` and only a Bregman loss reads
-    ``phi``; the others set them to None, so a spec equals its JSON round trip.
+    it.  A field whose metadata names ``kinds`` is read by those kinds
+    alone, only ``w`` by an operator loss and ``phi`` by a Bregman loss; the
+    other kinds set it to None, so a spec equals its JSON round trip.
     """
 
     kind: str = _json_field(_check_str, default="operator")
-    w: float | None = _json_field(_read_w, default=2)
-    phi: str | None = None
     normalized: bool = _json_field(_check_bool, default=False)
+    w: float | None = field(default=2, metadata={"read": _read_w, "kinds": ("operator",)})
+    phi: str | None = field(default=None, metadata={"kinds": ("bregman",)})
 
     def __post_init__(self):
-        if self.kind not in _LOSS_KEYS:
+        if self.kind not in _LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
+        for name in {f.name for f in fields(self)} - set(self._keys()):
+            object.__setattr__(self, name, None)
         if self.kind == "operator":
             if self.w not in (1, 2, math.inf, 1.0, 2.0):
                 raise ConfigError(
@@ -160,12 +165,12 @@ class LossSpec:
                 )
             if self.normalized:
                 raise ConfigError("operator loss cannot be normalized")
-        else:
-            object.__setattr__(self, "w", None)
-        if self.kind != "bregman":
-            object.__setattr__(self, "phi", None)
-        else:
+        if self.kind == "bregman":
             _generator(self.phi)
+
+    def _keys(self) -> list:
+        """The fields this spec's kind reads, in field order."""
+        return [f.name for f in fields(self) if self.kind in f.metadata.get("kinds", _LOSS_KINDS)]
 
     @property
     def detail(self) -> str:
@@ -175,13 +180,11 @@ class LossSpec:
         return self.phi or ""
 
     def to_json(self) -> dict:
-        """The spec as JSON, written by hand rather than from the fields: the
-        keys depend on the kind, and w = inf is spelled ``"inf"``."""
-        obj: dict = {"kind": self.kind, "normalized": self.normalized}
-        if self.kind == "operator":
-            obj["w"] = "inf" if self.w == math.inf else self.w
-        if self.kind == "bregman":
-            obj["phi"] = self.phi
+        """The fields this spec's kind reads, in field order; w = inf is
+        spelled ``"inf"``."""
+        obj = {name: getattr(self, name) for name in self._keys()}
+        if obj.get("w") == math.inf:
+            obj["w"] = "inf"
         return obj
 
     @classmethod
@@ -190,7 +193,7 @@ class LossSpec:
         place in its config in every message, such as ``losses[1]``.  A key
         that the spec's kind does not read is refused, not dropped."""
         spec = _from_json(cls, obj, where)
-        _check_keys(obj, _LOSS_KEYS[spec.kind], f"{where} (kind {spec.kind!r})")
+        _check_keys(obj, spec._keys(), f"{where} (kind {spec.kind!r})")
         return spec
 
 

@@ -36,7 +36,7 @@ from .errors import (
     _check_str, _from_json, _json_field,
 )
 from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
-from .losses import LossSpec, evaluate_loss
+from .losses import LossSpec, _floored, evaluate_loss
 from .matrices import _Symmetric, _symmetric
 from .model_spaces import (
     DEFAULT_UPSILON, _column_radii, build_config, materialize_sigma, sample_theta,
@@ -238,9 +238,9 @@ class RiskRecord:
 
 
 def _guarded(est: EstimatorSpec, loss: LossSpec) -> EstimatorSpec:
-    """Stein and von Neumann losses are undefined on a singular estimate, so
-    a grid scores them with the bregman-guard correction appended."""
-    if loss.phi not in ("stein", "von-neumann") or "bregman-guard" in est.corrections:
+    """A loss whose generator has a domain floor is undefined on a singular
+    estimate, so a grid scores it with the bregman-guard correction appended."""
+    if not _floored(loss.phi) or "bregman-guard" in est.corrections:
         return est
     return replace(est, corrections=est.corrections + ("bregman-guard",))
 
@@ -380,25 +380,19 @@ def _fmt(value) -> str:
 
 def _export_format(path, losses) -> str:
     """The export format the suffix of ``path`` names, ``"csv"`` or
-    ``"json"``, checked against the losses the records carry and against
-    the directory ``path`` lies in, so a run can fail before it computes
-    anything it could not write.
+    ``"json"``, checked against the losses the records carry, so a run can
+    fail before it computes anything it could not write.
 
     Raises
     ------
     ValueError
         If the suffix names neither format.
-    ConfigError
-        If the directory of ``path`` does not exist or cannot be written.
     SchemaError
         If a CSV would mix loss kinds or normalizations.
     """
     fmt = str(path).rsplit(".", 1)[-1].lower()
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
-    folder = os.path.dirname(os.path.abspath(path))
-    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise ConfigError(f"cannot write {path}: {folder} is not a writable directory")
     schemas = {(loss.kind, loss.normalized) for loss in losses}
     if fmt == "csv" and len(schemas) > 1:
         raise SchemaError(
@@ -524,9 +518,9 @@ def run_grid(config: dict) -> GridResult:
 
     The config is read once, by :func:`_read_grid`, and run by
     :func:`_run_grid`.  The grid decides each (estimator, loss) pair's spec
-    once, by :func:`_guarded`: Stein and von Neumann losses get the
-    bregman-guard correction added to their estimator when absent, since
-    those losses are undefined on a singular estimate.  Each replicate's
+    once, by :func:`_guarded`: a loss whose generator has a domain floor
+    gets the bregman-guard correction added to its estimator when absent,
+    since that loss is undefined on a singular estimate.  Each replicate's
     data draw and each estimate are shared by every estimator/loss
     combination of a cell, pairing the comparisons.
 

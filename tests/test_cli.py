@@ -313,6 +313,40 @@ def test_simulate_checks_out_before_the_grid_runs(tmp_path, monkeypatch, capsys)
     assert "grid config must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, module, computes",
+    [
+        (["estimate", "--covariance", "cov.csv", "--n", "50"], sparsecov.estimators,
+         "threshold_estimate"),
+        (["simulate", "--config", "grid.json"], sparsecov.risk, "_run_grid"),
+        (["lowerbound", "--p", "10", "--n", "20", "--q", "0", "--c", "4"], sparsecov.cli,
+         "certify"),
+    ],
+    ids=["estimate", "simulate", "lowerbound"],
+)
+def test_out_into_a_missing_directory_exits_before_the_command_computes(
+    tmp_path, monkeypatch, capsys, command, module, computes
+):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("cov.csv", np.eye(5) + 0.1, delimiter=",")
+    grid_file(tmp_path)
+    calls = []
+    real = getattr(module, computes)
+    monkeypatch.setattr(module, computes, lambda *a: calls.append(a) or real(*a))
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "missing" / "result.json"
+    if command[0] == "estimate":
+        out = out.with_suffix(".csv")
+    assert main([*command, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == (
+        f"error: cannot write {out}: {out.parent} is not a writable directory\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before
+    assert calls == []
+
+
 def test_simulate_reads_each_loss_once(tmp_path, monkeypatch):
     # LossSpec.from_json reads its object through the losses module's _from_json
     calls = []
@@ -359,6 +393,24 @@ def test_lowerbound_seed_zero_report_is_pinned(tmp_path):
     assert report["affinity"] == {
         "value": 0.9623474603203166, "std_error": 0.0, "certified": True,
     }
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", "-1", "3:x", ""])
+def test_lowerbound_seed_names_the_flag_and_its_forms(capsys, seed):
+    flags = ["--p", "10", "--n", "20", "--q", "0", "--c", "4"]
+    assert main(["lowerbound", *flags, "--seed", seed]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == (
+        f"error: --seed must be an integer in [0, 2^64) or 'seed:stream', got {seed!r}\n"
+    )
+
+
+def test_lowerbound_records_seed_zero_when_none_is_given(tmp_path):
+    out = tmp_path / "report.json"
+    flags = ["--p", "10", "--n", "20", "--q", "0", "--c", "4"]
+    assert main(["lowerbound", *flags, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == "0:0"
 
 
 def test_lowerbound_certifies_a_family_too_large_to_enumerate(tmp_path):

@@ -1,9 +1,11 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from sparsecov.errors import ConfigError, DomainError
+from sparsecov.errors import ConfigError, DomainError, SchemaError
 from sparsecov.losses import (
     _GENERATORS,
     LossSpec,
@@ -195,6 +197,53 @@ def test_loss_spec_json_round_trip():
     assert LossSpec.from_json({}) == LossSpec()
     assert LossSpec.from_json({"w": 1}).to_json() == {"kind": "operator", "normalized": False, "w": 1}
 
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        (LossSpec(kind="operator", w=1), {"kind": "operator", "normalized": False, "w": 1}),
+        (LossSpec(kind="operator", w=2), {"kind": "operator", "normalized": False, "w": 2}),
+        (
+            LossSpec(kind="operator", w=math.inf),
+            {"kind": "operator", "normalized": False, "w": "inf"},
+        ),
+        (
+            LossSpec(kind="frobenius-squared", normalized=True),
+            {"kind": "frobenius-squared", "normalized": True},
+        ),
+        *[
+            (
+                LossSpec(kind="bregman", phi=phi),
+                {"kind": "bregman", "normalized": False, "phi": phi},
+            )
+            for phi in GENERATOR_NAMES
+        ],
+    ],
+    ids=["w1", "w2", "winf", "frobenius-normalized", *GENERATOR_NAMES],
+)
+def test_loss_json_keys_and_values_are_pinned(spec, want):
+    # kind and normalized first, then the one key the kind alone reads; the
+    # dumps pin the spelling too: an integer w stays an integer, inf a string
+    assert list(spec.to_json()) == list(want)
+    assert json.dumps(spec.to_json()) == json.dumps(want)
+
+
+@pytest.mark.parametrize(
+    "obj, key, expected",
+    [
+        ({"kind": "operator", "w": 2}, "phi", ["kind", "normalized", "w"]),
+        ({"kind": "frobenius-squared"}, "w", ["kind", "normalized"]),
+        ({"kind": "frobenius-squared"}, "phi", ["kind", "normalized"]),
+        ({"kind": "bregman", "phi": "stein"}, "w", ["kind", "normalized", "phi"]),
+    ],
+    ids=["operator-phi", "frobenius-w", "frobenius-phi", "bregman-w"],
+)
+def test_each_loss_kind_refuses_the_keys_only_another_kind_reads(obj, key, expected):
+    value = {"w": 2, "phi": "stein"}[key]  # a value the kind that reads it accepts
+    kind = obj["kind"]
+    message = f"unknown key {key!r} in losses[0] (kind {kind!r}); expected keys {expected}"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        LossSpec.from_json({**obj, key: value}, "losses[0]")
 
 def test_evaluate_loss_normalization():
     x = np.diag([2.0, 2.0])

@@ -36,7 +36,7 @@ from sparsecov.risk import (
 from sparsecov.rng import RngSeed
 from sparsecov.sampling import mle_covariance, sample_gaussian
 from sparsecov.estimators import apply_estimator, bregman_guard, psd_project, threshold_estimate
-from sparsecov.losses import bregman_divergence, evaluate_loss
+from sparsecov.losses import _GENERATORS, bregman_divergence, evaluate_loss
 from sparsecov.matrices import _Symmetric, _sym_eigen, as_symmetric, operator_norm
 from sparsecov.sampling import sqrt_psd
 
@@ -495,14 +495,18 @@ def test_run_grid_pairs_estimators_on_shared_draws():
     assert all(rec.estimator.corrections[-1] == "bregman-guard" for rec in stein)
 
 
-def test_run_grid_adds_guard_for_spectral_bregman_losses():
+@pytest.mark.parametrize("phi", sorted(_GENERATORS))
+def test_run_grid_guards_a_generator_with_a_domain_floor(phi):
+    # the floor in the generator table decides, so a new generator is covered here
+    floored = _GENERATORS[phi][2] > -math.inf
+    if phi == "squared-frobenius":
+        assert not floored  # defined on every spectrum, a singular one included
     cfg = grid_config(
-        losses=[{"kind": "bregman", "phi": "stein", "normalized": True}],
+        losses=[{"kind": "bregman", "phi": phi, "normalized": True}],
         cells=[{"n": 100, "p": 10}, {"n": 200, "p": 20}, {"n": 400, "p": 40}],
     )
-    result = run_grid(cfg)
-    for rec in result.records:
-        assert "bregman-guard" in rec.estimator.corrections
+    for rec in run_grid(cfg).records:
+        assert rec.estimator.corrections == (("bregman-guard",) if floored else ())
 
 
 def test_run_grid_config_validation():
