@@ -17,6 +17,7 @@ numpy: ``estimate`` and ``simulate`` import the numeric layers when they run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .errors import BudgetError, ConfigError, DomainError, EigenError, SchemaError, SparseCovError
+from .errors import BudgetError, ConfigError, DomainError, EigenError, SparseCovError
 from .lower_bound import CHI_SQUARE_TARGET, certify
 from .model_spaces import DEFAULT_UPSILON, build_config
 from .rng import RngSeed
@@ -124,12 +125,9 @@ def cmd_simulate(args) -> None:
     from .risk import _export_format, _read_grid, _run_grid, export_records
 
     with open(args.config) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise SchemaError(f"grid config must be a JSON object, got {type(config).__name__}")
+        grid = _read_grid(json.load(fh))
     if args.seed is not None:
-        config["seed"] = args.seed
-    grid = _read_grid(config)
+        grid = dataclasses.replace(grid, seed=RngSeed.parse(args.seed, "--seed"))
     if args.out:
         # an output the grid could not be written to fails before any cell runs
         _export_format(args.out, grid.losses)
@@ -152,12 +150,7 @@ def cmd_lowerbound(args) -> None:
     if None in (args.p, args.n, args.q, args.c):
         raise ConfigError("lowerbound needs --p --n --q --c")
     cfg = build_config(args.p, args.n, args.q, args.c, args.upsilon)
-    try:
-        seed = RngSeed.parse(args.seed)
-    except ValueError as exc:
-        raise ConfigError(
-            f"--seed must be an integer in [0, 2^64) or 'seed:stream', got {args.seed!r}"
-        ) from exc
+    seed = RngSeed.parse(args.seed, "--seed")
 
     cert = certify(cfg)
     report = {

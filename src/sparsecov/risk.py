@@ -98,15 +98,6 @@ def _above_one(value, where: str) -> float:
     return real
 
 
-def _uint64_seed(value, where: str) -> RngSeed:
-    """The seed of the JSON integer ``value``, which must lie in [0, 2^64)."""
-    seed = _check_int(value, where)
-    try:
-        return RngSeed(seed)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class _Truth:
     """A grid's truth object, read first for its ``kind``; the dataclass of
@@ -154,7 +145,7 @@ class _FStar(_Truth):
     q: float = _json_field(_check_real)
     c: float = _json_field(_check_real)
     upsilon: float = _json_field(_check_real, default=DEFAULT_UPSILON)
-    theta_seed: RngSeed = _json_field(_uint64_seed, default=RngSeed(0))
+    theta_seed: RngSeed = _json_field(RngSeed.parse, default=RngSeed(0))
 
     def at(self, n, p):
         cfg = build_config(p, n, self.q, self.c, self.upsilon)
@@ -193,7 +184,8 @@ def materialize_truth(spec: dict, n: int, p: int):
     - ``decay``: ``amplitude`` and ``exponent`` > 1; q is 1/exponent and c
       is the realized maximal column weak-lq radius
     - ``fstar``: ``q``, ``c``, ``upsilon`` (default ``DEFAULT_UPSILON``) and
-      the integer ``theta_seed`` (default 0) of a uniform member draw
+      the ``theta_seed`` (default 0) of a uniform member draw, in any form
+      :meth:`RngSeed.parse` reads
     """
     return _read_truth(spec, "truth").at(n, p)()
 
@@ -489,18 +481,6 @@ class _Cell:
     p: int = _json_field(_check_int)
 
 
-def _grid_seed(value, where: str) -> RngSeed:
-    """The grid's master seed: an integer, or a "seed" or "seed:stream" string."""
-    try:
-        if isinstance(value, str):
-            return RngSeed.parse(value)
-        return RngSeed(_check_int(value, where))
-    except ValueError as exc:
-        raise SchemaError(
-            f"{where} must be an integer or a 'seed' or 'seed:stream' string, got {value!r}"
-        ) from exc
-
-
 @dataclass(frozen=True)
 class _Grid:
     """A grid config as read, its fields not yet checked against each other."""
@@ -510,7 +490,7 @@ class _Grid:
     losses: tuple = _json_field(partial(_read_array, LossSpec.from_json), default=())
     cells: tuple = _json_field(partial(_read_array, partial(_from_json, _Cell)), default=())
     replicates: int = _json_field(_check_int, default=0)
-    seed: RngSeed = _json_field(_grid_seed, default=RngSeed(0))
+    seed: RngSeed = _json_field(RngSeed.parse, default=RngSeed(0))
 
 
 def run_grid(config: dict) -> GridResult:
@@ -525,7 +505,8 @@ def run_grid(config: dict) -> GridResult:
     combination of a cell, pairing the comparisons.
 
     Before the first cell runs: a key that no reader reads, or a value of
-    the wrong type, raises SchemaError; a cell below n = 1 (n = 2 once a
+    the wrong type, raises SchemaError, but a ``seed`` or ``theta_seed``
+    that :meth:`RngSeed.parse` cannot read raises ConfigError; a cell below n = 1 (n = 2 once a
     spec carries the guard) or p = 2 raises ConfigError, as do more
     replicates or cells than one seed has substreams; a largest cell whose
     :func:`_cell_bytes` exceeds physical memory raises BudgetError; and a

@@ -284,6 +284,29 @@ def test_simulate_seed_override_changes_results(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_simulate_seed_names_the_flag_and_leaves_the_config_as_read(
+    tmp_path, monkeypatch, capsys
+):
+    configs = []
+    read_grid = sparsecov.risk._read_grid
+    monkeypatch.setattr(
+        sparsecov.risk, "_read_grid", lambda config: configs.append(config) or read_grid(config)
+    )
+    grid = grid_file(tmp_path, replicates=2)
+    assert main(["simulate", "--config", str(grid), "--seed", "abc"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == (
+        "error: --seed must be an integer in [0, 2^64) or 'seed:stream', got 'abc'\n"
+    )
+    flagged, written = tmp_path / "flag.csv", tmp_path / "written.csv"
+    assert main(["simulate", "--config", str(grid), "--seed", "8", "--out", str(flagged)]) == 0
+    assert configs == [json.loads(grid.read_text())] * 2
+    config = grid_file(tmp_path, replicates=2, seed=8)
+    assert main(["simulate", "--config", str(config), "--out", str(written)]) == 0
+    assert flagged.read_bytes() == written.read_bytes()
+
+
 def test_simulate_bad_config_paths(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
     empty = grid_file(tmp_path, cells=[])
@@ -395,7 +418,7 @@ def test_lowerbound_seed_zero_report_is_pinned(tmp_path):
     }
 
 
-@pytest.mark.parametrize("seed", ["abc", "1.5", "-1", "3:x", ""])
+@pytest.mark.parametrize("seed", ["abc", "1.5", "-1", "3:x", "", "1_0", " 7", "+7", "7:"])
 def test_lowerbound_seed_names_the_flag_and_its_forms(capsys, seed):
     flags = ["--p", "10", "--n", "20", "--q", "0", "--c", "4"]
     assert main(["lowerbound", *flags, "--seed", seed]) == 2
@@ -793,9 +816,9 @@ def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, pa
          "truth.exponent must exceed 1, got 0.8"),
         # a member's seed is a uint64, named by its path
         ({"truth": {"kind": "fstar", "q": 0, "c": 4, "theta_seed": -1}},
-         "truth.theta_seed: seed must be a uint64, got -1"),
+         "truth.theta_seed must be an integer in [0, 2^64) or 'seed:stream', got -1"),
         ({"truth": {"kind": "fstar", "q": 0, "c": 4, "theta_seed": 2**64}},
-         f"truth.theta_seed: seed must be a uint64, got {2**64}"),
+         f"truth.theta_seed must be an integer in [0, 2^64) or 'seed:stream', got {2**64}"),
         # corrections are an array of strings, not a number or one string
         ({"estimators": [{"rule": "hard", "corrections": 5}]},
          "estimators[0].corrections must be an array of strings, got 5"),
@@ -837,6 +860,7 @@ def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overri
 
 
 FSTAR = {"kind": "fstar", "q": 0, "c": 4, "upsilon": 0.1}
+SEED_FORMS = "must be an integer in [0, 2^64) or 'seed:stream'"
 
 
 @pytest.mark.parametrize(
@@ -849,9 +873,8 @@ FSTAR = {"kind": "fstar", "q": 0, "c": 4, "upsilon": 0.1}
         ({"replicates": True}, "replicates must be an integer, got True"),
         ({"truth": {"kind": "banded", "band": 1.7, "scale": 1.0}},
          "truth.band must be an integer, got 1.7"),
-        ({"truth": {**FSTAR, "theta_seed": 1.5}}, "truth.theta_seed must be an integer, got 1.5"),
-        ({"truth": {**FSTAR, "theta_seed": False}},
-         "truth.theta_seed must be an integer, got False"),
+        ({"truth": {**FSTAR, "theta_seed": 1.5}}, f"truth.theta_seed {SEED_FORMS}, got 1.5"),
+        ({"truth": {**FSTAR, "theta_seed": False}}, f"truth.theta_seed {SEED_FORMS}, got False"),
     ],
     ids=["cell-n-float", "cell-p-string", "replicates-float", "replicates-bool",
          "band-float", "theta-seed-float", "theta-seed-bool"],
@@ -864,7 +887,6 @@ def test_integer_grid_field_is_not_truncated(tmp_path, capsys, overrides, messag
 
 
 DECAY = {"kind": "decay", "amplitude": 0.3, "exponent": 2.0}
-SEED_FORMS = "seed must be an integer or a 'seed' or 'seed:stream' string"
 
 
 @pytest.mark.parametrize(
@@ -886,15 +908,20 @@ SEED_FORMS = "seed must be an integer or a 'seed' or 'seed:stream' string"
         ({"truth": {**FSTAR, "q": "0"}}, "truth.q must be a number, got '0'"),
         ({"truth": {**FSTAR, "c": "4"}}, "truth.c must be a number, got '4'"),
         ({"truth": {**FSTAR, "upsilon": "0.1"}}, "truth.upsilon must be a number, got '0.1'"),
-        ({"seed": 1.5}, f"{SEED_FORMS}, got 1.5"),
-        ({"seed": True}, f"{SEED_FORMS}, got True"),
-        ({"seed": "7:x"}, f"{SEED_FORMS}, got '7:x'"),
-        ({"seed": -1}, f"{SEED_FORMS}, got -1"),
+        ({"seed": 1.5}, f"seed {SEED_FORMS}, got 1.5"),
+        ({"seed": True}, f"seed {SEED_FORMS}, got True"),
+        ({"seed": "7:x"}, f"seed {SEED_FORMS}, got '7:x'"),
+        ({"seed": -1}, f"seed {SEED_FORMS}, got -1"),
+        # a string seed is ASCII digits, with a stream after one colon
+        ({"seed": "1_0"}, f"seed {SEED_FORMS}, got '1_0'"),
+        ({"seed": " 7"}, f"seed {SEED_FORMS}, got ' 7'"),
+        ({"seed": "+7"}, f"seed {SEED_FORMS}, got '+7'"),
+        ({"seed": "7:"}, f"seed {SEED_FORMS}, got '7:'"),
     ],
     ids=["keep-diagonal-string", "normalized-string", "gamma-bool", "gamma-string",
          "w-bool", "scale-bool", "amplitude-string", "exponent-bool", "q-string",
          "c-string", "upsilon-string", "seed-float", "seed-bool", "seed-bad-stream",
-         "seed-negative"],
+         "seed-negative", "seed-underscore", "seed-space", "seed-plus", "seed-empty-stream"],
 )
 def test_config_field_of_the_wrong_type_exits_two_naming_it(tmp_path, capsys, overrides, message):
     assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
@@ -903,16 +930,19 @@ def test_config_field_of_the_wrong_type_exits_two_naming_it(tmp_path, capsys, ov
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("seed", [7, "7", "7:0"])
+@pytest.mark.parametrize("seed", [7, "7", "7:0", 7.0])
 def test_grid_seed_reads_an_integer_or_its_string_forms(tmp_path, seed):
-    out = tmp_path / "r.csv"
-    cells = [{"n": 60, "p": 20}, {"n": 120, "p": 40}]
-    config = grid_file(tmp_path, cells=cells, replicates=2, seed=seed)
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    reference = tmp_path / "ref.csv"
-    config = grid_file(tmp_path, cells=cells, replicates=2)
-    assert main(["simulate", "--config", str(config), "--out", str(reference)]) == 0
-    assert out.read_bytes() == reference.read_bytes()
+    # the grid's seed and an fstar truth's theta_seed, both given in this
+    # form, write the records the JSON integer 7 gives in both
+    records = []
+    for form in (seed, 7):
+        out = tmp_path / f"r{len(records)}.csv"
+        cells = [{"n": 60, "p": 20}, {"n": 120, "p": 40}]
+        truth = {**FSTAR, "theta_seed": form}
+        config = grid_file(tmp_path, cells=cells, truth=truth, replicates=2, seed=form)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        records.append(out.read_bytes())
+    assert records[0] == records[1]
 
 
 def test_integral_float_grid_field_reads_as_its_integer(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsecov.errors import ConfigError
 from sparsecov.rng import RngSeed
 
 
@@ -41,3 +42,33 @@ def test_string_round_trip():
     assert RngSeed.parse("99") == RngSeed(99, 0)
     with pytest.raises(ValueError):
         RngSeed.parse("not-a-seed")
+
+
+@pytest.mark.parametrize(
+    "seed, stream", [(1.5, 0), (True, 0), (7, 2.0), (7, False), ("7", 0)],
+    ids=["seed-float", "seed-bool", "stream-float", "stream-bool", "seed-string"],
+)
+def test_seed_and_stream_must_be_integers(seed, stream):
+    with pytest.raises(TypeError, match="must be an integer"):
+        RngSeed(seed, stream)
+
+
+def test_numpy_integers_are_stored_as_ints():
+    s = RngSeed(np.uint64(7), np.int64(3))
+    assert type(s.seed) is int and type(s.stream) is int
+    assert str(s) == "7:3" and RngSeed.parse(str(s)) == s
+
+
+@pytest.mark.parametrize("value", [7, 7.0, "7", "7:0"])
+def test_parse_reads_a_json_integer_or_its_digit_strings(value):
+    assert RngSeed.parse(value) == RngSeed(7)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, True, None, -1, 2**64, "1_0", " 7", "+7", "7:", ":0", "7:0:0", "٧", "7\n"]
+)
+def test_parse_refuses_anything_else_naming_where(value):
+    message = f"--seed must be an integer in [0, 2^64) or 'seed:stream', got {value!r}"
+    with pytest.raises(ConfigError) as raised:
+        RngSeed.parse(value, "--seed")
+    assert str(raised.value) == message
