@@ -382,7 +382,7 @@ def _export_format(path, losses) -> str:
     SchemaError
         If a CSV would mix loss kinds or normalizations.
     """
-    fmt = str(path).rsplit(".", 1)[-1].lower()
+    fmt = os.path.splitext(path)[1][1:].lower()
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
     schemas = {(loss.kind, loss.normalized) for loss in losses}

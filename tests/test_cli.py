@@ -34,6 +34,7 @@ from sparsecov.model_spaces import LeastFavorableConfig, ThetaIndex, build_confi
 from sparsecov.rng import RngSeed
 from sparsecov.risk import banded_sigma, rate_fit, run_grid
 from sparsecov.sampling import load_data_csv, mle_covariance, sample_gaussian, sqrt_psd
+from test_refusals import ROWS, refuses
 
 
 def save_data_csv(path, x):
@@ -69,6 +70,85 @@ def grid_file(tmp_path, **overrides):
     return path
 
 
+def _each_row(*cases, prefix=""):
+    """A test with one case per row ``prefix + case`` of the refusal table."""
+    @pytest.mark.parametrize("case", cases)
+    def test(tmp_path, monkeypatch, capsys, case):
+        refuses(ROWS[prefix + case], tmp_path, monkeypatch, capsys)
+
+    return test
+
+
+def _rows(*rows):
+    """A test that runs the refusal table's ``rows`` in turn."""
+    def test(tmp_path, monkeypatch, capsys):
+        for row in rows:
+            (tmp_path / row).mkdir()
+            refuses(ROWS[row], tmp_path / row, monkeypatch, capsys)
+
+    return test
+
+
+# Refusals that are rows of the table in test_refusals.py, run here under the
+# names and case ids this module's tests gave them before the table held
+# them, so that each of those test ids still names the check it named.
+test_estimate_from_covariance_needs_n = _rows("estimate-covariance-without-n")
+test_estimate_input_flag_conflicts = _rows(
+    "estimate-no-source", "estimate-both-sources", "estimate-data-with-n"
+)
+test_estimate_rejects_asymmetric_covariance = _rows("asymmetric-covariance")
+test_simulate_bad_config_paths = _rows("config-missing", "cells-empty")
+test_lowerbound_domain_exit = _rows("lowerbound-infeasible")
+test_lowerbound_overflowing_chi_square_exits_three = _rows("chi-square-overflow")
+test_lowerbound_missing_parameters = _rows("lowerbound-missing-c")
+test_lowerbound_seed_names_the_flag_and_its_forms = _each_row(
+    "abc", "1.5", "-1", "3:x", "", "1_0", " 7", "+7", "7:", prefix="lowerbound-seed-"
+)
+test_folded_error_classes_keep_their_exit_codes_and_messages = _each_row(
+    "asymmetric-covariance", "truth-not-psd", "chi-square-overflow"
+)
+test_unknown_config_key_exits_two_naming_it = _each_row(
+    "top", "cells", "truth", "estimators", "losses", prefix="unknown-key-"
+)
+test_malformed_grid_config_exits_two_naming_the_key = _each_row(
+    "truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
+    "target-exponent", "value-and-scale", "theta-and-theta-seed", "normalized-operator",
+    "bregman-w", "estimator-not-object", "loss-not-object", "cell-not-object",
+    "cell-negative-p", "cell-zero-n", "late-cell-p-one", "late-cell-n-one-guarded",
+    "second-estimator-gamma", "second-estimator-key", "second-loss-key", "second-loss-w",
+    "estimators-object", "second-estimator-gamma-value", "second-loss-w-value",
+    "decay-exponent", "theta-seed-negative", "theta-seed-too-large", "corrections-number",
+    "corrections-string", "loss-kind-array", "loss-kind-object", "truth-kind-array",
+    "truth-kind-object", "banded-no-band", "cell-no-n", "cell-no-p", "fstar-no-q",
+    "fstar-no-c", "decay-no-exponent", "truth-no-kind",
+)
+test_integer_grid_field_is_not_truncated = _each_row(
+    "cell-n-float", "cell-p-string", "replicates-float", "replicates-bool", "band-float",
+    "theta-seed-float", "theta-seed-bool",
+)
+test_config_field_of_the_wrong_type_exits_two_naming_it = _each_row(
+    "keep-diagonal-string", "normalized-string", "gamma-bool", "gamma-string", "w-bool",
+    "scale-bool", "amplitude-string", "exponent-bool", "q-string", "c-string",
+    "upsilon-string", "seed-float", "seed-bool", "seed-bad-stream", "seed-negative",
+    "seed-underscore", "seed-space", "seed-plus", "seed-empty-stream",
+)
+test_lowerbound_refuses_a_non_finite_parameter = _each_row(
+    "c-inf", "upsilon-inf", prefix="lowerbound-"
+)
+test_grid_refuses_a_non_finite_threshold_parameter = _each_row(
+    "gamma-inf", "eta-inf", "gamma-minus-inf", prefix="grid-"
+)
+test_estimate_refuses_a_non_finite_threshold_flag = _each_row(
+    "gamma-inf", "eta-inf", "gamma-nan", prefix="estimate-"
+)
+test_fstar_truth_refuses_a_non_finite_parameter = _each_row(
+    "c", "upsilon", prefix="fstar-non-finite-"
+)
+test_truth_refuses_a_non_finite_real = _each_row(
+    "scale-inf", "amplitude-nan", "exponent-inf", prefix="truth-"
+)
+
+
 def test_estimate_from_data(tmp_path, data_csv, capsys, monkeypatch):
     # the manifest records the thread settings as given, and null when unset
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -94,31 +174,6 @@ def test_estimate_output_is_idempotent(tmp_path, data_csv):
     assert main(["estimate", "--data", str(data_csv), "--out", str(out1)]) == 0
     assert main(["estimate", "--data", str(data_csv), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_estimate_from_covariance_needs_n(tmp_path, data_csv, capsys):
-    est = tmp_path / "est.csv"
-    main(["estimate", "--data", str(data_csv), "--out", str(est)])
-    assert main(["estimate", "--covariance", str(est)]) == 2
-    assert main(["estimate", "--covariance", str(est), "--n", "120"]) == 0
-    capsys.readouterr()
-
-
-def test_estimate_input_flag_conflicts(data_csv, capsys):
-    assert main(["estimate"]) == 2
-    assert main(["estimate", "--data", str(data_csv), "--covariance", str(data_csv)]) == 2
-    capsys.readouterr()
-    # --data takes n from its rows, so an --n beside it would be ignored
-    assert main(["estimate", "--data", str(data_csv), "--n", "1000"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--n goes with --covariance" in err
-    assert "Traceback" not in err
-
-
-def test_estimate_rejects_asymmetric_covariance(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,0.9\n0.1,1.0\n")
-    assert main(["estimate", "--covariance", str(path), "--n", "10"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -284,9 +339,8 @@ def test_simulate_seed_override_changes_results(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_simulate_seed_names_the_flag_and_leaves_the_config_as_read(
-    tmp_path, monkeypatch, capsys
-):
+def test_simulate_seed_names_the_flag_and_leaves_the_config_as_read(tmp_path, monkeypatch):
+    # the table's simulate-seed-abc row checks the message that names --seed
     configs = []
     read_grid = sparsecov.risk._read_grid
     monkeypatch.setattr(
@@ -294,11 +348,6 @@ def test_simulate_seed_names_the_flag_and_leaves_the_config_as_read(
     )
     grid = grid_file(tmp_path, replicates=2)
     assert main(["simulate", "--config", str(grid), "--seed", "abc"]) == 2
-    printed = capsys.readouterr()
-    assert printed.out == ""
-    assert printed.err == (
-        "error: --seed must be an integer in [0, 2^64) or 'seed:stream', got 'abc'\n"
-    )
     flagged, written = tmp_path / "flag.csv", tmp_path / "written.csv"
     assert main(["simulate", "--config", str(grid), "--seed", "8", "--out", str(flagged)]) == 0
     assert configs == [json.loads(grid.read_text())] * 2
@@ -307,66 +356,30 @@ def test_simulate_seed_names_the_flag_and_leaves_the_config_as_read(
     assert flagged.read_bytes() == written.read_bytes()
 
 
-def test_simulate_bad_config_paths(tmp_path):
-    assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
-    empty = grid_file(tmp_path, cells=[])
-    assert main(["simulate", "--config", str(empty)]) == 2
-
-
 def test_simulate_checks_out_before_the_grid_runs(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(sparsecov.risk, "_run_grid", lambda grid: calls.append(grid))
-    mixed = grid_file(
-        tmp_path, losses=[{"kind": "operator", "w": 2}, {"kind": "frobenius-squared"}]
-    )
-    for out, message in (
-        ("records.txt", "unknown export format 'txt'"),
-        ("records.csv", "mixed loss kinds"),
-        ("missing/records.csv", f"cannot write {tmp_path / 'missing/records.csv'}"),
-    ):
-        code = main(["simulate", "--config", str(mixed), "--out", str(tmp_path / out)])
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / out).exists()
-    assert not (tmp_path / "missing").exists()
+    _rows("out-unknown-format", "out-format-in-a-dotted-directory", "out-mixed-loss-kinds",
+          "simulate-out-missing-directory", "config-not-object")(tmp_path, monkeypatch, capsys)
     assert calls == []
-    listed = tmp_path / "list.json"
-    listed.write_text("[]")
-    assert main(["simulate", "--config", str(listed), "--seed", "3"]) == 2
-    assert "grid config must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "command, module, computes",
     [
-        (["estimate", "--covariance", "cov.csv", "--n", "50"], sparsecov.estimators,
-         "threshold_estimate"),
-        (["simulate", "--config", "grid.json"], sparsecov.risk, "_run_grid"),
-        (["lowerbound", "--p", "10", "--n", "20", "--q", "0", "--c", "4"], sparsecov.cli,
-         "certify"),
+        ("estimate", sparsecov.estimators, "threshold_estimate"),
+        ("simulate", sparsecov.risk, "_run_grid"),
+        ("lowerbound", sparsecov.cli, "certify"),
     ],
     ids=["estimate", "simulate", "lowerbound"],
 )
 def test_out_into_a_missing_directory_exits_before_the_command_computes(
     tmp_path, monkeypatch, capsys, command, module, computes
 ):
-    monkeypatch.chdir(tmp_path)
-    np.savetxt("cov.csv", np.eye(5) + 0.1, delimiter=",")
-    grid_file(tmp_path)
     calls = []
     real = getattr(module, computes)
     monkeypatch.setattr(module, computes, lambda *a: calls.append(a) or real(*a))
-    before = sorted(tmp_path.iterdir())
-    out = tmp_path / "missing" / "result.json"
-    if command[0] == "estimate":
-        out = out.with_suffix(".csv")
-    assert main([*command, "--out", str(out)]) == 2
-    printed = capsys.readouterr()
-    assert printed.out == ""
-    assert printed.err == (
-        f"error: cannot write {out}: {out.parent} is not a writable directory\n"
-    )
-    assert sorted(tmp_path.iterdir()) == before
+    refuses(ROWS[f"{command}-out-missing-directory"], tmp_path, monkeypatch, capsys)
     assert calls == []
 
 
@@ -416,17 +429,6 @@ def test_lowerbound_seed_zero_report_is_pinned(tmp_path):
     assert report["affinity"] == {
         "value": 0.9623474603203166, "std_error": 0.0, "certified": True,
     }
-
-
-@pytest.mark.parametrize("seed", ["abc", "1.5", "-1", "3:x", "", "1_0", " 7", "+7", "7:"])
-def test_lowerbound_seed_names_the_flag_and_its_forms(capsys, seed):
-    flags = ["--p", "10", "--n", "20", "--q", "0", "--c", "4"]
-    assert main(["lowerbound", *flags, "--seed", seed]) == 2
-    printed = capsys.readouterr()
-    assert printed.out == ""
-    assert printed.err == (
-        f"error: --seed must be an integer in [0, 2^64) or 'seed:stream', got {seed!r}\n"
-    )
 
 
 def test_lowerbound_records_seed_zero_when_none_is_given(tmp_path):
@@ -649,28 +651,6 @@ def test_readme_lowerbound_lines_exit_zero(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_lowerbound_domain_exit():
-    # upsilon this large breaks the separation feasibility check
-    assert main([
-        "lowerbound", "--p", "8", "--n", "2", "--q", "0", "--c", "6",
-        "--upsilon", "1.0",
-    ]) == 2
-
-
-def test_lowerbound_overflowing_chi_square_exits_three(tmp_path, capsys):
-    # k = 1 with epsilon = 0.1446, which build_config accepts: the envelope's
-    # (1 - eps^2 ...)^(-40000) is too large for a float
-    out = tmp_path / "report.json"
-    assert main([
-        "lowerbound", "--p", "1000", "--n", "40000", "--q", "0", "--c", "4",
-        "--upsilon", "11", "--out", str(out),
-    ]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "n = 40000" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "command, out",
     [
@@ -699,235 +679,7 @@ def test_simulate_prints_a_degenerate_rate_fit_as_skipped(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "argv, code, err",
-    [
-        (["estimate", "--covariance", "asym.csv", "--n", "50"], 2,
-         "error: matrix asymmetry 3.000e-01 exceeds tolerance 2.000e-12; "
-         "symmetrize explicitly if this is intended\n"),
-        (["simulate", "--config", "grid.json"], 3,
-         "error: matrix is not positive semidefinite: min eigenvalue -4.396e-01\n"),
-        (["lowerbound", "--p", "1000", "--n", "40000", "--q", "0", "--c", "4", "--upsilon", "11"],
-         3, "error: (1 - epsilon^2 (k + k delta))^(-n) overflows at n = 40000, "
-         "base 0.978193; envelope diverges\n"),
-    ],
-    ids=["asymmetric-covariance", "truth-not-psd", "chi-square-overflow"],
-)
-def test_folded_error_classes_keep_their_exit_codes_and_messages(
-    tmp_path, monkeypatch, capsys, argv, code, err
-):
-    # a matrix too far from symmetric is a ConfigError, a truth that is not
-    # PSD and a chi-square too large for a float are DomainErrors
-    monkeypatch.chdir(tmp_path)
-    asym = np.eye(5)
-    asym[0, 1] = 0.3
-    np.savetxt("asym.csv", asym, delimiter=",")
-    truth = {"kind": "banded", "band": 2, "scale": 3.0}
-    grid_file(tmp_path, cells=[{"n": 40, "p": 10}], truth=truth, replicates=3)
-    assert main(argv) == code
-    assert capsys.readouterr().err == err
-
-
-def test_lowerbound_missing_parameters():
-    assert main(["lowerbound", "--p", "8", "--n", "20"]) == 2
-
-
-def _misspelled(tmp_path, where, key):
-    """A config file with one key its reader does not read."""
-    grid = json.loads(grid_file(tmp_path).read_text())
-    if where == "top":
-        grid[key] = 1
-    else:
-        entry = {"cells": grid["cells"][0], "truth": grid["truth"],
-                 "estimators": grid["estimators"][0], "losses": grid["losses"][0]}[where]
-        entry[key] = 1
-    return ["simulate", "--config", str(grid_file(tmp_path, **grid))]
-
-
-@pytest.mark.parametrize(
-    "where, key, path",
-    [
-        ("top", "replicate", "grid config"),
-        ("cells", "pp", "cells[0]"),
-        ("truth", "bnad", "truth (kind 'banded')"),
-        ("estimators", "psd_project", "estimators[0]"),
-        ("losses", "normalised", "losses[0]"),
-    ],
-    ids=["top", "cells", "truth", "estimators", "losses"],
-)
-def test_unknown_config_key_exits_two_naming_it(tmp_path, capsys, where, key, path):
-    assert main(_misspelled(tmp_path, where, key)) == 2
-    assert f"unknown key {key!r} in {path}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        ({"truth": "banded"}, "truth must be a JSON object, got str"),
-        # the grid shape comes from cells alone
-        ({"cells": [{"n": 20, "p": 10}], "n": [5]}, "unknown key 'n' in grid config"),
-        ({"n": [5], "p": [10]}, "unknown key 'n' in grid config"),
-        ({"p": [10]}, "unknown key 'p' in grid config"),
-        ({"cells": {"n": 20, "p": 10}}, "cells must be a JSON array, got dict"),
-        # the fit target always follows from the loss and the truth's q
-        ({"target_exponent": 1.0}, "unknown key 'target_exponent' in grid config"),
-        # a banded truth's strength is its scale; an fstar member its theta_seed
-        ({"truth": {"kind": "banded", "band": 2, "value": 0.3, "scale": 1.0}},
-         "unknown key 'value' in truth (kind 'banded')"),
-        ({"truth": {"kind": "fstar", "q": 0, "c": 4,
-                    "theta": {"gamma": [], "lambda": []}, "theta_seed": 1}},
-         "unknown key 'theta' in truth (kind 'fstar')"),
-        ({"losses": [{"kind": "operator", "w": 2, "normalized": True}]},
-         "operator loss cannot be normalized"),
-        ({"losses": [{"kind": "bregman", "phi": "stein", "w": 1}]},
-         "unknown key 'w' in losses[0] (kind 'bregman')"),
-        # each grid entry is an object
-        ({"estimators": ["hard"]}, "estimators[0] must be a JSON object, got str"),
-        ({"losses": ["operator"]}, "losses[0] must be a JSON object, got str"),
-        ({"cells": [[20, 10]]}, "cells[0] must be a JSON object, got list"),
-        # a cell size too small to run is refused before the memory model
-        # reads it, and before the first cell runs
-        ({"cells": [{"n": 100, "p": -1000000}]}, "cells[0].p must be at least 2, got -1000000"),
-        ({"cells": [{"n": 20, "p": 10}, {"n": 0, "p": 10}]},
-         "cells[1].n must be at least 1, got 0"),
-        ({"cells": [{"n": 20, "p": 10}, {"n": 300, "p": 1}]},
-         "cells[1].p must be at least 2, got 1"),
-        # the guard a Stein loss adds needs two rows
-        ({"cells": [{"n": 20, "p": 10}, {"n": 1, "p": 10}],
-          "losses": [{"kind": "bregman", "phi": "stein"}]},
-         "cells[1].n must be at least 2, got 1"),
-        # a bad entry is named by its index, as a cell is
-        ({"estimators": [{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": "2"}]},
-         "estimators[1].gamma must be a number, got '2'"),
-        ({"estimators": [{"rule": "hard"}, {"rule": "soft", "psd_project": True}]},
-         "unknown key 'psd_project' in estimators[1]"),
-        ({"losses": [{"kind": "operator", "w": 2}, {"kind": "frobenius-squared", "w": 1}]},
-         "unknown key 'w' in losses[1] (kind 'frobenius-squared')"),
-        ({"losses": [{"kind": "operator", "w": 2}, {"kind": "operator", "w": "1"}]},
-         "losses[1].w must be a number, got '1'"),
-        ({"estimators": {"rule": "hard"}}, "estimators must be a JSON array, got dict"),
-        # so is a value the entry's spec refuses
-        ({"estimators": [{"rule": "hard"}, {"rule": "hard", "gamma": -1}]},
-         "estimators[1]: gamma must be positive, got -1.0"),
-        ({"losses": [{"kind": "operator", "w": 2}, {"kind": "operator", "w": 3}]},
-         "losses[1]: operator loss needs w in {1, 2, inf}, got 3"),
-        # a decay truth's q is 1 / exponent, which must lie in [0, 1)
-        ({"truth": {"kind": "decay", "amplitude": 0.3, "exponent": 0.8}},
-         "truth.exponent must exceed 1, got 0.8"),
-        # a member's seed is a uint64, named by its path
-        ({"truth": {"kind": "fstar", "q": 0, "c": 4, "theta_seed": -1}},
-         "truth.theta_seed must be an integer in [0, 2^64) or 'seed:stream', got -1"),
-        ({"truth": {"kind": "fstar", "q": 0, "c": 4, "theta_seed": 2**64}},
-         f"truth.theta_seed must be an integer in [0, 2^64) or 'seed:stream', got {2**64}"),
-        # corrections are an array of strings, not a number or one string
-        ({"estimators": [{"rule": "hard", "corrections": 5}]},
-         "estimators[0].corrections must be an array of strings, got 5"),
-        ({"estimators": [{"rule": "hard", "corrections": "psd-project"}]},
-         "estimators[0].corrections must be an array of strings, got 'psd-project'"),
-        # a kind is a string, not an array or an object
-        ({"losses": [{"kind": ["operator"]}]}, "losses[0].kind must be a string, got ['operator']"),
-        ({"losses": [{"kind": {"operator": 2}}]},
-         "losses[0].kind must be a string, got {'operator': 2}"),
-        ({"truth": {"kind": ["banded"], "band": 2}},
-         "truth.kind must be a string, got ['banded']"),
-        ({"truth": {"kind": {"banded": 2}}}, "truth.kind must be a string, got {'banded': 2}"),
-        # a required key left out is named with its path
-        ({"truth": {"kind": "banded"}}, "truth.band is required"),
-        ({"cells": [{"n": 20, "p": 10}, {"p": 10}]}, "cells[1].n is required"),
-        ({"cells": [{"n": 20}]}, "cells[0].p is required"),
-        ({"truth": {"kind": "fstar", "c": 4}}, "truth.q is required"),
-        ({"truth": {"kind": "fstar", "q": 0}}, "truth.c is required"),
-        ({"truth": {"kind": "decay", "amplitude": 0.3}}, "truth.exponent is required"),
-        ({"truth": {"band": 2}}, "truth.kind is required"),
-    ],
-    ids=["truth-not-object", "cells-and-n", "cells-and-n-p", "p-array", "cells-object",
-         "target-exponent", "value-and-scale", "theta-and-theta-seed",
-         "normalized-operator", "bregman-w", "estimator-not-object", "loss-not-object",
-         "cell-not-object", "cell-negative-p", "cell-zero-n", "late-cell-p-one",
-         "late-cell-n-one-guarded", "second-estimator-gamma", "second-estimator-key",
-         "second-loss-key", "second-loss-w", "estimators-object",
-         "second-estimator-gamma-value", "second-loss-w-value", "decay-exponent",
-         "theta-seed-negative", "theta-seed-too-large", "corrections-number",
-         "corrections-string", "loss-kind-array", "loss-kind-object", "truth-kind-array",
-         "truth-kind-object", "banded-no-band", "cell-no-n", "cell-no-p", "fstar-no-q",
-         "fstar-no-c", "decay-no-exponent", "truth-no-kind"],
-)
-def test_malformed_grid_config_exits_two_naming_the_key(tmp_path, capsys, overrides, message):
-    assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err
-
-
 FSTAR = {"kind": "fstar", "q": 0, "c": 4, "upsilon": 0.1}
-SEED_FORMS = "must be an integer in [0, 2^64) or 'seed:stream'"
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        ({"cells": [{"n": 20.9, "p": 10}]}, "cells[0].n must be an integer, got 20.9"),
-        ({"cells": [{"n": 20, "p": 10}, {"n": 40, "p": "20"}]},
-         "cells[1].p must be an integer, got '20'"),
-        ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
-        ({"replicates": True}, "replicates must be an integer, got True"),
-        ({"truth": {"kind": "banded", "band": 1.7, "scale": 1.0}},
-         "truth.band must be an integer, got 1.7"),
-        ({"truth": {**FSTAR, "theta_seed": 1.5}}, f"truth.theta_seed {SEED_FORMS}, got 1.5"),
-        ({"truth": {**FSTAR, "theta_seed": False}}, f"truth.theta_seed {SEED_FORMS}, got False"),
-    ],
-    ids=["cell-n-float", "cell-p-string", "replicates-float", "replicates-bool",
-         "band-float", "theta-seed-float", "theta-seed-bool"],
-)
-def test_integer_grid_field_is_not_truncated(tmp_path, capsys, overrides, message):
-    assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err
-
-
-DECAY = {"kind": "decay", "amplitude": 0.3, "exponent": 2.0}
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        ({"estimators": [{"rule": "hard", "keep_diagonal": "false"}]},
-         "estimators[0].keep_diagonal must be true or false, got 'false'"),
-        ({"losses": [{"kind": "frobenius-squared", "normalized": "false"}]},
-         "losses[0].normalized must be true or false, got 'false'"),
-        ({"estimators": [{"rule": "hard", "gamma": True}]},
-         "estimators[0].gamma must be a number, got True"),
-        ({"estimators": [{"rule": "hard", "gamma": "2.5"}]},
-         "estimators[0].gamma must be a number, got '2.5'"),
-        ({"losses": [{"kind": "operator", "w": True}]}, "losses[0].w must be a number, got True"),
-        ({"truth": {"kind": "banded", "band": 2, "scale": True}},
-         "truth.scale must be a number, got True"),
-        ({"truth": {**DECAY, "amplitude": "0.3"}}, "truth.amplitude must be a number, got '0.3'"),
-        ({"truth": {**DECAY, "exponent": True}}, "truth.exponent must be a number, got True"),
-        ({"truth": {**FSTAR, "q": "0"}}, "truth.q must be a number, got '0'"),
-        ({"truth": {**FSTAR, "c": "4"}}, "truth.c must be a number, got '4'"),
-        ({"truth": {**FSTAR, "upsilon": "0.1"}}, "truth.upsilon must be a number, got '0.1'"),
-        ({"seed": 1.5}, f"seed {SEED_FORMS}, got 1.5"),
-        ({"seed": True}, f"seed {SEED_FORMS}, got True"),
-        ({"seed": "7:x"}, f"seed {SEED_FORMS}, got '7:x'"),
-        ({"seed": -1}, f"seed {SEED_FORMS}, got -1"),
-        # a string seed is ASCII digits, with a stream after one colon
-        ({"seed": "1_0"}, f"seed {SEED_FORMS}, got '1_0'"),
-        ({"seed": " 7"}, f"seed {SEED_FORMS}, got ' 7'"),
-        ({"seed": "+7"}, f"seed {SEED_FORMS}, got '+7'"),
-        ({"seed": "7:"}, f"seed {SEED_FORMS}, got '7:'"),
-    ],
-    ids=["keep-diagonal-string", "normalized-string", "gamma-bool", "gamma-string",
-         "w-bool", "scale-bool", "amplitude-string", "exponent-bool", "q-string",
-         "c-string", "upsilon-string", "seed-float", "seed-bool", "seed-bad-stream",
-         "seed-negative", "seed-underscore", "seed-space", "seed-plus", "seed-empty-stream"],
-)
-def test_config_field_of_the_wrong_type_exits_two_naming_it(tmp_path, capsys, overrides, message):
-    assert main(["simulate", "--config", str(grid_file(tmp_path, **overrides))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("seed", [7, "7", "7:0", 7.0])
@@ -958,109 +710,14 @@ def test_integral_float_grid_field_reads_as_its_integer(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--c", "inf"], "c must be positive and finite, got inf"),
-        (["--c", "1", "--upsilon", "inf"], "upsilon must be positive and finite, got inf"),
-    ],
-    ids=["c-inf", "upsilon-inf"],
-)
-def test_lowerbound_refuses_a_non_finite_parameter(tmp_path, capsys, flags, message):
-    out = tmp_path / "report.json"
-    argv = ["lowerbound", "--p", "10", "--n", "20", "--q", "0", *flags, "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "estimator, message",
-    [
-        ({"rule": "hard", "gamma": math.inf}, "estimators[0]: gamma must be finite, got inf"),
-        ({"rule": "adaptive-lasso", "eta": math.inf},
-         "estimators[0]: eta must be finite, got inf"),
-        # refused before today: the message stays
-        ({"rule": "hard", "gamma": -math.inf},
-         "estimators[0]: gamma must be positive, got -inf"),
-    ],
-    ids=["gamma-inf", "eta-inf", "gamma-minus-inf"],
-)
-def test_grid_refuses_a_non_finite_threshold_parameter(tmp_path, capsys, estimator, message):
-    # an infinite threshold zeroes every entry; that must not pass as a result
-    out = tmp_path / "records.csv"
-    config = grid_file(tmp_path, estimators=[estimator])
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--gamma", "inf"], "gamma must be finite, got inf"),
-        (["--rule", "adaptive-lasso", "--eta", "inf"], "eta must be finite, got inf"),
-        (["--gamma", "nan"], "gamma must be positive, got nan"),
-    ],
-    ids=["gamma-inf", "eta-inf", "gamma-nan"],
-)
-def test_estimate_refuses_a_non_finite_threshold_flag(tmp_path, capsys, flags, message):
-    cov = tmp_path / "cov.csv"
-    save_matrix_csv(cov, np.eye(5) + 0.1)
-    out = tmp_path / "estimate.csv"
-    argv = ["estimate", "--covariance", str(cov), "--n", "50", *flags, "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["c", "upsilon"])
-def test_fstar_truth_refuses_a_non_finite_parameter(tmp_path, capsys, key):
-    # json writes and reads float("inf") as the non-standard literal Infinity
-    config = grid_file(tmp_path, truth={**FSTAR, key: math.inf})
-    assert main(["simulate", "--config", str(config)]) == 2
-    assert f"{key} must be positive and finite, got inf" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "truth, key",
-    [
-        ({"kind": "banded", "band": 2, "scale": math.inf}, "scale"),
-        ({"kind": "decay", "amplitude": math.nan, "exponent": 2.0}, "amplitude"),
-        # 1^(-inf) = 1 would put ones beside the diagonal: not PSD, exit 3
-        ({"kind": "decay", "amplitude": 1.0, "exponent": math.inf}, "exponent"),
-    ],
-    ids=["scale-inf", "amplitude-nan", "exponent-inf"],
-)
-def test_truth_refuses_a_non_finite_real(tmp_path, capsys, truth, key):
-    config = grid_file(tmp_path, truth=truth)
-    assert main(["simulate", "--config", str(config)]) == 2
-    value = truth[key]
-    assert f"truth.{key} must be finite, got {value}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "truth, cell, message",
-    [
-        ({"kind": "banded", "band": 3}, {"n": 60, "p": 3}, "invalid banded truth: p=3, band=3"),
-        (FSTAR, {"n": 1, "p": 40},
-         "2*k*epsilon = 0.384129 >= 1/3; shrink c or upsilon, or raise n"),
-        ({**FSTAR, "c": 6}, {"n": 60, "p": 3}, "k = 2 exceeds r = 1; the family would be empty"),
-    ],
-    ids=["band-not-below-p", "fstar-at-n-one", "fstar-k-above-r"],
-)
+@pytest.mark.parametrize("row", ["band-not-below-p", "fstar-at-n-one", "fstar-k-above-r"])
 def test_grid_refuses_a_truth_a_later_cell_cannot_hold_before_any_cell_runs(
-    tmp_path, monkeypatch, capsys, truth, cell, message
+    tmp_path, monkeypatch, capsys, row
 ):
     calls = []
     run_cell = sparsecov.risk._run_cell
     monkeypatch.setattr(sparsecov.risk, "_run_cell", lambda *a: calls.append(1) or run_cell(*a))
-    cells = [{"n": 60, "p": 20}, {"n": 120, "p": 40}, cell]
-    assert main(["simulate", "--config", str(grid_file(tmp_path, cells=cells, truth=truth))]) == 2
-    assert capsys.readouterr().err == f"error: cells[2]: {message}\n"
+    refuses(ROWS[row], tmp_path, monkeypatch, capsys)
     assert calls == []
 
 
