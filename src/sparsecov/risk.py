@@ -371,8 +371,8 @@ def _fmt(value) -> str:
 
 
 def _export_format(path, losses) -> str:
-    """The export format the suffix of ``path`` names, ``"csv"`` or
-    ``"json"``, checked against the losses the records carry, so a run can
+    """The export format named after the last dot of ``path``'s file name,
+    ``"csv"`` or ``"json"`` (``""`` if the name has no dot), checked against the losses the records carry, so a run can
     fail before it computes anything it could not write.
 
     Raises
@@ -382,7 +382,8 @@ def _export_format(path, losses) -> str:
     SchemaError
         If a CSV would mix loss kinds or normalizations.
     """
-    fmt = os.path.splitext(path)[1][1:].lower()
+    name = os.path.basename(path)
+    fmt = name.rpartition(".")[2].lower() if "." in name else ""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
     schemas = {(loss.kind, loss.normalized) for loss in losses}

@@ -104,7 +104,8 @@ REFUSALS = [
              "expected keys ['kind', 'normalized']",
              losses=[OPERATOR, {"kind": "frobenius-squared", "w": 1}]),
     # each part of the config has its JSON type
-    refusal("config-not-object", "simulate --config grid.json",
+    # --seed replaces the seed of the grid it read, so a list is refused first
+    refusal("config-not-object", "simulate --config grid.json --seed 3",
             "grid config must be a JSON object, got list", files={"grid.json": []}),
     refusal("config-missing", "simulate --config missing.json",
             "[Errno 2] No such file or directory: 'missing.json'"),
@@ -256,9 +257,10 @@ REFUSALS = [
     # more draws than one seed has substreams, before the first cell runs
     simulate("too-many-replicates", "replicates must number at most 16777215, got 16777216",
              replicates=2**24),
-    # an --out that cannot be written, before the command computes anything
+    # an --out that cannot be written, before the command computes anything and
+    # before the losses are checked against its format
     simulate("simulate-out-missing-directory", f"cannot write missing/records.csv: {NOT_WRITABLE}",
-             flags="--out missing/records.csv"),
+             flags="--out missing/records.csv", losses=[OPERATOR, {"kind": "frobenius-squared"}]),
     refusal("lowerbound-out-missing-directory", f"{LOWERBOUND} --out missing/report.json",
             f"cannot write missing/report.json: {NOT_WRITABLE}"),
     estimate("estimate-out-missing-directory", "--covariance cov.csv --n 50 --out "

@@ -581,6 +581,15 @@ def test_mixed_loss_csv_is_rejected(tmp_path):
     export_records([a, b], tmp_path / "ok.json")
 
 
+@pytest.mark.parametrize(
+    "path, fmt",
+    [("records.csv", "csv"), ("runs.v2/records.JSON", "json"), (".csv", "csv"),
+     (Path("runs.v2") / "records.json", "json")],
+)
+def test_export_format_is_read_from_the_file_name(path, fmt):
+    assert risk_module._export_format(path, [OP2]) == fmt
+
+
 def test_readme_grid_example_uses_only_keys_the_grid_reads():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
