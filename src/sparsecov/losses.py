@@ -156,7 +156,7 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in _LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        for name in {f.name for f in fields(self)} - set(self._keys()):
+        for name in {f.name for f in fields(self)} - set(_kind_keys(self.kind)):
             object.__setattr__(self, name, None)
         if self.kind == "operator":
             if self.w not in (1, 2, math.inf, 1.0, 2.0):
@@ -168,10 +168,6 @@ class LossSpec:
         if self.kind == "bregman":
             _generator(self.phi)
 
-    def _keys(self) -> list:
-        """The fields this spec's kind reads, in field order."""
-        return [f.name for f in fields(self) if self.kind in f.metadata.get("kinds", _LOSS_KINDS)]
-
     @property
     def detail(self) -> str:
         """Short label for the w-or-phi slot in flat exports."""
@@ -182,7 +178,7 @@ class LossSpec:
     def to_json(self) -> dict:
         """The fields this spec's kind reads, in field order; w = inf is
         spelled ``"inf"``."""
-        obj = {name: getattr(self, name) for name in self._keys()}
+        obj = {name: getattr(self, name) for name in _kind_keys(self.kind)}
         if obj.get("w") == math.inf:
             obj["w"] = "inf"
         return obj
@@ -191,10 +187,18 @@ class LossSpec:
     def from_json(cls, obj: dict, where: str = "loss") -> "LossSpec":
         """Read a spec from its JSON object; ``where`` names the object's
         place in its config in every message, such as ``losses[1]``.  A key
-        that the spec's kind does not read is refused, not dropped."""
-        spec = _from_json(cls, obj, where)
-        _check_keys(obj, spec._keys(), f"{where} (kind {spec.kind!r})")
-        return spec
+        that the spec's kind does not read is refused, not dropped, and named
+        with the keys that kind reads."""
+        _check_keys(obj, obj, where)  # an object; its kind decides which keys it may have
+        kind = obj.get("kind", cls.kind)
+        if kind in _LOSS_KINDS:
+            _check_keys(obj, _kind_keys(kind), f"{where} (kind {kind!r})")
+        return _from_json(cls, obj, where)
+
+
+def _kind_keys(kind: str) -> list:
+    """The fields of :class:`LossSpec` that a loss of ``kind`` reads, in field order."""
+    return [f.name for f in fields(LossSpec) if kind in f.metadata.get("kinds", _LOSS_KINDS)]
 
 
 def _validated_pair(a, b) -> tuple[_Symmetric, _Symmetric]:

@@ -26,7 +26,6 @@ family, so every value costs O(r) at most.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,8 +53,6 @@ def overlap_fractions(k: int, p_lambda: int) -> list[Fraction]:
         raise ConfigError(f"k must be nonnegative, got {k}")
     if p_lambda < k:
         raise ConfigError(f"need p_lambda >= k, got p_lambda={p_lambda}, k={k}")
-    if k == 0:
-        return [Fraction(1)]
     denom = math.comb(p_lambda, k)
     return [
         Fraction(math.comb(k, j) * math.comb(p_lambda - k, k - j), denom)
@@ -105,24 +102,24 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> float:
         follows.
     """
     k, eps2, n = cfg.k, cfg.epsilon**2, cfg.n
-    p_lambda_min = _fewest_free_columns(cfg.r, k)
-    # overlap_fractions refuses p_lambda_min < k, which only an empty family reaches
-    pmf = overlap_fractions(k, p_lambda_min)
+    # overlap_fractions refuses fewer free columns than k, which only an empty family reaches
+    pmf = overlap_fractions(k, _fewest_free_columns(cfg.r, k))
     rho = 2.0 * k * k * eps2
     if rho >= 1.0:
         raise DomainError(f"rho = 2 k^2 epsilon^2 = {rho:.6g} >= 1; envelope diverges")
     delta = rho / (1.0 - rho)
-    bases = [1.0 - eps2 * (j + k * delta) for j in range(k + 1)]
-    if min(bases) <= 0.0:
+    # base_j = 1 - x_j, and the P(J = j) sum to 1, so each term is P(J = j) * (base_j^(-n) - 1)
+    xs = [eps2 * (j + k * delta) for j in range(k + 1)]
+    if max(xs) >= 1.0:
         raise DomainError(
-            f"1 - epsilon^2 (k + k delta) = {min(bases):.6g} <= 0; envelope diverges"
+            f"1 - epsilon^2 (k + k delta) = {1.0 - max(xs):.6g} <= 0; envelope diverges"
         )
     try:
-        return math.fsum(float(pj) * base ** (-n) for pj, base in zip(pmf, bases)) - 1.0
+        return math.fsum(float(pj) * math.expm1(-n * math.log1p(-x)) for pj, x in zip(pmf, xs))
     except OverflowError as exc:
         raise DomainError(
             f"(1 - epsilon^2 (k + k delta))^(-n) overflows at n = {n}, "
-            f"base {min(bases):.6g}; envelope diverges"
+            f"base {1.0 - max(xs):.6g}; envelope diverges"
         ) from exc
 
 
@@ -137,33 +134,47 @@ def _k_one_usage(r: int) -> tuple[float, float]:
 
         w_t / w_(t-1) = (s + 2)(s + 1) / (2 t (t + 1)),
 
-    and both expectations are sums over t alone: the log-weights are
-    accumulated from the ratios, shifted by their maximum and exponentiated,
-    and each sum is taken with ``math.fsum``.  The ratio falls in t, so the
-    log-weights rise to one peak and then fall.  A weight more than
-    ``_EXP_UNDERFLOW`` below the peak is exactly 0.0 after ``exp`` and adds
-    nothing to a correctly rounded sum, so only the band within it is kept,
-    a window that slides up to the peak, and the walk stops where the fall
-    leaves the band: the sums are bit for bit those over every t.
+    and both expectations are sums over t alone.  The ratio falls in t, so
+    the weights rise to one peak t*, the largest t whose ratio is at least
+    1, and then fall.  The ratio is 1 at the smaller root of
+    2t^2 - 4(r + 1)t + r(r + 1) = 0, t = r + 1 - sqrt((r + 1)(r + 2) / 2),
+    so ``r - isqrt((r + 1)(r + 2) // 2)`` is t* or one below it, and one
+    exact test of the next ratio settles which.  The log-weights are
+    accumulated from the ratios outward from t*, where the log-weight is 0,
+    and exponentiated, and each sum is taken with ``math.fsum``.  A weight
+    more than ``_EXP_UNDERFLOW`` below the peak is exactly 0.0 after
+    ``exp``, so each side's walk stops at the first such weight.
     """
-    band = deque([0.0])  # the log-weights of t = first, first + 1, ...
-    first = 0
-    log_w = top = 0.0
-    for t in range(1, (r - 1) // 2 + 1):
-        s = r - 1 - 2 * t
-        log_w += math.log((s + 2) * (s + 1) / (2 * t * (t + 1)))
-        if log_w - top < -_EXP_UNDERFLOW:
-            break  # past the peak, and every later weight lies lower still
-        top = max(top, log_w)
-        band.append(log_w)
-        while band[0] - top < -_EXP_UNDERFLOW:
-            band.popleft()
-            first += 1
-    w = [math.exp(v - top) for v in band]
-    total = math.fsum(w)
+    m = (r - 1) // 2
+
+    def ratio(t: int) -> tuple[int, int]:
+        """w_t / w_(t-1) as its numerator (s + 2)(s + 1) and denominator."""
+        return (r + 1 - 2 * t) * (r - 2 * t), 2 * t * (t + 1)
+
+    peak = min(m, r - math.isqrt((r + 1) * (r + 2) // 2))
+    if peak < m and ratio(peak + 1)[0] >= ratio(peak + 1)[1]:
+        peak += 1
+    below, above = [], [1.0]  # w_t / w_peak from t = peak - 1 down and from t = peak up
+    for side, step, stop in ((below, -1, -1), (above, 1, m + 1)):
+        log_w = 0.0
+        for t in range(peak + step, stop, step):
+            # w_t from its neighbour toward the peak, through the ratio of the upper one
+            num, den = ratio(max(t, t - step))
+            log_w += step * math.log(num / den)
+            if log_w < -_EXP_UNDERFLOW:
+                break  # every weight farther out lies lower still
+            side.append(math.exp(log_w))
+    sides = ((range(peak, m + 1), above), (range(peak - 1, -1, -1), below))
+
+    def weighted(f) -> float:
+        """The sum of w_t f(t), taken from the peak outward: math.fsum adds
+        falling terms many times faster than rising ones."""
+        return math.fsum(w_t * f(t) for ts, side in sides for t, w_t in zip(ts, side))
+
+    total = weighted(lambda t: 1.0)
     # a0 + a1 = r - t and a1 = r - 1 - 2t
-    free = math.fsum(w_t * (r - t) for t, w_t in enumerate(w, first)) / total
-    once = math.fsum(w_t * (r - 1 - 2 * t) / (r - t) for t, w_t in enumerate(w, first)) / total
+    free = weighted(lambda t: r - t) / total
+    once = weighted(lambda t: (r - 1 - 2 * t) / (r - t)) / total
     return free, once
 
 
@@ -207,7 +218,7 @@ def closed_form_chi_square(cfg: LeastFavorableConfig) -> float:
                 f"eps^2 = {eps2:.6g}"
             )
         try:
-            return (1.0 - eps2 / base) ** (-cfg.n) - 1.0
+            return math.expm1(-cfg.n * math.log1p(-eps2 / base))
         except OverflowError as exc:
             raise DomainError(
                 f"cross-product integral overflows at column usage {u}: "

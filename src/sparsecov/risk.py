@@ -143,8 +143,8 @@ class _Decay(_Truth):
 @dataclass(frozen=True)
 class _FStar(_Truth):
     q: float = _json_field(_check_real)
-    c: float = _json_field(_check_real)
-    upsilon: float = _json_field(_check_real, default=DEFAULT_UPSILON)
+    c: float = _json_field(_finite)
+    upsilon: float = _json_field(_finite, default=DEFAULT_UPSILON)
     theta_seed: RngSeed = _json_field(RngSeed.parse, default=RngSeed(0))
 
     def at(self, n, p):

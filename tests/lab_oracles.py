@@ -13,12 +13,15 @@ enumerating every member pair, and the exact chi-square by enumerating
 every completion.  So does the Gaussian cross-product integral on full
 p x p matrices.  Each enumeration compares its work with a budget: past
 it the exact separation is skipped, and the other enumerations refuse with
-``BudgetError``.
+``BudgetError``.  The closed forms of ``sparsecov.lower_bound`` are
+repeated in 60-digit decimal, term by term, as the reference their float
+sums are held to.
 """
 
 from __future__ import annotations
 
 import ctypes
+import decimal
 import glob
 import itertools
 import math
@@ -28,6 +31,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -43,6 +47,7 @@ from sparsecov.matrices import _from_eigen, as_symmetric
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
     _column_cap,
+    _fewest_free_columns,
     _overused_column,
     _sigma_stack,
 )
@@ -265,6 +270,63 @@ def exact_chi_square_small(
             acc += d_c * cell
         weight_sum += d_c * len(cells)
     return acc / weight_sum
+
+
+# ---------------------------------------------------------------------------
+# the closed forms in 60-digit decimal
+
+# 60 significant digits, in an exponent range wide enough for the k = 1
+# weights, which pass decimal's default Emax of 999,999 by p = 10^7.
+_DECIMAL = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+@lru_cache(maxsize=4)
+def k_one_usage_decimal(r: int) -> tuple[Decimal, Decimal]:
+    """E[a0 + a1] and E[a1 / (a0 + a1)] of ``lower_bound._k_one_usage``.
+
+    The sums run over every t = 0..(r - 1) // 2, up from w_0 = 1, each
+    weight from the one before by its exact rational ratio
+    (s + 2)(s + 1) / (2 t (t + 1)) with s = r - 1 - 2t.
+    """
+    with decimal.localcontext(_DECIMAL):
+        w = total = free = once = Decimal(0)
+        for t in range((r - 1) // 2 + 1):
+            s = r - 1 - 2 * t
+            w = w * ((s + 2) * (s + 1)) / (2 * t * (t + 1)) if t else Decimal(1)
+            total += w
+            free += w * (r - t)
+            once += w * (r - 1 - 2 * t) / (r - t)
+        return free / total, once / total
+
+
+def closed_form_chi_square_decimal(cfg: LeastFavorableConfig) -> Decimal:
+    """``lower_bound.closed_form_chi_square`` at k = 1, with the float
+    epsilon of ``cfg`` taken exactly and the pair terms
+    f(u) = (1 - eps^2 / (1 - eps^2 u))^(-n) - 1 in 60-digit decimal."""
+    free, once = k_one_usage_decimal(cfg.r)
+    with decimal.localcontext(_DECIMAL):
+        eps2 = Decimal(cfg.epsilon) ** 2
+        f0, f1 = ((1 - eps2 / (1 - eps2 * u)) ** -cfg.n - 1 for u in (0, 1))
+        return (f0 + once * (f1 - f0) / 2) / free
+
+
+def chi_square_mixture_bound_decimal(cfg: LeastFavorableConfig) -> Decimal:
+    """``lower_bound.chi_square_mixture_bound``,
+    sum_j P(J = j) (1 - eps^2 (j + k delta))^(-n) - 1, with the float
+    epsilon of ``cfg`` taken exactly, the hypergeometric overlap law at the
+    fewest free columns and every step in 60-digit decimal."""
+    k = cfg.k
+    p_lambda = _fewest_free_columns(cfg.r, k)
+    with decimal.localcontext(_DECIMAL):
+        eps2 = Decimal(cfg.epsilon) ** 2
+        rho = 2 * k * k * eps2
+        delta = rho / (1 - rho)
+        total = sum(
+            Decimal(math.comb(k, j) * math.comb(p_lambda - k, k - j)) / math.comb(p_lambda, k)
+            * (1 - eps2 * (j + k * delta)) ** -cfg.n
+            for j in range(k + 1)
+        )
+        return total - 1
 
 
 # ---------------------------------------------------------------------------

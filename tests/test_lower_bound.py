@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -415,18 +416,57 @@ def test_k_one_sum_matches_the_exact_profile_expectations(r):
     assert got_once == pytest.approx(float(once), rel=1e-14, abs=0.0)
 
 
+def _relative_error(got: float, want: Decimal) -> float:
+    return float(abs(Decimal(got) - want) / abs(want))
+
+
+@pytest.mark.parametrize("r", [5_000, 500_000])
+def test_k_one_usage_matches_the_decimal_oracle(r):
+    # a walk up from t = 0 was 5.6e-15 and 1.3e-14 off at r = 5,000, and
+    # 5.4e-14 and 1.3e-13 off at r = 500,000
+    for got, want in zip(_k_one_usage(r), lab_oracles.k_one_usage_decimal(r)):
+        assert _relative_error(got, want) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [10**4, 10**6])
+def test_both_chi_squares_match_the_decimal_oracle_at_k_one(p):
+    # base^(-n) - 1 cancelled to 1.5e-11 and 1.0e-11 off for the exact
+    # chi-square, and to 6.3e-9 and 3.5e-7 off for the envelope
+    cfg = build_config(p, 40000, 0.0, 4.0, 0.1)
+    assert cfg.k == 1
+    exact = lab_oracles.closed_form_chi_square_decimal(cfg)
+    assert _relative_error(closed_form_chi_square(cfg), exact) <= 1e-14
+    envelope = lab_oracles.chi_square_mixture_bound_decimal(cfg)
+    assert _relative_error(chi_square_mixture_bound(cfg), envelope) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "args, k",
+    [((1000, 4000, 0.0, 8.0, 0.61), 3), ((800, 800, 0.0, 6.0, 0.66), 2)],
+    ids=["1000-4000-k3", "800-800-k2"],
+)
+def test_envelope_matches_the_decimal_oracle_past_k_one(args, k):
+    # the best-upsilon points of two k > 1 rows, where the envelope was
+    # 2.9e-14 and 8.0e-14 off
+    cfg = build_config(*args)
+    assert cfg.k == k
+    want = lab_oracles.chi_square_mixture_bound_decimal(cfg)
+    assert _relative_error(chi_square_mixture_bound(cfg), want) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "p, n, bits",
     [
-        (8, 20, "0x1.95559b148e77cp-8"),
-        (10, 20, "0x1.73a528aafeceap-8"),
-        (10**4, 40000, "0x1.c9bdf3de45575p-16"),
-        (10**6, 40000, "0x1.c1f173d55d123p-22"),
+        (8, 20, "0x1.95559b148e7c5p-8"),
+        (10, 20, "0x1.73a528aafec69p-8"),
+        (10**4, 40000, "0x1.c9bdf3de27933p-16"),
+        (10**6, 40000, "0x1.c1f173d5711b1p-22"),
     ],
+    ids=["8-20", "10-20", "10000-40000", "1000000-40000"],
 )
 def test_closed_form_chi_square_keeps_its_bits(p, n, bits):
-    # the values of the sum over every t, before it kept only the band
-    # of weights that exp does not round to zero
+    # each value lies within 3e-16 relative of the decimal oracle; the ids
+    # leave the bits out, so a re-pin keeps them
     cfg = build_config(p, n, 0.0, 4.0, 0.1)
     assert cfg.k == 1
     assert closed_form_chi_square(cfg).hex() == bits

@@ -81,8 +81,8 @@ REFUSALS = [
              "['band', 'kind', 'scale']", truth={"kind": "banded", "band": 2, "bnad": 1}),
     simulate("unknown-key-estimators", f"unknown key 'psd_project' in estimators[0]; "
              f"{ESTIMATOR_KEYS}", estimators=[{"rule": "hard", "psd_project": 1}]),
-    simulate("unknown-key-losses", "unknown key 'normalised' in losses[0]; expected keys "
-             "['kind', 'normalized', 'phi', 'w']", losses=[{**OPERATOR, "normalised": 1}]),
+    simulate("unknown-key-losses", "unknown key 'normalised' in losses[0] (kind 'operator'); "
+             "expected keys ['kind', 'normalized', 'w']", losses=[{**OPERATOR, "normalised": 1}]),
     # the grid shape comes from cells alone, the fit target from the loss and the truth's q
     simulate("cells-and-n", f"unknown key 'n' in grid config; {GRID_KEYS}", n=[5]),
     simulate("cells-and-n-p", f"unknown key 'n' in grid config; {GRID_KEYS}", n=[5], p=[10]),
@@ -193,9 +193,9 @@ REFUSALS = [
              truth={"kind": "decay", "amplitude": 1.0, "exponent": math.inf}),
     simulate("decay-exponent", "truth.exponent must exceed 1, got 0.8",
              truth={**DECAY, "exponent": 0.8}),
-    simulate("fstar-non-finite-c", "cells[0]: c must be positive and finite, got inf",
+    simulate("fstar-non-finite-c", "truth.c must be finite, got inf",
              truth={**FSTAR, "c": math.inf}),
-    simulate("fstar-non-finite-upsilon", "cells[0]: upsilon must be positive and finite, got inf",
+    simulate("fstar-non-finite-upsilon", "truth.upsilon must be finite, got inf",
              truth={**FSTAR, "upsilon": math.inf}),
     refusal("lowerbound-c-inf", "lowerbound --p 10 --n 20 --q 0 --c inf --out report.json",
             "c must be positive and finite, got inf"),
