@@ -20,14 +20,15 @@ and that certified affinity feeds the assembled bound
 which is compared against the closed-form rate target c^2 (log p / n)^(1-q).
 :func:`certify` computes every one of these numbers once and returns them
 together as one :class:`Certificate`.  Nothing here walks or counts the
-family, so every value costs O(r) at most.
+family: both chi-squares sum a law over one index, walked out from its peak
+only while a weight stays within ``exp``'s range, so every value costs O(r)
+at most.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConfigError, DomainError
 from .model_spaces import LeastFavorableConfig, _fewest_free_columns
@@ -40,24 +41,54 @@ _EXP_UNDERFLOW = 746.0
 
 
 # ---------------------------------------------------------------------------
-# overlap law
+# one-index laws, walked out from their peak
 
 
-def overlap_fractions(k: int, p_lambda: int) -> list[Fraction]:
-    """Exact overlap law of two uniform k-subsets of p_lambda columns.
+def _walk(ratio, peak: int, lo: int, hi: int):
+    """The weights w_t / w_peak of a law on t = lo..hi with one peak, walked
+    out from ``peak``.
 
-    Entry j is P(J = j) = C(k, j) C(p_lambda - k, k - j) / C(p_lambda, k),
-    returned as exact rationals summing to one.
+    ``ratio(t)`` is w_t / w_(t-1) as a numerator and a denominator.  The
+    log-weights are accumulated from the ratios outward from the peak, where
+    the log-weight is 0, and exponentiated.  A weight more than
+    ``_EXP_UNDERFLOW`` below the peak is exactly 0.0 after ``exp``, so each
+    side's walk stops at the first such weight.  Returns the two sides, each
+    a ``(range, weights)`` pair: t = peak up, then t = peak - 1 down.
     """
-    if k < 0:
-        raise ConfigError(f"k must be nonnegative, got {k}")
-    if p_lambda < k:
-        raise ConfigError(f"need p_lambda >= k, got p_lambda={p_lambda}, k={k}")
-    denom = math.comb(p_lambda, k)
-    return [
-        Fraction(math.comb(k, j) * math.comb(p_lambda - k, k - j), denom)
-        for j in range(k + 1)
-    ]
+    below, above = [], [1.0]  # w_t / w_peak from t = peak - 1 down and from t = peak up
+    for side, step, stop in ((below, -1, lo - 1), (above, 1, hi + 1)):
+        log_w = 0.0
+        for t in range(peak + step, stop, step):
+            # w_t from its neighbour toward the peak, through the ratio of the upper one
+            num, den = ratio(max(t, t - step))
+            log_w += step * math.log(num / den)
+            if log_w < -_EXP_UNDERFLOW:
+                break  # every weight farther out lies lower still
+            side.append(math.exp(log_w))
+    return (range(peak, hi + 1), above), (range(peak - 1, lo - 1, -1), below)
+
+
+def _weighted(sides, f) -> float:
+    """The sum of w_t f(t) over :func:`_walk`'s ``sides``, taken from the
+    peak outward: math.fsum adds falling terms many times faster than rising
+    ones."""
+    return math.fsum(w_t * f(t) for ts, side in sides for t, w_t in zip(ts, side))
+
+
+def _overlap_law(k: int, p_lambda: int):
+    """:func:`_walk`'s sides of the overlap law of two uniform k-subsets of
+    p_lambda columns, P(J = j) = C(k, j) C(p_lambda - k, k - j) / C(p_lambda, k).
+
+    Its ratio
+
+        P(J = j) / P(J = j - 1) = (k - j + 1)^2 / (j (p_lambda - 2k + j))
+
+    falls in j on J's range max(0, 2k - p_lambda)..k, so the law rises to
+    its mode floor((k + 1)^2 / (p_lambda + 2)) and then falls.  The weights
+    are relative to the mode's; normalising them is the caller's.
+    """
+    lo, mode = max(0, 2 * k - p_lambda), (k + 1) ** 2 // (p_lambda + 2)
+    return _walk(lambda j: ((k - j + 1) ** 2, j * (p_lambda - 2 * k + j)), mode, lo, k)
 
 
 # ---------------------------------------------------------------------------
@@ -89,38 +120,44 @@ def chi_square_mixture_bound(cfg: LeastFavorableConfig) -> float:
 
         chi^2 <= sum_j P(J = j) * (1 - eps^2 (j + k delta))^(-n) - 1,
 
-    with P from :func:`overlap_fractions` at the fewest free columns.  At
-    k = 0 the envelope is 0.
+    with P from :func:`_overlap_law` at the fewest free columns, p_lambda.
+    The pair terms grow with j, so only the largest, at j = k, can
+    overflow.  At k = 0 the envelope is 0.
 
     Raises
     ------
     ConfigError
-        If the family is empty (k > r).
+        If the family is empty (k > r), where fewer than k columns are free.
     DomainError
         If rho >= 1, if some base 1 - eps^2 (j + k delta) is not positive, or
         if a term base^(-n) overflows a float, where no finite envelope
         follows.
     """
     k, eps2, n = cfg.k, cfg.epsilon**2, cfg.n
-    # overlap_fractions refuses fewer free columns than k, which only an empty family reaches
-    pmf = overlap_fractions(k, _fewest_free_columns(cfg.r, k))
+    p_lambda = _fewest_free_columns(cfg.r, k)
+    if p_lambda < k:
+        raise ConfigError(f"need p_lambda >= k, got p_lambda={p_lambda}, k={k}")
     rho = 2.0 * k * k * eps2
     if rho >= 1.0:
         raise DomainError(f"rho = 2 k^2 epsilon^2 = {rho:.6g} >= 1; envelope diverges")
     delta = rho / (1.0 - rho)
-    # base_j = 1 - x_j, and the P(J = j) sum to 1, so each term is P(J = j) * (base_j^(-n) - 1)
-    xs = [eps2 * (j + k * delta) for j in range(k + 1)]
-    if max(xs) >= 1.0:
-        raise DomainError(
-            f"1 - epsilon^2 (k + k delta) = {1.0 - max(xs):.6g} <= 0; envelope diverges"
-        )
+    top = 1.0 - eps2 * (k + k * delta)
+    if top <= 0.0:
+        raise DomainError(f"1 - epsilon^2 (k + k delta) = {top:.6g} <= 0; envelope diverges")
+
+    def pair(j: int) -> float:
+        """base_j^(-n) - 1; the P(J = j) sum to 1, so the envelope sums P(J = j) pair(j)."""
+        return math.expm1(-n * math.log1p(-eps2 * (j + k * delta)))
+
     try:
-        return math.fsum(float(pj) * math.expm1(-n * math.log1p(-x)) for pj, x in zip(pmf, xs))
+        pair(k)
     except OverflowError as exc:
         raise DomainError(
             f"(1 - epsilon^2 (k + k delta))^(-n) overflows at n = {n}, "
-            f"base {1.0 - max(xs):.6g}; envelope diverges"
+            f"base {top:.6g}; envelope diverges"
         ) from exc
+    sides = _overlap_law(k, p_lambda)
+    return _weighted(sides, pair) / _weighted(sides, lambda j: 1.0)
 
 
 def _k_one_usage(r: int) -> tuple[float, float]:
@@ -139,11 +176,8 @@ def _k_one_usage(r: int) -> tuple[float, float]:
     1, and then fall.  The ratio is 1 at the smaller root of
     2t^2 - 4(r + 1)t + r(r + 1) = 0, t = r + 1 - sqrt((r + 1)(r + 2) / 2),
     so ``r - isqrt((r + 1)(r + 2) // 2)`` is t* or one below it, and one
-    exact test of the next ratio settles which.  The log-weights are
-    accumulated from the ratios outward from t*, where the log-weight is 0,
-    and exponentiated, and each sum is taken with ``math.fsum``.  A weight
-    more than ``_EXP_UNDERFLOW`` below the peak is exactly 0.0 after
-    ``exp``, so each side's walk stops at the first such weight.
+    exact test of the next ratio settles which.  :func:`_walk` walks the
+    weights out from t*, and each sum is taken with ``math.fsum``.
     """
     m = (r - 1) // 2
 
@@ -154,27 +188,11 @@ def _k_one_usage(r: int) -> tuple[float, float]:
     peak = min(m, r - math.isqrt((r + 1) * (r + 2) // 2))
     if peak < m and ratio(peak + 1)[0] >= ratio(peak + 1)[1]:
         peak += 1
-    below, above = [], [1.0]  # w_t / w_peak from t = peak - 1 down and from t = peak up
-    for side, step, stop in ((below, -1, -1), (above, 1, m + 1)):
-        log_w = 0.0
-        for t in range(peak + step, stop, step):
-            # w_t from its neighbour toward the peak, through the ratio of the upper one
-            num, den = ratio(max(t, t - step))
-            log_w += step * math.log(num / den)
-            if log_w < -_EXP_UNDERFLOW:
-                break  # every weight farther out lies lower still
-            side.append(math.exp(log_w))
-    sides = ((range(peak, m + 1), above), (range(peak - 1, -1, -1), below))
-
-    def weighted(f) -> float:
-        """The sum of w_t f(t), taken from the peak outward: math.fsum adds
-        falling terms many times faster than rising ones."""
-        return math.fsum(w_t * f(t) for ts, side in sides for t, w_t in zip(ts, side))
-
-    total = weighted(lambda t: 1.0)
+    sides = _walk(ratio, peak, 0, m)
+    total = _weighted(sides, lambda t: 1.0)
     # a0 + a1 = r - t and a1 = r - 1 - 2t
-    free = weighted(lambda t: r - t) / total
-    once = weighted(lambda t: (r - 1 - 2 * t) / (r - t)) / total
+    free = _weighted(sides, lambda t: r - t) / total
+    once = _weighted(sides, lambda t: (r - 1 - 2 * t) / (r - t)) / total
     return free, once
 
 

@@ -124,6 +124,19 @@ class LeastFavorableConfig:
 DEFAULT_UPSILON = 0.1
 
 
+def _class_parameter(name: str, value: float, where: str | None = None) -> float:
+    """``value`` if it lies in the range :func:`build_config` accepts for the
+    class parameter ``name``, which is q, c or upsilon; else ConfigError
+    naming it as ``where``, ``name`` by default."""
+    if name == "q":
+        ok, rule = 0.0 <= value < 1.0, "lie in [0, 1)"
+    else:
+        ok, rule = 0.0 < value < math.inf, "be positive and finite"
+    if not ok:
+        raise ConfigError(f"{where or name} must {rule}, got {value}")
+    return value
+
+
 def build_config(
     p: int, n: int, q: float, c: float, upsilon: float = DEFAULT_UPSILON
 ) -> LeastFavorableConfig:
@@ -143,12 +156,8 @@ def build_config(
         raise ConfigError(f"p must be at least 2, got {p}")
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
-    if not 0.0 <= q < 1.0:
-        raise ConfigError(f"q must lie in [0, 1), got {q}")
-    if not 0.0 < c < math.inf:
-        raise ConfigError(f"c must be positive and finite, got {c}")
-    if not 0.0 < upsilon < math.inf:
-        raise ConfigError(f"upsilon must be positive and finite, got {upsilon}")
+    for name, value in (("q", q), ("c", c), ("upsilon", upsilon)):
+        _class_parameter(name, value)
     r = p // 2
     epsilon = upsilon * math.sqrt(math.log(p) / n)
     k = max(math.ceil(c * epsilon ** (-q) / 2.0) - 1, 0)

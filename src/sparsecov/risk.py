@@ -39,7 +39,8 @@ from .estimators import EstimatorSpec, _apply_estimator, _bregman_guard
 from .losses import LossSpec, _floored, evaluate_loss
 from .matrices import _Symmetric, _symmetric
 from .model_spaces import (
-    DEFAULT_UPSILON, _column_radii, build_config, materialize_sigma, sample_theta,
+    DEFAULT_UPSILON, _class_parameter, _column_radii, build_config, materialize_sigma,
+    sample_theta,
 )
 from .rng import RngSeed
 from .sampling import mle_covariance, sample_gaussian
@@ -88,6 +89,12 @@ def _finite(value, where: str) -> float:
     if not math.isfinite(real):
         raise ConfigError(f"{where} must be finite, got {real}")
     return real
+
+
+def _class_reader(name: str, read):
+    """A reader of the fstar class parameter ``name``: ``read``, then the
+    range :func:`build_config` accepts, each naming the value by its path."""
+    return lambda value, where: _class_parameter(name, read(value, where), where)
 
 
 def _above_one(value, where: str) -> float:
@@ -142,9 +149,9 @@ class _Decay(_Truth):
 
 @dataclass(frozen=True)
 class _FStar(_Truth):
-    q: float = _json_field(_check_real)
-    c: float = _json_field(_finite)
-    upsilon: float = _json_field(_finite, default=DEFAULT_UPSILON)
+    q: float = _json_field(_class_reader("q", _check_real))
+    c: float = _json_field(_class_reader("c", _finite))
+    upsilon: float = _json_field(_class_reader("upsilon", _finite), default=DEFAULT_UPSILON)
     theta_seed: RngSeed = _json_field(RngSeed.parse, default=RngSeed(0))
 
     def at(self, n, p):
@@ -183,8 +190,9 @@ def materialize_truth(spec: dict, n: int, p: int):
       the off-diagonal value in units of sqrt(log p / n)
     - ``decay``: ``amplitude`` and ``exponent`` > 1; q is 1/exponent and c
       is the realized maximal column weak-lq radius
-    - ``fstar``: ``q``, ``c``, ``upsilon`` (default ``DEFAULT_UPSILON``) and
-      the ``theta_seed`` (default 0) of a uniform member draw, in any form
+    - ``fstar``: ``q``, ``c``, ``upsilon`` (default ``DEFAULT_UPSILON``),
+      each in the range :func:`build_config` accepts, and the ``theta_seed``
+      (default 0) of a uniform member draw, in any form
       :meth:`RngSeed.parse` reads
     """
     return _read_truth(spec, "truth").at(n, p)()

@@ -13,9 +13,10 @@ enumerating every member pair, and the exact chi-square by enumerating
 every completion.  So does the Gaussian cross-product integral on full
 p x p matrices.  Each enumeration compares its work with a budget: past
 it the exact separation is skipped, and the other enumerations refuse with
-``BudgetError``.  The closed forms of ``sparsecov.lower_bound`` are
-repeated in 60-digit decimal, term by term, as the reference their float
-sums are held to.
+``BudgetError``.  The envelope's overlap law is given in exact rationals,
+and the closed forms of ``sparsecov.lower_bound`` are repeated in 60-digit
+decimal, term by term, as the reference their float walks and sums are
+held to.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -273,7 +275,26 @@ def exact_chi_square_small(
 
 
 # ---------------------------------------------------------------------------
-# the closed forms in 60-digit decimal
+# the overlap law in exact rationals, and the closed forms in 60-digit decimal
+
+
+def overlap_fractions(k: int, p_lambda: int) -> list[Fraction]:
+    """Exact overlap law of two uniform k-subsets of p_lambda columns, the
+    law ``lower_bound._overlap_law`` walks in floats.
+
+    Entry j is P(J = j) = C(k, j) C(p_lambda - k, k - j) / C(p_lambda, k),
+    returned as exact rationals summing to one.
+    """
+    if k < 0:
+        raise ConfigError(f"k must be nonnegative, got {k}")
+    if p_lambda < k:
+        raise ConfigError(f"need p_lambda >= k, got p_lambda={p_lambda}, k={k}")
+    denom = math.comb(p_lambda, k)
+    return [
+        Fraction(math.comb(k, j) * math.comb(p_lambda - k, k - j), denom)
+        for j in range(k + 1)
+    ]
+
 
 # 60 significant digits, in an exponent range wide enough for the k = 1
 # weights, which pass decimal's default Emax of 999,999 by p = 10^7.
@@ -316,15 +337,14 @@ def chi_square_mixture_bound_decimal(cfg: LeastFavorableConfig) -> Decimal:
     epsilon of ``cfg`` taken exactly, the hypergeometric overlap law at the
     fewest free columns and every step in 60-digit decimal."""
     k = cfg.k
-    p_lambda = _fewest_free_columns(cfg.r, k)
+    pmf = overlap_fractions(k, _fewest_free_columns(cfg.r, k))
     with decimal.localcontext(_DECIMAL):
         eps2 = Decimal(cfg.epsilon) ** 2
         rho = 2 * k * k * eps2
         delta = rho / (1 - rho)
         total = sum(
-            Decimal(math.comb(k, j) * math.comb(p_lambda - k, k - j)) / math.comb(p_lambda, k)
-            * (1 - eps2 * (j + k * delta)) ** -cfg.n
-            for j in range(k + 1)
+            Decimal(pj.numerator) / pj.denominator * (1 - eps2 * (j + k * delta)) ** -cfg.n
+            for j, pj in enumerate(pmf)
         )
         return total - 1
 

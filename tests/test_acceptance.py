@@ -24,7 +24,7 @@ from sparsecov.estimators import (
     EstimatorSpec, apply_estimator, psd_project, threshold_estimate,
 )
 from sparsecov.losses import bregman_divergence, closed_form_divergence, evaluate_loss
-from sparsecov.lower_bound import certify, overlap_fractions
+from sparsecov.lower_bound import _overlap_law, certify
 from sparsecov.matrices import operator_norm
 from sparsecov.model_spaces import build_config
 from sparsecov.risk import banded_sigma, export_records, run_grid
@@ -191,24 +191,27 @@ def test_criterion_05_overlap_eigenstructure_exhaustive():
 
 
 def test_criterion_06_overlap_law_exact():
-    """The overlap distribution equals direct enumeration exactly and each
+    """The overlap law the envelope walks equals direct enumeration and each
     term obeys the (k^2 / (p_lambda - k))^j envelope."""
     worst_gap = 0.0
     bound_violations = 0
     cases = 0
     for k in range(1, 5):
         for p_lambda in range(2 * k, 13):
-            fr = overlap_fractions(k, p_lambda)
+            sides = _overlap_law(k, p_lambda)
+            mass = math.fsum(w for _, side in sides for w in side)
+            walked = {j: w / mass for js, side in sides for j, w in zip(js, side)}
+            law = [walked.get(j, 0.0) for j in range(k + 1)]
             first = set(range(k))
             counts = [0] * (k + 1)
             for pat in itertools.combinations(range(p_lambda), k):
                 counts[len(first & set(pat))] += 1
             total = math.comb(p_lambda, k)
             for j in range(k + 1):
-                gap = abs(float(fr[j]) - counts[j] / total)
+                gap = abs(law[j] - counts[j] / total)
                 worst_gap = max(worst_gap, gap)
                 if j >= 1 and p_lambda > k:
-                    if float(fr[j]) > (k**2 / (p_lambda - k)) ** j + 1e-15:
+                    if law[j] > (k**2 / (p_lambda - k)) ** j + 1e-15:
                         bound_violations += 1
             cases += 1
     ok = worst_gap <= 1e-12 and bound_violations == 0

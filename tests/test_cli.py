@@ -610,21 +610,27 @@ def test_lowerbound_trivial_when_k_is_zero(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "p, n, c, affinity",
+    "flags, affinity",
     [
-        ("10000", "40000", "4", 0.99739),  # k = 1, r = 5000: the one-sum
-        ("1000", "4000", "8", 0.97436),  # k = 3, r = 500: the envelope
+        # k = 1, r = 5000: the one-sum
+        pytest.param("--p 10000 --n 40000 --q 0 --c 4", 0.99739, id="10000-40000-4-0.99739"),
+        # k = 3, r = 500: the envelope
+        pytest.param("--p 1000 --n 4000 --q 0 --c 8", 0.97436, id="1000-4000-8-0.97436"),
+        # k = 250,830: the envelope's overlap law, whose exact rationals took
+        # longer than 90 s at a tenth of this k
+        pytest.param("--p 1000000 --n 14 --q 0.5 --c 0.5 --upsilon 1e-12", 1.0,
+                     id="1000000-14-0.5-0.5-1e-12-1"),
     ],
 )
-def test_lowerbound_certifies_any_p_in_under_a_second(tmp_path, p, n, c, affinity):
+def test_lowerbound_certifies_any_p_in_under_a_second(tmp_path, flags, affinity):
     # the command's own time, from the manifest: interpreter start-up does
     # not depend on p, and the command loads no numpy
     root = Path(__file__).resolve().parent.parent
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [
-            sys.executable, "-m", "sparsecov.cli", "lowerbound", "--p", p,
-            "--n", n, "--q", "0", "--c", c, "--out", str(out),
+            sys.executable, "-m", "sparsecov.cli", "lowerbound", *flags.split(),
+            "--out", str(out),
         ],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,

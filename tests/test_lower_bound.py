@@ -22,6 +22,7 @@ from lab_oracles import (
     cross_product_integral,
     exact_chi_square_small,
     gamma1_mixture,
+    overlap_fractions,
     per_comparison_alpha,
     tv_affinity_mc,
 )
@@ -29,10 +30,10 @@ from sparsecov.errors import BudgetError, ConfigError, DomainError
 from sparsecov.lower_bound import (
     CHI_SQUARE_TARGET,
     _k_one_usage,
+    _overlap_law,
     certify,
     chi_square_mixture_bound,
     closed_form_chi_square,
-    overlap_fractions,
 )
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
@@ -186,6 +187,31 @@ def test_overlap_fractions_match_direct_enumeration():
 
 def test_overlap_fractions_k_zero():
     assert overlap_fractions(0, 5) == [Fraction(1)]
+
+
+def walked_overlap_law(k, p_lambda):
+    """{j: P(J = j)} from the envelope's walk, normalised; a j it drops is absent."""
+    sides = _overlap_law(k, p_lambda)
+    total = math.fsum(w for _, side in sides for w in side)
+    return {j: w / total for js, side in sides for j, w in zip(js, side)}
+
+
+@pytest.mark.parametrize(
+    "k, p_lambda",
+    [*((k, p_lambda) for k in range(1, 5) for p_lambda in range(2 * k, 13)),
+     (3, 3), (3, 4), (3, 5), (1000, 5000), (2000, 10000)],
+)
+def test_walked_overlap_law_matches_the_exact_law_term_by_term(k, p_lambda):
+    # the walk drops only terms that a float already rounds to 0; in the far
+    # tails of k = 1000 and 2000 its accumulated log-ratios are up to 4.3e-13
+    # off, and a subnormal term is within a few units of its last place
+    got = walked_overlap_law(k, p_lambda)
+    for j, exact in enumerate(overlap_fractions(k, p_lambda)):
+        want = float(exact)
+        if j not in got:
+            assert want == 0.0, j
+        else:
+            assert math.isclose(got[j], want, rel_tol=1e-12, abs_tol=1e-320), j
 
 
 # ---------------------------------------------------------------------------

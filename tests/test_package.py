@@ -39,7 +39,6 @@ PUBLIC = {
     ],
     "lower_bound": [
         "Certificate", "certify", "chi_square_mixture_bound", "closed_form_chi_square",
-        "overlap_fractions",
     ],
     "risk": [
         "GridResult", "RateFit", "RiskRecord", "banded_sigma", "export_records",

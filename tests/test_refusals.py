@@ -197,6 +197,15 @@ REFUSALS = [
              truth={**FSTAR, "c": math.inf}),
     simulate("fstar-non-finite-upsilon", "truth.upsilon must be finite, got inf",
              truth={**FSTAR, "upsilon": math.inf}),
+    # an fstar truth's class parameters lie in build_config's ranges, whatever the cell
+    simulate("fstar-negative-c", "truth.c must be positive and finite, got -1.0",
+             truth={**FSTAR, "c": -1}),
+    simulate("fstar-q-above-one", "truth.q must lie in [0, 1), got 1.5",
+             truth={**FSTAR, "q": 1.5}),
+    simulate("fstar-negative-q", "truth.q must lie in [0, 1), got -0.2",
+             truth={**FSTAR, "q": -0.2}),
+    simulate("fstar-negative-upsilon", "truth.upsilon must be positive and finite, got -0.1",
+             truth={**FSTAR, "upsilon": -0.1}),
     refusal("lowerbound-c-inf", "lowerbound --p 10 --n 20 --q 0 --c inf --out report.json",
             "c must be positive and finite, got inf"),
     refusal("lowerbound-upsilon-inf", f"{LOWERBOUND} --upsilon inf --out report.json",
@@ -291,6 +300,9 @@ REFUSALS = [
     refusal("chi-square-overflow", "lowerbound --p 1000 --n 40000 --q 0 --c 4 --upsilon 11 "
             "--out report.json", "(1 - epsilon^2 (k + k delta))^(-n) overflows at n = 40000, "
             "base 0.978193; envelope diverges", code=3),
+    refusal("envelope-overflow-at-large-k", "lowerbound --p 1000000 --n 1000000000 --q 0.9 "
+            "--c 1", "(1 - epsilon^2 (k + k delta))^(-n) overflows at n = 1000000000, "
+            "base 0.999998; envelope diverges", code=3),
 ]
 ROWS = {row.id: row for row in REFUSALS}
 
