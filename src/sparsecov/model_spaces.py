@@ -21,7 +21,9 @@ the sparsity class.
 This module owns the family's combinatorics: the 2k column cap
 (``_column_cap``), the check of a tuple against it (``_overused_column``)
 and the fewest columns the r - 1 rows other than row 0 leave under the cap
-(``_fewest_free_columns``).  Nothing here walks or counts the family.
+(``_fewest_free_columns``).  Nothing here walks or counts the family, and
+``materialize_sigma`` writes only the one member it is given; the test
+oracles, which enumerate the family, stack members themselves.
 
 The lower bound reads only the family's shape, so importing this module
 loads no numpy; the functions that build, check or draw matrices import it
@@ -233,34 +235,18 @@ def validate_theta(cfg: LeastFavorableConfig, theta: ThetaIndex) -> None:
 
 
 def materialize_sigma(cfg: LeastFavorableConfig, theta: ThetaIndex) -> np.ndarray:
-    """Assemble Sigma(theta) = I + epsilon * sum of active row/column bumps."""
-    import numpy as np
+    """Assemble Sigma(theta) = I + epsilon * sum of active row/column bumps.
 
-    validate_theta(cfg, theta)
-    return _sigma_stack(cfg, [theta.gamma], np.array(theta.rows, dtype=np.intp))[0]
-
-
-def _sigma_stack(cfg: LeastFavorableConfig, bits, cols) -> np.ndarray:
-    """Sigma(theta) of M members at once, as an (M, p, p) stack.
-
-    ``bits`` is (M, R) with member i's bit for row m at ``[i, m]``, rows R and
-    beyond off, and ``cols`` holds each row's k pattern columns, shaped
-    (M, R, k) or (R, k) when every member shares them.  Rows m < r and
-    support columns >= p - r never meet, so each bumped entry is written
-    once, from zero, as epsilon.
+    Rows m < r and support columns >= p - r never meet, so each bumped entry
+    is written once, from zero, as epsilon.
     """
     import numpy as np
 
-    bits = np.asarray(bits)
-    cols = np.broadcast_to(cols, bits.shape + (cfg.k,))
-    diag = np.arange(cfg.p)
-    sigma = np.zeros((len(bits), cfg.p, cfg.p))
-    sigma[:, diag, diag] = 1.0
-    for m in range(bits.shape[1]):
-        on = np.flatnonzero(bits[:, m])
-        at = cols[on, m]
-        sigma[on[:, None], m, at] = cfg.epsilon
-        sigma[on[:, None], at, m] = cfg.epsilon
+    validate_theta(cfg, theta)
+    sigma = np.eye(cfg.p)
+    for m, row in enumerate(theta.rows):
+        if theta.gamma[m]:
+            sigma[m, row] = sigma[row, m] = cfg.epsilon
     return sigma
 
 

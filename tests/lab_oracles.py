@@ -8,7 +8,7 @@ these oracles check that certificate from the sampling side.
 The family's walkers and counters live here too, since only tests call
 them: the usage-profile DP over valid row-pattern tuples and the exact
 count built on it, the closed-form size floor, the lexicographic tuple
-walker and the pattern-id walker, the exact separation constant by
+and member walkers, the (M, p, p) stack of M members, the pattern-id walker, the exact separation constant by
 enumerating every member pair, and the exact chi-square by enumerating
 every completion.  So does the Gaussian cross-product integral on full
 p x p matrices.  Each enumeration compares its work with a budget: past
@@ -48,10 +48,10 @@ from sparsecov.errors import (
 from sparsecov.matrices import _from_eigen, as_symmetric
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
+    ThetaIndex,
     _column_cap,
     _fewest_free_columns,
     _overused_column,
-    _sigma_stack,
 )
 from sparsecov.rng import RngSeed
 
@@ -135,6 +135,36 @@ def _iter_lambda(cfg: LeastFavorableConfig, rows: int):
     for chosen in itertools.product(patterns, repeat=rows):
         if _overused_column(chosen, cfg.k) is None:
             yield chosen
+
+
+def every_member(cfg: LeastFavorableConfig):
+    """Every family member in lexicographic (gamma, rows) order."""
+    lambdas = list(_iter_lambda(cfg, cfg.r))
+    for gamma in itertools.product((0, 1), repeat=cfg.r):
+        for rows in lambdas:
+            yield ThetaIndex(gamma=gamma, rows=rows)
+
+
+def _sigma_stack(cfg: LeastFavorableConfig, bits, cols) -> np.ndarray:
+    """Sigma(theta) of M members at once, as an (M, p, p) stack.
+
+    ``bits`` is (M, R) with member i's bit for row m at ``[i, m]``, rows R and
+    beyond off, and ``cols`` holds each row's k pattern columns, shaped
+    (M, R, k) or (R, k) when every member shares them.  Rows m < r and
+    support columns >= p - r never meet, so each bumped entry is written
+    once, from zero, as epsilon.
+    """
+    bits = np.asarray(bits)
+    cols = np.broadcast_to(cols, bits.shape + (cfg.k,))
+    diag = np.arange(cfg.p)
+    sigma = np.zeros((len(bits), cfg.p, cfg.p))
+    sigma[:, diag, diag] = 1.0
+    for m in range(bits.shape[1]):
+        on = np.flatnonzero(bits[:, m])
+        at = cols[on, m]
+        sigma[on[:, None], m, at] = cfg.epsilon
+        sigma[on[:, None], at, m] = cfg.epsilon
+    return sigma
 
 
 # ---------------------------------------------------------------------------

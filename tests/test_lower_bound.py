@@ -16,10 +16,12 @@ from lab_oracles import (
     GaussianMixture,
     NumericalError,
     _iter_lambda,
+    _sigma_stack,
     _sufficient_stats,
     _usage_profiles,
     count_theta,
     cross_product_integral,
+    every_member,
     exact_chi_square_small,
     gamma1_mixture,
     overlap_fractions,
@@ -37,10 +39,9 @@ from sparsecov.lower_bound import (
 )
 from sparsecov.model_spaces import (
     LeastFavorableConfig,
-    ThetaIndex,
-    _sigma_stack,
     build_config,
     materialize_sigma,
+    sample_theta,
 )
 from sparsecov.rng import RngSeed
 from sparsecov.sampling import sqrt_psd
@@ -48,14 +49,6 @@ from sparsecov.sampling import sqrt_psd
 
 def criterion_config():
     return build_config(8, 20, 0.0, 4.0, 0.1)
-
-
-def every_member(cfg):
-    """Every family member in lexicographic (gamma, rows) order."""
-    lambdas = list(_iter_lambda(cfg, cfg.r))
-    for gamma in itertools.product((0, 1), repeat=cfg.r):
-        for rows in lambdas:
-            yield ThetaIndex(gamma=gamma, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -625,16 +618,35 @@ def test_gamma1_mixture_matches_member_enumeration(args):
         assert np.array_equal(mix.weights, weights)
 
 
-@pytest.mark.parametrize("args", [(6, 100, 0.0, 4.0, 0.1), (8, 20, 0.0, 6.0, 0.1)])
+@pytest.mark.parametrize(
+    "args",
+    [
+        (6, 100, 0.0, 4.0, 0.1),
+        (8, 20, 0.0, 6.0, 0.1),
+        (4, 100, 0.0, 1.0, 0.1),  # k = 0: every member is the identity
+    ],
+)
 def test_sigma_stack_equals_materialize_sigma_member_by_member(args):
     cfg = build_config(*args)
     members = list(every_member(cfg))
+    # the explicit shape keeps the column axis when k = 0
+    cols = np.array([th.rows for th in members], dtype=np.intp)
     stack = _sigma_stack(
-        cfg, [th.gamma for th in members], np.array([th.rows for th in members])
+        cfg, [th.gamma for th in members], cols.reshape(len(members), cfg.r, cfg.k)
     )
     assert stack.shape == (count_theta(cfg), cfg.p, cfg.p)
     for th, sigma in zip(members, stack):
-        assert np.array_equal(sigma, materialize_sigma(cfg, th))
+        assert materialize_sigma(cfg, th).tobytes() == sigma.tobytes()
+
+
+@pytest.mark.parametrize("p, c, k", [(50, 4.0, 1), (100, 6.0, 2), (200, 8.0, 3)])
+def test_materialize_sigma_equals_sigma_stack_on_sampled_members(p, c, k):
+    cfg = build_config(p, p, 0.0, c, 0.1)
+    assert cfg.k == k
+    for s in range(20):
+        th = sample_theta(cfg, RngSeed(s))
+        stack = _sigma_stack(cfg, [th.gamma], np.array(th.rows, dtype=np.intp))
+        assert materialize_sigma(cfg, th).tobytes() == stack[0].tobytes()
 
 
 def test_gamma1_mixture_budget_counts_members():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from lab_oracles import (
     _count_lambda,
-    _iter_lambda,
     _usage_profiles,
     count_theta,
+    every_member,
     family_size_floor,
 )
 from sparsecov.errors import ConfigError
@@ -216,14 +216,8 @@ def test_materialize_sigma_places_bumps():
     # inactive memberleaves its row clean
     assert np.count_nonzero(sigma - np.eye(6)) == 4
     assert np.allclose(np.diag(sigma), 1.0)
-
-
-def every_member(cfg):
-    """Every family member in lexicographic (gamma, rows) order."""
-    lambdas = list(_iter_lambda(cfg, cfg.r))
-    for gamma in itertools.product((0, 1), repeat=cfg.r):
-        for rows in lambdas:
-            yield ThetaIndex(gamma=gamma, rows=rows)
+    off = dataclasses.replace(theta, gamma=(0, 0, 0))
+    assert materialize_sigma(cfg, off).tobytes() == np.eye(6).tobytes()
 
 
 def test_count_matches_enumeration():
