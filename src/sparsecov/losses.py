@@ -159,7 +159,7 @@ class LossSpec:
         for name in {f.name for f in fields(self)} - set(_kind_keys(self.kind)):
             object.__setattr__(self, name, None)
         if self.kind == "operator":
-            if self.w not in (1, 2, math.inf, 1.0, 2.0):
+            if self.w not in (1, 2, math.inf):
                 raise ConfigError(
                     f"operator loss needs w in {{1, 2, inf}}, got {self.w!r}"
                 )

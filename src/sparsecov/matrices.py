@@ -169,9 +169,9 @@ def operator_norm(a, w) -> float:
         [1, inf].
     """
     mat = _symmetric(a).matrix
-    if w in (1, 1.0, np.inf) or w == math.inf:
+    if w in (1, math.inf):
         return float(np.max(np.sum(np.abs(mat), axis=0)))
-    if w in (2, 2.0):
+    if w == 2:
         return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     raise ConfigError(
         f"no exact formula for operator norm of order {w!r}; "

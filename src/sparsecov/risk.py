@@ -282,18 +282,16 @@ def _run_cell(truth: _Symmetric, estimators, specs, losses, n, replicates, seed)
             estimate = _apply_estimator(sample, est, n)
             if ei == len(estimators) - 1:
                 del sample  # its last reader is done; not held through the losses
-            guarded = None
             for li, loss in enumerate(losses):
-                if specs[ei][li] is not est and guarded is None:
-                    guarded = _bregman_guard(estimate, n)  # once, on demand
+                # the guard reads the estimate's cached eigenvalues; when it
+                # trips, its identity comes decomposed and lives for one loss
+                scored = estimate if specs[ei][li] is est else _bregman_guard(estimate, n)
                 try:
-                    results[ei, li, ridx] = evaluate_loss(
-                        loss, estimate if specs[ei][li] is est else guarded, truth
-                    )
+                    results[ei, li, ridx] = evaluate_loss(loss, scored, truth)
                 except DomainError:
                     pass  # leaves nan; counted by run_grid
-            # free both before the next estimate is built; keeps peak RSS down
-            del estimate, guarded
+                del scored
+            del estimate  # freed before the next estimate is built; keeps peak RSS down
     return results, time.perf_counter() - started
 
 
@@ -621,8 +619,8 @@ def _run_grid(grid: _Grid) -> GridResult:
     pairs = len(estimators) * len(losses)
     for ei, li in np.ndindex(len(estimators), len(losses)):
         group = records[ei * len(losses) + li :: pairs]
-        qs = {r.q for r in group}
-        target = _default_target(losses[li], qs.pop() if len(qs) == 1 else None)
+        # every truth kind fixes q for all cells of a grid
+        target = _default_target(losses[li], group[0].q)
         entry = {"estimator": ei, "loss": li, "fit": None, "error": None}
         try:
             entry["fit"] = rate_fit(group, target_exponent=target)

@@ -114,9 +114,11 @@ def test_sym_eigen_reconstructs():
 def test_operator_norms_small_matrix():
     a = [[1.0, 2.0], [2.0, -1.0]]
     # column sums of |entries| are both 3
-    assert operator_norm(a, 1) == 3.0
-    assert operator_norm(a, np.inf) == 3.0
-    assert abs(operator_norm(a, 2) - math.sqrt(5.0)) < 1e-12
+    # numpy scalars and either infinity take the branch of their order
+    for w in (1, np.float64(1.0), math.inf, np.inf):
+        assert operator_norm(a, w) == 3.0
+    for w in (2, np.float64(2.0)):
+        assert abs(operator_norm(a, w) - math.sqrt(5.0)) < 1e-12
 
 
 def test_norm_one_equals_norm_inf_exactly():

@@ -495,6 +495,29 @@ def test_run_grid_pairs_estimators_on_shared_draws():
     assert all(rec.estimator.corrections[-1] == "bregman-guard" for rec in stein)
 
 
+def test_two_floored_losses_share_one_guard_decision():
+    # n < p in the first cell, so many guards trip; both losses of an
+    # estimate must then score the same identity as each would alone
+    cfg = grid_config(
+        estimators=[{"rule": "hard", "gamma": 2.0}, {"rule": "soft", "gamma": 1.0}],
+        losses=[STEIN.to_json(), VON_NEUMANN.to_json()],
+        cells=[{"n": 15, "p": 20}, {"n": 60, "p": 40}],
+        replicates=6,
+        seed=9,
+    )
+    _, trips = replayed_corrections(cfg)
+    assert 0 < trips < 2 * 6 * 2
+    records = run_grid(cfg).records
+    fields = ("mean_risk", "std_error", "failures", "estimator")
+    for loss in cfg["losses"]:
+        alone = run_grid({**cfg, "losses": [loss]}).records
+        paired = [rec for rec in records if rec.loss == LossSpec.from_json(loss)]
+        assert len(alone) == len(paired) == 2 * 2
+        for rec, single in zip(paired, alone):
+            assert rec.median_risk.hex() == single.median_risk.hex()
+            assert [getattr(rec, f) for f in fields] == [getattr(single, f) for f in fields]
+
+
 @pytest.mark.parametrize("phi", sorted(_GENERATORS))
 def test_run_grid_guards_a_generator_with_a_domain_floor(phi):
     # the floor in the generator table decides, so a new generator is covered here
