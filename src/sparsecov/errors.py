@@ -24,7 +24,9 @@ class ConfigError(SparseCovError, ValueError):
 
 class BudgetError(SparseCovError, RuntimeError):
     """A computation would exceed its budget: the memory a grid cell needs,
-    or the objects an exact enumeration would visit."""
+    which the grid checks before it runs, or the objects an exact
+    enumeration would visit, which only the test oracles' enumerations
+    raise now."""
 
 
 class SchemaError(SparseCovError, ValueError):

@@ -47,7 +47,9 @@ class EstimatorSpec:
 
     ``eta`` only matters for the adaptive-lasso rule and must be >= 1.
     ``gamma`` and ``eta`` must be finite: an infinite threshold would zero
-    every entry and still look like an estimate.
+    every entry and still look like an estimate.  As in JSON, ``gamma`` and
+    ``eta`` are not bools and ``keep_diagonal`` is one, so a spec equals its
+    JSON round trip.
     """
 
     rule: str = "hard"
@@ -64,8 +66,12 @@ class EstimatorSpec:
         if not self.eta >= 1.0:
             raise ConfigError(f"eta must be at least 1, got {self.eta}")
         for name, value in (("gamma", self.gamma), ("eta", self.eta)):
+            if isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value}")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if not isinstance(self.keep_diagonal, bool):
+            raise ConfigError(f"keep_diagonal must be true or false, got {self.keep_diagonal!r}")
         object.__setattr__(self, "corrections", tuple(self.corrections))
         for c in self.corrections:
             if c not in CORRECTIONS:

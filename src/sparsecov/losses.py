@@ -143,9 +143,10 @@ class LossSpec:
     'bregman' uses the generator ``phi`` names: 'stein', 'von-neumann' or
     'squared-frobenius'.  ``normalized`` divides Bregman-type losses
     (including frobenius-squared) by the dimension; an operator loss rejects
-    it.  A field whose metadata names ``kinds`` is read by those kinds
-    alone, only ``w`` by an operator loss and ``phi`` by a Bregman loss; the
-    other kinds set it to None, so a spec equals its JSON round trip.
+    it.  As in JSON, ``normalized`` is a bool and ``w`` is not.  A field
+    whose metadata names ``kinds`` is read by those kinds alone, only ``w``
+    by an operator loss and ``phi`` by a Bregman loss; the other kinds set
+    it to None, so a spec equals its JSON round trip.
     """
 
     kind: str = _json_field(_check_str, default="operator")
@@ -156,10 +157,12 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in _LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
+        if not isinstance(self.normalized, bool):
+            raise ConfigError(f"normalized must be true or false, got {self.normalized!r}")
         for name in {f.name for f in fields(self)} - set(_kind_keys(self.kind)):
             object.__setattr__(self, name, None)
         if self.kind == "operator":
-            if self.w not in (1, 2, math.inf):
+            if isinstance(self.w, bool) or self.w not in (1, 2, math.inf):
                 raise ConfigError(
                     f"operator loss needs w in {{1, 2, inf}}, got {self.w!r}"
                 )

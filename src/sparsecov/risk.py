@@ -91,10 +91,10 @@ def _finite(value, where: str) -> float:
     return real
 
 
-def _class_reader(name: str, read):
-    """A reader of the fstar class parameter ``name``: ``read``, then the
-    range :func:`build_config` accepts, each naming the value by its path."""
-    return lambda value, where: _class_parameter(name, read(value, where), where)
+def _class_reader(name: str):
+    """A reader of the fstar class parameter ``name``: a JSON number in the
+    range :func:`build_config` accepts, named by its path."""
+    return lambda value, where: _class_parameter(name, _check_real(value, where), where)
 
 
 def _above_one(value, where: str) -> float:
@@ -149,9 +149,9 @@ class _Decay(_Truth):
 
 @dataclass(frozen=True)
 class _FStar(_Truth):
-    q: float = _json_field(_class_reader("q", _check_real))
-    c: float = _json_field(_class_reader("c", _finite))
-    upsilon: float = _json_field(_class_reader("upsilon", _finite), default=DEFAULT_UPSILON)
+    q: float = _json_field(_class_reader("q"))
+    c: float = _json_field(_class_reader("c"))
+    upsilon: float = _json_field(_class_reader("upsilon"), default=DEFAULT_UPSILON)
     theta_seed: RngSeed = _json_field(RngSeed.parse, default=RngSeed(0))
 
     def at(self, n, p):

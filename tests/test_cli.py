@@ -91,7 +91,9 @@ def _rows(*rows):
 
 # Refusals that are rows of the table in test_refusals.py, run here under the
 # names and case ids this module's tests gave them before the table held
-# them, so that each of those test ids still names the check it named.
+# them, so that each of those test ids still names the check it named.  The
+# six ``_rows`` names come from the seed suite; the ``_each_row`` names were
+# added later, and each of their rows runs twice, here and in the table.
 test_estimate_from_covariance_needs_n = _rows("estimate-covariance-without-n")
 test_estimate_input_flag_conflicts = _rows(
     "estimate-no-source", "estimate-both-sources", "estimate-data-with-n"
@@ -99,13 +101,9 @@ test_estimate_input_flag_conflicts = _rows(
 test_estimate_rejects_asymmetric_covariance = _rows("asymmetric-covariance")
 test_simulate_bad_config_paths = _rows("config-missing", "cells-empty")
 test_lowerbound_domain_exit = _rows("lowerbound-infeasible")
-test_lowerbound_overflowing_chi_square_exits_three = _rows("chi-square-overflow")
 test_lowerbound_missing_parameters = _rows("lowerbound-missing-c")
 test_lowerbound_seed_names_the_flag_and_its_forms = _each_row(
     "abc", "1.5", "-1", "3:x", "", "1_0", " 7", "+7", "7:", prefix="lowerbound-seed-"
-)
-test_folded_error_classes_keep_their_exit_codes_and_messages = _each_row(
-    "asymmetric-covariance", "truth-not-psd", "chi-square-overflow"
 )
 test_unknown_config_key_exits_two_naming_it = _each_row(
     "top", "cells", "truth", "estimators", "losses", prefix="unknown-key-"

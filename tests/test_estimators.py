@@ -54,6 +54,13 @@ def test_spec_validation():
         EstimatorSpec(rule="adaptive-lasso", eta=0.5)
     with pytest.raises(ConfigError):
         EstimatorSpec(corrections=("shrink",))
+    # what the JSON reader refuses, the constructor refuses too
+    with pytest.raises(ConfigError, match=r"^gamma must be a number, got True$"):
+        EstimatorSpec(gamma=True)
+    with pytest.raises(ConfigError, match=r"^eta must be a number, got True$"):
+        EstimatorSpec(rule="adaptive-lasso", eta=True)
+    with pytest.raises(ConfigError, match=r"^keep_diagonal must be true or false, got 1$"):
+        EstimatorSpec(keep_diagonal=1)
 
 
 def test_spec_json_round_trip():

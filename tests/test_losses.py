@@ -174,6 +174,11 @@ def test_loss_spec_validation_and_detail():
         LossSpec(kind="trace")
     with pytest.raises(ConfigError, match="normalized"):
         LossSpec(kind="operator", w=2, normalized=True)
+    # what the JSON reader refuses, the constructor refuses too
+    with pytest.raises(ConfigError, match=r"^operator loss needs w in \{1, 2, inf\}, got True$"):
+        LossSpec(kind="operator", w=True)
+    with pytest.raises(ConfigError, match=r"^normalized must be true or false, got 1$"):
+        LossSpec(kind="frobenius-squared", normalized=1)
 
 
 def test_loss_spec_json_round_trip():

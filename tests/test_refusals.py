@@ -193,11 +193,13 @@ REFUSALS = [
              truth={"kind": "decay", "amplitude": 1.0, "exponent": math.inf}),
     simulate("decay-exponent", "truth.exponent must exceed 1, got 0.8",
              truth={**DECAY, "exponent": 0.8}),
-    simulate("fstar-non-finite-c", "truth.c must be finite, got inf",
-             truth={**FSTAR, "c": math.inf}),
-    simulate("fstar-non-finite-upsilon", "truth.upsilon must be finite, got inf",
-             truth={**FSTAR, "upsilon": math.inf}),
     # an fstar truth's class parameters lie in build_config's ranges, whatever the cell
+    simulate("fstar-non-finite-c", "truth.c must be positive and finite, got inf",
+             truth={**FSTAR, "c": math.inf}),
+    simulate("fstar-nan-c", "truth.c must be positive and finite, got nan",
+             truth={**FSTAR, "c": math.nan}),
+    simulate("fstar-non-finite-upsilon", "truth.upsilon must be positive and finite, got inf",
+             truth={**FSTAR, "upsilon": math.inf}),
     simulate("fstar-negative-c", "truth.c must be positive and finite, got -1.0",
              truth={**FSTAR, "c": -1}),
     simulate("fstar-q-above-one", "truth.q must lie in [0, 1), got 1.5",
